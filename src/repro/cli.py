@@ -36,7 +36,6 @@ from repro.circuit import get_benchmark
 from repro.circuit.qasm import from_qasm, to_qasm
 from repro.core import OneQCompiler, OneQConfig, render_program
 from repro.hardware import HardwareConfig, get_resource_state
-from repro.sim.noisy import ENGINES as MC_ENGINES
 
 
 def _add_hardware_args(parser: argparse.ArgumentParser) -> None:
@@ -393,7 +392,6 @@ def cmd_noise_sweep(args) -> int:
         out_dir=out_dir,
         stem=args.stem,
         label=args.label,
-        mc_engine=args.mc_engine,
     )
     print(evaluation.render_run_records(records))
     print(f"run table: {out_dir / (args.stem + '.json')}")
@@ -655,15 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--label", default="noise_sweep", help="BENCH_<label>.json name"
     )
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--mc-engine", default=MC_ENGINES[0], choices=list(MC_ENGINES),
-        help="Monte-Carlo execution path: 'frame' (default) propagates "
-        "bit-packed Pauli flip frames (per-shot cost independent of "
-        "qubit count), 'batched' runs chunked shared-symplectic "
-        "tableaus, 'per-shot' is the original reference engine — all "
-        "three produce bit-identical tallies, each ~10x+ slower than "
-        "the previous",
-    )
 
     p = sub.add_parser(
         "degrade-sweep",

@@ -311,9 +311,6 @@ class YieldEstimate:
             fusion sequence; the observable the ``fusion_success`` axis
             of a noise sweep moves.
         method: ``"mc-stabilizer"`` or ``"analytic-only"``.
-        mc_engine: sampler execution path (``"frame"`` bit-packed Pauli
-            frames, ``"batched"`` chunked tableau, or the ``"per-shot"``
-            reference); ``None`` when no sampling ran.
         shots_per_second: sampling throughput; ``None`` when no sampling
             ran.
         seconds: wall time spent sampling.
@@ -326,7 +323,6 @@ class YieldEstimate:
     sigma: float
     method: str
     attempts_per_fusion: Optional[float] = None
-    mc_engine: Optional[str] = None
     shots_per_second: Optional[float] = None
     seconds: float = 0.0
     detail: str = ""
@@ -339,7 +335,6 @@ def estimate_yield(
     shots: int = 2000,
     seed: Optional[int] = 7,
     counts: Optional["FaultCounts"] = None,
-    engine: str = "frame",
     site_map: Optional["SiteNoiseMap"] = None,
     site_profile: Optional["SiteProfile"] = None,
 ) -> YieldEstimate:
@@ -364,11 +359,6 @@ def estimate_yield(
             pattern-level accounting.  Pass
             ``FaultCounts.from_program(program)`` to use the compiled
             program's fusion tally and photon-cycle estimate.
-        engine: sampler execution path — ``"frame"`` (default;
-            bit-packed Pauli frames, per-shot cost independent of qubit
-            count), ``"batched"`` (chunked shared-symplectic tableau)
-            or ``"per-shot"`` (the reference path).  Tallies are
-            bit-identical at a fixed seed.
         site_map: per-site degradation map
             (:class:`repro.hardware.degradation.SiteNoiseMap`); when
             given, fault configurations are sampled from the per-cell
@@ -412,7 +402,7 @@ def estimate_yield(
         site_map=site_map,
         site_profile=site_profile,
     )
-    result = sampler.run(shots, engine=engine)
+    result = sampler.run(shots)
     return YieldEstimate(
         shots=shots,
         yield_mc=result.yield_mc,
@@ -423,7 +413,6 @@ def estimate_yield(
         sigma=result.sigma,
         method="mc-stabilizer",
         attempts_per_fusion=result.attempts_per_fusion,
-        mc_engine=result.engine,
         shots_per_second=result.shots_per_second,
         seconds=time.perf_counter() - t0,
         detail=result.summary(),

@@ -31,11 +31,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.store import ArtifactStore, atomic_write_json
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
-#: Run-table columns, in on-disk CSV order.  Meanings:
+#: Run-table columns, in on-disk CSV order (v10 dropped the v4-v9
+#: sampler-engine column: the frame engine is the only sampler).  Meanings:
 #:   key                 content hash of the spec (cache identity)
-#:   benchmark/num_qubits/seed   which circuit was compiled
+#:   benchmark/num_qubits/seed   which circuit was compiled (for a QASM
+#:       spec: the circuit's name and the width parsed from the text)
 #:   resource_state/ratio/area/extension   hardware coordinate
 #:   depth/num_fusions   the paper's two headline metrics (OneQ)
 #:   synthesis/edge/routing/shuffling/z_measurements   fusion breakdown
@@ -74,9 +76,6 @@ SCHEMA_VERSION = 9
 #:   mc_seconds   wall seconds of the Monte-Carlo stage
 #:   shots_per_second   Monte-Carlo sampling throughput (v4; None when
 #:       no sampling ran)
-#:   mc_engine   sampler execution path (v4, "frame" added in v5):
-#:       "frame" bit-packed Pauli frames (default), "batched" chunked
-#:       tableau, or the "per-shot" reference; None when no sampling ran
 #:   scenario  hardware-degradation scenario name (v9; "" = pristine
 #:       hardware, no degradation stage)
 #:   severity  scenario severity knob in [0, 1] (v9)
@@ -147,7 +146,6 @@ RUN_TABLE_COLUMNS: List[str] = [
     "mc_attempts_per_fusion",
     "mc_seconds",
     "shots_per_second",
-    "mc_engine",
     "scenario",
     "severity",
     "dead_fraction",
@@ -170,7 +168,13 @@ PROFILE_STAGES: Tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One experiment coordinate: circuit x hardware x compiler config."""
+    """One experiment coordinate: circuit x hardware x compiler config.
+
+    The circuit is the library benchmark ``benchmark``/``num_qubits``
+    (generated at ``seed``), or, when ``qasm`` is set, that OpenQASM
+    text: ``benchmark`` then names the circuit and ``num_qubits`` is
+    ignored (pass 0; the width comes from the parsed text).
+    """
 
     benchmark: str
     num_qubits: int
@@ -192,11 +196,8 @@ class RunSpec:
     #: ``NoiseModel`` overrides as a sorted tuple of (name, value), e.g.
     #: ``(("cycle_loss", 0.01), ("fusion_success", 0.5))``
     noise: Tuple[Tuple[str, float], ...] = ()
-    #: Monte-Carlo sampler execution path: "frame" (default; bit-packed
-    #: Pauli frames), "batched" (chunked shared-symplectic tableau) or
-    #: the "per-shot" reference engine — all bit-identical tallies,
-    #: each ~10x+ slower than the previous
-    mc_engine: str = "frame"
+    #: OpenQASM 2.0 source of the circuit (None: the library benchmark)
+    qasm: Optional[str] = None
     #: hardware-degradation scenario
     #: (:data:`repro.hardware.degradation.SCENARIOS`); "" disables the
     #: degradation stage
@@ -209,10 +210,6 @@ class RunSpec:
     policy: str = "survive"
     #: extra ``OneQConfig`` kwargs as a sorted tuple of (name, value)
     compiler_options: Tuple[Tuple[str, object], ...] = ()
-
-    @property
-    def label(self) -> str:
-        return f"{self.benchmark}-{self.num_qubits}"
 
     def noise_label(self) -> str:
         """Canonical "name=value,..." string of the noise overrides."""
@@ -281,7 +278,6 @@ class RunRecord:
     mc_attempts_per_fusion: Optional[float] = None
     mc_seconds: float = 0.0
     shots_per_second: Optional[float] = None
-    mc_engine: Optional[str] = None
     scenario: str = ""
     severity: float = 0.0
     dead_fraction: Optional[float] = None
@@ -302,15 +298,22 @@ def execute_spec(spec: RunSpec) -> RunRecord:
     """Compile one spec and measure it (runs inside worker processes)."""
     from repro.baseline.interpreter import compile_baseline
     from repro.circuit.benchmarks import get_benchmark
+    from repro.circuit.qasm import from_qasm
     from repro.core.compiler import OneQCompiler, OneQConfig
     from repro.eval.experiments import _hardware_for
     from repro.hardware.resource_state import get_resource_state
     from repro.mbqc.translate import circuit_to_pattern
 
     rst = get_resource_state(spec.resource_state)
-    circuit = get_benchmark(spec.benchmark, spec.num_qubits, seed=spec.seed)
+    if spec.qasm is None:
+        circuit = get_benchmark(
+            spec.benchmark, spec.num_qubits, seed=spec.seed
+        )
+    else:
+        circuit = from_qasm(spec.qasm)
+    label = f"{spec.benchmark}-{circuit.num_qubits}"
     hardware = _hardware_for(
-        spec.num_qubits,
+        circuit.num_qubits,
         rst,
         ratio=spec.ratio,
         area=spec.area,
@@ -326,7 +329,7 @@ def execute_spec(spec: RunSpec) -> RunRecord:
     translate_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
     program = compiler.compile_pattern(
-        pattern, name=spec.label, num_qubits=circuit.num_qubits
+        pattern, name=label, num_qubits=circuit.num_qubits
     )
     oneq_seconds = translate_seconds + time.perf_counter() - t0
     program.stage_seconds["translate"] = translate_seconds
@@ -345,9 +348,9 @@ def execute_spec(spec: RunSpec) -> RunRecord:
     if spec.lint:
         from repro.analysis.lint import lint_compiled_program, lint_pattern
 
-        lint_report = lint_pattern(pattern, name=spec.label)
+        lint_report = lint_pattern(pattern, name=label)
         lint_report.extend(
-            lint_compiled_program(program, hardware, name=spec.label)
+            lint_compiled_program(program, hardware, name=label)
         )
         lint_issues = len(lint_report.errors())
 
@@ -405,7 +408,7 @@ def execute_spec(spec: RunSpec) -> RunRecord:
         degrade_program = outcome.program
 
     yield_mc = yield_analytic = mc_attempts = None
-    shots_per_second = mc_engine = None
+    shots_per_second = None
     mc_shots = 0
     mc_seconds = 0.0
     if spec.shots > 0:
@@ -429,7 +432,6 @@ def execute_spec(spec: RunSpec) -> RunRecord:
                         shots=spec.shots,
                         seed=spec.seed,
                         counts=FaultCounts.from_program(degrade_program),
-                        engine=spec.mc_engine,
                         site_map=degrade_map,
                         site_profile=program_site_profile(
                             degrade_program, degrade_map.shape
@@ -445,7 +447,6 @@ def execute_spec(spec: RunSpec) -> RunRecord:
                 shots=spec.shots,
                 seed=spec.seed,
                 counts=FaultCounts.from_program(program),
-                engine=spec.mc_engine,
             )
         if estimate is not None:
             # estimate.shots is 0 when no sampling engine applied
@@ -456,7 +457,6 @@ def execute_spec(spec: RunSpec) -> RunRecord:
             mc_attempts = estimate.attempts_per_fusion
             mc_seconds = estimate.seconds
             shots_per_second = estimate.shots_per_second
-            mc_engine = estimate.mc_engine
 
     baseline_depth = baseline_fusions = None
     depth_improvement = fusion_improvement = None
@@ -476,7 +476,7 @@ def execute_spec(spec: RunSpec) -> RunRecord:
     return RunRecord(
         key=spec.key(),
         benchmark=spec.benchmark,
-        num_qubits=spec.num_qubits,
+        num_qubits=circuit.num_qubits,
         seed=spec.seed,
         resource_state=spec.resource_state,
         ratio=spec.ratio,
@@ -522,7 +522,6 @@ def execute_spec(spec: RunSpec) -> RunRecord:
         mc_attempts_per_fusion=mc_attempts,
         mc_seconds=mc_seconds,
         shots_per_second=shots_per_second,
-        mc_engine=mc_engine,
         scenario=spec.scenario,
         severity=spec.severity,
         dead_fraction=dead_fraction,
@@ -859,7 +858,6 @@ def write_noise_sweep_json(
                 if record.shots_per_second is not None
                 else None
             ),
-            "mc_engine": record.mc_engine,
             "depth": record.depth,
             "fusions": record.num_fusions,
             "cached": record.cached,

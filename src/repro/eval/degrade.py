@@ -62,7 +62,6 @@ def degrade_specs(
     resource_state: str = "3-line",
     shots: int = 0,
     seed: int = 7,
-    mc_engine: str = "frame",
 ) -> List[RunSpec]:
     """Build the (benchmark x scenario x severity x policy) spec grid.
 
@@ -86,7 +85,6 @@ def degrade_specs(
                             include_baseline=False,
                             shots=shots,
                             noise=noise,
-                            mc_engine=mc_engine,
                             scenario=scenario,
                             severity=float(severity),
                             policy=policy,
@@ -232,7 +230,6 @@ def run_degrade_sweep(
     resource_state: str = "3-line",
     shots: int = 0,
     seed: int = 7,
-    mc_engine: str = "frame",
     jobs: Optional[int] = None,
     cache_dir: Optional[pathlib.Path] = None,
     out_dir: Optional[pathlib.Path] = None,
@@ -253,7 +250,6 @@ def run_degrade_sweep(
         resource_state=resource_state,
         shots=shots,
         seed=seed,
-        mc_engine=mc_engine,
     )
     runner = BatchRunner(jobs=jobs, cache_dir=cache_dir)
     records = runner.run(specs)

@@ -280,16 +280,13 @@ def noise_sweep_specs(
     resource_states: Sequence[str] = ("3-line",),
     shots: int = 2000,
     seed: int = 7,
-    mc_engine: str = "frame",
 ):
     """Build the spec grid for :func:`run_noise_sweep`.
 
     One :class:`repro.eval.batch.RunSpec` per (benchmark, resource
     state, fusion_success, cycle_loss) coordinate; every spec carries
-    ``shots`` Monte-Carlo shots, its noise overrides and the sampler
-    execution path (``mc_engine``: "frame" default — bit-packed Pauli
-    frames — with "batched" and the "per-shot" reference available), so
-    yields and throughput land in the schema-v5 run-table columns.
+    ``shots`` Monte-Carlo shots and its noise overrides, so yields and
+    throughput land in the run-table columns.
     """
     from repro.eval.batch import RunSpec
 
@@ -310,7 +307,6 @@ def noise_sweep_specs(
                                 ("cycle_loss", float(cl)),
                                 ("fusion_success", float(fs)),
                             ),
-                            mc_engine=mc_engine,
                         )
                     )
     return specs
@@ -328,7 +324,6 @@ def run_noise_sweep(
     out_dir=None,
     stem: str = "noise_sweep",
     label: str = "noise_sweep",
-    mc_engine: str = "frame",
 ):
     """Sweep noise-model and hardware coordinates, sampling yields.
 
@@ -357,7 +352,6 @@ def run_noise_sweep(
         resource_states=resource_states,
         shots=shots,
         seed=seed,
-        mc_engine=mc_engine,
     )
     runner = BatchRunner(jobs=jobs, cache_dir=cache_dir)
     records = runner.run(specs)
@@ -369,7 +363,6 @@ def run_noise_sweep(
             "fusion_success": list(fusion_success),
             "cycle_loss": list(cycle_loss),
             "resource_states": list(resource_states),
-            "mc_engine": mc_engine,
         }
         write_run_table(records, out_dir, stem=stem, meta=meta)
         import pathlib

@@ -5,8 +5,9 @@ transport: the socket server wraps it, tests and the in-process API
 call it directly.  A request names a circuit — a library benchmark spec
 (``benchmark``/``qubits``) or raw QASM text — plus optional hardware /
 noise / verification knobs; the response carries the compiled artifact
-(depth, fusion tally, pattern size, stage timings, optional yield
-estimate) and its cache provenance.
+(the job's :class:`repro.eval.batch.RunRecord` row: depth, fusion
+tally, pattern size, stage timings, optional verification and yield)
+and its cache provenance.
 
 Request lifecycle:
 
@@ -43,11 +44,13 @@ from repro.utils.sync import make_lock
 
 #: bump when the artifact payload shape changes: stale disk entries
 #: then read as misses instead of surfacing old-shape artifacts
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 _VALID_RESOURCE_STATES = ("3-line", "4-line", "4-star", "4-ring")
 _VALID_BENCHMARKS = ("QFT", "QAOA", "RCA", "BV")
-_VALID_ENGINES = ("frame", "batched", "per-shot")
+#: circuit width bound for both request kinds: checked on the request
+#: for benchmarks, on the parsed circuit (in the worker) for QASM text
+MAX_QUBITS = 256
 
 #: compile-request fields and their validators/defaults; everything
 #: else in a request is a hard error (``bad-request``)
@@ -63,7 +66,6 @@ _REQUEST_FIELDS = (
     "noise",
     "verify",
     "include_baseline",
-    "mc_engine",
 )
 
 
@@ -116,8 +118,8 @@ def normalize_request(request: Dict[str, Any]) -> Dict[str, Any]:
         qubits = request.get("qubits", 16)
         _require(
             isinstance(qubits, int) and not isinstance(qubits, bool)
-            and 1 <= qubits <= 256,
-            "'qubits' must be an integer in [1, 256]",
+            and 1 <= qubits <= MAX_QUBITS,
+            f"'qubits' must be an integer in [1, {MAX_QUBITS}]",
         )
         job["benchmark"] = benchmark
         job["qubits"] = qubits
@@ -157,13 +159,6 @@ def normalize_request(request: Dict[str, Any]) -> Dict[str, Any]:
         value = request.get(flag, False)
         _require(isinstance(value, bool), f"'{flag}' must be a boolean")
         job[flag] = value
-
-    mc_engine = request.get("mc_engine", "frame")
-    _require(
-        mc_engine in _VALID_ENGINES,
-        f"'mc_engine' must be one of {', '.join(_VALID_ENGINES)}",
-    )
-    job["mc_engine"] = mc_engine
     return job
 
 
@@ -176,99 +171,42 @@ def job_key(job: Dict[str, Any]) -> str:
 
 
 def compile_job(job: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one normalized job (runs inside a worker process)."""
-    if "qasm" in job:
-        return _compile_qasm_job(job)
-    return _compile_benchmark_job(job)
+    """Execute one normalized job (runs inside a worker process).
 
-
-def _compile_benchmark_job(job: Dict[str, Any]) -> Dict[str, Any]:
+    Both request kinds run the batch pipeline
+    (:func:`repro.eval.batch.execute_spec`), so the artifact is the run
+    record of the job's spec.  QASM text is parsed here, never on the
+    cache-hit path; a parsed circuit wider than ``MAX_QUBITS`` raises
+    :class:`RequestError` before anything compiles.
+    """
     from repro.eval.batch import RunSpec, execute_spec
 
+    qasm = job.get("qasm")
+    if qasm is not None:
+        from repro.circuit.qasm import from_qasm
+
+        width = from_qasm(qasm).num_qubits
+        _require(
+            1 <= width <= MAX_QUBITS,
+            f"QASM circuit has {width} qubits; the bound is "
+            f"[1, {MAX_QUBITS}]",
+        )
     spec = RunSpec(
-        benchmark=job["benchmark"],
-        num_qubits=job["qubits"],
+        benchmark=job["benchmark"] if qasm is None else job["name"],
+        num_qubits=job.get("qubits", 0),
+        qasm=qasm,
         seed=job["seed"],
         resource_state=job["resource_state"],
         include_baseline=job["include_baseline"],
         verify=job["verify"],
         shots=job["shots"],
         noise=tuple(sorted(job["noise"].items())),
-        mc_engine=job["mc_engine"],
     )
     artifact = asdict(execute_spec(spec))
     # cache provenance belongs to the store envelope, not the artifact
     for field in ("cached", "cache_tier", "cache_age_seconds"):
         artifact.pop(field, None)
-    artifact["kind"] = "benchmark"
-    return artifact
-
-
-def _compile_qasm_job(job: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.circuit.qasm import from_qasm
-    from repro.core.compiler import OneQCompiler, OneQConfig
-    from repro.eval.experiments import _hardware_for
-    from repro.hardware.resource_state import get_resource_state
-    from repro.mbqc.translate import circuit_to_pattern
-
-    circuit = from_qasm(job["qasm"])
-    rst = get_resource_state(job["resource_state"])
-    hardware = _hardware_for(circuit.num_qubits, rst)
-    compiler = OneQCompiler(OneQConfig(hardware=hardware))
-    t0 = time.perf_counter()
-    pattern = circuit_to_pattern(circuit)
-    program = compiler.compile_pattern(
-        pattern, name=job["name"], num_qubits=circuit.num_qubits
-    )
-    seconds = time.perf_counter() - t0
-
-    artifact: Dict[str, Any] = {
-        "kind": "qasm",
-        "name": job["name"],
-        "num_qubits": circuit.num_qubits,
-        "seed": job["seed"],
-        "resource_state": job["resource_state"],
-        "depth": program.physical_depth,
-        "num_fusions": program.num_fusions,
-        "mapping_layers": program.mapping_layers,
-        "shuffle_layers": program.shuffle_layers,
-        "num_partitions": program.num_partitions,
-        "pattern_nodes": program.pattern_nodes,
-        "pattern_edges": program.pattern_edges,
-        "seconds": seconds,
-        "stage_seconds": {
-            stage: round(value, 6)
-            for stage, value in program.stage_seconds.items()
-        },
-        "verified": None,
-        "verify_method": None,
-        "yield_analytic": None,
-        "yield_mc": None,
-        "shots": 0,
-    }
-    if job["verify"]:
-        from repro.core.validate import verify_pattern
-
-        report = verify_pattern(circuit, pattern=pattern, seed=job["seed"])
-        artifact["verified"] = report.ok
-        artifact["verify_method"] = report.method
-    if job["shots"] > 0:
-        from repro.core.validate import estimate_yield
-        from repro.hardware.noise import NoiseModel
-        from repro.sim.noisy import FaultCounts
-
-        estimate = estimate_yield(
-            circuit,
-            pattern=pattern,
-            model=NoiseModel(**job["noise"]),
-            shots=job["shots"],
-            seed=job["seed"],
-            counts=FaultCounts.from_program(program),
-            engine=job["mc_engine"],
-        )
-        artifact["shots"] = estimate.shots
-        artifact["yield_mc"] = estimate.yield_mc
-        artifact["yield_analytic"] = estimate.yield_analytic
+    artifact["kind"] = "benchmark" if qasm is None else "qasm"
     return artifact
 
 
@@ -348,6 +286,8 @@ class CompileService:
             with self._lock:
                 self._inflight.pop(key, None)
                 self.jobs_failed += 1
+            if isinstance(exc, RequestError):
+                return error_response("bad-request", exc.message, key=key)
             return error_response(
                 "compile-error", f"{type(exc).__name__}: {exc}", key=key
             )

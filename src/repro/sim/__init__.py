@@ -9,8 +9,6 @@ from repro.sim.noisy import (
     sample_yield,
 )
 from repro.sim.pattern_sim import (
-    BatchedStabilizerPatternResult,
-    BatchedStabilizerPatternSimulator,
     PatternResult,
     PatternSimulator,
     StabilizerPatternResult,
@@ -20,7 +18,6 @@ from repro.sim.pattern_sim import (
     simulate_pattern_stabilizer,
 )
 from repro.sim.stabilizer import PauliString, StabilizerState
-from repro.sim.stabilizer_batch import BatchedStabilizerState
 from repro.sim.statevector import (
     Statevector,
     basis_state_distribution,
@@ -34,9 +31,6 @@ from repro.sim.statevector import (
 )
 
 __all__ = [
-    "BatchedStabilizerPatternResult",
-    "BatchedStabilizerPatternSimulator",
-    "BatchedStabilizerState",
     "FaultCounts",
     "FrameProgram",
     "NoisySampleResult",

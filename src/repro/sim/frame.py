@@ -1,8 +1,6 @@
 """Bit-packed Pauli-frame Monte-Carlo engine for Clifford patterns.
 
-The third and final leap of the noisy-sampler trajectory.  The per-shot
-engine copies a tableau per shot; the batched engine shares one
-symplectic tableau across a chunk and keeps per-shot sign planes.  This
+The per-shot reference executor copies a tableau per shot.  This
 module removes the tableau from the faulty-shot path altogether: every
 fault channel :class:`repro.sim.noisy.NoisySampler` supports is a
 sign-only Pauli perturbation of one fixed Clifford execution, so after a
@@ -20,8 +18,8 @@ with a feed-forward-adapted sign).  A faulty shot's state before any
 measurement is ``E |psi>`` with ``E`` the injected Pauli frame and
 ``|psi>`` the reference state.  Aligning each measurement's random
 collapse branch with the reference run (a gauge choice — pass/fail is
-branch-independent, the same fact that makes the batched engine's
-tallies bit-identical to the per-shot engine's):
+branch-independent, the same fact that makes the frame tallies
+bit-identical to the per-shot reference's):
 
 * the physical outcome flips iff ``E`` anticommutes with the measured
   basis operator, and the post-measurement state is again ``E`` times
@@ -59,10 +57,10 @@ noiseless pattern once on the scalar tableau
 (:class:`repro.sim.pattern_sim.StabilizerPatternSimulator`) — the
 calibration run that anchors the reference — and then executes faulty
 chunks via :meth:`PauliFrameSimulator.run_chunk`.
-``NoisySampler.run(engine="frame")`` is the production entry point;
+``NoisySampler.run`` is the production entry point;
 ``tests/sim/test_noisy.py`` pins frame tallies bit-identical to the
-batched and per-shot engines and ``benchmarks/bench_frame.py`` gates
-the speedup (>= 10x over the batched engine at 4000 faulty shots).
+per-shot reference executor and ``benchmarks/bench_noisy.py`` gates
+the speedup (>= 100x over it at 2000 shots).
 """
 
 from __future__ import annotations

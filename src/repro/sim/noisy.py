@@ -36,36 +36,28 @@ Sampled fault channels, per shot (probabilities are per event):
   wrong bit.  Flips that land on output-readout slots corrupt the
   classical result directly and fail the shot.
 
-Shots with zero fault events never touch the tableau: a fault-free
-execution deterministically passes the stabilizer check (verified once
-per sampler as a calibration shot), so only faulty shots pay for a full
-tableau run.  At realistic error rates this makes large shot counts
-cheap.
+Shots with zero fault events never execute: a fault-free execution
+deterministically passes the stabilizer check (verified once per sampler
+as a calibration shot), so only faulty shots pay for execution.  At
+realistic error rates this makes large shot counts cheap.
 
-Faulty shots themselves run on one of three engines, fastest first:
+Faulty shots run on the bit-packed Pauli-frame engine
+(:mod:`repro.sim.frame`).  Every supported fault channel is a sign-only
+perturbation of one fixed Clifford execution, so after a single
+reference tableau run each faulty shot reduces to an X/Z flip frame
+XOR-propagated 64 shots per ``uint64`` word — per-shot cost is
+independent of qubit count.
 
-* ``engine="frame"`` (default): the bit-packed Pauli-frame engine
-  (:mod:`repro.sim.frame`).  Every supported fault channel is a
-  sign-only perturbation of one fixed Clifford execution, so after a
-  single reference tableau run each faulty shot reduces to an X/Z flip
-  frame XOR-propagated 64 shots per ``uint64`` word — per-shot cost is
-  independent of qubit count.
-* ``engine="batched"``: a whole chunk of faulty shots shares one
-  symplectic tableau and executes the measurement sequence once on
-  :class:`repro.sim.stabilizer_batch.BatchedStabilizerState` — per-shot
-  cost collapses to vectorized sign algebra over the ``(batch, 2n)``
-  sign plane.
-* ``engine="per-shot"``: the original one-tableau-per-shot reference
-  path.
-
-All three produce bit-identical tallies at a fixed seed: pass/fail per
-shot is a deterministic function of the sampled fault configuration —
-random measurement outcomes are a gauge the feed-forward corrections
-cancel — and the fault configurations are drawn identically (sampling
-is separated from execution).  ``tests/sim/test_noisy.py`` pins the
-equivalence across engines, seeds, chunk sizes and noise grids;
-``benchmarks/bench_noisy.py`` gates batched >= 10x over per-shot and
-``benchmarks/bench_frame.py`` gates frame >= 10x over batched.
+Sampling is separated from execution: :meth:`NoisySampler._draw_faults`
+draws every shot's fault configuration up front, and pass/fail per shot
+is a deterministic function of that configuration (random measurement
+outcomes are a gauge the feed-forward corrections cancel).  The
+one-tableau-per-shot executor :meth:`NoisySampler._execute_shot` stays
+as the test oracle: :meth:`NoisySampler._run_per_shot` replays the same
+draw shot by shot, and ``tests/sim/test_noisy.py`` pins its tallies
+bit-identical to :meth:`NoisySampler.run` across seeds, chunk sizes and
+noise grids (``benchmarks/bench_noisy.py`` gates the frame engine's
+speed against it).
 """
 
 from __future__ import annotations
@@ -73,7 +65,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,21 +89,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compiler import CompiledProgram
     from repro.sim.frame import PauliFrameSimulator
 
-#: Default faulty shots per batched tableau chunk.  Peak chunk memory is
-#: about ``chunk * 2 * pattern_nodes`` sign bytes plus the per-node
-#: outcome vectors — a few MB at hundreds of nodes — while big enough to
-#: amortize the shared symplectic work across the whole chunk.
-DEFAULT_CHUNK_SHOTS = 512
-
 #: Default faulty shots per frame-engine chunk.  Frames pack 64 shots
 #: per uint64 word, and each measurement step costs a handful of
 #: word-vector XORs regardless of chunk size — so much larger chunks
 #: amortize the per-step Python dispatch; 64k shots is ~1k words, i.e.
 #: ``(2n + steps) * 8`` KB of frame matrices.
 DEFAULT_FRAME_CHUNK_SHOTS = 1 << 16
-
-#: Engines `NoisySampler.run` accepts, fastest first.
-ENGINES = ("frame", "batched", "per-shot")
 
 #: Random-key matrix budget (elements) per block when placing distinct
 #: measurement-flip slots; bounds peak memory at ~32 MB of float64 keys
@@ -180,9 +163,7 @@ class NoisySampleResult:
     fusion attempts, including repeat-until-success retries, over the
     shots that actually ran their fusion sequence — loss-aborted shots
     stop before their fusions and contribute nothing) and ``seconds``
-    (wall time of the run).  ``engine`` records which execution path
-    produced the tally (``"frame"``, ``"batched"`` or ``"per-shot"``;
-    all bit-identical at a fixed seed).
+    (wall time of the run).
     """
 
     shots: int
@@ -195,7 +176,6 @@ class NoisySampleResult:
     counts: FaultCounts
     model: NoiseModel
     seconds: float = 0.0
-    engine: str = "frame"
     #: Per-site closed-form zero-fault probability when the run sampled
     #: a heterogeneous :class:`repro.hardware.degradation.SiteNoiseMap`
     #: (None for scalar/uniform runs, where ``counts`` + ``model``
@@ -272,8 +252,34 @@ class NoisySampleResult:
         )
 
 
+@dataclass(frozen=True)
+class _FaultDraw:
+    """Every shot's sampled fault configuration (``_draw_faults``).
+
+    Shot counts classify the draw: loss aborts, fault-free shots,
+    faulty shots failed outright by a flipped output readout, and the
+    ``executed`` rest.  The flat ``(fault_shot, fault_qubit,
+    fault_kind)`` entries (kind indexes ``"xyz"``) and ``(flip_shot,
+    flip_qubit)`` entries place each executed shot's Pauli faults and
+    measurement flips on tableau qubits; shot indices run over the
+    executed shots and are sorted.
+    """
+
+    shots: int
+    fault_free: int
+    loss_aborts: int
+    readout_failures: int
+    executed: int
+    fusion_attempts: int
+    fault_shot: np.ndarray
+    fault_qubit: np.ndarray
+    fault_kind: np.ndarray
+    flip_shot: np.ndarray
+    flip_qubit: np.ndarray
+
+
 class NoisySampler:
-    """Batched Monte-Carlo noisy executor for Clifford patterns.
+    """Monte-Carlo noisy executor for Clifford patterns.
 
     Args:
         circuit: the source circuit (defines the ideal output stabilizer
@@ -292,7 +298,7 @@ class NoisySampler:
             accounting.
         seed: seeds the fault sampling and all tableau RNGs; two
             samplers with equal arguments and seed produce identical
-            tallies bit for bit, on every engine.
+            tallies bit for bit.
         site_map: optional per-site
             :class:`repro.hardware.degradation.SiteNoiseMap`.  When
             given it takes precedence over *model*: a map that is
@@ -313,14 +319,9 @@ class NoisySampler:
     and the shot classification (loss abort / fault free / readout
     flip) is pure numpy mask algebra — tally-only shots never cost a
     Python iteration.  Only shots with at least one non-loss,
-    non-readout fault event execute, on the engine of choice: the
-    default ``frame`` engine reduces them to bit-packed Pauli flip
-    frames (:class:`repro.sim.frame.PauliFrameSimulator`; per-shot cost
-    independent of qubit count), ``batched`` runs chunks on one
-    shared-symplectic batched tableau
-    (:class:`repro.sim.stabilizer_batch.BatchedStabilizerState`), and
-    ``per-shot`` copies the base graph state per shot (the original
-    reference path).
+    non-readout fault event execute, as bit-packed Pauli flip frames
+    (:class:`repro.sim.frame.PauliFrameSimulator`; per-shot cost
+    independent of qubit count).
     """
 
     def __init__(
@@ -434,7 +435,7 @@ class NoisySampler:
                 "sample"
             )
         self.seed = seed
-        self._frame_sim = None  # compiled lazily on first engine="frame"
+        self._frame_sim = None  # compiled lazily by the first faulty run
         self._outputs = frozenset(pattern.outputs)
         # node list in tableau-qubit order: graph_state sorts nodes, so
         # qubit i of the base tableau hosts self._nodes[i]
@@ -490,42 +491,6 @@ class NoisySampler:
         )
         result = simulator.run(prepared=(state, self._index))
         return self._stabilizers_hold(result)
-
-    def _execute_chunk(
-        self,
-        chunk: List[Tuple[tuple, frozenset]],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Run a chunk of faulty shots on one batched tableau; returns
-        the per-shot boolean pass mask of the output stabilizer check."""
-        from repro.sim.pattern_sim import BatchedStabilizerPatternSimulator
-        from repro.sim.stabilizer_batch import BatchedStabilizerState
-
-        size = len(chunk)
-        state = BatchedStabilizerState.from_state(self._base, size)
-        state.rng = rng
-        flip_map: Dict[int, np.ndarray] = {}
-        for element, (pauli_faults, flips) in enumerate(chunk):
-            for qubit, kind in pauli_faults:
-                state.inject_pauli(element, qubit, kind)
-            for node in flips:
-                flip_map.setdefault(
-                    node, np.zeros(size, dtype=np.uint8)
-                )[element] = 1
-        simulator = BatchedStabilizerPatternSimulator(
-            self.pattern, outcome_flips=flip_map
-        )
-        result = simulator.run(prepared=(state, self._index))
-        ok = np.ones(size, dtype=bool)
-        for gx, gz, gr in self._circuit_rows:
-            pauli = result.output_pauli(self.pattern.outputs, gx, gz)
-            values = result.state.expectation(pauli)
-            if values is None:  # pragma: no cover - faults are sign-only
-                raise RuntimeError(
-                    "output stabilizer became random under sign-only faults"
-                )
-            ok &= values == gr
-        return ok
 
     def _place_flips(
         self, n_meas: np.ndarray, rng: np.random.Generator
@@ -594,44 +559,16 @@ class NoisySampler:
         return self._frame_sim
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        shots: int,
-        engine: str = "frame",
-        chunk_size: Optional[int] = None,
-    ) -> NoisySampleResult:
-        """Sample and execute *shots* noisy shots; returns the tally.
+    def _draw_faults(self, shots: int, rng: np.random.Generator) -> _FaultDraw:
+        """Sample and place every shot's faults from the master *rng*.
 
-        Args:
-            shots: number of Monte-Carlo shots (> 0).
-            engine: ``"frame"`` (default) executes faulty shots as
-                bit-packed Pauli flip frames; ``"batched"`` runs them in
-                chunks on the shared-symplectic batched tableau;
-                ``"per-shot"`` is the original reference path.  Tallies
-                are bit-identical across the three at a fixed seed.
-            chunk_size: faulty shots per execution chunk (ignored by
-                ``per-shot``).  Defaults per engine: 64k for ``frame``
-                (~1k uint64 words per frame row), 512 for ``batched``
-                (bounding peak memory at roughly ``chunk_size * 2 *
-                pattern_nodes`` sign bytes).
+        Execution never feeds back into sampling, so the tally of any
+        executor consuming this draw cannot depend on how it executes
+        or chunks the faulty shots.
         """
         if shots <= 0:
             raise ValueError("shots must be positive")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; use one of {', '.join(ENGINES)}"
-            )
-        if chunk_size is None:
-            chunk_size = (
-                DEFAULT_FRAME_CHUNK_SHOTS
-                if engine == "frame"
-                else DEFAULT_CHUNK_SHOTS
-            )
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        t0 = time.perf_counter()
         counts, model = self.counts, self.model
-        rng = np.random.default_rng(self.seed)
 
         def event_counts(n_events: int, rate: float) -> np.ndarray:
             if n_events == 0 or rate <= 0.0:
@@ -656,8 +593,8 @@ class NoisySampler:
             # heterogeneous site map: per-fusion / per-cycle rates are
             # vectors indexed by the program's site assignment (the
             # measurement channel stays scalar — readout is not a grid
-            # operation).  The engines downstream are untouched: they
-            # consume fault placements, never probabilities.
+            # operation).  Execution downstream is untouched: it
+            # consumes fault placements, never probabilities.
             fe_rates, cl_rates, fs_rates = self._site_rates
             losses = hetero_event_counts(cl_rates)
             fusion_errors = hetero_event_counts(fe_rates)
@@ -691,9 +628,7 @@ class NoisySampler:
         loss_aborts = int(loss_mask.sum())
         fault_free = int(shots - loss_aborts - faulty_mask.sum())
 
-        # fault placement for every faulty shot, in bulk from the master
-        # stream (execution never feeds back into sampling, so tallies
-        # cannot depend on the engine or the chunking)
+        # fault placement for every faulty shot, in bulk
         n_fus = fusion_errors[faulty_mask]
         fault_shot = np.repeat(np.arange(n_fus.size), n_fus)
         fault_qubit = rng.integers(0, self._base.n, size=fault_shot.size)
@@ -704,86 +639,109 @@ class NoisySampler:
 
         # a flipped output readout is classically wrong whatever the
         # quantum state, so those shots skip execution outright
-        logical_failures = int(readout.sum())
-        executed = int(n_fus.size - logical_failures)
+        readout_failures = int(readout.sum())
         position = np.cumsum(~readout) - 1  # faulty row -> executed slot
         keep = ~readout[fault_shot]
-        fault_shot = position[fault_shot[keep]]
-        fault_qubit, fault_kind = fault_qubit[keep], fault_kind[keep]
-        flip_shot = position[flip_shot]  # flips only land on executed rows
-
-        successes = fault_free
-        if engine == "frame" and executed:
-            frame_sim = self._frame_simulator()
-            for start in range(0, executed, chunk_size):
-                stop = min(start + chunk_size, executed)
-                f_lo, f_hi = np.searchsorted(fault_shot, (start, stop))
-                l_lo, l_hi = np.searchsorted(flip_shot, (start, stop))
-                ok = frame_sim.run_shots(
-                    stop - start,
-                    fault_qubit[f_lo:f_hi],
-                    fault_kind[f_lo:f_hi],
-                    fault_shot[f_lo:f_hi] - start,
-                    flip_qubit[l_lo:l_hi],
-                    flip_shot[l_lo:l_hi] - start,
-                    rng,
-                )
-                passed = int(ok.sum())
-                successes += passed
-                logical_failures += len(ok) - passed
-        elif executed:
-            # the tableau engines want per-shot Python structures; build
-            # them from the flat placement arrays
-            f_bounds = np.searchsorted(fault_shot, np.arange(executed + 1))
-            l_bounds = np.searchsorted(flip_shot, np.arange(executed + 1))
-            pending: List[Tuple[tuple, frozenset]] = [
-                (
-                    tuple(
-                        (int(q), "xyz"[int(k)])
-                        for q, k in zip(
-                            fault_qubit[f_bounds[j] : f_bounds[j + 1]],
-                            fault_kind[f_bounds[j] : f_bounds[j + 1]],
-                        )
-                    ),
-                    frozenset(
-                        self._nodes[int(q)]
-                        for q in flip_qubit[l_bounds[j] : l_bounds[j + 1]]
-                    ),
-                )
-                for j in range(executed)
-            ]
-            if engine == "per-shot":
-                for pauli_faults, flips in pending:
-                    if self._execute_shot(rng, pauli_faults, flips):
-                        successes += 1
-                    else:
-                        logical_failures += 1
-            else:
-                for start in range(0, executed, chunk_size):
-                    ok = self._execute_chunk(
-                        pending[start : start + chunk_size], rng
-                    )
-                    passed = int(ok.sum())
-                    successes += passed
-                    logical_failures += len(ok) - passed
-
-        # loss-aborted shots stop before their fusion sequence, so their
-        # pre-sampled attempt counts never happened and are not tallied
-        fusion_attempts = int(attempts[losses == 0].sum())
-        return NoisySampleResult(
+        return _FaultDraw(
             shots=shots,
-            successes=successes,
             fault_free=fault_free,
             loss_aborts=loss_aborts,
-            logical_failures=logical_failures,
-            executed=executed,
-            fusion_attempts=fusion_attempts,
-            counts=counts,
-            model=model,
+            readout_failures=readout_failures,
+            executed=n_fus.size - readout_failures,
+            # loss-aborted shots stop before their fusion sequence, so
+            # their pre-sampled attempt counts never happened
+            fusion_attempts=int(attempts[losses == 0].sum()),
+            fault_shot=position[fault_shot[keep]],
+            fault_qubit=fault_qubit[keep],
+            fault_kind=fault_kind[keep],
+            flip_shot=position[flip_shot],  # flips land on executed rows
+            flip_qubit=flip_qubit,
+        )
+
+    def _tally(
+        self, draw: _FaultDraw, passed: int, t0: float
+    ) -> NoisySampleResult:
+        """Result of a run whose executed shots *passed* the check."""
+        return NoisySampleResult(
+            shots=draw.shots,
+            successes=draw.fault_free + passed,
+            fault_free=draw.fault_free,
+            loss_aborts=draw.loss_aborts,
+            logical_failures=draw.readout_failures + draw.executed - passed,
+            executed=draw.executed,
+            fusion_attempts=draw.fusion_attempts,
+            counts=self.counts,
+            model=self.model,
             seconds=time.perf_counter() - t0,
-            engine=engine,
             analytic_override=self._analytic_override,
         )
+
+    def run(
+        self, shots: int, chunk_size: Optional[int] = None
+    ) -> NoisySampleResult:
+        """Sample and execute *shots* noisy shots; returns the tally.
+
+        Args:
+            shots: number of Monte-Carlo shots (> 0).
+            chunk_size: faulty shots per frame-engine chunk (default
+                64k, ~1k uint64 words per frame row); tallies do not
+                depend on it.
+        """
+        if chunk_size is None:
+            chunk_size = DEFAULT_FRAME_CHUNK_SHOTS
+        if chunk_size <= 0:
+            raise ValueError("chunk_size must be positive")
+        t0 = time.perf_counter()
+        rng = np.random.default_rng(self.seed)
+        draw = self._draw_faults(shots, rng)
+        passed = 0
+        if draw.executed:
+            frame_sim = self._frame_simulator()
+            for start in range(0, draw.executed, chunk_size):
+                stop = min(start + chunk_size, draw.executed)
+                f_lo, f_hi = np.searchsorted(draw.fault_shot, (start, stop))
+                l_lo, l_hi = np.searchsorted(draw.flip_shot, (start, stop))
+                ok = frame_sim.run_shots(
+                    stop - start,
+                    draw.fault_qubit[f_lo:f_hi],
+                    draw.fault_kind[f_lo:f_hi],
+                    draw.fault_shot[f_lo:f_hi] - start,
+                    draw.flip_qubit[l_lo:l_hi],
+                    draw.flip_shot[l_lo:l_hi] - start,
+                    rng,
+                )
+                passed += int(ok.sum())
+        return self._tally(draw, passed, t0)
+
+    def _run_per_shot(self, shots: int) -> NoisySampleResult:
+        """The test oracle for :meth:`run`: the same fault draw, each
+        faulty shot executed on its own copy of the base tableau.
+
+        Tallies are bit-identical to :meth:`run` at a fixed seed; the
+        per-shot cost grows with the pattern size, so this is for
+        equivalence tests and the speed gate only.
+        """
+        t0 = time.perf_counter()
+        rng = np.random.default_rng(self.seed)
+        draw = self._draw_faults(shots, rng)
+        shot_ids = np.arange(draw.executed + 1)
+        f_bounds = np.searchsorted(draw.fault_shot, shot_ids)
+        l_bounds = np.searchsorted(draw.flip_shot, shot_ids)
+        passed = 0
+        for j in range(draw.executed):
+            f_lo, f_hi = f_bounds[j], f_bounds[j + 1]
+            l_lo, l_hi = l_bounds[j], l_bounds[j + 1]
+            pauli_faults = tuple(
+                (int(q), "xyz"[int(k)])
+                for q, k in zip(
+                    draw.fault_qubit[f_lo:f_hi], draw.fault_kind[f_lo:f_hi]
+                )
+            )
+            flips = frozenset(
+                self._nodes[int(q)] for q in draw.flip_qubit[l_lo:l_hi]
+            )
+            passed += self._execute_shot(rng, pauli_faults, flips)
+        return self._tally(draw, passed, t0)
 
 
 def sample_yield(
@@ -793,7 +751,6 @@ def sample_yield(
     model: NoiseModel = DEFAULT_NOISE,
     counts: Optional[FaultCounts] = None,
     seed: Optional[int] = 7,
-    engine: str = "frame",
     chunk_size: Optional[int] = None,
     site_map: Optional[SiteNoiseMap] = None,
     site_profile: Optional[SiteProfile] = None,
@@ -808,4 +765,4 @@ def sample_yield(
         site_map=site_map,
         site_profile=site_profile,
     )
-    return sampler.run(shots, engine=engine, chunk_size=chunk_size)
+    return sampler.run(shots, chunk_size=chunk_size)

@@ -267,6 +267,31 @@ def _pauli_basis(theta: float) -> Tuple[str, int]:
     return [("x", 0), ("y", 0), ("x", 1), ("y", 1)][quarter % 4]
 
 
+def _pauli_sign_table(alpha: float) -> Tuple[str, np.ndarray]:
+    """Basis and feed-forward sign table of a Pauli measurement angle.
+
+    The runtime angle of a node is ``(-1)^s alpha + t pi``; for Pauli
+    *alpha* the measured operator's basis (X or Y) is independent of
+    ``(s, t)`` and only the sign varies.  Returns ``(basis, table)``
+    with ``table[s, t]`` the sign bit — derived through the scalar
+    executor's :func:`_pauli_basis` so the frame engine and the pattern
+    linter, which consume the table, cannot drift from it.
+    """
+    table = np.zeros((2, 2), dtype=np.uint8)
+    bases = set()
+    for s in (0, 1):
+        for t in (0, 1):
+            theta = ((-1.0) ** s) * alpha + t * math.pi
+            basis, sign = _pauli_basis(theta)
+            bases.add(basis)
+            table[s, t] = sign
+    if len(bases) != 1:  # pragma: no cover - impossible for Pauli alpha
+        raise ValueError(
+            f"angle {alpha} has no branch-independent Pauli basis"
+        )
+    return bases.pop(), table
+
+
 @dataclass
 class StabilizerPatternResult:
     """Outcome record of one stabilizer pattern execution.
@@ -388,145 +413,3 @@ def simulate_pattern_stabilizer(
     """One-shot wrapper around :class:`StabilizerPatternSimulator`."""
     return StabilizerPatternSimulator(pattern, seed=seed).run()
 
-
-# ----------------------------------------------------------------------
-# batched stabilizer execution of Clifford patterns
-# ----------------------------------------------------------------------
-@dataclass
-class BatchedStabilizerPatternResult:
-    """Outcome record of one batched pattern execution.
-
-    Attributes:
-        state: the batched tableau over all pattern nodes after
-            execution (output byproducts corrected per batch element).
-        qubit_of: pattern node -> tableau qubit index (shared).
-        outcomes: measured node -> ``(batch,)`` recorded outcome bits.
-    """
-
-    state: "BatchedStabilizerState"
-    qubit_of: Dict[int, int]
-    outcomes: Dict[int, np.ndarray]
-
-    def output_pauli(
-        self, outputs: Sequence[int], x: Sequence[int], z: Sequence[int]
-    ) -> PauliString:
-        """Lift a Pauli on the output register onto the full tableau."""
-        pauli = PauliString(self.state.n)
-        for wire, node in enumerate(outputs):
-            qubit = self.qubit_of[node]
-            pauli.x[qubit] = x[wire]
-            pauli.z[qubit] = z[wire]
-        return pauli
-
-
-def _pauli_sign_table(alpha: float) -> Tuple[str, np.ndarray]:
-    """Basis and feed-forward sign table of a Pauli measurement angle.
-
-    The runtime angle of a node is ``(-1)^s alpha + t pi``; for Pauli
-    *alpha* the measured operator's basis (X or Y) is independent of
-    ``(s, t)`` and only the sign varies.  Returns ``(basis, table)``
-    with ``table[s, t]`` the sign bit — derived through the scalar
-    executor's :func:`_pauli_basis` so the two paths cannot drift.
-    """
-    table = np.zeros((2, 2), dtype=np.uint8)
-    bases = set()
-    for s in (0, 1):
-        for t in (0, 1):
-            theta = ((-1.0) ** s) * alpha + t * math.pi
-            basis, sign = _pauli_basis(theta)
-            bases.add(basis)
-            table[s, t] = sign
-    if len(bases) != 1:  # pragma: no cover - impossible for Pauli alpha
-        raise ValueError(f"angle {alpha} has no batch-uniform Pauli basis")
-    return bases.pop(), table
-
-
-class BatchedStabilizerPatternSimulator:
-    """Executes a Clifford pattern for a whole batch of shots at once.
-
-    The measurement sequence runs **once**: at each node the measured
-    operator is shared across the batch (feed-forward at Pauli angles
-    only moves the *sign*, computed per shot as boolean vectors from the
-    recorded outcomes so far), so one batched
-    :meth:`BatchedStabilizerState.measure_pauli` call advances every
-    shot.  Output byproduct corrections apply as per-shot masks.
-
-    ``outcome_flips`` maps a node to a ``(batch,)`` 0/1 array of
-    measurement (detector) errors: flagged elements record — and
-    feed-forward on — the complement of the physical outcome, exactly as
-    the scalar executor's ``outcome_flips`` does per shot.
-    """
-
-    def __init__(
-        self,
-        pattern: MeasurementPattern,
-        seed: Optional[int] = None,
-        outcome_flips: Optional[Dict[int, np.ndarray]] = None,
-    ) -> None:
-        if not pattern_is_clifford(pattern):
-            raise ValueError(
-                "pattern has non-Pauli measurement angles; "
-                "use the dense PatternSimulator"
-            )
-        self.pattern = pattern
-        self.seed = seed
-        self.outcome_flips = outcome_flips or {}
-
-    def run(
-        self,
-        batch: Optional[int] = None,
-        prepared: Optional[Tuple["BatchedStabilizerState", Dict[int, int]]] = None,
-    ) -> BatchedStabilizerPatternResult:
-        """Execute the pattern for *batch* shots; returns the batched
-        result record.
-
-        ``prepared`` optionally supplies a ``(state, node->qubit)`` pair
-        (a batched graph-state tableau, possibly with Pauli faults
-        already injected per element); it is consumed in place.  When
-        omitted, *batch* is required and the graph state is built fresh.
-        """
-        from repro.sim.stabilizer_batch import BatchedStabilizerState
-
-        pattern = self.pattern
-        if prepared is None:
-            if batch is None:
-                raise ValueError("pass either batch or prepared")
-            state, index = BatchedStabilizerState.graph_state(
-                pattern.graph,
-                batch,
-                seed=self.seed,
-                zero_nodes=pattern.inputs,
-            )
-        else:
-            state, index = prepared
-        n_batch = state.batch
-        zeros = np.zeros(n_batch, dtype=np.uint8)
-        outcomes: Dict[int, np.ndarray] = {}
-        for node in pattern.measurement_order():
-            s = zeros.copy()
-            for src in pattern.x_deps.get(node, frozenset()):
-                s ^= outcomes[src]
-            t = zeros.copy()
-            for src in pattern.z_deps.get(node, frozenset()):
-                t ^= outcomes[src]
-            basis, sign_table = _pauli_sign_table(pattern.angles[node])
-            pauli = PauliString.from_ops(state.n, {index[node]: basis})
-            outcome = state.measure_pauli(pauli, signs=sign_table[s, t])
-            flips = self.outcome_flips.get(node)
-            if flips is not None:
-                outcome = outcome ^ np.asarray(flips, dtype=np.uint8)
-            outcomes[node] = outcome
-        for node in pattern.outputs:
-            t = zeros.copy()
-            for src in pattern.output_z.get(node, frozenset()):
-                t ^= outcomes[src]
-            if t.any():
-                state.z_gate(index[node], mask=t.astype(bool))
-            s = zeros.copy()
-            for src in pattern.output_x.get(node, frozenset()):
-                s ^= outcomes[src]
-            if s.any():
-                state.x_gate(index[node], mask=s.astype(bool))
-        return BatchedStabilizerPatternResult(
-            state=state, qubit_of=index, outcomes=outcomes
-        )

@@ -246,7 +246,7 @@ class StabilizerState:
         return (mat[:, q >> 6] >> np.uint64(q & 63)) & _ONE
 
     def _rowsum_rows(self, rows: np.ndarray, pivot: int) -> None:
-        """Batched ``row := row * pivot`` with AG phase tracking.
+        """Vectorized ``row := row * pivot`` with AG phase tracking.
 
         All target rows multiply by the same (unchanged) pivot row, so
         the updates are independent and run as whole-array operations.
@@ -587,10 +587,8 @@ _SINGLE_QUBIT_GATES: Dict[str, Tuple[str, ...]] = {
 
 
 def _dispatch_gate(state: "StabilizerState", gate: "Gate") -> None:
-    """Circuit-gate -> tableau-method dispatch, shared by the scalar and
-    batched engines (both expose the same gate-method names), so the
-    gate vocabulary and the rz/p quarter-turn lowering live exactly
-    once."""
+    """Circuit-gate -> tableau-method dispatch, so the gate vocabulary
+    and the rz/p quarter-turn lowering live exactly once."""
     name = gate.name
     qubits = gate.qubits
     if name in _SINGLE_QUBIT_GATES:

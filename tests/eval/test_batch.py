@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.circuit import get_benchmark
 from repro.eval.batch import (
     RUN_TABLE_COLUMNS,
     SCHEMA_VERSION,
@@ -35,6 +36,13 @@ class TestRunSpec:
         b = RunSpec("BV", 8, compiler_options=(("alpha", 2.0),))
         assert a.key() != b.key()
 
+    def test_key_sensitive_to_qasm_source(self):
+        from repro.circuit.qasm import to_qasm
+
+        a = RunSpec("c", 0, qasm=to_qasm(get_benchmark("BV", 6, seed=7)))
+        b = RunSpec("c", 0, qasm=to_qasm(get_benchmark("BV", 6, seed=8)))
+        assert len({a.key(), b.key(), RunSpec("c", 0).key()}) == 3
+
     def test_table2_specs_cover_grid(self):
         specs = table2_specs()
         assert [(s.benchmark, s.num_qubits) for s in specs] == TABLE_BENCHMARKS
@@ -50,6 +58,33 @@ class TestExecuteSpec:
         assert record.baseline_depth == row.baseline.depth
         assert record.baseline_fusions == row.baseline.num_fusions
         assert record.depth_improvement == pytest.approx(row.depth_improvement)
+
+    def test_qasm_spec_matches_library_spec(self):
+        """A QASM spec compiles the parsed circuit: same metrics as the
+        library benchmark it was exported from, width from the text."""
+        from repro.circuit.qasm import to_qasm
+
+        qasm = to_qasm(get_benchmark("BV", 8, seed=7))
+        record = execute_spec(RunSpec("bv8", 0, qasm=qasm))
+        library = execute_spec(RunSpec("BV", 8))
+        assert record.benchmark == "bv8"
+        assert record.num_qubits == 8
+        assert (record.depth, record.num_fusions, record.baseline_depth) == (
+            library.depth, library.num_fusions, library.baseline_depth
+        )
+
+    def test_qasm_spec_samples_the_library_yield(self):
+        """The noisy stage runs on the parsed circuit: same seed, same
+        compiled program, so the same sampled yield."""
+        from repro.circuit.qasm import to_qasm
+
+        qasm = to_qasm(get_benchmark("BV", 8, seed=7))
+        record = execute_spec(RunSpec("bv8", 0, qasm=qasm, shots=200))
+        library = execute_spec(RunSpec("BV", 8, shots=200))
+        assert record.shots == 200
+        assert (record.yield_mc, record.mc_attempts_per_fusion) == (
+            library.yield_mc, library.mc_attempts_per_fusion
+        )
 
     def test_no_baseline(self):
         record = execute_spec(RunSpec("BV", 8, include_baseline=False))
@@ -203,25 +238,7 @@ class TestNoisyStage:
         assert record.mc_seconds > 0.0
         # boosted fusions retry ~1/0.75 times on average
         assert record.mc_attempts_per_fusion == pytest.approx(4 / 3, rel=0.1)
-        # schema v4/v5: sampler throughput and execution path
-        assert record.mc_engine == "frame"
         assert record.shots_per_second > 0.0
-
-    def test_every_engine_reproduces_the_default_yields(self):
-        """RunSpec.mc_engine reaches the sampler; all three paths agree
-        bit for bit and the choice is part of the cache identity."""
-        frame = execute_spec(RunSpec("BV", 8, shots=300))
-        for engine in ("batched", "per-shot"):
-            other = execute_spec(
-                RunSpec("BV", 8, shots=300, mc_engine=engine)
-            )
-            assert other.mc_engine == engine
-            assert other.yield_mc == frame.yield_mc
-            assert other.mc_attempts_per_fusion == frame.mc_attempts_per_fusion
-            assert (
-                RunSpec("BV", 8, shots=300).key()
-                != RunSpec("BV", 8, shots=300, mc_engine=engine).key()
-            )
 
     def test_non_clifford_benchmark_analytic_only(self):
         record = execute_spec(RunSpec("QFT", 8, shots=200))
@@ -230,7 +247,6 @@ class TestNoisyStage:
         # no sampling ran, so the recorded shot count must be 0
         assert record.shots == 0
         assert record.mc_attempts_per_fusion is None
-        assert record.mc_engine is None
         assert record.shots_per_second is None
 
     def test_fusion_success_moves_sampled_attempts(self):
@@ -286,12 +302,11 @@ class TestNoisyStage:
             "mc_attempts_per_fusion",
             "mc_seconds",
             "shots_per_second",
-            "mc_engine",
         ):
             assert column in row
+        assert "mc_engine" not in row  # v10: one sampler, no column
         assert row["shots"] == "200"
         assert 0.0 <= float(row["yield_mc"]) <= 1.0
-        assert row["mc_engine"] == "frame"
         assert float(row["shots_per_second"]) > 0.0
 
     def test_render_shows_yields(self):
@@ -338,7 +353,6 @@ class TestNoiseSweep:
         for entry in payload["runs"].values():
             assert 0.0 <= entry["yield_mc"] <= 1.0
             assert entry["shots"] == 200
-            assert entry["mc_engine"] == "frame"
             assert entry["shots_per_second"] > 0.0
 
     def test_committed_artifact_is_current_schema(self):

@@ -69,10 +69,14 @@ class FlakyStub:
     def close(self):
         self._stop.set()
         try:
-            self._listener.close()
+            # close() alone does not wake a thread blocked in accept();
+            # shutting the listener down does (accept raises OSError)
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
         self._thread.join(timeout=5)
+        assert not self._thread.is_alive(), "stub server thread hung"
 
 
 @pytest.fixture()
@@ -87,6 +91,17 @@ def make_stub():
     yield factory
     for stub in stubs:
         stub.close()
+
+
+def test_stub_teardown_is_prompt():
+    """close() must wake the accept() loop rather than wait out the
+    join timeout."""
+    import time
+
+    stub = FlakyStub([])
+    t0 = time.perf_counter()
+    stub.close()
+    assert time.perf_counter() - t0 < 1.0
 
 
 def make_client(stub, **kwargs):

@@ -20,8 +20,8 @@ class TestNormalizeRequest:
         assert job["seed"] == 7
         assert job["resource_state"] == "3-line"
         assert job["shots"] == 0
-        assert job["mc_engine"] == "frame"
         assert job["verify"] is False
+        assert job["include_baseline"] is False
 
     def test_equivalent_requests_share_a_key(self):
         explicit = normalize_request(
@@ -39,7 +39,7 @@ class TestNormalizeRequest:
             {"shots": 100},
             {"noise": {"cycle_loss": 0.01}},
             {"verify": True},
-            {"mc_engine": "batched"},
+            {"include_baseline": True},
         ):
             other = normalize_request(
                 {"op": "compile", "benchmark": "QFT", **override}
@@ -70,7 +70,7 @@ class TestNormalizeRequest:
             {"benchmark": "QFT", "noise": [1, 2]},
             {"benchmark": "QFT", "noise": {"cycle_loss": "high"}},
             {"benchmark": "QFT", "verify": "yes"},
-            {"benchmark": "QFT", "mc_engine": "warp"},
+            {"benchmark": "QFT", "mc_engine": "frame"},  # removed field
             {"benchmark": "QFT", "typo_field": 1},
             {"qasm": ""},
             {"qasm": "   "},
@@ -79,6 +79,14 @@ class TestNormalizeRequest:
     def test_invalid_requests_rejected(self, request_payload):
         with pytest.raises(RequestError):
             normalize_request({"op": "compile", **request_payload})
+
+    def test_qasm_text_is_not_parsed(self):
+        """Normalization only shape-checks QASM text: even an oversize
+        register passes here (the worker enforces the width bound), so
+        the cache-hit path never pays for a parse."""
+        qasm = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[100000];\n'
+        job = normalize_request({"op": "compile", "qasm": qasm})
+        assert job["qasm"] == qasm
 
     def test_noise_is_canonicalized(self):
         a = normalize_request(
@@ -122,7 +130,8 @@ class TestCompileService:
         assert second["cache_tier"] == "disk"
         assert second["artifact"] == first["artifact"]
 
-    def test_qasm_request_compiles_and_caches(self, service):
+    def test_qasm_request_compiles_and_caches(self, service, monkeypatch):
+        import repro.circuit.qasm
         from repro.circuit import get_benchmark
         from repro.circuit.qasm import to_qasm
 
@@ -133,9 +142,95 @@ class TestCompileService:
         assert first["artifact"]["kind"] == "qasm"
         assert first["artifact"]["num_qubits"] == 6
         assert first["artifact"]["depth"] >= 1
+
+        def no_parse(text):
+            raise AssertionError("QASM parsed on the cache-hit path")
+
+        monkeypatch.setattr(repro.circuit.qasm, "from_qasm", no_parse)
         second = service.handle(request)
         assert second["cache_tier"] == "memory"
         assert second["artifact"] == first["artifact"]
+
+    def test_qasm_artifact_is_the_execute_spec_record(self, service):
+        """Both request kinds run one pipeline: a QASM artifact is the
+        run record of the equivalent QASM spec, timings aside."""
+        from dataclasses import asdict
+
+        from repro.circuit import get_benchmark
+        from repro.circuit.qasm import to_qasm
+        from repro.eval.batch import RunSpec, execute_spec
+
+        qasm = to_qasm(get_benchmark("BV", 8, seed=7))
+        response = service.handle(
+            {"op": "compile", "qasm": qasm, "name": "bv8", "verify": True,
+             "shots": 200}
+        )
+        assert response["ok"], response
+        artifact = response["artifact"]
+        record = asdict(execute_spec(RunSpec(
+            "bv8", 0, qasm=qasm, include_baseline=False, verify=True,
+            shots=200,
+        )))
+        for field in ("cached", "cache_tier", "cache_age_seconds"):
+            record.pop(field)
+        untimed = sorted(
+            key for key in record
+            if not key.endswith("seconds") and key != "shots_per_second"
+        )
+        assert sorted(artifact) == sorted([*record, "kind"])
+        assert {k: artifact[k] for k in untimed} == {
+            k: record[k] for k in untimed
+        }
+        assert artifact["kind"] == "qasm"
+        assert artifact["verified"] is True
+        assert artifact["num_qubits"] == 8
+
+    def test_qasm_request_honours_include_baseline(self, service):
+        from repro.circuit import get_benchmark
+        from repro.circuit.qasm import to_qasm
+
+        qasm = to_qasm(get_benchmark("BV", 6, seed=7))
+        plain = service.handle({"op": "compile", "qasm": qasm})
+        assert plain["ok"], plain
+        assert plain["artifact"]["baseline_depth"] is None
+        response = service.handle(
+            {"op": "compile", "qasm": qasm, "include_baseline": True}
+        )
+        assert response["ok"], response
+        assert response["key"] != plain["key"]
+        assert response["artifact"]["baseline_depth"] >= 1
+        assert response["artifact"]["depth_improvement"] > 0.0
+
+    def test_oversize_qasm_rejected_before_compiling(self, service):
+        qasm = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[100000];\n'
+        for _ in range(2):  # a rejection is never cached
+            response = service.handle({"op": "compile", "qasm": qasm})
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad-request"
+            assert "100000 qubits" in response["error"]["message"]
+            assert "256" in response["error"]["message"]
+        assert service.store.get(response["key"]) is None
+
+    def test_qasm_one_past_the_width_bound_rejected(self, service):
+        from repro.serve.service import MAX_QUBITS
+
+        width = MAX_QUBITS + 1
+        qasm = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{width}];\n'
+        response = service.handle({"op": "compile", "qasm": qasm})
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad-request"
+        assert f"{width} qubits" in response["error"]["message"]
+
+    def test_removed_engine_field_is_a_bad_request(self, service):
+        response = service.handle(
+            {"op": "compile", "benchmark": "BV", "qubits": 6,
+             "mc_engine": "frame"}
+        )
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad-request"
+        assert "unknown request field(s): mc_engine" in (
+            response["error"]["message"]
+        )
 
     def test_yield_estimate_in_artifact(self, service):
         response = service.handle(

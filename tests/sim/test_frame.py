@@ -1,7 +1,7 @@
 """Tests for the bit-packed Pauli-frame engine (`repro.sim.frame`).
 
-Engine-level equivalence against the tableau engines lives in
-``tests/sim/test_noisy.py`` (the three-engine property grid); this file
+Equivalence against the per-shot tableau oracle lives in
+``tests/sim/test_noisy.py`` (the frame-vs-oracle property grid); this file
 covers the frame machinery itself: program compilation, the reference
 calibration, the flat vs list execution entry points, and the gauge
 reseed invariance.
@@ -222,14 +222,13 @@ class TestExecution:
 class TestNoisySamplerIntegration:
     def test_frame_simulator_compiled_once_and_reused(self):
         sampler = NoisySampler(get_benchmark("BV", 8), seed=3)
-        sampler.run(50, engine="frame")
+        sampler.run(50)
         first = sampler._frame_sim
         assert first is not None
-        sampler.run(50, engine="frame")
+        sampler.run(50)
         assert sampler._frame_sim is first
 
-    def test_other_engines_do_not_compile_the_frame_program(self):
+    def test_oracle_does_not_compile_the_frame_program(self):
         sampler = NoisySampler(get_benchmark("BV", 8), seed=3)
-        sampler.run(50, engine="batched")
-        sampler.run(50, engine="per-shot")
+        sampler._run_per_shot(50)
         assert sampler._frame_sim is None

@@ -2,10 +2,11 @@
 
 The contract the degradation layer rides on: a *uniform* SiteNoiseMap
 must be indistinguishable from the scalar ``NoiseModel`` path — same
-RNG consumption, bit-identical tallies at a fixed seed, on every
-engine.  Heterogeneous maps sample per-site rates (grouped Poisson-
-binomial draws); all three engines must still agree with each other and
-the tally must agree with the per-site closed form within 3 sigma.
+RNG consumption, bit-identical tallies at a fixed seed, on the frame
+engine and the per-shot tableau oracle alike.  Heterogeneous maps sample
+per-site rates (grouped Poisson-binomial draws); the frame engine must
+still match the oracle at every chunk size and the tally must agree
+with the per-site closed form within 3 sigma.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.hardware.degradation import (
     program_site_profile,
 )
 from repro.hardware.noise import NoiseModel
-from repro.sim.noisy import ENGINES, FaultCounts, NoisySampler
+from repro.sim.noisy import FaultCounts, NoisySampler
 
 MODEL = NoiseModel(
     fusion_success=0.75,
@@ -50,6 +51,13 @@ def compiled():
     return hardware, circuit, program
 
 
+#: the production frame path and the per-shot tableau oracle
+RUNNERS = {
+    "frame": lambda sampler, shots: sampler.run(shots),
+    "oracle": lambda sampler, shots: sampler._run_per_shot(shots),
+}
+
+
 def site_sampler(circuit, program, site_map, seed=7):
     return NoisySampler(
         circuit,
@@ -61,19 +69,18 @@ def site_sampler(circuit, program, site_map, seed=7):
 
 
 class TestUniformBitIdentity:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
     def test_uniform_map_bit_identical_to_scalar_model(
-        self, compiled, engine
+        self, compiled, runner
     ):
         hardware, circuit, program = compiled
         counts = FaultCounts.from_program(program)
-        scalar = NoisySampler(
-            circuit, model=MODEL, counts=counts, seed=7
-        ).run(400, engine=engine)
-        site_map = SiteNoiseMap.uniform(MODEL, hardware.extended_shape)
-        mapped = site_sampler(circuit, program, site_map).run(
-            400, engine=engine
+        run = RUNNERS[runner]
+        scalar = run(
+            NoisySampler(circuit, model=MODEL, counts=counts, seed=7), 400
         )
+        site_map = SiteNoiseMap.uniform(MODEL, hardware.extended_shape)
+        mapped = run(site_sampler(circuit, program, site_map), 400)
         assert tally(mapped) == tally(scalar)
 
     def test_uniform_map_needs_no_profile(self, compiled):
@@ -101,17 +108,18 @@ class TestHeterogeneousSampling:
         )
         return circuit, program, site_map
 
-    def test_engines_agree(self, hetero):
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_frame_matches_oracle(self, hetero, seed):
         circuit, program, site_map = hetero
-        results = [
-            tally(
-                site_sampler(circuit, program, site_map).run(
-                    400, engine=engine
-                )
+        reference = site_sampler(
+            circuit, program, site_map, seed=seed
+        )._run_per_shot(400)
+        assert reference.executed > 0  # the oracle comparison has teeth
+        for chunk_size in (1, 16, None):
+            result = site_sampler(circuit, program, site_map, seed=seed).run(
+                400, chunk_size=chunk_size
             )
-            for engine in ENGINES
-        ]
-        assert results[0] == results[1] == results[2]
+            assert tally(result) == tally(reference), chunk_size
 
     def test_agrees_with_per_site_closed_form(self, hetero):
         circuit, program, site_map = hetero

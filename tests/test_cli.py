@@ -127,18 +127,10 @@ class TestCommands:
                 ["noise-sweep", "--resource-state", "5-blob"]
             )
 
-    def test_noise_sweep_mc_engine_choices(self):
-        """The sampler engine is selectable, defaults to the frame
-        engine, and rejects unknown names at the parser."""
-        args = build_parser().parse_args(["noise-sweep"])
-        assert args.mc_engine == "frame"
-        for engine in ("frame", "batched", "per-shot"):
-            parsed = build_parser().parse_args(
-                ["noise-sweep", "--mc-engine", engine]
-            )
-            assert parsed.mc_engine == engine
+    def test_noise_sweep_has_no_engine_flag(self):
+        """The frame engine is the only sampler: no engine option."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["noise-sweep", "--mc-engine", "warp"])
+            build_parser().parse_args(["noise-sweep", "--mc-engine", "frame"])
 
     def test_bench_cache_reused(self, tmp_path, capsys):
         args = [
