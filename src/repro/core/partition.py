@@ -78,7 +78,7 @@ class GraphPartition:
 
     @property
     def num_edges(self) -> int:
-        return self.subgraph.number_of_edges()
+        return int(self.subgraph.number_of_edges())
 
 
 def schedule_layers(
@@ -165,9 +165,8 @@ def partition_pattern(
     planar_horizon = -1  # candidates through this layer are known planar
     known_fail_at = -1  # first non-planar layer found by a probe
     num_layers = len(layers)
-    # Probes run on a persistent concrete graph of the accepted nodes,
-    # pushing and popping only the window layers, so each probe costs
-    # O(window + check) instead of rebuilding the candidate subgraph.
+    # Probes run on a plain adjacency of the accepted nodes plus the
+    # window, reduced to its planarity kernel before networkx sees it.
     prober = (
         IncrementalPlanarityProber(graph) if config.enforce_planarity else None
     )

@@ -2,23 +2,102 @@
 
 Small resource states admit at most one routing path per coupling-graph
 location, so only planar graphs can be laid out on a single physical
-layer.  The compiler therefore (a) checks planarity when accumulating
-dependency layers into partitions, (b) decomposes non-planar layers into
-maximal planar edge-subgraphs, and (c) threads the planar embedding's
-rotational edge order through fusion-graph generation.
+layer.  The compiler therefore (a) stops growing a partition when its
+induced subgraph stops being planar (a non-planar single dependency
+layer becomes a partition of its own, and fusion-graph generation then
+falls back to sorted neighbour order), and (b) threads the planar
+embedding's rotational edge order through fusion-graph generation.
+
+Planarity verdicts are decided on the graph's *planarity kernel*:
+vertices of degree at most one are deleted and degree-2 vertices are
+suppressed (a-u-b becomes a-b, and a parallel edge this creates is
+dropped) until every vertex has degree at least three.  Both steps
+preserve planarity, and a kernel on at most five vertices or one over
+the Euler bound is decided without calling networkx.
+
+:func:`maximal_planar_subgraph` and :func:`planar_edge_decomposition`
+implement the paper's decomposition of non-planar layers into planar
+edge-subgraphs; they are library utilities that the compile pipeline
+does not call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
+
+#: a simple undirected graph on int vertices: vertex -> neighbour set
+Adjacency = Dict[int, Set[int]]
+
+
+def _kernel_is_planar(adj: Adjacency) -> bool:
+    """Planarity of the loop-free symmetric graph *adj*, decided on its
+    kernel; *adj* is reduced in place.
+
+    Deleting a vertex of degree at most one keeps the verdict, and so
+    does suppressing a degree-2 vertex u between a and b: if a-b is new
+    the graph is homeomorphic to the old one, and if a-b already exists
+    u only drew a parallel path beside it.  What is left has minimum
+    degree three.
+    """
+    stack = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
+    while stack:
+        v = stack.pop()
+        nbrs = adj.get(v)
+        if nbrs is None or len(nbrs) > 2:
+            continue  # already deleted, or queued twice
+        del adj[v]
+        for u in nbrs:
+            adj[u].discard(v)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            if b not in adj[a]:
+                adj[a].add(b)
+                adj[b].add(a)
+                continue  # degrees of a and b unchanged
+        # a leaf's neighbour, or both ends of a dropped parallel edge,
+        # lost one degree
+        for u in nbrs:
+            if len(adj[u]) <= 2:
+                stack.append(u)
+    n = len(adj)
+    edges = sum(len(nbrs) for nbrs in adj.values()) // 2
+    # Euler bound: a planar simple graph has at most 3V - 6 edges
+    if n >= 3 and edges > 3 * n - 6:
+        return False
+    if n <= 5:  # K5, the only non-planar graph on 5 vertices, fails Euler
+        return True
+    kernel = nx.Graph()
+    kernel.add_edges_from(
+        (u, w) for u, nbrs in adj.items() for w in nbrs if u < w
+    )
+    # looked up on the module at call time, so wrappers of
+    # networkx.check_planarity see every call
+    ok, _ = nx.check_planarity(kernel, counterexample=False)
+    return bool(ok)
 
 
 def is_planar(graph: nx.Graph) -> bool:
     """True when *graph* admits a planar embedding."""
-    ok, _ = nx.check_planarity(graph, counterexample=False)
-    return bool(ok)
+    index = {node: i for i, node in enumerate(graph)}
+    adj: Adjacency = {
+        index[u]: {index[w] for w in nbrs if w != u}
+        for u, nbrs in graph.adjacency()
+    }
+    return _kernel_is_planar(adj)
+
+
+def _attach(adj: Adjacency, source: nx.Graph, nodes: Iterable[int]) -> None:
+    """Add *nodes* to *adj* with their *source* edges into it (an
+    induced subgraph grows); nodes already present are skipped."""
+    for node in nodes:
+        if node in adj:
+            continue
+        nbrs = adj.keys() & source.neighbors(node)
+        for nbr in nbrs:
+            adj[nbr].add(node)
+        adj[node] = nbrs
 
 
 class IncrementalPlanarityProber:
@@ -26,58 +105,35 @@ class IncrementalPlanarityProber:
 
     :func:`repro.core.partition.partition_pattern` repeatedly tests
     whether the induced subgraph on ``accepted nodes + a window of
-    candidate layers`` is planar.  Rebuilding that subgraph from scratch
-    costs O(partition + window) per probe; this prober keeps a
-    persistent concrete graph of the accepted nodes and only pushes and
-    pops the window, making each probe O(window + check).
+    candidate layers`` is planar.  The prober keeps the accepted nodes'
+    induced subgraph as a plain int adjacency; each probe copies it,
+    attaches the window and decides planarity on the copy's kernel.
+    Wire chains and leaves, most of a pattern graph, never reach
+    networkx.
 
-    Only the planarity *verdict* is reused — embeddings are
-    insertion-order-sensitive, so callers that need the rotational edge
-    order still call :func:`planar_embedding_order` on a freshly built
-    subgraph.
+    Only the planarity *verdict* is produced — callers that need the
+    rotational edge order still call :func:`planar_embedding_order` on
+    the partition's own subgraph.
     """
 
     def __init__(self, source: nx.Graph) -> None:
         self._source = source
-        self._graph: nx.Graph = nx.Graph()
+        self._adj: Adjacency = {}
 
     def reset(self) -> None:
         """Forget all accepted nodes (a partition closed)."""
-        self._graph = nx.Graph()
+        self._adj = {}
 
-    def _push(self, nodes: List[Hashable]) -> List[Hashable]:
-        graph = self._graph
-        source = self._source
-        added: List[Hashable] = []
-        for node in nodes:
-            if graph.has_node(node):
-                continue
-            graph.add_node(node)
-            added.append(node)
-            for nbr in source.neighbors(node):
-                if graph.has_node(nbr):
-                    graph.add_edge(node, nbr)
-        return added
-
-    def extend(self, nodes: List[Hashable]) -> None:
+    def extend(self, nodes: List[int]) -> None:
         """Permanently accept *nodes* (a layer joined the partition)."""
-        self._push(nodes)
+        _attach(self._adj, self._source, nodes)
 
-    def probe(self, window_layers: List[List[Hashable]]) -> bool:
+    def probe(self, window_layers: List[List[int]]) -> bool:
         """Is ``accepted + window`` planar as an induced subgraph?"""
-        added: List[Hashable] = []
+        adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         for layer in window_layers:
-            added.extend(self._push(layer))
-        try:
-            graph = self._graph
-            v = graph.number_of_nodes()
-            # Euler bound: a planar simple graph has at most 3V - 6 edges
-            if v >= 3 and graph.number_of_edges() > 3 * v - 6:
-                return False
-            ok, _ = nx.check_planarity(graph, counterexample=False)
-            return bool(ok)
-        finally:
-            self._graph.remove_nodes_from(added)
+            _attach(adj, self._source, layer)
+        return _kernel_is_planar(adj)
 
 
 def planar_embedding_order(

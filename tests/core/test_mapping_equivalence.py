@@ -26,7 +26,6 @@ from repro.core.partition import (
     PartitionConfig,
     partition_pattern,
 )
-from repro.core.planarity import is_planar
 from repro.eval.experiments import _hardware_for
 from repro.hardware.resource_state import THREE_LINE
 from repro.mbqc.flow import rank_layers, scheduling_ranks
@@ -211,7 +210,9 @@ def reference_partition_pattern(pattern, config, size_estimator=None):
             current_states = 0
         if config.enforce_planarity and current_nodes:
             candidate = graph.subgraph(current_nodes + layer)
-            if not is_planar(candidate):
+            # networkx directly: the seed's check, independent of the
+            # planarity kernel under test
+            if not nx.check_planarity(candidate, counterexample=False)[0]:
                 close_partition()
                 current_states = 0
         current_nodes.extend(layer)
