@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class PatternSimulator:
     def _reset(self) -> None:
         self._state = np.ones(1, dtype=complex)
         self._pos: Dict[int, int] = {}
-        self._applied_edges = set()
+        self._applied_edges: Set[Tuple[int, int]] = set()
         self.outcomes: Dict[int, int] = {}
 
     def run(
@@ -229,8 +229,8 @@ class PatternSimulator:
         perm = [0] * n
         for k, node in enumerate(outputs):
             perm[n - 1 - k] = n - 1 - self._pos[node]
-        tensor = np.transpose(tensor, axes=perm)
-        return tensor.reshape(-1)
+        state: np.ndarray = np.transpose(tensor, axes=perm).reshape(-1)
+        return state
 
 
 def simulate_pattern(
@@ -384,9 +384,9 @@ class StabilizerPatternSimulator:
                 t ^= outcomes[src]
             theta = ((-1.0) ** s) * alpha + t * math.pi
             basis, sign = _pauli_basis(theta)
-            pauli = PauliString.from_ops(state.n, {index[node]: basis}, sign=sign)
-            outcome = state.measure_pauli(
-                pauli, force=self.force_outcomes.get(node)
+            outcome = state.measure_single(
+                index[node], basis, sign=sign,
+                force=self.force_outcomes.get(node),
             )
             if node in self.outcome_flips:
                 outcome ^= 1

@@ -15,6 +15,20 @@ One Pauli measurement is a handful of vectorized word operations instead
 of an interpreted O(n^2) loop; the seed implementation is preserved in
 ``tests/sim/reference_stabilizer.py`` and pinned bit-identical by
 ``tests/sim/test_stabilizer_equivalence.py``.
+
+Two paths keep pattern execution (only single-qubit X/Y measurements on
+a graph state) cheap:
+
+* **Column path.** :meth:`StabilizerState.measure_single` reads the rows
+  anticommuting with X, Y or Z on qubit ``q`` off one bit column of the
+  tableau (z, x, or x^z) and builds the one-word packed operator
+  directly; multi-qubit Paulis go through :meth:`~StabilizerState.measure_pauli`,
+  which popcounts every row.  Both hand over to one collapse core.
+* **Prefix-XOR product.** A deterministic outcome is the sign of the
+  ordered product of the selected stabilizer rows.  One exclusive prefix
+  XOR over the gathered rows yields every step's accumulator, so the
+  phase function of all steps is a single :func:`_phase_sum_packed`
+  call and the sign is ``(sum r + sum g / 2) mod 2``.
 """
 
 from __future__ import annotations
@@ -49,11 +63,19 @@ except AttributeError:  # pragma: no cover - NumPy < 2.0
     )
     def _bitwise_count(words: np.ndarray) -> np.ndarray:
         # per-byte counts; callers only ever sum along the last axis
-        return _POPCOUNT8[np.ascontiguousarray(words).view(np.uint8)]
+        counts: np.ndarray = _POPCOUNT8[np.ascontiguousarray(words).view(np.uint8)]
+        return counts
 
 
 def _num_words(num_qubits: int) -> int:
     return (num_qubits + 63) >> 6
+
+
+def _check_qubit(q: int, num_qubits: int) -> None:
+    """Reject a qubit index outside ``[0, num_qubits)``: a negative one
+    would wrap around, and one past ``n`` would read zero padding."""
+    if not 0 <= q < num_qubits:
+        raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
 
 
 def _bit_positions(qubits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -75,7 +97,8 @@ def _unpack_bits(words: np.ndarray, num_qubits: int) -> np.ndarray:
     """Inverse of :func:`_pack_bits`: words -> uint8 vector of length n."""
     idx = np.arange(num_qubits, dtype=np.int64)
     shifts = idx.astype(np.uint64) & _SIX3
-    return ((words[idx >> 6] >> shifts) & _ONE).astype(np.uint8)
+    bits: np.ndarray = ((words[idx >> 6] >> shifts) & _ONE).astype(np.uint8)
+    return bits
 
 
 def _phase_sum_packed(
@@ -92,9 +115,10 @@ def _phase_sum_packed(
     """
     plus = (ix & iz & hz & ~hx) | (ix & ~iz & hx & hz) | (~ix & iz & hx & ~hz)
     minus = (ix & iz & hx & ~hz) | (ix & ~iz & hz & ~hx) | (~ix & iz & hx & hz)
-    return _bitwise_count(plus).sum(axis=-1, dtype=np.int64) - _bitwise_count(
-        minus
-    ).sum(axis=-1, dtype=np.int64)
+    g: np.ndarray = _bitwise_count(plus).sum(
+        axis=-1, dtype=np.int64
+    ) - _bitwise_count(minus).sum(axis=-1, dtype=np.int64)
+    return g
 
 
 class PauliString:
@@ -113,6 +137,7 @@ class PauliString:
         """Build from a map qubit -> 'x' | 'y' | 'z'."""
         p = cls(num_qubits)
         for qubit, op in ops.items():
+            _check_qubit(qubit, num_qubits)
             op = op.lower()
             if op == "x":
                 p.x[qubit] = 1
@@ -243,7 +268,8 @@ class StabilizerState:
     # ------------------------------------------------------------------
     def _column(self, mat: np.ndarray, q: int) -> np.ndarray:
         """Bit of qubit *q* in every row of *mat* (as 0/1 uint64)."""
-        return (mat[:, q >> 6] >> np.uint64(q & 63)) & _ONE
+        bits: np.ndarray = (mat[:, q >> 6] >> np.uint64(q & 63)) & _ONE
+        return bits
 
     def _rowsum_rows(self, rows: np.ndarray, pivot: int) -> None:
         """Vectorized ``row := row * pivot`` with AG phase tracking.
@@ -269,27 +295,36 @@ class StabilizerState:
         """Boolean mask over all 2n rows: symplectic product with P is odd."""
         sym = _bitwise_count(self.x & pz).sum(axis=1, dtype=np.int64)
         sym += _bitwise_count(self.z & px).sum(axis=1, dtype=np.int64)
-        return (sym & 1).astype(bool)
+        anti: np.ndarray = (sym & 1).astype(bool)
+        return anti
 
     def _accumulate_stabilizers(
         self, anti_destab: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Product of stabilizer rows whose destabilizer partners are in
-        *anti_destab* (ascending), with sign tracking."""
-        accx = np.zeros(self.num_words, dtype=np.uint64)
-        accz = np.zeros(self.num_words, dtype=np.uint64)
-        accr = 0
-        for i in np.flatnonzero(anti_destab):
-            row = self.n + int(i)
-            phase = 2 * (accr + int(self.r[row]))
-            phase += int(_phase_sum_packed(self.x[row], self.z[row], accx, accz))
-            phase %= 4
-            if phase & 1:
-                raise RuntimeError("non-Hermitian product in stabilizer rowsum")
-            accx = accx ^ self.x[row]
-            accz = accz ^ self.z[row]
-            accr = (phase >> 1) & 1
-        return accx, accz, accr
+        *anti_destab* (ascending), with sign tracking.
+
+        Step ``j`` of the ordered product multiplies row ``j`` onto the
+        XOR of rows ``0..j-1``, so one exclusive prefix XOR gives every
+        step's accumulator and one :func:`_phase_sum_packed` call over
+        the stack gives every step's ``g``.  Each step's phase
+        ``2 (acc_r + r_j) + g_j`` must be even (Hermitian), which makes
+        the final sign ``(sum r + sum g / 2) mod 2``.
+        """
+        rows = self.n + np.flatnonzero(anti_destab)
+        if not rows.size:
+            zeros = np.zeros(self.num_words, dtype=np.uint64)
+            return zeros, zeros.copy(), 0
+        xs, zs = self.x[rows], self.z[rows]
+        prefix_x = np.zeros_like(xs)
+        prefix_z = np.zeros_like(zs)
+        np.bitwise_xor.accumulate(xs[:-1], axis=0, out=prefix_x[1:])
+        np.bitwise_xor.accumulate(zs[:-1], axis=0, out=prefix_z[1:])
+        g = _phase_sum_packed(xs, zs, prefix_x, prefix_z)
+        if np.any(g & 1):
+            raise RuntimeError("non-Hermitian product in stabilizer rowsum")
+        sign = int(self.r[rows].sum(dtype=np.int64) + (g >> 1).sum()) & 1
+        return prefix_x[-1] ^ xs[-1], prefix_z[-1] ^ zs[-1], sign
 
     def _deterministic_outcome(
         self, px: np.ndarray, pz: np.ndarray, anti_destab: np.ndarray, sign: int
@@ -421,8 +456,38 @@ class StabilizerState:
 
     def measure_z(self, q: int, force: Optional[int] = None) -> int:
         """Z measurement of qubit *q*; returns ``m`` for outcome ``(-1)^m``."""
-        pauli = PauliString.from_ops(self.n, {q: "z"})
-        return self.measure_pauli(pauli, force=force)
+        return self.measure_single(q, "z", force=force)
+
+    def measure_single(
+        self, q: int, basis: str, sign: int = 0, force: Optional[int] = None
+    ) -> int:
+        """Measure ``(-1)^sign`` times X, Y or Z on qubit *q*.
+
+        Same outcomes, rng draws and tableau updates as
+        :meth:`measure_pauli` on the one-qubit Pauli, but the
+        anticommuting rows are read off one bit column (the z column for
+        X, the x column for Z, their XOR for Y) instead of popcounting
+        every row against an n-qubit operator.
+        """
+        self._require_destabilizers("measure_single")
+        _check_qubit(q, self.n)
+        op = basis.lower()
+        if op not in ("x", "y", "z"):
+            raise ValueError(f"unknown Pauli {basis!r}")
+        word, shift = q >> 6, np.uint64(q & 63)
+        px = np.zeros(self.num_words, dtype=np.uint64)
+        pz = np.zeros(self.num_words, dtype=np.uint64)
+        if op == "x":
+            px[word] = _ONE << shift
+            column = self.z[:, word]
+        elif op == "z":
+            pz[word] = _ONE << shift
+            column = self.x[:, word]
+        else:
+            px[word] = pz[word] = _ONE << shift
+            column = self.x[:, word] ^ self.z[:, word]
+        anti = ((column >> shift) & _ONE).astype(bool)
+        return self._measure(px, pz, sign, anti, force)
 
     def measure_pauli(self, pauli: PauliString, force: Optional[int] = None) -> int:
         """Measure a Pauli product; returns outcome ``m`` for ``(-1)^m``.
@@ -435,10 +500,27 @@ class StabilizerState:
         rows would yield silently wrong outcomes.
         """
         self._require_destabilizers("measure_pauli")
-        n = self.n
         px = _pack_bits(pauli.x, self.num_words)
         pz = _pack_bits(pauli.z, self.num_words)
         anti = self._anticommuting_rows(px, pz)
+        return self._measure(px, pz, pauli.sign, anti, force)
+
+    def _measure(
+        self,
+        px: np.ndarray,
+        pz: np.ndarray,
+        sign: int,
+        anti: np.ndarray,
+        force: Optional[int],
+    ) -> int:
+        """Collapse onto the packed Pauli ``(-1)^sign (px, pz)``.
+
+        *anti* is the boolean mask of the 2n rows anticommuting with it.
+        A random outcome draws one ``rng.integers(2)`` (unless forced)
+        and replaces the first anticommuting stabilizer; a deterministic
+        one is read off the stabilizer product.
+        """
+        n = self.n
         anti_stab = np.flatnonzero(anti[n:])
         if anti_stab.size:
             p = n + int(anti_stab[0])
@@ -455,9 +537,9 @@ class StabilizerState:
             self.r[p - n] = self.r[p]
             self.x[p] = px
             self.z[p] = pz
-            self.r[p] = (pauli.sign + outcome) % 2
+            self.r[p] = (sign + outcome) % 2
             return outcome
-        outcome = self._deterministic_outcome(px, pz, anti[:n], pauli.sign)
+        outcome = self._deterministic_outcome(px, pz, anti[:n], sign)
         if force is not None and int(force) != outcome:
             raise RuntimeError(
                 f"forced outcome {force} has zero probability (got {outcome})"

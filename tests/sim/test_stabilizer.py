@@ -34,6 +34,39 @@ class TestPauliString:
         p = PauliString.from_ops(3, {0: "x", 1: "z"}, sign=1)
         assert str(p) == "-X0*Z1"
 
+    @pytest.mark.parametrize("qubit", [-1, -3, 3, 64])
+    def test_out_of_range_qubit_rejected(self, qubit):
+        """Regression: ``{-1: "x"}`` used to wrap around onto qubit n-1."""
+        with pytest.raises(ValueError, match="out of range"):
+            PauliString.from_ops(3, {qubit: "x"})
+
+
+class TestMeasureSingle:
+    @pytest.mark.parametrize("qubit", [-1, 3, 63, 64])
+    def test_out_of_range_qubit_rejected(self, qubit):
+        """A qubit in ``[n, 64 * words)`` would read zero padding."""
+        s = StabilizerState(3, seed=0)
+        with pytest.raises(ValueError, match="out of range"):
+            s.measure_single(qubit, "x")
+
+    def test_unknown_basis_rejected(self):
+        with pytest.raises(ValueError, match="unknown Pauli"):
+            StabilizerState(1).measure_single(0, "w")
+
+    def test_signed_x_on_plus(self):
+        s = StabilizerState(1)
+        s.h(0)
+        assert s.measure_single(0, "x") == 0
+        assert s.measure_single(0, "X", sign=1) == 1
+
+    def test_y_on_s_plus(self):
+        s = StabilizerState(1)
+        s.h(0)
+        s.s(0)
+        assert s.measure_single(0, "y") == 0
+        with pytest.raises(RuntimeError, match="zero probability"):
+            s.measure_single(0, "y", force=1)
+
 
 class TestBasics:
     def test_initial_zero_measurement(self):
@@ -341,3 +374,90 @@ class TestRandomCliffordAgainstDense:
         else:
             deterministic = tableau.copy().measure_z(qubit)
             assert deterministic == (1 if p1 > 0.5 else 0)
+
+
+def _scalar_accumulate(state: StabilizerState, anti_destab: np.ndarray):
+    """Oracle: the row-by-row product loop the vectorized kernel
+    replaced (one phase-function call per selected stabilizer row)."""
+    from repro.sim.stabilizer import _phase_sum_packed
+
+    accx = np.zeros(state.num_words, dtype=np.uint64)
+    accz = np.zeros(state.num_words, dtype=np.uint64)
+    accr = 0
+    for i in np.flatnonzero(anti_destab):
+        row = state.n + int(i)
+        phase = 2 * (accr + int(state.r[row]))
+        phase += int(_phase_sum_packed(state.x[row], state.z[row], accx, accz))
+        phase %= 4
+        if phase & 1:
+            raise RuntimeError("non-Hermitian product in stabilizer rowsum")
+        accx = accx ^ state.x[row]
+        accz = accz ^ state.z[row]
+        accr = (phase >> 1) & 1
+    return accx, accz, accr
+
+
+def _scrambled_state(n: int, seed: int) -> StabilizerState:
+    """Random graph state with mixed-basis measurements applied, so the
+    stabilizer rows carry Y terms and signs across every word."""
+    import random
+
+    import networkx as nx
+
+    rng = random.Random(seed)
+    graph = nx.gnm_random_graph(n, 2 * n, seed=seed)
+    state, _ = StabilizerState.graph_state(graph, seed=seed)
+    for q in rng.sample(range(n), n // 3):
+        state.measure_single(q, rng.choice("xyz"), sign=rng.randint(0, 1))
+    for _ in range(n):
+        state.s(rng.randrange(n))
+    return state
+
+
+class TestAccumulateStabilizers:
+    """The prefix-XOR stabilizer product against the scalar loop."""
+
+    def _assert_matches(self, state, anti_destab):
+        got = state._accumulate_stabilizers(anti_destab)
+        want = _scalar_accumulate(state, anti_destab)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    def test_empty_row_set_is_identity(self):
+        state = _scrambled_state(5, seed=0)
+        accx, accz, accr = state._accumulate_stabilizers(np.zeros(5, dtype=bool))
+        assert not accx.any() and not accz.any() and accr == 0
+        self._assert_matches(state, np.zeros(5, dtype=bool))
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_single_row_is_that_row(self, row):
+        state = _scrambled_state(5, seed=1)
+        anti = np.zeros(5, dtype=bool)
+        anti[row] = True
+        accx, accz, accr = state._accumulate_stabilizers(anti)
+        assert np.array_equal(accx, state.x[5 + row])
+        assert np.array_equal(accz, state.z[5 + row])
+        assert accr == state.r[5 + row]
+        self._assert_matches(state, anti)
+
+    @pytest.mark.parametrize("n", [3, 63, 64, 65, 130])
+    def test_random_row_sets_match_scalar_loop(self, n):
+        state = _scrambled_state(n, seed=n)
+        rng = np.random.default_rng(n)
+        for density in (0.1, 0.5, 0.9, 1.0):
+            for _ in range(4):
+                self._assert_matches(state, rng.random(n) < density)
+
+    def test_anticommuting_pair_raises_like_the_loop(self):
+        state = StabilizerState(70)
+        state.x[70] = 0
+        state.z[70] = 0
+        state.x[70, 1] = 1  # X on qubit 64 ...
+        state.z[71, 1] = 1  # ... then Z on qubit 64: X * Z is not Hermitian
+        anti = np.zeros(70, dtype=bool)
+        anti[[0, 1, 5]] = True
+        with pytest.raises(RuntimeError, match="non-Hermitian product"):
+            _scalar_accumulate(state, anti)
+        with pytest.raises(RuntimeError, match="non-Hermitian product"):
+            state._accumulate_stabilizers(anti)

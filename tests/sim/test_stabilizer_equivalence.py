@@ -223,3 +223,73 @@ class TestDiscardEquivalence:
             packed.discard([0, 1]).canonical_stabilizers()
             == ref.discard([0, 1]).canonical_stabilizers()
         )
+
+
+def _rng_state(state):
+    return state.rng.bit_generator.state
+
+
+class TestMeasureSingleEquivalence:
+    """``measure_single`` (column path) against ``measure_pauli`` on the
+    same engine and against the seed engine: outcome stream, rng
+    consumption and ``(x, z, r)`` identical after every step."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_random_graph_state_sweeps(self, n):
+        graph = nx.gnm_random_graph(n, 2 * n, seed=n)
+        single, index = StabilizerState.graph_state(graph, seed=n)
+        general, _ = StabilizerState.graph_state(graph, seed=n)
+        ref, _ = ReferenceStabilizerState.graph_state(graph, seed=n)
+        rng = random.Random(n)
+        # revisit qubits so deterministic outcomes show up too
+        steps = [rng.randrange(n) for _ in range(min(2 * n, 90))]
+        for step, node in enumerate(steps):
+            q, basis, sign = index[node], rng.choice("xyzXYZ"), rng.randint(0, 1)
+            force = None
+            if rng.random() < 0.4:
+                # force only what is possible: any bit when random,
+                # the determined bit otherwise
+                expected = single.expectation(
+                    PauliString.from_ops(n, {q: basis}, sign=sign)
+                )
+                force = rng.randint(0, 1) if expected is None else expected
+            m_single = single.measure_single(q, basis, sign=sign, force=force)
+            m_general = general.measure_pauli(
+                PauliString.from_ops(n, {q: basis}, sign=sign), force=force
+            )
+            m_ref = ref.measure_pauli(
+                ReferencePauliString.from_ops(n, {q: basis}, sign=sign),
+                force=force,
+            )
+            assert m_single == m_general == m_ref, (n, step, q, basis)
+            assert _rng_state(single) == _rng_state(general) == _rng_state(ref)
+            assert np.array_equal(single.x, general.x)
+            assert np.array_equal(single.z, general.z)
+            assert np.array_equal(single.r, general.r)
+            assert_same_tableau(single, ref)
+
+    @pytest.mark.parametrize("basis", "xyz")
+    def test_impossible_force_raises_like_measure_pauli(self, basis):
+        # |0> rotated so that `basis` is determined with outcome 0
+        prep = {"x": ("h",), "y": ("h", "s"), "z": ()}[basis]
+        for method in ("single", "pauli"):
+            state = StabilizerState(65, seed=0)
+            for gate in prep:
+                getattr(state, gate)(64)
+            with pytest.raises(RuntimeError, match="zero probability"):
+                if method == "single":
+                    state.measure_single(64, basis, force=1)
+                else:
+                    state.measure_pauli(
+                        PauliString.from_ops(65, {64: basis}), force=1
+                    )
+
+    def test_discarded_state_raises(self):
+        state = StabilizerState(3)
+        state.h(0)
+        state.cnot(0, 1)
+        rest = state.discard([2])
+        with pytest.raises(RuntimeError, match="stale destabilizers"):
+            rest.measure_single(0, "x")
+        with pytest.raises(RuntimeError, match="stale destabilizers"):
+            rest.measure_single(1, "z", force=0)
