@@ -13,17 +13,15 @@ The two paper metrics fall out of the mapping:
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.circuit.circuit import Circuit
-from repro.core.fusion_graph import FGNode, FusionGraph, build_fusion_graph
+from repro.core.fusion_graph import FGNode, build_fusion_graph
 from repro.core.mapping import InLayerMapper, LayerLayout, Placement
 from repro.core.partition import (
-    GraphPartition,
     PartitionConfig,
     partition_pattern,
     required_degrees,
@@ -44,13 +42,6 @@ class OneQConfig:
     partition: PartitionConfig = PartitionConfig()
     alpha: Optional[float] = None
     use_embedding: bool = True
-    route_radius: int = 6
-    #: max candidate paths explored per routed placement
-    #: (:meth:`InLayerMapper._routed_targets`)
-    route_targets_limit: int = 6
-    #: bound on placed-to-placed in-layer routing; ``None`` = unbounded
-    #: (bounding trades routing fusions for shuffled edges)
-    connect_radius: Optional[int] = None
     #: seed cross-partition ports near their earlier-layer counterparts
     #: (shortens shuffle paths; disable for ablation)
     use_placement_hints: bool = True
@@ -58,13 +49,6 @@ class OneQConfig:
     #: stage before mapping; a lint error aborts the compile
     #: (:class:`repro.core.validate.ValidationError`)
     lint: bool = False
-    #: map independent partitions in parallel worker processes
-    #: (``None``/``1`` = sequential).  Placements are bit-identical to
-    #: the sequential walk; with placement hints on, partitions that
-    #: chain through back edges still execute in dependency order, so
-    #: the win comes from wide dependency waves (e.g. hints disabled or
-    #: weakly coupled circuits)
-    map_jobs: Optional[int] = None
     #: dead hardware cells ((row, col) on the extended layer grid):
     #: excluded from mapping and pre-seeded as blockades on every
     #: shuffle layer — the recompile recovery policy compiles around a
@@ -217,14 +201,10 @@ class OneQCompiler:
             shape=hardware.extended_shape,
             resource_state=rst,
             alpha=cfg.alpha,
-            route_radius=cfg.route_radius,
-            route_targets_limit=cfg.route_targets_limit,
-            connect_radius=cfg.connect_radius,
             blocked=set(cfg.blocked_cells),
         )
         tally = FusionTally()
         port_of: Dict[Tuple[int, int], FGNode] = {}
-        fusion_graphs: List[FusionGraph] = []
         deferred: List[Tuple[FGNode, FGNode]] = []
         resource_states = 0
 
@@ -246,47 +226,27 @@ class OneQCompiler:
                 cross_neighbors=cross_nbrs,
                 use_embedding=cfg.use_embedding,
             )
-            fusion_graphs.append(fusion)
             port_of.update(fusion.port_of)
             resource_states += fusion.num_resource_states
-
-        if cfg.map_jobs and cfg.map_jobs > 1 and len(partitions) > 1:
-            (
-                all_layers,
-                all_placements,
-                tally_inc,
-                deferred,
-                map_sub_seconds,
-            ) = _map_partitions_parallel(
-                cfg, partitions, fusion_graphs, port_of, home, cfg.map_jobs
-            )
-            tally.add("synthesis", tally_inc["synthesis"])
-            tally.add("edge", tally_inc["edge"])
-            tally.add("routing", tally_inc["routing"])
-        else:
-            for part, fusion in zip(partitions, fusion_graphs):
-                hints: Dict[FGNode, Tuple[int, int]] = {}
-                if cfg.use_placement_hints:
-                    for u, v in part.back_edges:
-                        src_port = port_of.get((u, v))
-                        dst_port = fusion.port_of.get((v, u))
-                        if src_port is None or dst_port is None:
-                            continue
-                        placed = mapper.placements.get(src_port)
-                        if placed is not None:
-                            hints[dst_port] = placed.coord
-                result = mapper.map_fusion_graph(fusion, hints=hints)
-                tally.add("synthesis", result.synthesis_fusions)
-                tally.add("edge", result.edge_fusions)
-                tally.add("routing", result.routing_fusions)
-                deferred.extend(result.deferred_edges)
-            all_layers = mapper.layers
-            all_placements = mapper.placements
-            map_sub_seconds = dict(mapper.stage_seconds)
+            hints: Dict[FGNode, Tuple[int, int]] = {}
+            if cfg.use_placement_hints:
+                for u, v in part.back_edges:
+                    src_port = port_of.get((u, v))
+                    dst_port = fusion.port_of.get((v, u))
+                    if src_port is None or dst_port is None:
+                        continue
+                    placed = mapper.placements.get(src_port)
+                    if placed is not None:
+                        hints[dst_port] = placed.coord
+            result = mapper.map_fusion_graph(fusion, hints=hints)
+            tally.add("synthesis", result.synthesis_fusions)
+            tally.add("edge", result.edge_fusions)
+            tally.add("routing", result.routing_fusions)
+            deferred.extend(result.deferred_edges)
         stage_seconds["map"] = time.perf_counter() - t0
-        stage_seconds["map_score"] = map_sub_seconds.get("score", 0.0)
-        stage_seconds["map_route"] = map_sub_seconds.get("route", 0.0)
-        stage_seconds["map_place"] = map_sub_seconds.get("place", 0.0)
+        stage_seconds["map_score"] = mapper.stage_seconds["score"]
+        stage_seconds["map_route"] = mapper.stage_seconds["route"]
+        stage_seconds["map_place"] = mapper.stage_seconds["place"]
 
         # ---- inter-layer shuffling -----------------------------------
         t0 = time.perf_counter()
@@ -297,14 +257,14 @@ class OneQCompiler:
             pairs_by_boundary.setdefault(boundary, []).append((pa.coord, pb.coord))
 
         for a, b in deferred:
-            add_pair(all_placements[a], all_placements[b])
+            add_pair(mapper.placements[a], mapper.placements[b])
         for part in partitions:
             for u, v in part.back_edges:
                 pu = port_of.get((u, v))
                 pv = port_of.get((v, u))
                 if pu is None or pv is None:  # pragma: no cover - invariant
                     raise RuntimeError(f"missing port for cross edge {(u, v)}")
-                add_pair(all_placements[pu], all_placements[pv])
+                add_pair(mapper.placements[pu], mapper.placements[pv])
 
         shuffle_layers = 0
         for boundary in sorted(pairs_by_boundary):
@@ -322,7 +282,7 @@ class OneQCompiler:
         stage_seconds["shuffle"] = time.perf_counter() - t0
 
         # ---- photon bookkeeping --------------------------------------
-        aux_cells = sum(len(l.aux_cells) for l in all_layers)
+        aux_cells = sum(len(l.aux_cells) for l in mapper.layers)
         resource_states += aux_cells
         photons = resource_states * rst.size
         consumed = 2 * tally.total + pattern.graph.number_of_nodes()
@@ -336,11 +296,11 @@ class OneQCompiler:
             pattern_nodes=pattern.graph.number_of_nodes(),
             pattern_edges=pattern.graph.number_of_edges(),
             num_partitions=len(partitions),
-            mapping_layers=len(all_layers),
+            mapping_layers=len(mapper.layers),
             shuffle_layers=shuffle_layers,
             extension=hardware.extension,
             fusions=tally,
-            layouts=all_layers,
+            layouts=mapper.layers,
             resource_states_used=resource_states,
             deferred_pairs=sum(len(v) for v in pairs_by_boundary.values()),
             photon_deficit=photon_deficit,
@@ -348,148 +308,11 @@ class OneQCompiler:
         )
 
 
-#: worker payload: mapper knobs + one partition's fusion graph and hints
-_MapPayload = Tuple[
-    Tuple[int, int], object, Optional[float], int, int, Optional[int],
-    Tuple[Tuple[int, int], ...], FusionGraph, Dict[FGNode, Tuple[int, int]],
-]
-
-
-def _map_one_partition(payload: _MapPayload):
-    """Worker: map one partition's fusion graph on a fresh mapper."""
-    (
-        shape, rst, alpha, route_radius, route_targets_limit,
-        connect_radius, blocked_cells, fusion, hints,
-    ) = payload
-    mapper = InLayerMapper(
-        shape=shape,
-        resource_state=rst,
-        alpha=alpha,
-        route_radius=route_radius,
-        route_targets_limit=route_targets_limit,
-        connect_radius=connect_radius,
-        blocked=set(blocked_cells),
-    )
-    result = mapper.map_fusion_graph(fusion, hints=hints)
-    return (
-        mapper.layers,
-        mapper.placements,
-        result.edge_fusions,
-        result.synthesis_fusions,
-        result.routing_fusions,
-        result.deferred_edges,
-        mapper.stage_seconds,
-    )
-
-
-def _map_partitions_parallel(
-    cfg: OneQConfig,
-    partitions: List[GraphPartition],
-    fusion_graphs: List[FusionGraph],
-    port_of: Dict[Tuple[int, int], FGNode],
-    home: Dict[int, int],
-    jobs: int,
-):
-    """Map independent partitions in parallel worker processes.
-
-    In-layer mapping is a pure function of one partition's fusion graph
-    and its placement hints, and placements are translation-invariant in
-    the layer index, so each partition can run on a fresh mapper and be
-    merged with a layer offset in partition-index order — bit-identical
-    to the sequential mapper walk (the equivalence suite pins this).
-
-    With placement hints on, a partition depends on every earlier
-    partition its back edges point into (hint coordinates come from
-    those placements), so execution proceeds in dependency waves;
-    circuits whose partitions chain linearly degrade gracefully to
-    sequential execution, and ``use_placement_hints=False`` makes every
-    partition independent.
-    """
-    shape = cfg.hardware.extended_shape
-    rst = cfg.hardware.resource_state
-    n = len(partitions)
-    deps: List[Set[int]] = []
-    for part in partitions:
-        if cfg.use_placement_hints:
-            deps.append({home[u] for u, _ in part.back_edges})
-        else:
-            deps.append(set())
-    wave_of = [0] * n
-    for i, dd in enumerate(deps):
-        wave_of[i] = 1 + max((wave_of[j] for j in dd), default=-1)
-
-    placed_coords: Dict[FGNode, Tuple[int, int]] = {}
-
-    def payload_for(i: int) -> _MapPayload:
-        part = partitions[i]
-        fusion = fusion_graphs[i]
-        hints: Dict[FGNode, Tuple[int, int]] = {}
-        if cfg.use_placement_hints:
-            for u, v in part.back_edges:
-                src_port = port_of.get((u, v))
-                dst_port = fusion.port_of.get((v, u))
-                if src_port is None or dst_port is None:
-                    continue
-                coord = placed_coords.get(src_port)
-                if coord is not None:
-                    hints[dst_port] = coord
-        return (
-            shape, rst, cfg.alpha, cfg.route_radius,
-            cfg.route_targets_limit, cfg.connect_radius,
-            cfg.blocked_cells, fusion, hints,
-        )
-
-    results: List[Optional[tuple]] = [None] * n
-    pool = None
-    try:
-        for wave in range(max(wave_of) + 1):
-            idxs = [i for i in range(n) if wave_of[i] == wave]
-            payloads = [payload_for(i) for i in idxs]
-            if len(idxs) == 1:
-                outs = [_map_one_partition(payloads[0])]
-            else:
-                if pool is None:
-                    pool = multiprocessing.Pool(processes=jobs)
-                outs = pool.map(_map_one_partition, payloads)
-            for i, out in zip(idxs, outs):
-                results[i] = out
-                for node, place in out[1].items():
-                    placed_coords[node] = place.coord
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
-
-    # merge in partition-index order so layer offsets match the
-    # sequential walk (shuffle boundaries key off placement layers)
-    all_layers: List[LayerLayout] = []
-    all_placements: Dict[FGNode, Placement] = {}
-    tally_inc = {"edge": 0, "synthesis": 0, "routing": 0}
-    deferred: List[Tuple[FGNode, FGNode]] = []
-    sub_seconds = {"score": 0.0, "route": 0.0, "place": 0.0}
-    for out in results:
-        assert out is not None
-        layers_i, placements_i, ef, sf, rf, deferred_i, ss = out
-        offset = len(all_layers)
-        for layout in layers_i:
-            layout.index += offset
-            all_layers.append(layout)
-        for node, place in placements_i.items():
-            all_placements[node] = Placement(place.layer + offset, place.coord)
-        tally_inc["edge"] += ef
-        tally_inc["synthesis"] += sf
-        tally_inc["routing"] += rf
-        deferred.extend(deferred_i)
-        for key in sub_seconds:
-            sub_seconds[key] += ss.get(key, 0.0)
-    return all_layers, all_placements, tally_inc, deferred, sub_seconds
-
-
 def compile_circuit(
     circuit: Circuit,
     hardware: HardwareConfig,
     name: str = "circuit",
-    **kwargs,
+    **kwargs: Any,
 ) -> CompiledProgram:
     """Convenience one-call compile with default configuration."""
     config = OneQConfig(hardware=hardware, **kwargs)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 import networkx as nx
 
@@ -40,6 +40,12 @@ from repro.utils.bitgrid import lexmin_path, nearest_free, spec_for
 from repro.utils.geometry import grid_neighbor_table
 
 Coord = Tuple[int, int]
+
+#: BFS depth bound of the routed-placement search
+#: (:meth:`InLayerMapper._routed_targets`)
+ROUTE_RADIUS = 6
+#: routed-placement candidate cap, checked once per dequeued cell
+ROUTE_TARGETS_LIMIT = 6
 
 
 class NoViableSitesError(RuntimeError):
@@ -93,9 +99,6 @@ class InLayerMapper:
         shape: Tuple[int, int],
         resource_state: ResourceStateType,
         alpha: Optional[float] = None,
-        route_radius: int = 6,
-        route_targets_limit: int = 6,
-        connect_radius: Optional[int] = None,
         blocked: Optional[Set[Coord]] = None,
     ) -> None:
         rows, cols = shape
@@ -119,12 +122,6 @@ class InLayerMapper:
         self.resource_state = resource_state
         # paper: alpha > 1, typically the max degree of the physical layer
         self.alpha = float(alpha) if alpha is not None else 4.0
-        self.route_radius = route_radius
-        self.route_targets_limit = route_targets_limit
-        #: bound on placed-to-placed routing (:meth:`_connect_placed`);
-        #: ``None`` keeps the historical unbounded search — bounding it
-        #: trades routing fusions for deferred (shuffled) edges
-        self.connect_radius = connect_radius
         self.layers: List[LayerLayout] = []
         self.placements: Dict[FGNode, Placement] = {}
         #: wall seconds spent in candidate scoring / path search /
@@ -190,10 +187,6 @@ class InLayerMapper:
     # ------------------------------------------------------------------
     # geometry helpers
     # ------------------------------------------------------------------
-    def _in_bounds(self, coord: Coord) -> bool:
-        r, c = coord
-        return 0 <= r < self.shape[0] and 0 <= c < self.shape[1]
-
     def _neighbors(self, coord: Coord) -> List[Coord]:
         return self._nbr_table[coord]
 
@@ -417,76 +410,27 @@ class InLayerMapper:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def _bfs_path(
-        self,
-        start: Coord,
-        goal_test: Callable[[Coord, Coord], bool],
-        max_len: Optional[int] = None,
-        avoid: Optional[Set[Coord]] = None,
-        goal: Optional[Coord] = None,
-    ) -> Optional[List[Coord]]:
-        """Shortest path from *start* through free cells.
+    def _bfs_path(self, start: Coord, goal: Coord) -> Optional[List[Coord]]:
+        """Shortest path from *start* to *goal* through free cells.
 
-        ``start`` itself may be occupied (it is the source node's cell);
-        every interior cell must be free.  Returns the full path including
-        both endpoints, or None.
-
-        When the target is one known cell, callers pass it as ``goal``
-        and the search runs on the packed frontier kernel (which returns
-        the same lexicographically minimal path as the scalar FIFO BFS);
-        the ``goal_test`` form remains for subclasses and ad-hoc goals.
+        ``start`` itself may be occupied (it is the source node's cell),
+        and so may ``goal``; every interior cell must be free.  Returns
+        the full path including both endpoints, or None.  The search runs
+        on the packed frontier kernel, which returns the same
+        lexicographically minimal path as a scalar FIFO BFS.
         """
-        if goal is not None:
-            spec = self._spec
-            stride = spec.stride
-            if avoid:
-                if goal in avoid:
-                    return None
-                free = spec.full & ~self._occ_bits
-                for (r, c) in avoid:
-                    free &= ~spec.bit[r * stride + c]
-            else:
-                free = spec.full & ~self._occ_bits
-            idx_path = lexmin_path(
-                spec,
-                free,
-                start[0] * stride + start[1],
-                goal[0] * stride + goal[1],
-                max_len,
-            )
-            if idx_path is None:
-                return None
-            coords = spec.coord
-            return [coords[i] for i in idx_path]
-        avoid = avoid or set()
-        queue = deque([start])
-        parent: Dict[Coord, Optional[Coord]] = {start: None}
-        # depth is tracked alongside the BFS instead of being reconstructed
-        # by walking the parent chain on every dequeue (O(n^2) per route)
-        depth_of: Dict[Coord, int] = {start: 0}
-        nbr_table = self._nbr_table
-        occupied = self._occupied
-        while queue:
-            cur = queue.popleft()
-            if max_len is not None and depth_of[cur] >= max_len:
-                continue
-            for nxt in nbr_table[cur]:
-                if nxt in parent or nxt in avoid:
-                    continue
-                if goal_test(nxt, cur):
-                    parent[nxt] = cur
-                    path = [nxt]
-                    back: Optional[Coord] = cur
-                    while back is not None:
-                        path.append(back)
-                        back = parent[back]
-                    path.reverse()
-                    return path
-                if nxt not in occupied:
-                    parent[nxt] = cur
-                    depth_of[nxt] = depth_of[cur] + 1
-                    queue.append(nxt)
-        return None
+        spec = self._spec
+        stride = spec.stride
+        idx_path = lexmin_path(
+            spec,
+            spec.full & ~self._occ_bits,
+            start[0] * stride + start[1],
+            goal[0] * stride + goal[1],
+        )
+        if idx_path is None:
+            return None
+        coords = spec.coord
+        return [coords[i] for i in idx_path]
 
     # ------------------------------------------------------------------
     # main entry
@@ -539,29 +483,21 @@ class InLayerMapper:
             if guard > 20 * (len(pending) + graph.number_of_edges() + 1) + 1000:
                 raise RuntimeError("mapper failed to make progress")
             spill: List[Tuple[FGNode, FGNode]] = []
-            progressed = False
             for (a, b) in pending:
                 outcome = self._realize_edge(a, b, graph)
                 if outcome == "edge":
                     count_realized(a, b)
-                    progressed = True
                 elif isinstance(outcome, int):
                     count_realized(a, b)
                     routing_fusions += outcome
-                    progressed = True
                 elif outcome == "defer":
                     deferred.append((a, b))
                     self._consume_if_placed(a)
                     self._consume_if_placed(b)
-                    progressed = True
                 else:  # "spill": retry on a fresh layer
                     spill.append((a, b))
             pending = spill
-            if pending and not progressed:
-                # nothing fit this layer: start a new one
-                self._close_layer()
-                self._open_layer()
-            elif pending:
+            if pending:
                 self._close_layer()
                 self._open_layer()
         self._close_layer()
@@ -644,9 +580,7 @@ class InLayerMapper:
             self._current.paths.append([ca, cb])
             return "edge"
         t0 = perf_counter()
-        path = self._bfs_path(
-            ca, lambda nxt, cur: nxt == cb, max_len=self.connect_radius, goal=cb
-        )
+        path = self._bfs_path(ca, cb)
         self.stage_seconds["route"] += perf_counter() - t0
         if path is None:
             return "defer"
@@ -780,17 +714,17 @@ class InLayerMapper:
         self.stage_seconds["place"] += perf_counter() - t0
         return len(path) - 2
 
-    def _routed_targets(
-        self, start: Coord, needed: int, limit: Optional[int] = None
-    ) -> List[List[Coord]]:
-        """Up to *limit* shortest free paths to roomy cells around *start*.
+    def _routed_targets(self, start: Coord, needed: int) -> List[List[Coord]]:
+        """Shortest free paths to roomy cells around *start*.
 
         Routing paths have length >= 2 (at least one auxiliary state), as
         in the paper; each returned path includes both endpoints.  The
-        default *limit* is the mapper's ``route_targets_limit``.
+        search reaches at most ``ROUTE_RADIUS`` steps out.  The
+        ``ROUTE_TARGETS_LIMIT`` cap is checked once per dequeued cell, not
+        per path: a cell dequeued with ``ROUTE_TARGETS_LIMIT - 1`` paths
+        found can still add one path per neighbour other than its parent,
+        so up to ``ROUTE_TARGETS_LIMIT + 2`` paths come back.
         """
-        if limit is None:
-            limit = self.route_targets_limit
         results: List[List[Coord]] = []
         spec = self._spec
         stride = spec.stride
@@ -799,7 +733,6 @@ class InLayerMapper:
         fnc = self._fnc
         bit = spec.bit
         coords = spec.coord
-        radius = self.route_radius
         gen = self._bfs_gen + 1
         self._bfs_gen = gen
         seen = self._bfs_seen
@@ -811,11 +744,11 @@ class InLayerMapper:
         depth[start_idx] = 0
         queue = [start_idx]
         head = 0
-        while head < len(queue) and len(results) < limit:
+        while head < len(queue) and len(results) < ROUTE_TARGETS_LIMIT:
             cur = queue[head]
             head += 1
             cur_depth = depth[cur]
-            if cur_depth >= radius:
+            if cur_depth >= ROUTE_RADIUS:
                 continue
             for nxt in nbr_idx[cur]:
                 if seen[nxt] == gen or occ_bits & bit[nxt]:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuit import Circuit, bernstein_vazirani, get_benchmark, qft
 from repro.core import OneQCompiler, OneQConfig, PartitionConfig, compile_circuit
+from repro.core.mapping import InLayerMapper
 from repro.hardware import (
     FOUR_LINE,
     FOUR_RING,
@@ -137,44 +138,46 @@ class TestConfigPlumb:
         ).compile(c)
         assert flow.fusions.shuffling <= lemma.fusions.shuffling
 
-    def test_alpha_plumbed(self, small_hardware):
-        prog = OneQCompiler(
-            OneQConfig(hardware=small_hardware, alpha=10.0)
-        ).compile(qft(3))
-        assert prog.num_fusions > 0
+    def test_alpha_plumbed(self, small_hardware, monkeypatch):
+        """The compiler hands ``alpha`` to the mapper it builds."""
+        import repro.core.compiler as compiler_mod
 
-    def test_route_targets_limit_plumbed(self, small_hardware):
-        """The previously hardcoded routed-candidate cap is configurable."""
-        from repro.core.mapping import InLayerMapper
+        built = []
 
-        cfg = OneQConfig(hardware=small_hardware, route_targets_limit=1)
+        class RecordingMapper(InLayerMapper):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
 
-        def targets(limit):
-            mapper = InLayerMapper(
-                shape=cfg.hardware.extended_shape,
-                resource_state=cfg.hardware.resource_state,
-                route_targets_limit=limit,
-            )
-            mapper._open_layer()
-            return mapper._routed_targets((4, 4), needed=1)
+        monkeypatch.setattr(compiler_mod, "InLayerMapper", RecordingMapper)
+        for alpha, expected in ((10.0, 10.0), (None, 4.0)):
+            built.clear()
+            prog = OneQCompiler(
+                OneQConfig(hardware=small_hardware, alpha=alpha)
+            ).compile(qft(3))
+            assert prog.num_fusions > 0
+            assert [m.alpha for m in built] == [expected]
 
-        # the cap is checked per BFS expansion (seed semantics), so it
-        # bounds growth rather than the exact count
-        assert len(targets(1)) < len(targets(6))
-        prog = OneQCompiler(cfg).compile(qft(4))
-        assert prog.num_fusions > 0
+    @pytest.mark.parametrize(
+        "knob,value",
+        [
+            ("map_jobs", 2),
+            ("route_radius", 3),
+            ("route_targets_limit", 1),
+            ("connect_radius", 1),
+        ],
+    )
+    def test_removed_knobs_fail_loudly(self, small_hardware, knob, value):
+        """Removed mapper knobs are rejected, not silently defaulted."""
+        from repro.eval.batch import RunSpec, execute_spec
 
-    def test_connect_radius_plumbed(self, small_hardware):
-        """Bounding placed-to-placed routing defers long in-layer routes."""
-        c = qft(6)
-        unbounded = OneQCompiler(
-            OneQConfig(hardware=small_hardware)
-        ).compile(c)
-        bounded = OneQCompiler(
-            OneQConfig(hardware=small_hardware, connect_radius=1)
-        ).compile(c)
-        assert bounded.fusions.routing <= unbounded.fusions.routing
-        assert bounded.num_fusions > 0
+        with pytest.raises(TypeError, match=knob):
+            OneQConfig(hardware=small_hardware, **{knob: value})
+        spec = RunSpec(
+            "BV", 8, include_baseline=False, compiler_options=((knob, value),)
+        )
+        with pytest.raises(TypeError, match=knob):
+            execute_spec(spec)
 
 
 class TestPhotonBudget:

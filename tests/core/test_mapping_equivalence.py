@@ -46,10 +46,9 @@ class ReferenceMapper(InLayerMapper):
     def _bfs_path(
         self,
         start: Coord,
-        goal_test,
+        goal: Coord,
         max_len: Optional[int] = None,
         avoid: Optional[Set[Coord]] = None,
-        goal: Optional[Coord] = None,  # packed-path hint; scalar BFS ignores it
     ) -> Optional[List[Coord]]:
         avoid = avoid or set()
         queue = deque([start])
@@ -66,7 +65,7 @@ class ReferenceMapper(InLayerMapper):
             for nxt in self._neighbors(cur):
                 if nxt in parent or nxt in avoid:
                     continue
-                if goal_test(nxt, cur):
+                if nxt == goal:
                     parent[nxt] = cur
                     path = [nxt]
                     back: Optional[Coord] = cur

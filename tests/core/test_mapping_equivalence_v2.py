@@ -10,12 +10,6 @@ layer occupancy, auxiliary cells, paths, fusion tallies, deferred edges)
 must match bit for bit — on the benchmark grid, on randomized fusion
 graphs, and on adversarial shapes (single-row shuffle grids, layers
 filled to the brim, route-impossible pairs).
-
-The parallel-mapping tests pin a second contract: ``map_jobs`` > 1
-distributes partitions over worker processes but must reproduce the
-sequential compile exactly (the seed-coordinate hint chain degrades to
-wave-boundary hints identically in both code paths because the waves
-are built from the same back-edge dependencies).
 """
 
 import random
@@ -30,7 +24,6 @@ import reference_shuffling
 import repro.core.mapping as packed_mapping
 import repro.core.shuffling as packed_shuffling
 from repro.circuit.benchmarks import get_benchmark
-from repro.core.compiler import OneQCompiler, OneQConfig
 from repro.core.fusion_graph import FusionGraph, build_fusion_graph
 from repro.core.partition import (
     PartitionConfig,
@@ -333,44 +326,3 @@ class TestPackedShufflerIdentity:
         for lp, lr in zip(packed.layers, ref.layers):
             assert lp.used == lr.used
             assert lp.paths == lr.paths
-
-
-# ----------------------------------------------------------------------
-# parallel partition mapping == sequential compile
-# ----------------------------------------------------------------------
-def _program_signature(program):
-    return (
-        program.physical_depth,
-        program.num_fusions,
-        program.mapping_layers,
-        program.shuffle_layers,
-        program.resource_states_used,
-        program.deferred_pairs,
-        [
-            (
-                layout.index,
-                sorted(layout.node_at.items()),
-                sorted(layout.aux_cells),
-                sorted(map(tuple, layout.paths)),
-                sorted(layout.incomplete),
-            )
-            for layout in program.layouts
-        ],
-    )
-
-
-class TestParallelMappingEquivalence:
-    @pytest.mark.parametrize("use_hints", [True, False])
-    def test_map_jobs_matches_sequential(self, use_hints):
-        circuit = get_benchmark("QFT", 16, seed=7)
-        hardware = _hardware_for(16, THREE_LINE)
-        signatures = []
-        for jobs in (None, 2):
-            cfg = OneQConfig(
-                hardware=hardware,
-                use_placement_hints=use_hints,
-                map_jobs=jobs,
-            )
-            program = OneQCompiler(cfg).compile(circuit, name="QFT-16")
-            signatures.append(_program_signature(program))
-        assert signatures[0] == signatures[1]
