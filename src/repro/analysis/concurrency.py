@@ -236,6 +236,7 @@ class _ModuleScan:
 
     path: pathlib.Path
     lines: List[str]
+    imports: "_ImportMap"
     findings: List[ConcurrencyFinding] = field(default_factory=list)
     classes: List[_ClassScan] = field(default_factory=list)
     #: (outer, inner) -> site of a lexically nested acquisition
@@ -485,9 +486,8 @@ class _FunctionLockWalker(ast.NodeVisitor):
 class _AsyncEffectsVisitor(ast.NodeVisitor):
     """CC201/CC202 checks inside one ``async def`` body."""
 
-    def __init__(self, module: _ModuleScan, imports: _ImportMap) -> None:
+    def __init__(self, module: _ModuleScan) -> None:
         self.module = module
-        self.imports = imports
 
     def _flag(self, node: ast.AST, code: str, check: str, msg: str) -> None:
         self.module.findings.append(
@@ -502,7 +502,7 @@ class _AsyncEffectsVisitor(ast.NodeVisitor):
             # args are shipped off-loop; only descend into the receiver
             self.visit(node.func)
             return
-        resolved = self.imports.resolve_call(chain)
+        resolved = self.module.imports.resolve_call(chain)
         if resolved is not None:
             if resolved in _BLOCKING_CALLS or resolved.split(".")[0] in \
                     _BLOCKING_MODULES:
@@ -562,7 +562,9 @@ class ConcurrencyAnalyzer:
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
-            module = _ModuleScan(path, lines)
+            module = _ModuleScan(
+                path, lines, _ImportMap(ast.Module(body=[], type_ignores=[]))
+            )
             module.findings.append(
                 ConcurrencyFinding(
                     path, exc.lineno or 0, "CC000", "syntax-error",
@@ -571,11 +573,10 @@ class ConcurrencyAnalyzer:
             )
             self._modules.append(module)
             return
-        module = _ModuleScan(path, lines)
-        imports = _ImportMap(tree)
+        module = _ModuleScan(path, lines, _ImportMap(tree))
         self._scan_classes(module, tree)
-        self._scan_functions(module, tree, imports)
-        self._scan_async(module, tree, imports)
+        self._scan_functions(module, tree)
+        self._scan_async(module, tree)
         self._scan_spawns(module, tree)
         self._modules.append(module)
 
@@ -665,9 +666,7 @@ class ConcurrencyAnalyzer:
                 )
             )
 
-    def _scan_functions(
-        self, module: _ModuleScan, tree: ast.Module, imports: _ImportMap
-    ) -> None:
+    def _scan_functions(self, module: _ModuleScan, tree: ast.Module) -> None:
         class_funcs = {
             id(child)
             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
@@ -690,7 +689,7 @@ class ConcurrencyAnalyzer:
             if id(func) in nested:
                 continue  # handled inside their enclosing function's walk
             self._check_resources(module, func)
-            self._check_atomic_writes(module, func, imports)
+            self._check_atomic_writes(module, func)
         for func in top_funcs:
             if id(func) in nested:
                 continue
@@ -717,12 +716,10 @@ class ConcurrencyAnalyzer:
                     )
                 )
 
-    def _scan_async(
-        self, module: _ModuleScan, tree: ast.Module, imports: _ImportMap
-    ) -> None:
+    def _scan_async(self, module: _ModuleScan, tree: ast.Module) -> None:
         for node in ast.walk(tree):
             if isinstance(node, ast.AsyncFunctionDef):
-                visitor = _AsyncEffectsVisitor(module, imports)
+                visitor = _AsyncEffectsVisitor(module)
                 for stmt in node.body:
                     visitor.visit(stmt)
 
@@ -746,7 +743,6 @@ class ConcurrencyAnalyzer:
     def _check_resources(
         self, module: _ModuleScan, func: "ast.FunctionDef | ast.AsyncFunctionDef"
     ) -> None:
-        imports = self._imports_for(module)
         with_managed: Set[int] = set()
         for node in ast.walk(func):
             if isinstance(node, (ast.With, ast.AsyncWith)):
@@ -786,7 +782,7 @@ class ConcurrencyAnalyzer:
             for call, target_chain in stmts:
                 if id(call) in with_managed:
                     continue
-                resolved = imports.resolve_call(_attr_chain(call.func))
+                resolved = module.imports.resolve_call(_attr_chain(call.func))
                 releases = _RESOURCE_CTORS.get(resolved or "")
                 if releases is None:
                     continue
@@ -843,10 +839,9 @@ class ConcurrencyAnalyzer:
         return set()
 
     def _check_atomic_writes(
-        self, module: _ModuleScan,
-        func: "ast.FunctionDef | ast.AsyncFunctionDef",
-        imports: _ImportMap,
+        self, module: _ModuleScan, func: "ast.FunctionDef | ast.AsyncFunctionDef"
     ) -> None:
+        imports = module.imports
         candidates: List[Tuple[ast.Call, str]] = []
         has_replace = False
         for node in ast.walk(func):
@@ -877,14 +872,6 @@ class ConcurrencyAnalyzer:
                     "repro.serve.store.atomic_write_json",
                 )
             )
-
-    def _imports_for(self, module: _ModuleScan) -> _ImportMap:
-        # rebuilt cheaply from the stored source (modules are small)
-        try:
-            tree = ast.parse("\n".join(module.lines))
-        except SyntaxError:
-            tree = ast.Module(body=[], type_ignores=[])
-        return _ImportMap(tree)
 
     # -- cross-module lock-order graph ---------------------------------
     def lock_order_edges(

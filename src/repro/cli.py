@@ -278,6 +278,10 @@ def _lint_concurrency(args) -> int:
     paths = [pathlib.Path(p) for p in args.paths] or [
         pathlib.Path(repro.__file__).resolve().parent
     ]
+    missing = [p for p in paths if not p.exists()]
+    if missing:
+        print(f"error: no such path: {missing[0]}", file=sys.stderr)
+        return 2
     analyzer = ConcurrencyAnalyzer()
     analyzer.add_paths(paths)
     findings = analyzer.analyze()
@@ -285,6 +289,13 @@ def _lint_concurrency(args) -> int:
         print(render_findings(findings))
         return 1
     edges = analyzer.lock_order_edges()
+    # the static acquisition order the runtime sanitizer cross-checks
+    if edges:
+        print("static lock-order edges:")
+        for (outer, inner), (path, line) in sorted(edges.items()):
+            print(f"  {outer} -> {inner}  ({path}:{line})")
+    else:
+        print("static lock-order graph: no nested acquisitions")
     scanned = ", ".join(str(p) for p in paths)
     print(
         f"concurrency lint clean: {scanned} "

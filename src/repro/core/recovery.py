@@ -100,6 +100,8 @@ class DegradationReport:
     attempted: Tuple[str, ...] = ()
     policy_yields: Dict[str, float] = field(default_factory=dict)
     error: Optional[str] = None
+    #: the chosen rung's program (``None`` when that rung failed)
+    program: Optional[CompiledProgram] = None
 
     def summary(self) -> str:
         """One-line human-readable digest."""
@@ -424,4 +426,5 @@ def recover(
             o.policy: o.yield_degraded for o in outcomes
         },
         error=chosen.error,
+        program=chosen.program,
     )

@@ -388,11 +388,7 @@ def execute_spec(spec: RunSpec) -> RunRecord:
             recovered = report.recovered
             yield_degraded = report.yield_degraded
             rerouted_fusions = report.rerouted_fusions
-            # recover() reports the winning rung but not its program;
-            # re-apply the winner so the MC stage can sample it
-            outcome = apply_policy(
-                report.policy, circuit, program, degrade_map, compiler.config
-            )
+            degrade_program = report.program
         else:
             outcome = apply_policy(
                 spec.policy, circuit, program, degrade_map, compiler.config
@@ -405,7 +401,7 @@ def execute_spec(spec: RunSpec) -> RunRecord:
                 and outcome.yield_degraded
                 >= RECOVERY_THRESHOLD * clean_yield(program, degrade_map)
             )
-        degrade_program = outcome.program
+            degrade_program = outcome.program
 
     yield_mc = yield_analytic = mc_attempts = None
     shots_per_second = None

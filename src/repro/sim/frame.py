@@ -59,8 +59,8 @@ calibration run that anchors the reference — and then executes faulty
 chunks via :meth:`PauliFrameSimulator.run_chunk`.
 ``NoisySampler.run`` is the production entry point;
 ``tests/sim/test_noisy.py`` pins frame tallies bit-identical to the
-per-shot reference executor and ``benchmarks/bench_noisy.py`` gates
-the speedup (>= 100x over it at 2000 shots).
+per-shot reference executor; the ``yield-clifford`` workload of
+``perfbench/run.py`` tracks its speed.
 """
 
 from __future__ import annotations

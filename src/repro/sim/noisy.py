@@ -56,8 +56,8 @@ one-tableau-per-shot executor :meth:`NoisySampler._execute_shot` stays
 as the test oracle: :meth:`NoisySampler._run_per_shot` replays the same
 draw shot by shot, and ``tests/sim/test_noisy.py`` pins its tallies
 bit-identical to :meth:`NoisySampler.run` across seeds, chunk sizes and
-noise grids (``benchmarks/bench_noisy.py`` gates the frame engine's
-speed against it).
+noise grids (``TestOracleEquivalence``).  Sampling speed is tracked by
+the ``yield-clifford`` workload of ``perfbench/run.py``.
 """
 
 from __future__ import annotations

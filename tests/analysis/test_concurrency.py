@@ -388,19 +388,55 @@ class TestLockOrderGraph:
         """) == frozenset()
 
 
+@pytest.fixture(scope="module")
+def repo_analyzer() -> ConcurrencyAnalyzer:
+    """``src/repro`` analysed once, shared by the repo-gate tests."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+    assert src.is_dir()
+    analyzer = ConcurrencyAnalyzer()
+    analyzer.add_paths([src])
+    return analyzer
+
+
 class TestRepoGate:
-    def test_repo_source_has_zero_findings(self):
-        src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
-        assert src.is_dir()
-        analyzer = ConcurrencyAnalyzer()
-        analyzer.add_paths([src])
-        findings = analyzer.analyze()
+    def test_repo_source_has_zero_findings(self, repo_analyzer):
+        findings = repo_analyzer.analyze()
         assert findings == [], "\n".join(f.render() for f in findings)
 
-    def test_repo_static_lock_graph_is_acyclic(self):
+    def test_repo_static_lock_graph_is_acyclic(self, repo_analyzer):
         from repro.utils.sync import find_cycle
 
-        src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
-        analyzer = ConcurrencyAnalyzer()
-        analyzer.add_paths([src])
-        assert find_cycle(analyzer.lock_order_edges()) is None
+        assert find_cycle(repo_analyzer.lock_order_edges()) is None
+
+
+class TestLintCLI:
+    """``repro lint --concurrency``: the CI entry point."""
+
+    def test_prints_static_lock_order_edges(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "pair.py"
+        path.write_text(textwrap.dedent(
+            CLEAN_TWINS["cc301-consistent-order"]
+        ))
+        assert main(["lint", "--concurrency", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"Pair._a -> Pair._b  ({path}:" in out
+        assert "1 static lock-order edge(s), no findings" in out
+
+    def test_findings_exit_1(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "cycle.py"
+        path.write_text(textwrap.dedent(
+            BAD_SNIPPETS["cc301-lock-order-cycle"][0]
+        ))
+        assert main(["lint", "--concurrency", str(path)]) == 1
+        assert "CC301" in capsys.readouterr().out
+
+    def test_missing_path_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        missing = tmp_path / "nope"
+        assert main(["lint", "--concurrency", str(missing)]) == 2
+        assert "no such path" in capsys.readouterr().err

@@ -3,8 +3,7 @@
 FROZEN REFERENCE (do not edit): verbatim snapshot of the scalar
 implementation taken immediately before the bit-packed rewrite of the
 live module.  tests/core/test_mapping_equivalence_v2.py pins the packed
-path bit-identical to this code; benchmarks/bench_mapping_v2.py measures
-the speedup against it.
+path bit-identical to this code.
 
 Incomplete nodes — nodes whose edges could not all be realized within
 their layer — are reconnected on dedicated shuffle layers inserted

@@ -7,11 +7,13 @@ free-cell scans — on bitboard planes with the contract that they are
 ``reference_mapping.py`` / ``reference_shuffling.py`` carry those scalar
 predecessors verbatim; everything the compiler consumes (placements,
 layer occupancy, auxiliary cells, paths, fusion tallies, deferred edges)
-must match bit for bit — on the benchmark grid, on randomized fusion
-graphs, and on adversarial shapes (single-row shuffle grids, layers
-filled to the brim, route-impossible pairs).
+must match bit for bit — on the benchmark grid up to QFT-36, on
+randomized fusion graphs, and on adversarial shapes (single-row shuffle
+grids, layers filled to the brim, route-impossible pairs).  QFT-100 is
+pinned by a digest of the reference's output.
 """
 
+import hashlib
 import random
 from typing import List, Set, Tuple
 
@@ -39,6 +41,15 @@ Coord = Tuple[int, int]
 
 GRID = [("BV", 16), ("QFT", 16), ("QAOA", 16)]
 SEEDS = (3, 7)
+PACKED = (packed_mapping, packed_shuffling)
+REFERENCE = (reference_mapping, reference_shuffling)
+
+#: sha1 of ``_digest`` over the QFT-100 (seed 7) snapshot.  Made by
+#: running ``_map_benchmark(REFERENCE, "QFT", 100, 7)`` on the scalar
+#: reference modules and hashing it with ``_digest``; the packed path
+#: produced the same hash.  Only the packed side runs here, because the
+#: reference takes about twice as long.
+QFT100_DIGEST = "3c2dbd64be89547bd72a3825968be9b2845c0287"
 
 
 # ----------------------------------------------------------------------
@@ -63,9 +74,11 @@ def _mapper_snapshot(mapper):
     }
 
 
-def _map_benchmark(mapping_mod, name: str, qubits: int, seed: int):
-    """Partition a benchmark and map every partition with hint chaining
-    (the compiler's sequential walk)."""
+def _map_benchmark(modules, name: str, qubits: int, seed: int):
+    """Partition a benchmark, map every partition with hint chaining and
+    shuffle the leftover pairs (the compiler's sequential walk) on one
+    ``(mapping, shuffling)`` module pair."""
+    mapping_mod, shuffling_mod = modules
     circuit = get_benchmark(name, qubits, seed=seed)
     hardware = _hardware_for(qubits, THREE_LINE)
     pattern = circuit_to_pattern(circuit)
@@ -122,7 +135,48 @@ def _map_benchmark(mapping_mod, name: str, qubits: int, seed: int):
     snap = _mapper_snapshot(mapper)
     snap["tally"] = tally
     snap["deferred"] = sorted(deferred)
+    snap["shuffle"] = _shuffle_snapshot(
+        shuffling_mod, mapper, partitions, port_of, deferred,
+        hardware.extended_shape,
+    )
     return snap
+
+
+def _shuffle_snapshot(shuffling_mod, mapper, partitions, port_of, deferred,
+                      shape):
+    """Route deferred edges and cross-partition edges per layer boundary;
+    the fusions and paths of every shuffle layer, boundary by boundary."""
+    pairs_by_boundary = {}
+    ends = list(deferred) + [
+        (port_of[(u, v)], port_of[(v, u)])
+        for part in partitions
+        for u, v in part.back_edges
+    ]
+    for a, b in ends:
+        pa, pb = mapper.placements[a], mapper.placements[b]
+        pairs_by_boundary.setdefault(max(pa.layer, pb.layer), []).append(
+            (pa.coord, pb.coord)
+        )
+    snapshot = []
+    for boundary in sorted(pairs_by_boundary):
+        result = shuffling_mod.connect_pairs(pairs_by_boundary[boundary], shape)
+        snapshot.append((
+            result.fusions,
+            [sorted(map(tuple, layer.paths)) for layer in result.layers],
+        ))
+    return snapshot
+
+
+def _digest(snap) -> str:
+    """Order-free sha1 of a ``_map_benchmark`` snapshot."""
+    canon = (
+        sorted(snap["placements"].items()),
+        snap["layers"],
+        sorted(snap["tally"].items()),
+        snap["deferred"],
+        snap["shuffle"],
+    )
+    return hashlib.sha1(repr(canon).encode()).hexdigest()
 
 
 def _map_raw_graph(mapping_mod, graph: nx.Graph, shape: Coord):
@@ -147,9 +201,24 @@ class TestPackedMapperIdentity:
     @pytest.mark.parametrize("name,qubits", GRID)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_benchmark_grid_identical(self, name, qubits, seed):
-        packed = _map_benchmark(packed_mapping, name, qubits, seed)
-        ref = _map_benchmark(reference_mapping, name, qubits, seed)
+        packed = _map_benchmark(PACKED, name, qubits, seed)
+        ref = _map_benchmark(REFERENCE, name, qubits, seed)
         assert packed == ref
+
+    def test_qft36_identical(self):
+        """A Table-2-sized circuit: partitions spill across many layers
+        and shuffling routes hundreds of pairs."""
+        packed = _map_benchmark(PACKED, "QFT", 36, 7)
+        ref = _map_benchmark(REFERENCE, "QFT", 36, 7)
+        assert packed == ref
+        assert _digest(packed) == _digest(ref)
+
+    def test_qft100_matches_reference_digest(self):
+        """The largest Table-2 row, against a digest of the reference's
+        snapshot (see ``QFT100_DIGEST``)."""
+        assert _digest(_map_benchmark(PACKED, "QFT", 100, 7)) == (
+            QFT100_DIGEST
+        )
 
     @pytest.mark.parametrize("graph_seed", range(10))
     def test_random_fusion_graphs_identical(self, graph_seed):

@@ -70,6 +70,42 @@ class TestExecuteSpec:
         assert record.policy == "reroute"
         assert record.recovered is True
 
+    def test_auto_policy_applies_each_rung_once(self, monkeypatch):
+        """The ladder's winner is not re-applied: ``apply_policy`` runs
+        once per attempted rung, and the record equals the one for the
+        winning rung named explicitly (bar the spec key and timings),
+        which is what re-applying the winner used to produce."""
+        from repro.core import recovery
+
+        calls, reports = [], []
+        real_apply, real_recover = recovery.apply_policy, recovery.recover
+
+        def counting_apply(policy, *args, **kwargs):
+            calls.append(policy)
+            return real_apply(policy, *args, **kwargs)
+
+        def capturing_recover(*args, **kwargs):
+            reports.append(real_recover(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(recovery, "apply_policy", counting_apply)
+        monkeypatch.setattr(recovery, "recover", capturing_recover)
+        auto = execute_spec(spec_for("dead-rsg", 0.1, "auto", shots=300))
+        (report,) = reports
+        assert calls == list(report.attempted) == ["survive", "reroute"]
+        assert report.program is not None
+        explicit = execute_spec(
+            spec_for("dead-rsg", 0.1, report.policy, shots=300)
+        )
+        assert auto.yield_mc is not None
+        timing = {"key"} | {
+            name for name in vars(auto)
+            if name.endswith("seconds") or name == "shots_per_second"
+        }
+        for name, value in vars(auto).items():
+            if name not in timing:
+                assert value == getattr(explicit, name), name
+
     def test_no_scenario_leaves_columns_empty(self):
         record = execute_spec(
             RunSpec(benchmark="BV", num_qubits=8, include_baseline=False)

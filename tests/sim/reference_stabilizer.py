@@ -5,8 +5,7 @@ This is the pre-optimization ``repro.sim.stabilizer`` kept word for word
 ``tests/core/test_mapping_equivalence.py``).  The bit-packed production
 engine must reproduce its tableaux and — because both draw one
 ``rng.integers(2)`` per random measurement — its measurement outcomes
-bit-for-bit at a fixed seed.  ``benchmarks/bench_stabilizer.py`` times
-this engine against the packed one to record the speedup.
+bit-for-bit at a fixed seed (``tests/sim/test_stabilizer_equivalence.py``).
 
 Representation follows arXiv:quant-ph/0406196: ``2n`` rows of binary
 ``x``/``z`` vectors plus a sign bit; rows ``0..n-1`` are destabilizers and
