@@ -19,7 +19,14 @@ The hot path runs on bit-packed grid planes (:mod:`repro.utils.bitgrid`):
 layer occupancy, node cells, free-neighbour counts and per-cell remaining
 degrees are integer bitboards/flat planes, so candidate scoring is a
 handful of mask tests per cell and path search expands whole BFS
-frontiers per word op.  The packed path is pinned bit-identical to the
+frontiers per word op.  The routed-placement search is pruned by an exact
+lower bound: a routed path's area term is at least ``min_area``, the
+smallest among the direct candidates, plus ``0.25`` per auxiliary cell,
+so the search is skipped when even one auxiliary cell loses to the best
+direct score and otherwise stops at the deepest BFS depth that can still
+tie it.  The cap is derived per call, not configured; it drops only paths
+the scoring loop would skip (:meth:`InLayerMapper._routed_targets`).
+The packed path is pinned bit-identical to the
 frozen scalar reference (``tests/core/reference_mapping.py``) by
 ``tests/core/test_mapping_equivalence_v2.py``: same placements, same
 routed paths, same metrics at a fixed seed.
@@ -84,7 +91,6 @@ class MappingResult:
     """Outcome of mapping one partition's fusion graph."""
 
     layers: List[LayerLayout]
-    placements: Dict[FGNode, Placement]
     edge_fusions: int = 0
     synthesis_fusions: int = 0
     routing_fusions: int = 0
@@ -193,23 +199,6 @@ class InLayerMapper:
     def _free(self, coord: Coord) -> bool:
         return coord not in self._occupied
 
-    def _free_neighbor_count(self, coord: Coord) -> int:
-        """Free neighbours of *coord*, read off the packed plane.
-
-        Cells only ever become occupied within a layer, so the plane is
-        maintained by decrementing the four neighbours of every claimed
-        cell (:meth:`_place_node` / :meth:`_mark_aux`).
-        """
-        return self._fnc[coord[0] * self._spec.stride + coord[1]]
-
-    def _on_occupy(self, coord: Coord) -> None:
-        """Subclass hook invoked after every cell claim.
-
-        The packed planes are maintained inline by the claim sites; the
-        frozen scalar reference subclasses override this hook to keep
-        their own caches consistent.
-        """
-
     # ------------------------------------------------------------------
     # cost function H
     # ------------------------------------------------------------------
@@ -233,24 +222,6 @@ class InLayerMapper:
             elif c > y1:
                 y1 = c
         return (x1 - x0 + 1) * (y1 - y0 + 1)
-
-    def _blockage_score(
-        self, node: FGNode, coord: Coord, occupied_extra: Set[Coord]
-    ) -> float:
-        """Blockage contribution of one placed node given extra occupancy."""
-        remaining = self._remaining.get(node, 0)
-        if remaining <= 0:
-            return 0.0
-        free = sum(
-            1
-            for p in self._neighbors(coord)
-            if self._free(p) and p not in occupied_extra
-        )
-        if free == 0:
-            return self.alpha
-        if remaining > free:
-            return 1.0
-        return 0.0
 
     def _score_candidate(
         self,
@@ -355,7 +326,6 @@ class InLayerMapper:
         for ni in spec.nbr_idx[idx]:
             fnc[ni] -= 1
         self._rem_at[idx] = degree
-        self._on_occupy(coord)
         self._current.node_at[coord] = node
         self.placements[node] = Placement(len(self.layers) - 1, coord)
         self._remaining[node] = degree
@@ -381,7 +351,6 @@ class InLayerMapper:
             self._occ_bits |= spec.bit[idx]
             for ni in spec.nbr_idx[idx]:
                 fnc[ni] -= 1
-            self._on_occupy(cell)
             self._current.aux_cells.add(cell)
             if self._rect is None:
                 self._rect = (cell[0], cell[1], cell[0], cell[1])
@@ -459,7 +428,7 @@ class InLayerMapper:
 
         def count_realized(a: FGNode, b: FGNode) -> None:
             nonlocal edge_fusions, synthesis_fusions
-            kind = graph.edges[a, b].get("kind", "edge")
+            kind = graph.adj[a][b].get("kind", "edge")
             if kind == "chain":
                 synthesis_fusions += 1
             else:
@@ -504,7 +473,6 @@ class InLayerMapper:
 
         return MappingResult(
             layers=self.layers[start_layer:],
-            placements=self.placements,
             edge_fusions=edge_fusions,
             synthesis_fusions=synthesis_fusions,
             routing_fusions=routing_fusions,
@@ -631,7 +599,7 @@ class InLayerMapper:
         x0, y0, x1, y1 = self._rect
         options: List[Tuple[float, Coord, Optional[List[Coord]]]] = []
         coords = spec.coord
-        min_direct = float("inf")
+        min_direct = min_area = float("inf")
         for s_idx in nbr_idx[cp_idx]:
             if occ_bits & bit[s_idx]:
                 continue
@@ -642,6 +610,8 @@ class InLayerMapper:
             cy0 = c if c < y0 else y0
             cy1 = c if c > y1 else y1
             score = float((cx1 - cx0 + 1) * (cy1 - cy0 + 1))
+            if score < min_area:
+                min_area = score
             for p_idx in nbr_idx[s_idx]:
                 if not node_bits & bit[p_idx]:
                     continue
@@ -663,14 +633,25 @@ class InLayerMapper:
             if score < min_direct:
                 min_direct = score
         self.stage_seconds["score"] += perf_counter() - t0
-        # routing is triggered when direct mapping is impossible or when
-        # every direct option blocks a node (score carries an alpha term)
-        need_routing = not options or min_direct >= self.alpha
-        if need_routing:
+        # routing is triggered when every direct option blocks a node
+        # (score carries an alpha term), and skipped when no routed path
+        # can win: without a free neighbour the anchor has no path, and
+        # the bound of _routed_targets already fails at depth 2
+        if (
+            options
+            and min_direct >= self.alpha
+            and min_area + 0.25 <= min_direct
+        ):
+            radius = 2
+            while (
+                radius < ROUTE_RADIUS
+                and min_area + 0.25 * radius <= min_direct
+            ):
+                radius += 1
             needed = max(1, min(degree - 1, 3))
             best_so_far = min_direct
             t0 = perf_counter()
-            routed = self._routed_targets(cp, needed)
+            routed = self._routed_targets(cp, needed, radius)
             self.stage_seconds["route"] += perf_counter() - t0
             t0 = perf_counter()
             for path in routed:
@@ -714,16 +695,32 @@ class InLayerMapper:
         self.stage_seconds["place"] += perf_counter() - t0
         return len(path) - 2
 
-    def _routed_targets(self, start: Coord, needed: int) -> List[List[Coord]]:
+    def _routed_targets(
+        self, start: Coord, needed: int, radius: int = ROUTE_RADIUS
+    ) -> List[List[Coord]]:
         """Shortest free paths to roomy cells around *start*.
 
         Routing paths have length >= 2 (at least one auxiliary state), as
         in the paper; each returned path includes both endpoints.  The
-        search reaches at most ``ROUTE_RADIUS`` steps out.  The
-        ``ROUTE_TARGETS_LIMIT`` cap is checked once per dequeued cell, not
-        per path: a cell dequeued with ``ROUTE_TARGETS_LIMIT - 1`` paths
-        found can still add one path per neighbour other than its parent,
-        so up to ``ROUTE_TARGETS_LIMIT + 2`` paths come back.
+        search reaches at most *radius* (``ROUTE_RADIUS`` by default)
+        steps out.  The ``ROUTE_TARGETS_LIMIT`` cap is checked once per
+        dequeued cell, not per path: a cell dequeued with
+        ``ROUTE_TARGETS_LIMIT - 1`` paths found can still add one path per
+        neighbour other than its parent, so up to
+        ``ROUTE_TARGETS_LIMIT + 2`` paths come back.
+
+        :meth:`_attach_new` derives *radius* per call from an exact lower
+        bound; it is not a setting.  A path's first auxiliary cell is a
+        free neighbour of *start*, i.e. a direct candidate, so its area
+        term is at least ``min_area``, the smallest among the direct
+        candidates; a target at depth ``d`` adds the penalty
+        ``0.25 * (d - 1)``.  A path is scored only when that bound is
+        ``<= min_direct``, the best direct score, so the search stops at
+        the deepest ``d`` passing ``min_area + 0.25 * (d - 1) <=
+        min_direct``.  Targets come out in non-decreasing depth, so the
+        capped result is exactly the prefix of the full one with paths of
+        length ``<= radius + 1``, and the paths it drops are ones the
+        scoring loop would have skipped.
         """
         results: List[List[Coord]] = []
         spec = self._spec
@@ -748,7 +745,7 @@ class InLayerMapper:
             cur = queue[head]
             head += 1
             cur_depth = depth[cur]
-            if cur_depth >= ROUTE_RADIUS:
+            if cur_depth >= radius:
                 continue
             for nxt in nbr_idx[cur]:
                 if seen[nxt] == gen or occ_bits & bit[nxt]:
@@ -816,17 +813,17 @@ class InLayerMapper:
         return spec.coord[hit]
 
 
-def _bridge_set(graph: nx.Graph) -> Set[FrozenSet[FGNode]]:
-    """The bridges of *graph* as frozenset edges (iterative low-link DFS).
+def _bridge_set(graph: nx.Graph) -> Set[Tuple[FGNode, FGNode]]:
+    """Both directions of every bridge of *graph* (iterative low-link DFS).
 
-    Bridges are a property of the graph, so this returns the same set as
+    Bridges are a property of the graph, so this holds the same edges as
     ``nx.bridges`` at a fraction of the constant factor — and
     :func:`_edge_order` only ever tests membership, so DFS order is
     irrelevant.
     """
     index: Dict[FGNode, int] = {}
     low: Dict[FGNode, int] = {}
-    bridges: Set[FrozenSet[FGNode]] = set()
+    bridges: Set[Tuple[FGNode, FGNode]] = set()
     counter = 0
     adj = graph.adj
     for root in graph.nodes():
@@ -854,7 +851,8 @@ def _bridge_set(graph: nx.Graph) -> Set[FrozenSet[FGNode]]:
                     if low[node] < low[pnode]:
                         low[pnode] = low[node]
                     if low[node] > index[pnode]:
-                        bridges.add(frozenset((pnode, node)))
+                        bridges.add((pnode, node))
+                        bridges.add((node, pnode))
     return bridges
 
 
@@ -866,16 +864,11 @@ def _edge_order(graph: nx.Graph) -> List[Tuple[FGNode, FGNode]]:
     """
     if graph.number_of_edges() == 0:
         return []
-    # both directions of every bridge, as plain tuples: the sort key
-    # below then avoids a frozenset allocation per neighbour
-    bridge_pairs: Set[Tuple[FGNode, FGNode]] = set()
-    for e in _bridge_set(graph):
-        a, b = tuple(e)
-        bridge_pairs.add((a, b))
-        bridge_pairs.add((b, a))
+    bridge_pairs = _bridge_set(graph)
     degree: Dict[FGNode, int] = dict(graph.degree())
     order: List[Tuple[FGNode, FGNode]] = []
-    seen_edges: Set[frozenset] = set()
+    # edge u-w was emitted already iff w was expanded before u
+    expanded: Set[FGNode] = set()
     visited: Set[FGNode] = set()
     components = sorted(
         nx.connected_components(graph), key=len, reverse=True
@@ -895,11 +888,10 @@ def _edge_order(graph: nx.Graph) -> List[Tuple[FGNode, FGNode]]:
                 ),
             )
             for w in nbrs:
-                e = frozenset((u, w))
-                if e not in seen_edges:
-                    seen_edges.add(e)
+                if w not in expanded:
                     order.append((u, w))
                 if w not in visited:
                     visited.add(w)
                     queue.append(w)
+            expanded.add(u)
     return order

@@ -61,9 +61,6 @@ class ShuffleLayer:
         self._used_bits = bits
         self._synced = len(self.used)
 
-    def _neighbors(self, coord: Coord) -> List[Coord]:
-        return grid_neighbor_table(self.shape)[coord]
-
     def try_route(self, a: Coord, b: Coord) -> Optional[List[Coord]]:
         """Shortest free path from *a* to *b* (inclusive), or None.
 

@@ -1,10 +1,12 @@
 """Tests for the in-layer mapper and fusion routing."""
 
+import random
+
 import networkx as nx
 import pytest
 
 from repro.core.fusion_graph import build_fusion_graph
-from repro.core.mapping import InLayerMapper, _edge_order
+from repro.core.mapping import ROUTE_RADIUS, InLayerMapper, _edge_order
 from repro.hardware.resource_state import THREE_LINE
 
 
@@ -173,3 +175,81 @@ class TestRouting:
         mapper, result = map_graph(nx.complete_graph(3))
         aux_total = sum(len(l.aux_cells) for l in result.layers)
         assert result.routing_fusions == aux_total
+
+
+class TestCappedRoutedSearch:
+    @staticmethod
+    def _random_layer(shape, seed):
+        """A mapper whose open layer holds random node and aux cells."""
+        rng = random.Random(seed)
+        mapper = InLayerMapper(shape, THREE_LINE)
+        mapper._open_layer()
+        cells = [(r, c) for r in range(shape[0]) for c in range(shape[1])]
+        rng.shuffle(cells)
+        taken = cells[: int(len(cells) * rng.uniform(0.2, 0.55))]
+        split = len(taken) // 2
+        for i, cell in enumerate(taken[:split]):
+            mapper._place_node((i, 0), cell, rng.randrange(4))
+        mapper._mark_aux(taken[split:])
+        return mapper, rng, taken[:split]
+
+    @pytest.mark.parametrize("shape", [(8, 8), (12, 12)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_capped_search_is_depth_prefix(self, shape, seed):
+        """A search capped at depth ``r`` returns exactly the leading paths
+        of the full search with length <= r + 1, and nothing leaks through
+        the shared scratch planes between interleaved calls."""
+        mapper, rng, nodes = self._random_layer(shape, seed)
+        anchors = rng.sample(nodes, 4)
+        for start in anchors:
+            for needed in (1, 2, 3):
+                full = mapper._routed_targets(start, needed)
+                for radius in range(2, ROUTE_RADIUS + 1):
+                    capped = mapper._routed_targets(start, needed, radius)
+                    assert capped == [p for p in full if len(p) <= radius + 1]
+                    assert capped == full[: len(capped)]
+                    assert mapper._routed_targets(start, needed) == full
+
+
+class TestRoutedSearchBound:
+    """``_attach_new`` searches for routed placements only as deep as a
+    path can still tie the best direct cell.
+
+    The anchor sits at (3, 3) walled in on three sides by aux cells, so
+    its only direct candidate is (3, 4): area term 9, and it takes the
+    anchor's last free neighbour, so its score is ``9 + alpha``.  A path
+    to a target at depth ``d`` is bounded below by ``9 + 0.25 * (d - 1)``.
+    """
+
+    ANCHOR, NEW = (0, 0), (1, 0)
+
+    def _attach(self, alpha, walls):
+        mapper = InLayerMapper((8, 8), THREE_LINE, alpha=alpha)
+        mapper._open_layer()
+        mapper._degree = {self.ANCHOR: 2, self.NEW: 2}
+        mapper._place_node(self.ANCHOR, (3, 3), 2)
+        mapper._mark_aux(walls)
+        radii = []
+        full_search = mapper._routed_targets
+
+        def spy(start, needed, radius=ROUTE_RADIUS):
+            radii.append(radius)
+            return full_search(start, needed, radius)
+
+        mapper._routed_targets = spy
+        outcome = mapper._attach_new(self.ANCHOR, self.NEW, nx.Graph())
+        return outcome, radii
+
+    @pytest.mark.parametrize(
+        "alpha,radius",
+        [(0.2, None), (0.25, 2), (0.5, 3), (1.0, 5), (1.1, 5), (1.25, 6),
+         (10.0, 6)],
+    )
+    def test_search_depth_is_the_deepest_that_can_tie(self, alpha, radius):
+        outcome, radii = self._attach(alpha, [(2, 3), (4, 3), (3, 2)])
+        assert radii == ([] if radius is None else [radius])
+        assert outcome == "edge" or isinstance(outcome, int)
+
+    def test_anchor_without_free_neighbour_skips_search(self):
+        outcome, radii = self._attach(None, [(2, 3), (4, 3), (3, 2), (3, 4)])
+        assert (outcome, radii) == ("spill", [])

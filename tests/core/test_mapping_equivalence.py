@@ -32,16 +32,31 @@ from repro.mbqc.flow import rank_layers, scheduling_ranks
 from repro.mbqc.translate import circuit_to_pattern
 
 GRID_16 = [("QFT", 16), ("QAOA", 16), ("RCA", 16), ("BV", 16)]
+#: non-default cost weights: they move the bound of the pruned
+#: routed-placement search
+ALPHAS = (1.1, 2.5, 10.0)
 
 
 class ReferenceMapper(InLayerMapper):
     """The seed mapper: pre-optimization hot paths, verbatim."""
 
-    def _free_neighbor_count(self, coord: Coord) -> int:
-        return sum(1 for p in self._neighbors(coord) if self._free(p))
-
-    def _on_occupy(self, coord: Coord) -> None:  # no cache to maintain
-        pass
+    def _blockage_score(
+        self, node: FGNode, coord: Coord, occupied_extra: Set[Coord]
+    ) -> float:
+        """Blockage contribution of one placed node given extra occupancy."""
+        remaining = self._remaining.get(node, 0)
+        if remaining <= 0:
+            return 0.0
+        free = sum(
+            1
+            for p in self._neighbors(coord)
+            if self._free(p) and p not in occupied_extra
+        )
+        if free == 0:
+            return self.alpha
+        if remaining > free:
+            return 1.0
+        return 0.0
 
     def _bfs_path(
         self,
@@ -287,14 +302,16 @@ class TestMapperEquivalence:
         assert _layout_signature(opt) == _layout_signature(ref)
 
     @pytest.mark.parametrize("graph_seed", range(8))
-    def test_random_fusion_graphs_identical(self, graph_seed):
+    def test_random_fusion_graphs_identical(self, graph_seed, alpha=None):
         """Property: identical placements on random fusion graphs."""
         base = nx.gnm_random_graph(20, 24, seed=graph_seed)
         graph = nx.relabel_nodes(base, {v: (v, 0) for v in base.nodes()})
         fusion = FusionGraph(graph=graph, chains={}, port_of={})
         results = []
         for cls in (ReferenceMapper, InLayerMapper):
-            mapper = cls(shape=(10, 10), resource_state=THREE_LINE)
+            mapper = cls(
+                shape=(10, 10), resource_state=THREE_LINE, alpha=alpha
+            )
             out = mapper.map_fusion_graph(
                 FusionGraph(graph=fusion.graph.copy(), chains={}, port_of={})
             )
@@ -310,6 +327,13 @@ class TestMapperEquivalence:
             assert lo.node_at == lr.node_at
             assert lo.aux_cells == lr.aux_cells
             assert lo.paths == lr.paths
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("graph_seed", range(8))
+    def test_random_fusion_graphs_identical_at_alpha(self, graph_seed, alpha):
+        """The same property at cost weights that move the bound of the
+        pruned routed-placement search (this reference never prunes)."""
+        self.test_random_fusion_graphs_identical(graph_seed, alpha)
 
 
 class TestPartitionEquivalence:

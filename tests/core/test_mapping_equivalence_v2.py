@@ -43,6 +43,9 @@ GRID = [("BV", 16), ("QFT", 16), ("QAOA", 16)]
 SEEDS = (3, 7)
 PACKED = (packed_mapping, packed_shuffling)
 REFERENCE = (reference_mapping, reference_shuffling)
+#: non-default cost weights: they move the bound of the packed mapper's
+#: pruned routed-placement search
+ALPHAS = (1.1, 2.5, 10.0)
 
 #: sha1 of ``_digest`` over the QFT-100 (seed 7) snapshot.  Made by
 #: running ``_map_benchmark(REFERENCE, "QFT", 100, 7)`` on the scalar
@@ -179,8 +182,10 @@ def _digest(snap) -> str:
     return hashlib.sha1(repr(canon).encode()).hexdigest()
 
 
-def _map_raw_graph(mapping_mod, graph: nx.Graph, shape: Coord):
-    mapper = mapping_mod.InLayerMapper(shape=shape, resource_state=THREE_LINE)
+def _map_raw_graph(mapping_mod, graph: nx.Graph, shape: Coord, alpha=None):
+    mapper = mapping_mod.InLayerMapper(
+        shape=shape, resource_state=THREE_LINE, alpha=alpha
+    )
     result = mapper.map_fusion_graph(
         FusionGraph(graph=graph.copy(), chains={}, port_of={})
     )
@@ -221,32 +226,51 @@ class TestPackedMapperIdentity:
         )
 
     @pytest.mark.parametrize("graph_seed", range(10))
-    def test_random_fusion_graphs_identical(self, graph_seed):
+    def test_random_fusion_graphs_identical(self, graph_seed, alpha=None):
         base = nx.gnm_random_graph(24, 30, seed=graph_seed)
         graph = nx.relabel_nodes(base, {v: (v, 0) for v in base.nodes()})
-        packed = _map_raw_graph(packed_mapping, graph, (9, 9))
-        ref = _map_raw_graph(reference_mapping, graph, (9, 9))
+        packed = _map_raw_graph(packed_mapping, graph, (9, 9), alpha)
+        ref = _map_raw_graph(reference_mapping, graph, (9, 9), alpha)
         assert packed == ref
 
     @pytest.mark.parametrize("graph_seed", range(5))
-    def test_overfull_layer_spills_identically(self, graph_seed):
+    def test_overfull_layer_spills_identically(self, graph_seed, alpha=None):
         """A graph far larger than one layer forces layer turnover,
         incomplete nodes, and deferred edges — the spill paths."""
         base = nx.gnm_random_graph(30, 44, seed=graph_seed)
         graph = nx.relabel_nodes(base, {v: (v, 0) for v in base.nodes()})
-        packed = _map_raw_graph(packed_mapping, graph, (4, 4))
-        ref = _map_raw_graph(reference_mapping, graph, (4, 4))
+        packed = _map_raw_graph(packed_mapping, graph, (4, 4), alpha)
+        ref = _map_raw_graph(reference_mapping, graph, (4, 4), alpha)
         assert packed == ref
         assert len(packed["layers"]) > 1  # the spill path actually ran
 
-    def test_dense_graph_routes_identically(self):
+    def test_dense_graph_routes_identically(self, alpha=None):
         """High-degree hubs exercise routing and alpha blockage terms."""
         graph = nx.relabel_nodes(
             nx.complete_graph(7), {v: (v, 0) for v in range(7)}
         )
-        packed = _map_raw_graph(packed_mapping, graph, (6, 6))
-        ref = _map_raw_graph(reference_mapping, graph, (6, 6))
+        packed = _map_raw_graph(packed_mapping, graph, (6, 6), alpha)
+        ref = _map_raw_graph(reference_mapping, graph, (6, 6), alpha)
         assert packed == ref
+
+    # the three raw-graph cases again at cost weights that move the bound
+    # of the packed mapper's routed-placement search (the reference never
+    # prunes)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("graph_seed", range(10))
+    def test_random_fusion_graphs_identical_at_alpha(self, graph_seed, alpha):
+        self.test_random_fusion_graphs_identical(graph_seed, alpha)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("graph_seed", range(5))
+    def test_overfull_layer_spills_identically_at_alpha(
+        self, graph_seed, alpha
+    ):
+        self.test_overfull_layer_spills_identically(graph_seed, alpha)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_dense_graph_routes_identically_at_alpha(self, alpha):
+        self.test_dense_graph_routes_identically(alpha)
 
     @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1)])
     def test_degenerate_grids_rejected_identically(self, shape):
