@@ -22,6 +22,13 @@ Rules:
   hides every failure in the guarded block.  Narrow the exception type,
   or handle/log it.  Test files (``tests/`` dirs, ``test_*.py`` /
   ``conftest.py``) are exempt — tests legitimately probe failure paths.
+* **LR005 — unbound name in a string annotation**: every name inside a
+  quoted annotation (``Optional["Circuit"]``) must be bound in its
+  module — by an import (``if TYPE_CHECKING:`` imports count), a
+  ``def``/``class``, an assignment, or a builtin.  An unbound forward
+  reference type-checks nowhere and makes ``typing.get_type_hints``
+  raise ``NameError``.  Strings inside ``Literal[...]`` are values, not
+  references, and are skipped.
 
 Suppression: append ``# noqa: LR001`` (or a comma-separated list) to
 the offending line.  A bare ``# noqa`` suppresses every rule on the
@@ -38,6 +45,7 @@ CI runs this over ``src/ scripts/ examples/ benchmarks/ tests/``.
 from __future__ import annotations
 
 import ast
+import builtins
 import pathlib
 import re
 import sys
@@ -103,10 +111,42 @@ def _attr_chain(node: ast.AST) -> List[str]:
     return []
 
 
+def _bound_names(tree: ast.Module) -> Set[str]:
+    """Every name the module binds anywhere, plus the builtins."""
+    bound = set(dir(builtins))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    return bound
+
+
+def _string_annotations(annotation: ast.AST) -> Iterator[ast.Constant]:
+    """Quoted forward references inside *annotation*, skipping the
+    string values of ``Literal[...]``."""
+    if isinstance(annotation, ast.Constant):
+        if isinstance(annotation.value, str):
+            yield annotation
+        return
+    if isinstance(annotation, ast.Subscript):
+        chain = _attr_chain(annotation.value)
+        if chain and chain[-1] == "Literal":
+            return
+    for child in ast.iter_child_nodes(annotation):
+        yield from _string_annotations(child)
+
+
 class _Checker(ast.NodeVisitor):
     def __init__(self, path: pathlib.Path, tree: ast.Module):
         self.path = path
         self.numpy_names = _numpy_aliases(tree)
+        self.bound = _bound_names(tree)
         self.findings: List[Finding] = []
 
     def _flag(self, node: ast.AST, code: str, message: str) -> None:
@@ -174,11 +214,44 @@ class _Checker(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_defaults(node)
+        self._check_signature(node)
         self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_defaults(node)
+        self._check_signature(node)
         self.generic_visit(node)
+
+    # -- LR005: unbound names in string annotations --------------------
+    def _check_signature(self, node) -> None:
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            arg for arg in (args.vararg, args.kwarg) if arg is not None
+        ]
+        for param in params:
+            self._check_annotation(param.annotation)
+        self._check_annotation(node.returns)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._check_annotation(node.annotation)
+        self.generic_visit(node)
+
+    def _check_annotation(self, annotation: Optional[ast.AST]) -> None:
+        if annotation is None:
+            return
+        for text in _string_annotations(annotation):
+            try:
+                parsed = ast.parse(text.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            for name in ast.walk(parsed):
+                if isinstance(name, ast.Name) and name.id not in self.bound:
+                    self._flag(
+                        text, "LR005",
+                        f"string annotation names {name.id!r}, which the "
+                        "module never binds; import it (under "
+                        "TYPE_CHECKING if only for typing)",
+                    )
 
     # -- LR004: except (Exception)?: pass ------------------------------
     def visit_Try(self, node: ast.Try) -> None:

@@ -11,8 +11,9 @@ emits, without executing anything:
   flow-induced ones (which is what catches a dropped correction);
 * **frame programs** (:class:`repro.sim.frame.FrameProgram`) — step
   coverage and ordering, basis consistency with the source pattern,
-  dependency resolution, qubit-index hygiene, and detector-parity-check
-  coverage of the output generators;
+  dependency resolution, qubit-index hygiene, detector-parity-check
+  coverage of the output generators, and checks that read only
+  unmeasured (output) frame rows;
 * **compiled programs** (:class:`repro.core.compiler.CompiledProgram`)
   — photon/fusion budget reconciliation against the hardware mapping,
   reusing the first-principles layout checks of
@@ -376,12 +377,19 @@ class PatternLinter:
             _issue(issues, "R006", "check-coverage", None,
                    f"{len(program.checks)} output parity checks for "
                    f"{len(pattern.outputs)} output generators")
+        # a measured row is read once, at its own step; the engine
+        # does no gauge reseed after it, so a check must not read it
+        measured_qubits = {step.qubit for step in program.steps}
         for which, check in enumerate(program.checks):
             for qubit in tuple(check.frame_x) + tuple(check.frame_z):
                 if not 0 <= qubit < program.num_qubits:
                     _issue(issues, "R007", "check-range", which,
                            f"check references qubit {qubit} outside "
                            f"[0, {program.num_qubits})")
+                elif qubit in measured_qubits:
+                    _issue(issues, "R009", "check-reads-measured", which,
+                           f"check reads the frame row of measured qubit "
+                           f"{qubit}")
             for step_idx in check.delta_steps:
                 if not 0 <= step_idx < len(program.steps):
                     _issue(issues, "R007", "check-range", which,

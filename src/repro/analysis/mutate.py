@@ -47,6 +47,7 @@ FRAME_MUTATIONS: Tuple[str, ...] = (
     "frame-forward-reference",
     "retarget-qubit",
     "drop-check",
+    "check-reads-measured",
 )
 
 #: mutation class -> lint codes that MUST appear in the report
@@ -64,6 +65,7 @@ MUTATION_EXPECTED_CODES: Dict[str, FrozenSet[str]] = {
     "frame-forward-reference": frozenset({"R002"}),
     "retarget-qubit": frozenset({"R005"}),
     "drop-check": frozenset({"R006"}),
+    "check-reads-measured": frozenset({"R009"}),
 }
 
 
@@ -183,6 +185,17 @@ def corrupt_frame_program(
         if not program.checks:
             raise MutationError("program has no output checks")
         return dataclasses.replace(program, checks=program.checks[:-1])
+    elif mutation == "check-reads-measured":
+        if not (steps and program.checks):
+            raise MutationError("program has no steps or no checks")
+        # the first check also reads the first measured qubit's X row
+        first = program.checks[0]
+        checks = (
+            dataclasses.replace(
+                first, frame_x=tuple(first.frame_x) + (steps[0].qubit,)
+            ),
+        ) + tuple(program.checks[1:])
+        return dataclasses.replace(program, checks=checks)
     return dataclasses.replace(program, steps=tuple(steps))
 
 

@@ -168,16 +168,17 @@ def _verify_stabilizer(
         )
     circuit_state = StabilizerState(circuit.num_qubits)
     circuit_state.apply_circuit(circuit)
+    rows = circuit_state.stabilizer_rows()
     result = StabilizerPatternSimulator(pattern, seed=seed).run()
-    for wire, (gx, gz, gr) in enumerate(circuit_state.stabilizer_rows()):
-        pauli = result.output_pauli(pattern.outputs, gx, gz)
-        expected = result.state.expectation(pauli)
-        if expected != gr:
-            got = "random" if expected is None else f"sign {expected}"
-            return False, (
-                f"circuit stabilizer generator {wire} does not hold on the "
-                f"pattern output state (expected sign {gr}, got {got})"
-            )
+    violated = result.violated_generator(pattern.outputs, rows)
+    if violated is not None:
+        wire, observed = violated
+        got = "random" if observed is None else f"sign {observed}"
+        return False, (
+            f"circuit stabilizer generator {wire} does not hold on the "
+            f"pattern output state (expected sign {rows[wire][2]}, "
+            f"got {got})"
+        )
     return True, (
         f"{circuit.num_qubits} circuit stabilizers hold on the "
         f"{result.state.n}-node tableau"
@@ -381,13 +382,12 @@ def estimate_yield(
         pattern = circuit_to_pattern(circuit)
     if counts is None:
         counts = FaultCounts.from_pattern(pattern)
-    analytic = counts.analytic_yield(model)
     if not (pattern_is_clifford(pattern) and circuit_is_clifford(circuit)):
         return YieldEstimate(
             shots=0,
             yield_mc=None,
             fault_free_yield=None,
-            yield_analytic=analytic,
+            yield_analytic=counts.analytic_yield(model),
             sigma=0.0,
             method="analytic-only",
             seconds=time.perf_counter() - t0,
@@ -407,9 +407,7 @@ def estimate_yield(
         shots=shots,
         yield_mc=result.yield_mc,
         fault_free_yield=result.fault_free_yield,
-        yield_analytic=result.yield_analytic
-        if result.analytic_override is not None
-        else analytic,
+        yield_analytic=result.yield_analytic,
         sigma=result.sigma,
         method="mc-stabilizer",
         attempts_per_fusion=result.attempts_per_fusion,

@@ -2,12 +2,7 @@
 Pauli frames, noisy MC."""
 
 from repro.sim.frame import FrameProgram, PauliFrameSimulator
-from repro.sim.noisy import (
-    FaultCounts,
-    NoisySampler,
-    NoisySampleResult,
-    sample_yield,
-)
+from repro.sim.noisy import FaultCounts, NoisySampler, NoisySampleResult
 from repro.sim.pattern_sim import (
     PatternResult,
     PatternSimulator,
@@ -49,7 +44,6 @@ __all__ = [
     "gate_matrix",
     "j_matrix",
     "pattern_is_clifford",
-    "sample_yield",
     "simulate",
     "simulate_pattern",
     "simulate_pattern_stabilizer",

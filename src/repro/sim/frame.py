@@ -46,17 +46,24 @@ as ``(2n, ceil(shots/64))`` uint64 frame matrices (X rows and Z rows)
 plus a ``(steps, words)`` delta matrix: fault injection, measurement
 flips, feed-forward and byproduct corrections are all masked XOR/AND
 word operations, and per-shot cost is independent of qubit count.
-After each measurement the frame component along the measured operator
-is re-randomized (``P`` acts as +-1 on its own eigenstate): a fresh
-random reseed on the measured qubit keeps the frame *distribution*
-correct — tallies are invariant under it (measured qubits never feed
-the output checks), which the reseed-off regression test pins.
 
-:class:`PauliFrameSimulator` compiles the frame program by running the
+Stim re-randomizes the frame component along each measured operator
+after the measurement (``P`` acts as +-1 on its own eigenstate) so the
+frames it hands out are distribution-correct.  This engine needs no
+such reseed: frames never leave the engine (only the pass mask does),
+and no check reads the frame row of a measured qubit — a measured row
+is read once, at its own step, so randomizing it afterwards could not
+change any result.  The frame linter enforces the second half
+(``R009`` in :mod:`repro.analysis.lint`).
+
+:class:`PauliFrameSimulator` compiles the frame program and runs the
 noiseless pattern once on the scalar tableau
-(:class:`repro.sim.pattern_sim.StabilizerPatternSimulator`) — the
-calibration run that anchors the reference — and then executes faulty
-chunks via :meth:`PauliFrameSimulator.run_chunk`.
+(:class:`repro.sim.pattern_sim.StabilizerPatternSimulator`).  That
+reference run anchors every frame and is also the calibration: it
+proves a fault-free shot passes every output check, so
+:class:`repro.sim.noisy.NoisySampler` counts zero-fault shots as passes
+without executing them.  Faulty shots then run via
+:meth:`PauliFrameSimulator.run_shots`.
 ``NoisySampler.run`` is the production entry point;
 ``tests/sim/test_noisy.py`` pins frame tallies bit-identical to the
 per-shot reference executor; the ``yield-clifford`` workload of
@@ -70,6 +77,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.circuit.circuit import Circuit
 from repro.mbqc.pattern import MeasurementPattern
 from repro.sim.pattern_sim import (
     StabilizerPatternSimulator,
@@ -77,9 +85,6 @@ from repro.sim.pattern_sim import (
     pattern_is_clifford,
 )
 from repro.sim.stabilizer import StabilizerState, _bit_positions, _unpack_bits
-
-_U64_MAX = np.iinfo(np.uint64).max
-_ONE = np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -226,10 +231,10 @@ class FrameProgram:
 class PauliFrameSimulator:
     """Executes faulty shots of a Clifford pattern as bit-packed frames.
 
-    Construction runs the noiseless pattern once on the scalar tableau —
-    the reference execution every frame is relative to, and the
-    calibration proof that a fault-free shot passes every output
-    stabilizer check — then compiles the flat :class:`FrameProgram`.
+    Construction compiles the flat :class:`FrameProgram` and runs the
+    noiseless pattern once on the scalar tableau — the reference
+    execution every frame is relative to, and the calibration proof
+    that a fault-free shot passes every output stabilizer check.
 
     Args:
         pattern: the Clifford measurement pattern.
@@ -241,13 +246,11 @@ class PauliFrameSimulator:
         prepared: optional ``(state, node->qubit)`` base graph-state
             tableau; consumed by the reference run.  Defaults to a fresh
             :meth:`StabilizerState.graph_state` build.
-        seed: seeds the reference run's (gauge) outcome draws and the
-            default reseed stream of :meth:`run_chunk`.
-        reseed: draw a fresh random frame component along each measured
-            operator after its measurement (the Stim-style gauge
-            randomization that keeps the frame distribution correct).
-            Tallies are invariant either way — measured qubits never
-            feed the output checks — so ``False`` skips the draws.
+        seed: seeds the reference run's (gauge) outcome draws.
+
+    Raises:
+        RuntimeError: the reference run violates an output generator —
+            the pattern does not implement the circuit.
 
     Attributes:
         program: the compiled :class:`FrameProgram`.
@@ -258,13 +261,12 @@ class PauliFrameSimulator:
     def __init__(
         self,
         pattern: MeasurementPattern,
-        circuit: Optional["Circuit"] = None,
+        circuit: Optional[Circuit] = None,
         circuit_rows: Optional[
             Sequence[Tuple[np.ndarray, np.ndarray, int]]
         ] = None,
         prepared: Optional[Tuple[StabilizerState, Dict[int, int]]] = None,
         seed: Optional[int] = None,
-        reseed: bool = True,
     ) -> None:
         if (circuit is None) == (circuit_rows is None):
             raise ValueError("pass exactly one of circuit / circuit_rows")
@@ -288,8 +290,6 @@ class PauliFrameSimulator:
                 f"{len(pattern.outputs)} pattern outputs"
             )
         self.pattern = pattern
-        self.reseed = reseed
-        self.rng = np.random.default_rng(seed)
 
         if prepared is None:
             state, index = StabilizerState.graph_state(
@@ -306,14 +306,13 @@ class PauliFrameSimulator:
         result = StabilizerPatternSimulator(pattern).run(
             prepared=(state, index)
         )
-        for which, (gx, gz, gr) in enumerate(circuit_rows):
-            pauli = result.output_pauli(pattern.outputs, gx, gz)
-            if result.state.expectation(pauli) != gr:
-                raise RuntimeError(
-                    f"reference execution violates output stabilizer "
-                    f"generator {which}; the pattern does not implement "
-                    "the circuit"
-                )
+        violated = result.violated_generator(pattern.outputs, circuit_rows)
+        if violated is not None:
+            raise RuntimeError(
+                f"reference execution violates output stabilizer "
+                f"generator {violated[0]}; the pattern does not implement "
+                "the circuit"
+            )
         self.reference_outcomes: Dict[int, int] = dict(result.outcomes)
         # measured tableau qubit -> step index (-1: output, never a step)
         self._step_of_qubit = np.full(self.program.num_qubits, -1, np.int64)
@@ -325,7 +324,6 @@ class PauliFrameSimulator:
     def run_chunk(
         self,
         chunk: Sequence[Tuple[Iterable[Tuple[int, str]], Iterable[int]]],
-        rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
         """Execute a chunk of faulty shots; returns the (len(chunk),)
         boolean pass mask of the output stabilizer checks.
@@ -354,7 +352,6 @@ class PauliFrameSimulator:
             np.asarray(fault_shot, dtype=np.int64),
             np.asarray(flip_qubit, dtype=np.int64),
             np.asarray(flip_shot, dtype=np.int64),
-            rng,
         )
 
     def run_shots(
@@ -365,7 +362,6 @@ class PauliFrameSimulator:
         fault_shot: np.ndarray,
         flip_qubit: np.ndarray,
         flip_shot: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
         """Execute *num_shots* faulty shots from flat fault arrays;
         returns the ``(num_shots,)`` boolean pass mask.
@@ -376,13 +372,11 @@ class PauliFrameSimulator:
         complements the recorded outcome of the measured tableau qubit
         ``flip_qubit[e]`` on shot ``flip_shot[e]`` (a detector error —
         output qubits are rejected, their readout flips are classical
-        failures the caller tallies without executing).  *rng* feeds
-        the gauge reseeds only: the pass mask is a deterministic
-        function of the fault arrays.
+        failures the caller tallies without executing).  The pass mask
+        is a deterministic function of the fault arrays.
         """
         if num_shots == 0:
             return np.zeros(0, dtype=bool)
-        rng = rng if rng is not None else self.rng
         program = self.program
         words = (num_shots + 63) >> 6
         frame_x = np.zeros((program.num_qubits, words), dtype=np.uint64)
@@ -417,15 +411,6 @@ class PauliFrameSimulator:
                     row ^= delta[dep]
             for dep in step.z_deps:  # sign feed-forward: t parity
                 row ^= delta[dep]
-            if self.reseed:
-                # the measured operator acts as +-1 on its own
-                # eigenstate: randomize the frame along it
-                words_r = rng.integers(
-                    0, _U64_MAX, size=words, dtype=np.uint64, endpoint=True
-                )
-                frame_x[step.qubit] ^= words_r
-                if step.y_basis:
-                    frame_z[step.qubit] ^= words_r
 
         failed = np.zeros(words, dtype=np.uint64)
         for check in program.checks:

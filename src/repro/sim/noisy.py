@@ -36,17 +36,21 @@ Sampled fault channels, per shot (probabilities are per event):
   wrong bit.  Flips that land on output-readout slots corrupt the
   classical result directly and fail the shot.
 
-Shots with zero fault events never execute: a fault-free execution
-deterministically passes the stabilizer check (verified once per sampler
-as a calibration shot), so only faulty shots pay for execution.  At
-realistic error rates this makes large shot counts cheap.
-
 Faulty shots run on the bit-packed Pauli-frame engine
-(:mod:`repro.sim.frame`).  Every supported fault channel is a sign-only
+(:mod:`repro.sim.frame`), which each sampler builds once, in
+``__init__``.  Every supported fault channel is a sign-only
 perturbation of one fixed Clifford execution, so after a single
 reference tableau run each faulty shot reduces to an X/Z flip frame
 XOR-propagated 64 shots per ``uint64`` word — per-shot cost is
-independent of qubit count.
+independent of qubit count.  Frames never leave the engine and no
+output check reads a measured qubit's frame row, so the engine needs no
+Stim-style gauge reseed after each measurement.
+
+That one reference run is also the sampler's calibration: the engine
+raises unless the noiseless execution passes every output stabilizer
+check.  So shots with zero fault events never execute — they pass
+deterministically — and only faulty shots pay for execution.  At
+realistic error rates this makes large shot counts cheap.
 
 Sampling is separated from execution: :meth:`NoisySampler._draw_faults`
 draws every shot's fault configuration up front, and pass/fail per shot
@@ -55,9 +59,9 @@ outcomes are a gauge the feed-forward corrections cancel).  The
 one-tableau-per-shot executor :meth:`NoisySampler._execute_shot` stays
 as the test oracle: :meth:`NoisySampler._run_per_shot` replays the same
 draw shot by shot, and ``tests/sim/test_noisy.py`` pins its tallies
-bit-identical to :meth:`NoisySampler.run` across seeds, chunk sizes and
-noise grids (``TestOracleEquivalence``).  Sampling speed is tracked by
-the ``yield-clifford`` workload of ``perfbench/run.py``.
+bit-identical to :meth:`NoisySampler.run` across seeds, chunk
+boundaries and noise grids (``TestOracleEquivalence``).  Sampling speed
+is tracked by the ``yield-clifford`` workload of ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -78,23 +82,25 @@ from repro.hardware.degradation import (
 )
 from repro.hardware.noise import DEFAULT_NOISE, NoiseModel, success_probability
 from repro.mbqc.pattern import MeasurementPattern
-from repro.sim.pattern_sim import (
-    StabilizerPatternResult,
-    StabilizerPatternSimulator,
-    pattern_is_clifford,
-)
+from repro.sim.frame import PauliFrameSimulator
+from repro.sim.pattern_sim import StabilizerPatternSimulator, pattern_is_clifford
 from repro.sim.stabilizer import StabilizerState, non_clifford_gate_counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compiler import CompiledProgram
-    from repro.sim.frame import PauliFrameSimulator
 
-#: Default faulty shots per frame-engine chunk.  Frames pack 64 shots
-#: per uint64 word, and each measurement step costs a handful of
-#: word-vector XORs regardless of chunk size — so much larger chunks
-#: amortize the per-step Python dispatch; 64k shots is ~1k words, i.e.
-#: ``(2n + steps) * 8`` KB of frame matrices.
-DEFAULT_FRAME_CHUNK_SHOTS = 1 << 16
+#: Faulty shots per frame-engine chunk.  Frames pack 64 shots per
+#: uint64 word, and each measurement step costs a handful of word-vector
+#: XORs regardless of chunk size — so much larger chunks amortize the
+#: per-step Python dispatch; 64k shots is ~1k words, i.e.
+#: ``(2n + steps) * 8`` KB of frame matrices.  Tallies do not depend on
+#: it.
+FRAME_CHUNK_SHOTS = 1 << 16
+
+#: ``(rate, events)`` groups of one fault channel: events sharing a
+#: per-event probability are drawn as one binomial (or negative
+#: binomial) per group.
+_RateGroups = Tuple[Tuple[float, int], ...]
 
 #: Random-key matrix budget (elements) per block when placing distinct
 #: measurement-flip slots; bounds peak memory at ~32 MB of float64 keys
@@ -252,6 +258,19 @@ class NoisySampleResult:
         )
 
 
+def _one_group(rate: float, events: int) -> _RateGroups:
+    """A scalar channel: all *events* share one *rate*."""
+    return ((rate, events),) if events else ()
+
+
+def _rate_groups(rates: np.ndarray) -> _RateGroups:
+    """Per-event rates grouped by value (site maps have few distinct
+    values).  ``np.unique`` sorts, so the draw order — hence the tally
+    at a fixed seed — is a pure function of the rate multiset."""
+    values, sizes = np.unique(rates, return_counts=True)
+    return tuple((float(v), int(k)) for v, k in zip(values, sizes))
+
+
 @dataclass(frozen=True)
 class _FaultDraw:
     """Every shot's sampled fault configuration (``_draw_faults``).
@@ -303,10 +322,9 @@ class NoisySampler:
             :class:`repro.hardware.degradation.SiteNoiseMap`.  When
             given it takes precedence over *model*: a map that is
             uniform (no dead sites, constant planes) collapses to its
-            scalar model and runs the unchanged scalar sampling path —
-            bit-identical to passing that ``NoiseModel`` directly —
-            while a heterogeneous map switches the fault-config sampler
-            to per-event probability vectors indexed by *site_profile*.
+            scalar model — bit-identical to passing that ``NoiseModel``
+            directly — while a heterogeneous map draws each channel
+            from its per-event rates, indexed by *site_profile*.
             A map assigning any fusion to a dead / zero-success site is
             rejected here (repeat-until-success never terminates there;
             the yield is exactly 0 — re-route or recompile instead).
@@ -322,6 +340,11 @@ class NoisySampler:
     non-readout fault event execute, as bit-packed Pauli flip frames
     (:class:`repro.sim.frame.PauliFrameSimulator`; per-shot cost
     independent of qubit count).
+
+    Raises:
+        RuntimeError: the noiseless reference run fails an output
+            stabilizer check — the pattern does not implement the
+            circuit.
     """
 
     def __init__(
@@ -365,19 +388,16 @@ class NoisySampler:
         self.circuit = circuit
         self.pattern = pattern
         self.counts = counts or FaultCounts.from_pattern(pattern)
-        # per-site sampling state: probability vectors indexed per fault
-        # event (None -> scalar path), plus the per-site closed form
-        self._site_rates: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = None
         self._analytic_override: Optional[float] = None
+        heterogeneous = False
         if site_map is not None:
             uniform = site_map.as_uniform_model()
             if uniform is not None:
-                # uniform map == scalar model: run the unchanged scalar
-                # path so the tallies stay bit-identical to NoiseModel
+                # uniform map == scalar model: the tallies stay
+                # bit-identical to passing that NoiseModel directly
                 model = uniform
             else:
+                heterogeneous = True
                 if site_profile is None:
                     raise ValueError(
                         "a heterogeneous site_map needs a site_profile "
@@ -411,31 +431,51 @@ class NoisySampler:
                         "0 — re-route or recompile around the dead cells "
                         "(repro.core.recovery) instead of sampling"
                     )
-                assert site_map.fusion_error is not None
-                assert site_map.cycle_loss is not None
-                assert site_map.fusion_success is not None
-                self._site_rates = (
-                    site_map.fusion_error.ravel()[site_profile.fusion_sites],
-                    site_map.cycle_loss.ravel()[site_profile.cycle_sites],
-                    site_map.fusion_success.ravel()[
-                        site_profile.fusion_sites
-                    ],
-                )
                 self._analytic_override = site_analytic_yield(
                     site_profile, site_map, self.counts.measurements
                 )
                 model = site_map.base
         self.model = model
-        if model.fusion_success == 0.0 and self.counts.fusions > 0:
+        # per-channel (rate, events) groups, drawn in this order: a
+        # scalar model is one group per channel; a heterogeneous map
+        # groups its per-event rates (the measurement channel stays
+        # scalar — readout is not a grid operation)
+        counts = self.counts
+        if heterogeneous:
+            assert site_map is not None and site_profile is not None
+            assert site_map.fusion_error is not None
+            assert site_map.cycle_loss is not None
+            assert site_map.fusion_success is not None
+            fusion_sites = site_profile.fusion_sites
+            self._loss_groups = _rate_groups(
+                site_map.cycle_loss.ravel()[site_profile.cycle_sites]
+            )
+            self._error_groups = _rate_groups(
+                site_map.fusion_error.ravel()[fusion_sites]
+            )
+            self._success_groups = _rate_groups(
+                site_map.fusion_success.ravel()[fusion_sites]
+            )
+        else:
+            self._loss_groups = _one_group(
+                model.cycle_loss, counts.photon_cycles
+            )
+            self._error_groups = _one_group(model.fusion_error, counts.fusions)
+            self._success_groups = _one_group(
+                model.fusion_success, counts.fusions
+            )
+        self._meas_groups = _one_group(
+            model.measurement_error, counts.measurements
+        )
+        if model.fusion_success == 0.0 and counts.fusions > 0:
             raise ValueError(
-                f"fusion_success=0 with {self.counts.fusions} fusions to "
+                f"fusion_success=0 with {counts.fusions} fusions to "
                 "perform: repeat-until-success never terminates, the "
                 "yield is exactly 0 and fusion attempts diverge "
                 "(expected_fusion_attempts reports inf) — nothing to "
                 "sample"
             )
         self.seed = seed
-        self._frame_sim = None  # compiled lazily by the first faulty run
         self._outputs = frozenset(pattern.outputs)
         # node list in tableau-qubit order: graph_state sorts nodes, so
         # qubit i of the base tableau hosts self._nodes[i]
@@ -455,26 +495,17 @@ class NoisySampler:
         circuit_state = StabilizerState(circuit.num_qubits)
         circuit_state.apply_circuit(circuit)
         self._circuit_rows = circuit_state.stabilizer_rows()
-        # calibration: a fault-free execution must pass the stabilizer
-        # check, or counting zero-fault shots as successes would be wrong
-        if not self._execute_shot(
-            np.random.default_rng(self.seed), (), frozenset()
-        ):
-            raise RuntimeError(
-                "fault-free execution failed the stabilizer check; "
-                "the pattern does not implement the circuit"
-            )
+        # the engine's reference run is the calibration: it raises
+        # unless a fault-free execution passes every output check, which
+        # is what lets zero-fault shots count as passes unexecuted
+        self._frame_sim = PauliFrameSimulator(
+            pattern,
+            circuit_rows=self._circuit_rows,
+            prepared=(self._base.copy(), self._index),
+            seed=seed,
+        )
 
     # ------------------------------------------------------------------
-    def _stabilizers_hold(self, result: StabilizerPatternResult) -> bool:
-        """All ideal-circuit stabilizer generators hold, with sign, on
-        the pattern's output qubits."""
-        for gx, gz, gr in self._circuit_rows:
-            pauli = result.output_pauli(self.pattern.outputs, gx, gz)
-            if result.state.expectation(pauli) != gr:
-                return False
-        return True
-
     def _execute_shot(
         self,
         rng: np.random.Generator,
@@ -490,7 +521,10 @@ class NoisySampler:
             self.pattern, outcome_flips=outcome_flips
         )
         result = simulator.run(prepared=(state, self._index))
-        return self._stabilizers_hold(result)
+        return (
+            result.violated_generator(self.pattern.outputs, self._circuit_rows)
+            is None
+        )
 
     def _place_flips(
         self, n_meas: np.ndarray, rng: np.random.Generator
@@ -537,27 +571,6 @@ class NoisySampler:
             np.concatenate(qubit_parts),
         )
 
-    def _frame_simulator(self) -> "PauliFrameSimulator":
-        """Compile (once) and return the bit-packed frame engine.
-
-        The simulator stays self-contained: its own reference run
-        re-checks the calibration this sampler's ``__init__`` already
-        proved (one extra scalar pattern execution, once per sampler)
-        and its gauge reseeds stay enabled even though this caller only
-        consumes the tally-invariant pass mask — the frames it would
-        hand out are distribution-correct either way.
-        """
-        if self._frame_sim is None:
-            from repro.sim.frame import PauliFrameSimulator
-
-            self._frame_sim = PauliFrameSimulator(
-                self.pattern,
-                circuit_rows=self._circuit_rows,
-                prepared=(self._base.copy(), self._index),
-                seed=self.seed,
-            )
-        return self._frame_sim
-
     # ------------------------------------------------------------------
     def _draw_faults(self, shots: int, rng: np.random.Generator) -> _FaultDraw:
         """Sample and place every shot's faults from the master *rng*.
@@ -568,57 +581,23 @@ class NoisySampler:
         """
         if shots <= 0:
             raise ValueError("shots must be positive")
-        counts, model = self.counts, self.model
 
-        def event_counts(n_events: int, rate: float) -> np.ndarray:
-            if n_events == 0 or rate <= 0.0:
-                return np.zeros(shots, dtype=np.int64)
-            return rng.binomial(n_events, min(rate, 1.0), size=shots)
-
-        def hetero_event_counts(rates: np.ndarray) -> np.ndarray:
-            # Poisson-binomial draw over per-event probabilities: group
-            # events by unique rate (site maps have few distinct values)
-            # and draw one binomial per group.  np.unique sorts, so the
-            # draw order — hence the tally at a fixed seed — is a pure
-            # function of the rate multiset.
+        def event_counts(groups: _RateGroups) -> np.ndarray:
+            # Poisson-binomial draw: one binomial per rate group
             out = np.zeros(shots, dtype=np.int64)
-            for value, group in zip(*np.unique(rates, return_counts=True)):
-                if value > 0.0:
-                    out += rng.binomial(
-                        int(group), min(float(value), 1.0), size=shots
-                    )
+            for rate, events in groups:
+                if rate > 0.0:
+                    out += rng.binomial(events, min(rate, 1.0), size=shots)
             return out
 
-        if self._site_rates is not None:
-            # heterogeneous site map: per-fusion / per-cycle rates are
-            # vectors indexed by the program's site assignment (the
-            # measurement channel stays scalar — readout is not a grid
-            # operation).  Execution downstream is untouched: it
-            # consumes fault placements, never probabilities.
-            fe_rates, cl_rates, fs_rates = self._site_rates
-            losses = hetero_event_counts(cl_rates)
-            fusion_errors = hetero_event_counts(fe_rates)
-            meas_errors = event_counts(
-                counts.measurements, model.measurement_error
-            )
-            attempts = np.full(shots, counts.fusions, dtype=np.int64)
-            for value, group in zip(*np.unique(fs_rates, return_counts=True)):
-                if value < 1.0:  # init rejects 0-success assignments
-                    attempts += rng.negative_binomial(
-                        int(group), float(value), size=shots
-                    )
-        else:
-            losses = event_counts(counts.photon_cycles, model.cycle_loss)
-            fusion_errors = event_counts(counts.fusions, model.fusion_error)
-            meas_errors = event_counts(
-                counts.measurements, model.measurement_error
-            )
-            if counts.fusions and model.fusion_success < 1.0:
-                attempts = counts.fusions + rng.negative_binomial(
-                    counts.fusions, model.fusion_success, size=shots
-                )
-            else:
-                attempts = np.full(shots, counts.fusions, dtype=np.int64)
+        losses = event_counts(self._loss_groups)
+        fusion_errors = event_counts(self._error_groups)
+        meas_errors = event_counts(self._meas_groups)
+        # repeat-until-success: each fusion's retries are geometric
+        attempts = np.full(shots, self.counts.fusions, dtype=np.int64)
+        for rate, events in self._success_groups:
+            if rate < 1.0:  # init rejects 0-success fusions
+                attempts += rng.negative_binomial(events, rate, size=shots)
 
         # shot classification is pure mask algebra: a lost shot aborts
         # whatever else it drew, and a shot with zero non-loss events is
@@ -676,41 +655,26 @@ class NoisySampler:
             analytic_override=self._analytic_override,
         )
 
-    def run(
-        self, shots: int, chunk_size: Optional[int] = None
-    ) -> NoisySampleResult:
-        """Sample and execute *shots* noisy shots; returns the tally.
-
-        Args:
-            shots: number of Monte-Carlo shots (> 0).
-            chunk_size: faulty shots per frame-engine chunk (default
-                64k, ~1k uint64 words per frame row); tallies do not
-                depend on it.
-        """
-        if chunk_size is None:
-            chunk_size = DEFAULT_FRAME_CHUNK_SHOTS
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
+    def run(self, shots: int) -> NoisySampleResult:
+        """Sample and execute *shots* (> 0) noisy shots; returns the
+        tally.  Faulty shots run on the frame engine in chunks of
+        :data:`FRAME_CHUNK_SHOTS`."""
         t0 = time.perf_counter()
-        rng = np.random.default_rng(self.seed)
-        draw = self._draw_faults(shots, rng)
+        draw = self._draw_faults(shots, np.random.default_rng(self.seed))
         passed = 0
-        if draw.executed:
-            frame_sim = self._frame_simulator()
-            for start in range(0, draw.executed, chunk_size):
-                stop = min(start + chunk_size, draw.executed)
-                f_lo, f_hi = np.searchsorted(draw.fault_shot, (start, stop))
-                l_lo, l_hi = np.searchsorted(draw.flip_shot, (start, stop))
-                ok = frame_sim.run_shots(
-                    stop - start,
-                    draw.fault_qubit[f_lo:f_hi],
-                    draw.fault_kind[f_lo:f_hi],
-                    draw.fault_shot[f_lo:f_hi] - start,
-                    draw.flip_qubit[l_lo:l_hi],
-                    draw.flip_shot[l_lo:l_hi] - start,
-                    rng,
-                )
-                passed += int(ok.sum())
+        for start in range(0, draw.executed, FRAME_CHUNK_SHOTS):
+            stop = min(start + FRAME_CHUNK_SHOTS, draw.executed)
+            f_lo, f_hi = np.searchsorted(draw.fault_shot, (start, stop))
+            l_lo, l_hi = np.searchsorted(draw.flip_shot, (start, stop))
+            ok = self._frame_sim.run_shots(
+                stop - start,
+                draw.fault_qubit[f_lo:f_hi],
+                draw.fault_kind[f_lo:f_hi],
+                draw.fault_shot[f_lo:f_hi] - start,
+                draw.flip_qubit[l_lo:l_hi],
+                draw.flip_shot[l_lo:l_hi] - start,
+            )
+            passed += int(ok.sum())
         return self._tally(draw, passed, t0)
 
     def _run_per_shot(self, shots: int) -> NoisySampleResult:
@@ -743,26 +707,3 @@ class NoisySampler:
             passed += self._execute_shot(rng, pauli_faults, flips)
         return self._tally(draw, passed, t0)
 
-
-def sample_yield(
-    circuit: Circuit,
-    shots: int = 2000,
-    pattern: Optional[MeasurementPattern] = None,
-    model: NoiseModel = DEFAULT_NOISE,
-    counts: Optional[FaultCounts] = None,
-    seed: Optional[int] = 7,
-    chunk_size: Optional[int] = None,
-    site_map: Optional[SiteNoiseMap] = None,
-    site_profile: Optional[SiteProfile] = None,
-) -> NoisySampleResult:
-    """One-call convenience wrapper around :class:`NoisySampler`."""
-    sampler = NoisySampler(
-        circuit,
-        pattern=pattern,
-        model=model,
-        counts=counts,
-        seed=seed,
-        site_map=site_map,
-        site_profile=site_profile,
-    )
-    return sampler.run(shots, chunk_size=chunk_size)

@@ -319,6 +319,26 @@ class StabilizerPatternResult:
             pauli.z[qubit] = z[wire]
         return pauli
 
+    def violated_generator(
+        self,
+        outputs: Sequence[int],
+        rows: Sequence[Tuple[np.ndarray, np.ndarray, int]],
+    ) -> Optional[Tuple[int, Optional[int]]]:
+        """First circuit stabilizer generator that does not hold.
+
+        ``rows`` are ``(x, z, sign)`` generators on the output register
+        (:meth:`repro.sim.stabilizer.StabilizerState.stabilizer_rows`);
+        each is lifted onto *outputs* and its expectation compared with
+        its sign.  Returns ``(index, observed)`` for the first mismatch
+        (``observed`` is ``None`` when the outcome is random), or
+        ``None`` when every generator holds.
+        """
+        for which, (x, z, sign) in enumerate(rows):
+            observed = self.state.expectation(self.output_pauli(outputs, x, z))
+            if observed != sign:
+                return which, observed
+        return None
+
 
 class StabilizerPatternSimulator:
     """Executes a Clifford :class:`MeasurementPattern` on the CHP engine.

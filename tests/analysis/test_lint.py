@@ -198,6 +198,17 @@ class TestFrameProgramLint:
         bad = dataclasses.replace(program, checks=tuple(checks))
         assert "R007" in lint_frame_program(bad, pattern).codes()
 
+    def test_check_reads_measured_row(self, compiled):
+        """The engine skips the gauge reseed after a measurement, which
+        is sound only while no check reads a measured qubit's row."""
+        pattern, program = compiled
+        checks = list(program.checks)
+        checks[0] = dataclasses.replace(
+            checks[0], frame_z=(program.steps[0].qubit,)
+        )
+        bad = dataclasses.replace(program, checks=tuple(checks))
+        assert "R009" in lint_frame_program(bad, pattern).codes()
+
 
 class TestCompiledProgramLint:
     @pytest.fixture()

@@ -3,8 +3,8 @@
 Equivalence against the per-shot tableau oracle lives in
 ``tests/sim/test_noisy.py`` (the frame-vs-oracle property grid); this file
 covers the frame machinery itself: program compilation, the reference
-calibration, the flat vs list execution entry points, and the gauge
-reseed invariance.
+calibration, the flat vs list execution entry points, and the
+sampler's single reference run.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ from repro.circuit.circuit import Circuit
 from repro.mbqc.translate import circuit_to_pattern
 from repro.sim.frame import PauliFrameSimulator
 from repro.sim.noisy import NoisySampler
+from repro.sim.pattern_sim import StabilizerPatternSimulator
 from repro.sim.stabilizer import StabilizerState
 
 
@@ -99,6 +100,14 @@ class TestConstruction:
         with pytest.raises(RuntimeError, match="does not implement"):
             PauliFrameSimulator(pattern, circuit=wrong)
 
+    def test_constructor_type_hints_resolve(self):
+        """Regression: the ``circuit`` annotation named an unimported
+        ``Circuit``, so resolving the hints raised NameError."""
+        import typing
+
+        hints = typing.get_type_hints(PauliFrameSimulator.__init__)
+        assert hints["circuit"] == typing.Optional[Circuit]
+
     def test_non_clifford_pattern_rejected(self):
         circuit = get_benchmark("QFT", 4)
         pattern = circuit_to_pattern(circuit)
@@ -114,12 +123,10 @@ class TestConstruction:
 
 
 class TestExecution:
-    def _simulator(self, seed=7, reseed=True):
+    def _simulator(self, seed=7):
         circuit = _clifford_with_y_measurements(num_qubits=5, seed=11)
         pattern = circuit_to_pattern(circuit)
-        return PauliFrameSimulator(
-            pattern, circuit=circuit, seed=seed, reseed=reseed
-        )
+        return PauliFrameSimulator(pattern, circuit=circuit, seed=seed)
 
     def test_empty_chunk(self):
         sim = self._simulator()
@@ -154,8 +161,8 @@ class TestExecution:
         assert 0 < int(ok.sum()) < 256
 
     def test_pass_mask_deterministic_across_calls(self):
-        """Repeated executions of the same chunk agree even though the
-        gauge reseed consumes fresh randomness each call."""
+        """Repeated executions of the same chunk agree: the pass mask
+        is a function of the faults alone."""
         sim = self._simulator()
         rng = np.random.default_rng(42)
         n = sim.program.num_qubits
@@ -174,28 +181,6 @@ class TestExecution:
         a = sim.run_chunk(chunk)
         b = sim.run_chunk(chunk)
         assert np.array_equal(a, b)
-
-    def test_reseed_does_not_change_pass_mask(self):
-        """The gauge reseed randomizes frame components along measured
-        operators only; measured qubits never feed the output checks,
-        so the pass mask is invariant — reseed on and off must agree."""
-        with_reseed = self._simulator(seed=1, reseed=True)
-        without = self._simulator(seed=99, reseed=False)
-        rng = np.random.default_rng(8)
-        n = with_reseed.program.num_qubits
-        chunk = [
-            (
-                tuple(
-                    (int(rng.integers(n)), "xyz"[int(rng.integers(3))])
-                    for _ in range(int(rng.integers(4)))
-                ),
-                (),
-            )
-            for _ in range(200)
-        ]
-        assert np.array_equal(
-            with_reseed.run_chunk(chunk), without.run_chunk(chunk)
-        )
 
     def test_flip_on_output_qubit_rejected(self):
         """Output readout flips are classical failures the caller
@@ -220,15 +205,26 @@ class TestExecution:
 
 
 class TestNoisySamplerIntegration:
-    def test_frame_simulator_compiled_once_and_reused(self):
+    def test_frame_engine_built_in_init_and_reused(self):
         sampler = NoisySampler(get_benchmark("BV", 8), seed=3)
+        engine = sampler._frame_sim
+        assert isinstance(engine, PauliFrameSimulator)
         sampler.run(50)
-        first = sampler._frame_sim
-        assert first is not None
         sampler.run(50)
-        assert sampler._frame_sim is first
+        assert sampler._frame_sim is engine
 
-    def test_oracle_does_not_compile_the_frame_program(self):
+    def test_one_reference_run_per_sampler(self, monkeypatch):
+        """The engine's reference run is the sampler's calibration:
+        construction plus two runs execute the scalar pattern once."""
+        calls = []
+        original = StabilizerPatternSimulator.run
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(StabilizerPatternSimulator, "run", counting)
         sampler = NoisySampler(get_benchmark("BV", 8), seed=3)
-        sampler._run_per_shot(50)
-        assert sampler._frame_sim is None
+        sampler.run(50)
+        sampler.run(50)
+        assert len(calls) == 1

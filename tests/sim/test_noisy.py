@@ -14,7 +14,8 @@ from repro.core import compile_circuit, estimate_yield
 from repro.hardware import HardwareConfig
 from repro.hardware.noise import DEFAULT_NOISE, NoiseModel
 from repro.mbqc.translate import circuit_to_pattern
-from repro.sim.noisy import FaultCounts, NoisySampler, sample_yield
+from repro.sim import noisy
+from repro.sim.noisy import FaultCounts, NoisySampler
 
 QUIET = NoiseModel(
     fusion_success=1.0, fusion_error=0.0, cycle_loss=0.0, measurement_error=0.0
@@ -55,7 +56,7 @@ class TestAnalyticAgreement:
 
     def test_fault_free_rate_within_3_sigma(self):
         """>= 2000 shots on a Clifford benchmark, default noise model."""
-        result = sample_yield(get_benchmark("BV", 16), shots=2500, seed=11)
+        result = NoisySampler(get_benchmark("BV", 16), seed=11).run(2500)
         assert result.shots == 2500
         assert result.agrees_with_analytic(3.0), result.summary()
         # executed logical yield can only improve on the fault-free rate
@@ -69,9 +70,9 @@ class TestAnalyticAgreement:
         model = NoiseModel(
             fusion_error=0.0, cycle_loss=0.02, measurement_error=0.0
         )
-        result = sample_yield(
-            get_benchmark("BV", 16), shots=5000, model=model, seed=3
-        )
+        result = NoisySampler(
+            get_benchmark("BV", 16), model=model, seed=3
+        ).run(5000)
         assert result.yield_mc == result.fault_free_yield
         assert result.executed == 0  # heralded aborts never hit the tableau
         assert result.agrees_with_analytic(3.0), result.summary()
@@ -80,17 +81,14 @@ class TestAnalyticAgreement:
         """The bench plumbing path: fault counts from a compiled program."""
         circuit = get_benchmark("BV", 8)
         program = compile_circuit(circuit, HardwareConfig.square(8))
-        result = sample_yield(
-            circuit,
-            shots=2000,
-            counts=FaultCounts.from_program(program),
-            seed=17,
-        )
+        result = NoisySampler(
+            circuit, counts=FaultCounts.from_program(program), seed=17
+        ).run(2000)
         assert result.agrees_with_analytic(3.0), result.summary()
 
     def test_expected_fusion_attempts(self):
         """Repeat-until-success attempts average 1/fusion_success."""
-        result = sample_yield(get_benchmark("BV", 16), shots=2000, seed=5)
+        result = NoisySampler(get_benchmark("BV", 16), seed=5).run(2000)
         expected = 1.0 / DEFAULT_NOISE.fusion_success
         assert result.attempts_per_fusion == pytest.approx(expected, rel=0.05)
 
@@ -105,9 +103,9 @@ class TestAnalyticAgreement:
             cycle_loss=0.01,
             measurement_error=0.0,
         )
-        result = sample_yield(
-            get_benchmark("BV", 16), shots=3000, model=model, seed=13
-        )
+        result = NoisySampler(
+            get_benchmark("BV", 16), model=model, seed=13
+        ).run(3000)
         assert result.loss_aborts > 300  # the lossy regime is active
         assert result.completed == result.shots - result.loss_aborts
         assert result.attempts_per_fusion == pytest.approx(2.0, rel=0.05)
@@ -147,9 +145,9 @@ class TestDeterminism:
 
 class TestEdgeCases:
     def test_zero_noise_always_succeeds(self):
-        result = sample_yield(
-            get_benchmark("BV", 8), shots=300, model=QUIET, seed=1
-        )
+        result = NoisySampler(
+            get_benchmark("BV", 8), model=QUIET, seed=1
+        ).run(300)
         assert result.yield_mc == 1.0
         assert result.fault_free == 300
         assert result.executed == 0
@@ -158,9 +156,9 @@ class TestEdgeCases:
 
     def test_certain_loss_aborts_everything(self):
         model = NoiseModel(cycle_loss=1.0)
-        result = sample_yield(
-            get_benchmark("BV", 8), shots=200, model=model, seed=1
-        )
+        result = NoisySampler(
+            get_benchmark("BV", 8), model=model, seed=1
+        ).run(200)
         assert result.yield_mc == 0.0
         assert result.loss_aborts == 200
         assert result.yield_analytic == 0.0
@@ -170,9 +168,9 @@ class TestEdgeCases:
         model = NoiseModel(
             fusion_error=0.0, cycle_loss=0.0, measurement_error=1.0
         )
-        result = sample_yield(
-            get_benchmark("BV", 8), shots=100, model=model, seed=1
-        )
+        result = NoisySampler(
+            get_benchmark("BV", 8), model=model, seed=1
+        ).run(100)
         # every readout slot flips too, so no shot can succeed
         assert result.yield_mc == 0.0
         assert result.fault_free == 0
@@ -184,9 +182,9 @@ class TestEdgeCases:
         model = NoiseModel(
             fusion_error=0.5, cycle_loss=0.0, measurement_error=0.0
         )
-        result = sample_yield(
-            get_benchmark("BV", 8), shots=300, model=model, seed=9
-        )
+        result = NoisySampler(
+            get_benchmark("BV", 8), model=model, seed=9
+        ).run(300)
         assert result.logical_failures > 0
         assert result.yield_mc < 1.0
         assert result.yield_mc >= result.fault_free_yield
@@ -246,21 +244,27 @@ class TestEdgeCases:
             fusion_success=0.0, fusion_error=0.0, cycle_loss=0.0,
             measurement_error=0.0,
         )
-        result = sample_yield(
+        result = NoisySampler(
             get_benchmark("BV", 8),
-            shots=50,
             model=model,
             counts=FaultCounts(fusions=0, measurements=10, photon_cycles=10),
             seed=1,
-        )
+        ).run(50)
         assert result.yield_mc == 1.0
         assert result.fusion_attempts == 0
         assert result.attempts_per_fusion == 1.0
 
-    def test_nonpositive_chunk_size_rejected(self):
-        sampler = NoisySampler(get_benchmark("BV", 8), seed=1)
-        with pytest.raises(ValueError, match="chunk_size"):
-            sampler.run(10, chunk_size=0)
+    @pytest.mark.parametrize("seed", [0, 3, 7, None])
+    def test_pattern_of_another_circuit_fails_calibration(self, seed):
+        """The frame engine's reference run is the sampler's
+        calibration: a pattern that does not implement the circuit is
+        rejected at construction, before any shot is counted."""
+        with pytest.raises(RuntimeError, match="does not implement"):
+            NoisySampler(
+                get_benchmark("BV", 8, seed=1),
+                pattern=circuit_to_pattern(get_benchmark("BV", 8, seed=2)),
+                seed=seed,
+            )
 
 
 HEAVY = NoiseModel(
@@ -368,7 +372,7 @@ class TestOracleEquivalence:
         result = NoisySampler(circuit, model=HEAVY, seed=seed).run(300)
         assert tallies(result) == tallies(scalar)
 
-    def test_chunk_boundaries_do_not_change_tallies(self):
+    def test_chunk_boundaries_do_not_change_tallies(self, monkeypatch):
         """Shots not divisible by the chunk size, chunk sizes of 1 and
         larger-than-the-run: all bit-identical to the oracle."""
         circuit = get_benchmark("BV", 10)
@@ -376,9 +380,8 @@ class TestOracleEquivalence:
             circuit, model=HEAVY, seed=3
         )._run_per_shot(137)
         for chunk_size in (1, 16, 137, 10_000):
-            result = NoisySampler(circuit, model=HEAVY, seed=3).run(
-                137, chunk_size=chunk_size
-            )
+            monkeypatch.setattr(noisy, "FRAME_CHUNK_SHOTS", chunk_size)
+            result = NoisySampler(circuit, model=HEAVY, seed=3).run(137)
             assert tallies(result) == tallies(reference), chunk_size
 
     @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from repro.hardware.degradation import (
     program_site_profile,
 )
 from repro.hardware.noise import NoiseModel
+from repro.sim import noisy
 from repro.sim.noisy import FaultCounts, NoisySampler
 
 MODEL = NoiseModel(
@@ -109,15 +110,16 @@ class TestHeterogeneousSampling:
         return circuit, program, site_map
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
-    def test_frame_matches_oracle(self, hetero, seed):
+    def test_frame_matches_oracle(self, hetero, seed, monkeypatch):
         circuit, program, site_map = hetero
         reference = site_sampler(
             circuit, program, site_map, seed=seed
         )._run_per_shot(400)
         assert reference.executed > 0  # the oracle comparison has teeth
-        for chunk_size in (1, 16, None):
+        for chunk_size in (1, 16, noisy.FRAME_CHUNK_SHOTS):
+            monkeypatch.setattr(noisy, "FRAME_CHUNK_SHOTS", chunk_size)
             result = site_sampler(circuit, program, site_map, seed=seed).run(
-                400, chunk_size=chunk_size
+                400
             )
             assert tally(result) == tally(reference), chunk_size
 

@@ -126,6 +126,58 @@ class TestLR004SwallowedExceptions:
         assert codes(src) == []
 
 
+class TestLR005UnboundStringAnnotations:
+    def test_unbound_forward_reference_flagged(self):
+        src = (
+            "from typing import Optional\n"
+            "def f(c: Optional[\"Circuit\"] = None):\n"
+            "    return c\n"
+        )
+        assert codes(src) == ["LR005"]
+
+    def test_unbound_return_and_variable_annotations_flagged(self):
+        src = (
+            "def f() -> \"Ghost\":\n"
+            "    pass\n"
+            "x: \"Phantom\" = None\n"
+        )
+        assert codes(src) == ["LR005", "LR005"]
+
+    def test_type_checking_import_is_accepted(self):
+        src = (
+            "from typing import TYPE_CHECKING, Optional\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.circuit.circuit import Circuit\n"
+            "def f(c: Optional[\"Circuit\"] = None):\n"
+            "    return c\n"
+        )
+        assert codes(src) == []
+
+    def test_module_bindings_and_builtins_are_accepted(self):
+        src = (
+            "import numpy as np\n"
+            "class Node:\n"
+            "    def child(self) -> \"Node\":\n"
+            "        return self\n"
+            "Alias = int\n"
+            "def f(a: \"np.ndarray\", b: \"Alias\", c: \"dict\"):\n"
+            "    return a\n"
+        )
+        assert codes(src) == []
+
+    def test_literal_strings_are_values_not_references(self):
+        src = (
+            "from typing import Literal\n"
+            "def f(kind: Literal[\"x\", \"y\"]):\n"
+            "    return kind\n"
+        )
+        assert codes(src) == []
+
+    def test_noqa_suppresses(self):
+        src = "def f(c: \"Circuit\"):  # noqa: LR005\n    return c\n"
+        assert codes(src) == []
+
+
 class TestSuppression:
     def test_targeted_noqa(self):
         src = (
