@@ -378,19 +378,18 @@ def recover(
     scenario: str = "custom",
     severity: float = 0.0,
     policies: Tuple[str, ...] = POLICIES,
-    threshold: float = RECOVERY_THRESHOLD,
 ) -> DegradationReport:
     """Walk the recovery ladder and report the cheapest rescue.
 
     Policies are attempted in ladder order; the first whose degraded
-    yield retains ``threshold`` of the clean yield (and is non-zero)
-    wins.  If none qualifies, the best-yield attempt is reported with
+    yield retains ``RECOVERY_THRESHOLD`` of the clean yield (and is
+    non-zero) wins.  If none qualifies, the best-yield attempt is reported with
     ``recovered=False`` (its error message, if any, is carried along).
     """
     if not policies:
         raise ValueError("need at least one policy to attempt")
     reference = clean_yield(program, site_map)
-    bar = threshold * reference
+    bar = RECOVERY_THRESHOLD * reference
     attempted: List[str] = []
     outcomes: List[PolicyOutcome] = []
     yield_survive = None

@@ -165,6 +165,9 @@ PROFILE_STAGES: Tuple[str, ...] = (
     "map_score", "map_route", "map_place", "shuffle",
 )
 
+#: the spec-key serializer (stateless, shared across threads)
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -216,13 +219,19 @@ class RunSpec:
         return ",".join(f"{k}={v}" for k, v in sorted(self.noise))
 
     def key(self) -> str:
-        """Content hash: identical specs share cache entries."""
-        payload = asdict(self)
+        """Content hash: identical specs share cache entries.
+
+        Runs on every compile-service request, so the payload is a
+        shallow copy of the instance dict (exactly the dataclass
+        fields) rather than a recursive ``asdict``; the JSON is the
+        same either way, so keys never change.
+        """
+        payload = dict(vars(self))
         payload["compiler_options"] = sorted(
             (str(k), repr(v)) for k, v in self.compiler_options
         )
         payload["noise"] = sorted((str(k), repr(v)) for k, v in self.noise)
-        blob = json.dumps(payload, sort_keys=True, default=str)
+        blob = _KEY_ENCODER.encode(payload)
         return hashlib.sha1(blob.encode()).hexdigest()[:16]
 
 
@@ -358,12 +367,7 @@ def execute_spec(spec: RunSpec) -> RunRecord:
     yield_degraded = rerouted_fusions = None
     degrade_map = degrade_program = None
     if spec.scenario:
-        from repro.core.recovery import (
-            RECOVERY_THRESHOLD,
-            apply_policy,
-            clean_yield,
-            recover,
-        )
+        from repro.core.recovery import POLICIES, recover
         from repro.hardware.degradation import make_scenario
         from repro.hardware.noise import NoiseModel
 
@@ -375,33 +379,20 @@ def execute_spec(spec: RunSpec) -> RunRecord:
             seed=spec.seed,
         )
         dead_fraction = degrade_map.dead_fraction
-        if spec.policy == "auto":
-            report = recover(
-                circuit,
-                program,
-                degrade_map,
-                compiler.config,
-                scenario=spec.scenario,
-                severity=spec.severity,
-            )
-            policy_used = report.policy
-            recovered = report.recovered
-            yield_degraded = report.yield_degraded
-            rerouted_fusions = report.rerouted_fusions
-            degrade_program = report.program
-        else:
-            outcome = apply_policy(
-                spec.policy, circuit, program, degrade_map, compiler.config
-            )
-            policy_used = outcome.policy
-            yield_degraded = outcome.yield_degraded
-            rerouted_fusions = outcome.rerouted_fusions
-            recovered = (
-                outcome.yield_degraded > 0.0
-                and outcome.yield_degraded
-                >= RECOVERY_THRESHOLD * clean_yield(program, degrade_map)
-            )
-            degrade_program = outcome.program
+        report = recover(
+            circuit,
+            program,
+            degrade_map,
+            compiler.config,
+            scenario=spec.scenario,
+            severity=spec.severity,
+            policies=POLICIES if spec.policy == "auto" else (spec.policy,),
+        )
+        policy_used = report.policy
+        recovered = report.recovered
+        yield_degraded = report.yield_degraded
+        rerouted_fusions = report.rerouted_fusions
+        degrade_program = report.program
 
     yield_mc = yield_analytic = mc_attempts = None
     shots_per_second = None
@@ -528,19 +519,16 @@ def execute_spec(spec: RunSpec) -> RunRecord:
     )
 
 
-def _execute_spec_dict(payload: Dict) -> Dict:
-    """Picklable worker entry: spec dict in, record dict out."""
-    spec = _spec_from_dict(payload)
-    return asdict(execute_spec(spec))
-
-
-def _spec_from_dict(payload: Dict) -> RunSpec:
-    payload = dict(payload)
-    payload["compiler_options"] = tuple(
-        (k, v) for k, v in payload.get("compiler_options", ())
-    )
-    payload["noise"] = tuple((k, v) for k, v in payload.get("noise", ()))
-    return RunSpec(**payload)
+def record_artifact(record: RunRecord) -> Dict:
+    """The stored artifact of *record*: every column but the ones that
+    describe how a row was *read* (``cached``, ``cache_tier``,
+    ``cache_age_seconds``).  The batch runner and the compile service
+    both store and serve exactly this dict under ``RunSpec.key()``, so
+    one cache directory serves either path."""
+    artifact = asdict(record)
+    for name in ("cached", "cache_tier", "cache_age_seconds"):
+        del artifact[name]
+    return artifact
 
 
 class BatchRunner:
@@ -550,7 +538,9 @@ class BatchRunner:
     in-process (useful under pytest).  ``cache_dir`` enables the
     artifact store (:class:`repro.serve.store.ArtifactStore`): an
     in-memory LRU over one atomic JSON file per spec hash, shared
-    across runner instances and concurrent processes.  Writes are
+    across runner instances, concurrent processes and the compile
+    service (:mod:`repro.serve.service` keys and stores the same
+    artifacts).  Writes are
     atomic (temp file + ``os.replace``) and torn/corrupt cache files
     read as misses — the spec recomputes and overwrites the bad entry.
     """
@@ -574,11 +564,6 @@ class BatchRunner:
         )
 
     # -- cache ---------------------------------------------------------
-    def _cache_path(self, spec: RunSpec) -> Optional[pathlib.Path]:
-        if self.store is None:
-            return None
-        return self.store.disk_path(spec.key())
-
     def _load_cached(self, spec: RunSpec) -> Optional[RunRecord]:
         if self.store is None:
             return None
@@ -594,15 +579,9 @@ class BatchRunner:
         record.cache_age_seconds = round(hit.age_seconds, 3)
         return record
 
-    def _store(self, record: RunRecord, spec: RunSpec) -> None:
-        if self.store is None:
-            return
-        payload = asdict(record)
-        # cache provenance describes a *read*, never the stored artifact
-        payload["cached"] = False
-        payload["cache_tier"] = None
-        payload["cache_age_seconds"] = None
-        self.store.put(spec.key(), payload)
+    def _store(self, record: RunRecord) -> None:
+        if self.store is not None:
+            self.store.put(record.key, record_artifact(record))
 
     # -- execution -----------------------------------------------------
     def run(self, specs: Sequence[RunSpec]) -> List[RunRecord]:
@@ -619,18 +598,14 @@ class BatchRunner:
         jobs = self.jobs
         if jobs is None:
             jobs = min(multiprocessing.cpu_count(), max(1, len(todo)))
+        pending = [spec for _, spec in todo]
         if len(todo) <= 1 or jobs <= 1:
-            fresh = [(idx, execute_spec(spec)) for idx, spec in todo]
+            fresh = [execute_spec(spec) for spec in pending]
         else:
-            payloads = [asdict(spec) for _, spec in todo]
             with multiprocessing.Pool(processes=min(jobs, len(todo))) as pool:
-                results = pool.map(_execute_spec_dict, payloads)
-            fresh = [
-                (idx, RunRecord(**result))
-                for (idx, _), result in zip(todo, results)
-            ]
-        for (idx, spec), (_, record) in zip(todo, fresh):
-            self._store(record, spec)
+                fresh = pool.map(execute_spec, pending)
+        for (idx, _), record in zip(todo, fresh):
+            self._store(record)
             records[idx] = record
         return [records[idx] for idx in range(len(specs))]
 

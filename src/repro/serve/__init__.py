@@ -40,11 +40,9 @@ from repro.serve.protocol import (
 )
 from repro.serve.server import CompileServer, ServerThread, run_server
 from repro.serve.service import (
-    ARTIFACT_VERSION,
     CompileService,
     RequestError,
     compile_job,
-    job_key,
     normalize_request,
 )
 from repro.serve.store import (
@@ -56,7 +54,6 @@ from repro.serve.store import (
 )
 
 __all__ = [
-    "ARTIFACT_VERSION",
     "ArtifactStore",
     "CellResult",
     "CompileClient",
@@ -78,7 +75,6 @@ __all__ = [
     "compile_job",
     "encode_frame",
     "error_response",
-    "job_key",
     "normalize_request",
     "percentile",
     "recv_frame",

@@ -5,18 +5,22 @@ transport: the socket server wraps it, tests and the in-process API
 call it directly.  A request names a circuit — a library benchmark spec
 (``benchmark``/``qubits``) or raw QASM text — plus optional hardware /
 noise / verification knobs; the response carries the compiled artifact
-(the job's :class:`repro.eval.batch.RunRecord` row: depth, fusion
-tally, pattern size, stage timings, optional verification and yield)
-and its cache provenance.
+(the :class:`repro.eval.batch.RunRecord` row of the request's
+:class:`~repro.eval.batch.RunSpec`: depth, fusion tally, pattern size,
+stage timings, optional verification and yield) and its cache
+provenance.
 
 Request lifecycle:
 
 1. **normalize** — :func:`normalize_request` validates shape and types
-   and produces the canonical job dict (unknown fields are rejected so
-   typos fail loudly instead of silently compiling the default);
-2. **store lookup** — the job's content hash (:func:`job_key`) is
+   and produces the request's canonical ``RunSpec`` (unknown fields are
+   rejected so typos fail loudly instead of silently compiling the
+   default);
+2. **store lookup** — the spec's content hash (``RunSpec.key()``) is
    checked against the two-tier :class:`~repro.serve.store.ArtifactStore`;
-   a hit returns immediately with ``cache_tier`` set;
+   a hit returns immediately with ``cache_tier`` set.  Key, store
+   envelope and artifact are the batch runner's, so a cache directory
+   written by ``repro bench`` serves equal specs here and vice versa;
 3. **single-flight dispatch** — on a miss the job runs on a worker
    process pool; concurrent requests for the *same* key join the
    in-flight future (``cache_tier="inflight"``) instead of compiling
@@ -30,22 +34,21 @@ bit-identical to what a fresh compile would produce.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import asdict
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import fields
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
+from repro.hardware.noise import NoiseModel
 from repro.serve.protocol import error_response
 from repro.serve.store import ArtifactStore
 from repro.utils.sync import make_lock
 
-#: bump when the artifact payload shape changes: stale disk entries
-#: then read as misses instead of surfacing old-shape artifacts
-ARTIFACT_VERSION = 2
+if TYPE_CHECKING:
+    from repro.eval.batch import RunSpec
 
+_NOISE_FIELDS = tuple(f.name for f in fields(NoiseModel))
 _VALID_RESOURCE_STATES = ("3-line", "4-line", "4-star", "4-ring")
 _VALID_BENCHMARKS = ("QFT", "QAOA", "RCA", "BV")
 #: circuit width bound for both request kinds: checked on the request
@@ -82,13 +85,17 @@ def _require(condition: bool, message: str) -> None:
         raise RequestError(message)
 
 
-def normalize_request(request: Dict[str, Any]) -> Dict[str, Any]:
-    """Validate *request* and return the canonical job dict.
+def normalize_request(request: Dict[str, Any]) -> "RunSpec":
+    """Validate *request* and return its canonical :class:`RunSpec`.
 
-    The job dict is the compile's full identity: every field that can
-    change the artifact is present with its default applied, so its
-    content hash (:func:`job_key`) is stable across equivalent requests.
+    The spec is the compile's full identity: every field that can
+    change the artifact is set with its default applied, so its content
+    hash (``RunSpec.key()``) is stable across equivalent requests.  A
+    QASM request becomes ``RunSpec(name, 0, qasm=text)``; the text is
+    shape-checked here and only parsed in the worker.
     """
+    from repro.eval.batch import RunSpec
+
     _require(isinstance(request, dict), "request must be a JSON object")
     unknown = sorted(set(request) - set(_REQUEST_FIELDS))
     _require(not unknown, f"unknown request field(s): {', '.join(unknown)}")
@@ -100,16 +107,17 @@ def normalize_request(request: Dict[str, Any]) -> Dict[str, Any]:
         "request must carry exactly one of 'qasm' or 'benchmark'",
     )
 
-    job: Dict[str, Any] = {}
     if qasm is not None:
         _require(
             isinstance(qasm, str) and qasm.strip() != "",
             "'qasm' must be a non-empty string",
         )
-        job["qasm"] = qasm
-        name = request.get("name", "qasm-circuit")
-        _require(isinstance(name, str) and name != "", "'name' must be a string")
-        job["name"] = name
+        benchmark = request.get("name", "qasm-circuit")
+        _require(
+            isinstance(benchmark, str) and benchmark != "",
+            "'name' must be a string",
+        )
+        qubits = 0
     else:
         _require(
             benchmark in _VALID_BENCHMARKS,
@@ -121,29 +129,24 @@ def normalize_request(request: Dict[str, Any]) -> Dict[str, Any]:
             and 1 <= qubits <= MAX_QUBITS,
             f"'qubits' must be an integer in [1, {MAX_QUBITS}]",
         )
-        job["benchmark"] = benchmark
-        job["qubits"] = qubits
 
     seed = request.get("seed", 7)
     _require(
         isinstance(seed, int) and not isinstance(seed, bool),
         "'seed' must be an integer",
     )
-    job["seed"] = seed
 
     resource_state = request.get("resource_state", "3-line")
     _require(
         resource_state in _VALID_RESOURCE_STATES,
         f"'resource_state' must be one of {', '.join(_VALID_RESOURCE_STATES)}",
     )
-    job["resource_state"] = resource_state
 
     shots = request.get("shots", 0)
     _require(
         isinstance(shots, int) and not isinstance(shots, bool) and shots >= 0,
         "'shots' must be a non-negative integer",
     )
-    job["shots"] = shots
 
     noise = request.get("noise", {})
     _require(isinstance(noise, dict), "'noise' must be an object")
@@ -153,61 +156,59 @@ def normalize_request(request: Dict[str, Any]) -> Dict[str, Any]:
             and not isinstance(value, bool),
             f"noise override {key!r} must map a string to a number",
         )
-    job["noise"] = {str(k): float(v) for k, v in sorted(noise.items())}
+    unknown = sorted(set(noise) - set(_NOISE_FIELDS))
+    _require(
+        not unknown,
+        f"unknown noise override(s): {', '.join(unknown)} "
+        f"(use {', '.join(_NOISE_FIELDS)})",
+    )
+    try:
+        NoiseModel(**noise)
+    except ValueError as exc:
+        raise RequestError(f"noise override {exc}") from None
 
-    for flag in ("verify", "include_baseline"):
-        value = request.get(flag, False)
-        _require(isinstance(value, bool), f"'{flag}' must be a boolean")
-        job[flag] = value
-    return job
+    verify = request.get("verify", False)
+    _require(isinstance(verify, bool), "'verify' must be a boolean")
+    include_baseline = request.get("include_baseline", False)
+    _require(
+        isinstance(include_baseline, bool),
+        "'include_baseline' must be a boolean",
+    )
+    return RunSpec(
+        benchmark=benchmark,
+        num_qubits=qubits,
+        qasm=qasm,
+        seed=seed,
+        resource_state=resource_state,
+        include_baseline=include_baseline,
+        verify=verify,
+        shots=shots,
+        noise=tuple(sorted((k, float(v)) for k, v in noise.items())),
+    )
 
 
-def job_key(job: Dict[str, Any]) -> str:
-    """Content hash of a normalized job (the artifact's cache identity)."""
-    payload = dict(job)
-    payload["artifact_version"] = ARTIFACT_VERSION
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha1(blob.encode()).hexdigest()[:16]
-
-
-def compile_job(job: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one normalized job (runs inside a worker process).
+def compile_job(spec: "RunSpec") -> Dict[str, Any]:
+    """Execute one normalized spec (runs inside a worker process).
 
     Both request kinds run the batch pipeline
-    (:func:`repro.eval.batch.execute_spec`), so the artifact is the run
-    record of the job's spec.  QASM text is parsed here, never on the
-    cache-hit path; a parsed circuit wider than ``MAX_QUBITS`` raises
-    :class:`RequestError` before anything compiles.
+    (:func:`repro.eval.batch.execute_spec`) and return the batch
+    runner's stored artifact of the record.  QASM text is parsed here,
+    never on the cache-hit path; a parsed circuit wider than
+    ``MAX_QUBITS`` raises :class:`RequestError` before anything
+    compiles.
     """
-    from repro.eval.batch import RunSpec, execute_spec
+    from repro.eval.batch import execute_spec, record_artifact
 
-    qasm = job.get("qasm")
-    if qasm is not None:
+    if spec.qasm is not None:
         from repro.circuit.qasm import from_qasm
 
-        width = from_qasm(qasm).num_qubits
+        width = from_qasm(spec.qasm).num_qubits
         _require(
             1 <= width <= MAX_QUBITS,
             f"QASM circuit has {width} qubits; the bound is "
             f"[1, {MAX_QUBITS}]",
         )
-    spec = RunSpec(
-        benchmark=job["benchmark"] if qasm is None else job["name"],
-        num_qubits=job.get("qubits", 0),
-        qasm=qasm,
-        seed=job["seed"],
-        resource_state=job["resource_state"],
-        include_baseline=job["include_baseline"],
-        verify=job["verify"],
-        shots=job["shots"],
-        noise=tuple(sorted(job["noise"].items())),
-    )
-    artifact = asdict(execute_spec(spec))
-    # cache provenance belongs to the store envelope, not the artifact
-    for field in ("cached", "cache_tier", "cache_age_seconds"):
-        artifact.pop(field, None)
-    artifact["kind"] = "benchmark" if qasm is None else "qasm"
-    return artifact
+    return record_artifact(execute_spec(spec))
 
 
 class CompileService:
@@ -222,19 +223,20 @@ class CompileService:
     def __init__(
         self,
         workers: Optional[int] = None,
-        store: Optional[ArtifactStore] = None,
         cache_dir: Optional[Any] = None,
         memory_capacity: int = 256,
     ) -> None:
+        from repro.eval.batch import SCHEMA_VERSION
+
         if workers is None:
             workers = min(4, os.cpu_count() or 1)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.store = store or ArtifactStore(
+        self.store = ArtifactStore(
             cache_dir=cache_dir,
             memory_capacity=memory_capacity,
-            schema_version=ARTIFACT_VERSION,
+            schema_version=SCHEMA_VERSION,
         )
         self._executor: Optional[ProcessPoolExecutor] = None
         self._inflight: Dict[str, "Future[Dict[str, Any]]"] = {}
@@ -259,10 +261,10 @@ class CompileService:
     def _handle_compile(self, request: Dict[str, Any]) -> Dict[str, Any]:
         t0 = time.perf_counter()
         try:
-            job = normalize_request(request)
+            spec = normalize_request(request)
         except RequestError as exc:
             return error_response("bad-request", exc.message)
-        key = job_key(job)
+        key = spec.key()
 
         hit = self.store.get(key)
         if hit is not None:
@@ -275,7 +277,7 @@ class CompileService:
                 "artifact": hit.artifact,
             }
 
-        future, owner = self._dispatch(key, job)
+        future, owner = self._dispatch(key, spec)
         if future is None:
             return error_response(
                 "shutting-down", "service is draining; compile rejected"
@@ -283,9 +285,12 @@ class CompileService:
         try:
             artifact = future.result()
         except Exception as exc:  # worker raised: report, don't crash
-            with self._lock:
-                self._inflight.pop(key, None)
-                self.jobs_failed += 1
+            # only the owner retires the entry and counts the failure: a
+            # late joiner must not pop a newer owner's in-flight future
+            if owner:
+                with self._lock:
+                    self._inflight.pop(key, None)
+                    self.jobs_failed += 1
             if isinstance(exc, RequestError):
                 return error_response("bad-request", exc.message, key=key)
             return error_response(
@@ -306,13 +311,13 @@ class CompileService:
         }
 
     def _dispatch(
-        self, key: str, job: Dict[str, Any]
+        self, key: str, spec: "RunSpec"
     ) -> Tuple[Optional["Future[Dict[str, Any]]"], bool]:
         """The future computing *key*'s artifact, plus ownership.
 
-        The owner (the caller that actually submitted the job) is
-        responsible for publishing the artifact and retiring the
-        in-flight entry; joiners just wait.
+        The owner (the caller that actually submitted the spec) is
+        responsible for publishing the artifact (or counting the
+        failure) and retiring the in-flight entry; joiners just wait.
         """
         with self._lock:
             existing = self._inflight.get(key)
@@ -323,7 +328,7 @@ class CompileService:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(max_workers=self.workers)
             try:
-                future = self._executor.submit(compile_job, job)
+                future = self._executor.submit(compile_job, spec)
             except RuntimeError:  # pool already shut down
                 return None, False
             self._inflight[key] = future
@@ -340,7 +345,7 @@ class CompileService:
             "jobs_completed": jobs_completed,
             "jobs_failed": jobs_failed,
             "inflight": inflight,
-    "uptime_seconds": round(time.time() - self._started_at, 3),
+            "uptime_seconds": round(time.time() - self._started_at, 3),
             "store": self.store.stats.as_dict(),
         }
 

@@ -47,6 +47,20 @@ class TestRunSpec:
         specs = table2_specs()
         assert [(s.benchmark, s.num_qubits) for s in specs] == TABLE_BENCHMARKS
 
+    def test_keys_match_committed_run_table(self):
+        """Spec keys are stable across releases: the committed Table-2
+        run table's keys are today's, so existing caches stay valid."""
+        import pathlib
+
+        path = (
+            pathlib.Path(__file__).resolve().parents[2]
+            / "benchmarks"
+            / "run_table.json"
+        )
+        committed = [r["key"] for r in json.loads(path.read_text())["records"]]
+        assert len(committed) == 14
+        assert [s.key() for s in table2_specs()] == committed
+
 
 class TestExecuteSpec:
     def test_matches_compare_one(self):

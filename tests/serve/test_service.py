@@ -1,34 +1,39 @@
 """Tests for the in-process CompileService and request normalization."""
 
 import threading
+from concurrent.futures import Future
+from dataclasses import asdict
 
 import pytest
 
+from repro.eval.batch import BatchRunner, RunSpec
 from repro.serve.service import (
     CompileService,
     RequestError,
-    job_key,
     normalize_request,
 )
 
 
 class TestNormalizeRequest:
     def test_benchmark_defaults_applied(self):
-        job = normalize_request({"op": "compile", "benchmark": "QFT"})
-        assert job["benchmark"] == "QFT"
-        assert job["qubits"] == 16
-        assert job["seed"] == 7
-        assert job["resource_state"] == "3-line"
-        assert job["shots"] == 0
-        assert job["verify"] is False
-        assert job["include_baseline"] is False
+        spec = normalize_request({"op": "compile", "benchmark": "QFT"})
+        assert spec == RunSpec(
+            benchmark="QFT",
+            num_qubits=16,
+            seed=7,
+            resource_state="3-line",
+            include_baseline=False,
+            verify=False,
+            shots=0,
+        )
 
     def test_equivalent_requests_share_a_key(self):
         explicit = normalize_request(
             {"op": "compile", "benchmark": "QFT", "qubits": 16, "seed": 7}
         )
         defaulted = normalize_request({"op": "compile", "benchmark": "QFT"})
-        assert job_key(explicit) == job_key(defaulted)
+        assert explicit == defaulted
+        assert explicit.key() == defaulted.key()
 
     def test_key_sensitive_to_every_axis(self):
         base = normalize_request({"op": "compile", "benchmark": "QFT"})
@@ -44,15 +49,17 @@ class TestNormalizeRequest:
             other = normalize_request(
                 {"op": "compile", "benchmark": "QFT", **override}
             )
-            assert job_key(other) != job_key(base), override
+            assert other.key() != base.key(), override
 
     def test_qasm_form(self):
-        job = normalize_request(
+        spec = normalize_request(
             {"op": "compile", "qasm": "OPENQASM 2.0;", "name": "mine"}
         )
-        assert job["qasm"] == "OPENQASM 2.0;"
-        assert job["name"] == "mine"
-        assert "benchmark" not in job
+        assert spec == RunSpec(
+            "mine", 0, qasm="OPENQASM 2.0;", include_baseline=False
+        )
+        unnamed = normalize_request({"op": "compile", "qasm": "OPENQASM 2.0;"})
+        assert unnamed.benchmark == "qasm-circuit"
 
     @pytest.mark.parametrize(
         "request_payload",
@@ -69,6 +76,9 @@ class TestNormalizeRequest:
             {"benchmark": "QFT", "shots": -1},
             {"benchmark": "QFT", "noise": [1, 2]},
             {"benchmark": "QFT", "noise": {"cycle_loss": "high"}},
+            {"benchmark": "QFT", "noise": {"cycle_los": 0.01}},  # typo
+            {"benchmark": "QFT", "noise": {"cycle_loss": 2.0}},
+            {"benchmark": "QFT", "noise": {"fusion_success": -0.5}},
             {"benchmark": "QFT", "verify": "yes"},
             {"benchmark": "QFT", "mc_engine": "frame"},  # removed field
             {"benchmark": "QFT", "typo_field": 1},
@@ -85,8 +95,9 @@ class TestNormalizeRequest:
         register passes here (the worker enforces the width bound), so
         the cache-hit path never pays for a parse."""
         qasm = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[100000];\n'
-        job = normalize_request({"op": "compile", "qasm": qasm})
-        assert job["qasm"] == qasm
+        spec = normalize_request({"op": "compile", "qasm": qasm})
+        assert spec.qasm == qasm
+        assert spec.num_qubits == 0
 
     def test_noise_is_canonicalized(self):
         a = normalize_request(
@@ -97,7 +108,17 @@ class TestNormalizeRequest:
             {"op": "compile", "benchmark": "BV",
              "noise": {"fusion_success": 0.5, "cycle_loss": 0.01}}
         )
-        assert job_key(a) == job_key(b)
+        assert a.noise == (("cycle_loss", 0.01), ("fusion_success", 0.5))
+        assert a.key() == b.key()
+        # integer JSON values key like their floats
+        integral = normalize_request(
+            {"op": "compile", "benchmark": "BV", "noise": {"fusion_error": 0}}
+        )
+        assert integral.noise == (("fusion_error", 0.0),)
+        assert integral.key() == normalize_request(
+            {"op": "compile", "benchmark": "BV",
+             "noise": {"fusion_error": 0.0}}
+        ).key()
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +141,6 @@ class TestCompileService:
         assert second["cache_age_seconds"] >= 0.0
         assert second["artifact"] == first["artifact"]
         assert first["artifact"]["depth"] >= 1
-        assert first["artifact"]["kind"] == "benchmark"
 
     def test_disk_tier_survives_memory_clear(self, service):
         request = {"op": "compile", "benchmark": "BV", "qubits": 6}
@@ -139,7 +159,7 @@ class TestCompileService:
         request = {"op": "compile", "qasm": qasm, "name": "bv6"}
         first = service.handle(request)
         assert first["ok"], first
-        assert first["artifact"]["kind"] == "qasm"
+        assert first["artifact"]["benchmark"] == "bv6"
         assert first["artifact"]["num_qubits"] == 6
         assert first["artifact"]["depth"] >= 1
 
@@ -154,11 +174,9 @@ class TestCompileService:
     def test_qasm_artifact_is_the_execute_spec_record(self, service):
         """Both request kinds run one pipeline: a QASM artifact is the
         run record of the equivalent QASM spec, timings aside."""
-        from dataclasses import asdict
-
         from repro.circuit import get_benchmark
         from repro.circuit.qasm import to_qasm
-        from repro.eval.batch import RunSpec, execute_spec
+        from repro.eval.batch import execute_spec
 
         qasm = to_qasm(get_benchmark("BV", 8, seed=7))
         response = service.handle(
@@ -177,11 +195,10 @@ class TestCompileService:
             key for key in record
             if not key.endswith("seconds") and key != "shots_per_second"
         )
-        assert sorted(artifact) == sorted([*record, "kind"])
+        assert sorted(artifact) == sorted(record)
         assert {k: artifact[k] for k in untimed} == {
             k: record[k] for k in untimed
         }
-        assert artifact["kind"] == "qasm"
         assert artifact["verified"] is True
         assert artifact["num_qubits"] == 8
 
@@ -269,6 +286,41 @@ class TestCompileService:
         )
         assert response["ok"] is False
         assert response["error"]["code"] == "compile-error"
+
+    def test_bad_noise_overrides_rejected_before_dispatch(self, tmp_path):
+        """A misspelt or out-of-range noise override is a bad request at
+        normalization, with or without shots: nothing is compiled."""
+        with CompileService(workers=1, cache_dir=tmp_path) as svc:
+            for extra, noise in (
+                ({}, {"cycle_los": 0.01}),
+                ({"shots": 100}, {"cycle_los": 0.01}),
+                ({"shots": 100}, {"cycle_loss": 2.0}),
+            ):
+                response = svc.handle(
+                    {"op": "compile", "benchmark": "BV", "qubits": 6,
+                     "noise": noise, **extra}
+                )
+                assert response["ok"] is False
+                assert response["error"]["code"] == "bad-request", response
+            stats = svc.stats()
+            assert stats["jobs_completed"] == stats["jobs_failed"] == 0
+            assert svc._executor is None
+
+    def test_failed_joiner_leaves_the_entry_to_its_owner(self, tmp_path):
+        """A request joining a failed in-flight compile reports the
+        error, but the failure and the entry belong to the owner: the
+        joiner neither counts it nor retires the entry."""
+        request = {"op": "compile", "benchmark": "BV", "qubits": 6}
+        key = normalize_request(request).key()
+        failed: Future = Future()
+        failed.set_exception(RuntimeError("worker died"))
+        with CompileService(workers=1, cache_dir=tmp_path) as svc:
+            svc._inflight[key] = failed
+            response = svc.handle(request)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "compile-error"
+            assert svc.jobs_failed == 0
+            assert svc._inflight[key] is failed
 
     def test_single_flight_joins_inflight_compile(self, tmp_path):
         """Concurrent identical requests trigger exactly one compile."""
@@ -372,3 +424,39 @@ class TestCompileService:
         response = svc.handle({"op": "compile", "benchmark": "BV", "qubits": 7})
         assert response["ok"] is False
         assert response["error"]["code"] == "shutting-down"
+
+
+def _without_provenance(record):
+    artifact = asdict(record)
+    for name in ("cached", "cache_tier", "cache_age_seconds"):
+        del artifact[name]
+    return artifact
+
+
+class TestSharedCache:
+    """``repro bench --cache D`` and ``repro serve --cache D`` share one
+    cache: same key, same envelope version, same artifact."""
+
+    REQUEST = {"op": "compile", "benchmark": "BV", "qubits": 6}
+    SPEC = RunSpec("BV", 6, include_baseline=False)
+
+    def test_batch_cache_serves_the_service(self, tmp_path):
+        (record,) = BatchRunner(jobs=1, cache_dir=tmp_path).run([self.SPEC])
+        with CompileService(workers=1, cache_dir=tmp_path) as svc:
+            response = svc.handle(self.REQUEST)
+            assert svc._executor is None  # served without compiling
+        assert response["ok"], response
+        assert response["cache_tier"] == "disk"
+        assert response["key"] == self.SPEC.key()
+        assert response["artifact"] == _without_provenance(record)
+
+    def test_service_cache_serves_the_batch_runner(self, tmp_path):
+        with CompileService(workers=1, cache_dir=tmp_path) as svc:
+            served = svc.handle(self.REQUEST)
+        assert served["ok"], served
+        assert served["cache_tier"] is None
+        (record,) = BatchRunner(jobs=1, cache_dir=tmp_path).run([self.SPEC])
+        assert record.cached is True
+        assert record.cache_tier == "disk"
+        assert record.key == served["key"]
+        assert _without_provenance(record) == served["artifact"]
