@@ -8,116 +8,260 @@ Two target gate sets matter in this project:
   translation to measurement patterns is defined on, where
   ``J(alpha) = H @ Rz(alpha)``.
 
-Both passes are purely structural; a statevector equivalence test pins the
-conventions (see ``tests/circuit/test_library.py``).
+Lowering runs on plain ``(name, qubits, angle)`` op tuples: one rule
+table expands every gate to the basic set, one peephole fixpoint
+simplifies, and a second table turns basic gates into ``J``/``CZ``.
+:func:`jcz_ops` hands the ops straight to the pattern translation;
+:func:`to_basic`, :func:`simplify_basic` and :func:`to_jcz` wrap the same
+passes for callers that want a :class:`Circuit`.  Both passes are purely
+structural; a statevector equivalence test pins the conventions (see
+``tests/circuit/test_library.py``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.gates import Gate
+from repro.circuit.gates import GATE_SIGNATURES, Gate
 from repro.utils.angles import ANGLE_ATOL, normalize_angle
+
+#: One lowered operation: gate name, qubits and angle (``0.0`` for a gate
+#: without a parameter; no gate has more than one).
+Op = Tuple[str, Tuple[int, ...], float]
 
 _PI = math.pi
 
+#: A rule step's angle: ``None`` passes the gate's own angle through, a
+#: float is a constant, a callable derives it from the gate's angle.
+_Angle = Union[None, float, Callable[[float], float]]
+_Step = Tuple[str, Tuple[int, ...], _Angle]
 
-def _lower_to_basic(gate: Gate) -> List[Gate]:
-    """Lower a single gate to the ``{h, rz, rx, cz}`` set (program order)."""
-    name = gate.name
-    qs = gate.qubits
-    if name in ("h", "rz", "rx", "cz"):
-        return [gate]
-    if name == "i":
-        return []
-    if name == "x":
-        return [Gate("rx", qs, (_PI,))]
-    if name == "y":
-        # Y = i·X·Z: apply Z first, then X (global phase dropped).
-        return [Gate("rz", qs, (_PI,)), Gate("rx", qs, (_PI,))]
-    if name == "z":
-        return [Gate("rz", qs, (_PI,))]
-    if name == "s":
-        return [Gate("rz", qs, (_PI / 2,))]
-    if name == "sdg":
-        return [Gate("rz", qs, (-_PI / 2,))]
-    if name == "t":
-        return [Gate("rz", qs, (_PI / 4,))]
-    if name == "tdg":
-        return [Gate("rz", qs, (-_PI / 4,))]
-    if name == "sx":
-        return [Gate("rx", qs, (_PI / 2,))]
-    if name == "p":
-        return [Gate("rz", qs, gate.params)]
-    if name == "ry":
-        # Ry(t) = Rz(pi/2) @ Rx(t) @ Rz(-pi/2)   (rightmost applied first)
-        theta = gate.params[0]
-        return [
-            Gate("rz", qs, (-_PI / 2,)),
-            Gate("rx", qs, (theta,)),
-            Gate("rz", qs, (_PI / 2,)),
-        ]
-    if name == "j":
-        # J(alpha) = H @ Rz(alpha): apply Rz first, then H.
-        return [Gate("rz", qs, gate.params), Gate("h", qs)]
-    if name == "cx":
-        control, target = qs
-        return [
-            Gate("h", (target,)),
-            Gate("cz", (control, target)),
-            Gate("h", (target,)),
-        ]
-    if name == "cp":
-        theta = gate.params[0]
-        a, b = qs
-        steps = [
-            Gate("p", (a,), (theta / 2,)),
-            Gate("cx", (a, b)),
-            Gate("p", (b,), (-theta / 2,)),
-            Gate("cx", (a, b)),
-            Gate("p", (b,), (theta / 2,)),
-        ]
-        return [g for step in steps for g in _lower_to_basic(step)]
-    if name == "swap":
-        a, b = qs
-        steps = [Gate("cx", (a, b)), Gate("cx", (b, a)), Gate("cx", (a, b))]
-        return [g for step in steps for g in _lower_to_basic(step)]
-    if name == "ccx":
-        c1, c2, t = qs
-        steps = [
-            Gate("h", (t,)),
-            Gate("cx", (c2, t)),
-            Gate("tdg", (t,)),
-            Gate("cx", (c1, t)),
-            Gate("t", (t,)),
-            Gate("cx", (c2, t)),
-            Gate("tdg", (t,)),
-            Gate("cx", (c1, t)),
-            Gate("t", (c2,)),
-            Gate("t", (t,)),
-            Gate("h", (t,)),
-            Gate("cx", (c1, c2)),
-            Gate("t", (c1,)),
-            Gate("tdg", (c2,)),
-            Gate("cx", (c1, c2)),
-        ]
-        return [g for step in steps for g in _lower_to_basic(step)]
-    raise ValueError(f"cannot lower gate {gate}")  # pragma: no cover
+#: Gate name -> program-ordered steps ``(name, qubit slots, angle)``.  A
+#: step may name another non-basic gate; :func:`_expand` flattens the
+#: table to basic gates once, at import.
+_RULES: Dict[str, Tuple[_Step, ...]] = {
+    "h": (("h", (0,), 0.0),),
+    "rz": (("rz", (0,), None),),
+    "rx": (("rx", (0,), None),),
+    "cz": (("cz", (0, 1), 0.0),),
+    "i": (),
+    "x": (("rx", (0,), _PI),),
+    # Y = i·X·Z: apply Z first, then X (global phase dropped).
+    "y": (("rz", (0,), _PI), ("rx", (0,), _PI)),
+    "z": (("rz", (0,), _PI),),
+    "s": (("rz", (0,), _PI / 2),),
+    "sdg": (("rz", (0,), -_PI / 2),),
+    "t": (("rz", (0,), _PI / 4),),
+    "tdg": (("rz", (0,), -_PI / 4),),
+    "sx": (("rx", (0,), _PI / 2),),
+    "p": (("rz", (0,), None),),
+    # Ry(t) = Rz(pi/2) @ Rx(t) @ Rz(-pi/2)   (rightmost applied first)
+    "ry": (("rz", (0,), -_PI / 2), ("rx", (0,), None), ("rz", (0,), _PI / 2)),
+    # J(alpha) = H @ Rz(alpha): apply Rz first, then H.
+    "j": (("rz", (0,), None), ("h", (0,), 0.0)),
+    "cx": (("h", (1,), 0.0), ("cz", (0, 1), 0.0), ("h", (1,), 0.0)),
+    "cp": (
+        ("p", (0,), lambda theta: theta / 2),
+        ("cx", (0, 1), 0.0),
+        ("p", (1,), lambda theta: -theta / 2),
+        ("cx", (0, 1), 0.0),
+        ("p", (1,), lambda theta: theta / 2),
+    ),
+    "swap": (("cx", (0, 1), 0.0), ("cx", (1, 0), 0.0), ("cx", (0, 1), 0.0)),
+    "ccx": (
+        ("h", (2,), 0.0),
+        ("cx", (1, 2), 0.0),
+        ("tdg", (2,), 0.0),
+        ("cx", (0, 2), 0.0),
+        ("t", (2,), 0.0),
+        ("cx", (1, 2), 0.0),
+        ("tdg", (2,), 0.0),
+        ("cx", (0, 2), 0.0),
+        ("t", (1,), 0.0),
+        ("t", (2,), 0.0),
+        ("h", (2,), 0.0),
+        ("cx", (0, 1), 0.0),
+        ("t", (0,), 0.0),
+        ("tdg", (1,), 0.0),
+        ("cx", (0, 1), 0.0),
+    ),
+}
+
+_BASIC_SET = frozenset({"h", "rz", "rx", "cz"})
+
+
+def _expand(name: str) -> Tuple[_Step, ...]:
+    """Flatten *name*'s rule to basic-set steps over its qubit slots.
+
+    A basic step's angle is a constant or passes its parent step's angle
+    through, so composing two steps never nests callables.
+    """
+    steps: List[_Step] = []
+    for step_name, slots, angle in _RULES[name]:
+        if step_name in _BASIC_SET:
+            steps.append((step_name, slots, angle))
+            continue
+        for sub_name, sub_slots, sub_angle in _expand(step_name):
+            steps.append((
+                sub_name,
+                tuple(slots[s] for s in sub_slots),
+                angle if sub_angle is None else sub_angle,
+            ))
+    return tuple(steps)
+
+
+def _own_slots(slots: Tuple[int, ...], arity: int) -> Optional[Tuple[int, ...]]:
+    """``None`` when a step acts on the gate's own qubit tuple as is."""
+    return None if slots == tuple(range(arity)) else slots
+
+
+#: gate name -> its basic-set steps; ``None`` slots reuse the gate's qubits
+_BASIC_STEPS = {
+    name: tuple(
+        (step, _own_slots(slots, arity), angle)
+        for step, slots, angle in _expand(name)
+    )
+    for name, (arity, _) in GATE_SIGNATURES.items()
+}
+
+#: basic gate -> its ``J`` angles in program order (``None``: the
+#: normalized rotation angle).  Rz(t) = J(0) @ J(t) and Rx(t) = J(t) @ J(0),
+#: rightmost applied first.
+_J_ANGLES: Dict[str, Tuple[Optional[float], ...]] = {
+    "h": (0.0,),
+    "rz": (None, 0.0),
+    "rx": (0.0, None),
+}
+
+_MERGING: FrozenSet[str] = frozenset({"rz", "rx"})
+
+
+def basic_ops(circuit: Circuit) -> List[Op]:
+    """*circuit* lowered to the ``{h, rz, rx, cz}`` set, as op tuples."""
+    ops: List[Op] = []
+    append = ops.append
+    steps_of = _BASIC_STEPS
+    for gate in circuit:
+        qubits = gate.qubits
+        params = gate.params
+        theta = params[0] if params else 0.0
+        for name, slots, angle in steps_of[gate.name]:
+            append((
+                name,
+                qubits if slots is None else tuple([qubits[s] for s in slots]),
+                theta if angle is None
+                else angle if isinstance(angle, float)
+                else angle(theta),
+            ))
+    return ops
+
+
+def _is_zero_angle(theta: float) -> bool:
+    return theta == 0.0 or abs(normalize_angle(theta)) < ANGLE_ATOL
+
+
+def _peephole(ops: List[Op], merging: FrozenSet[str], involution: str) -> List[Op]:
+    """Single-wire peephole rules on *ops*, applied to fixpoint.
+
+    * a zero-angle gate named in *merging* is dropped;
+    * adjacent same-name gates in *merging* on one wire merge, and the
+      sum replaces the second one (dropped if it is zero);
+    * adjacent zero-angle *involution* gates on one wire cancel.
+
+    "Adjacent" means no intervening gate touches the wire.  A pass does
+    not restore a wire's previous gate after a merge or cancellation, so
+    the rotations of ``rz h h rz`` merge only on the next pass; removed
+    gates stay as tombstones until the pass ends.
+    """
+    changed = True
+    while changed:
+        changed = False
+        out: List[Optional[Op]] = []
+        last: Dict[int, int] = {}
+        for op in ops:
+            name, qubits, angle = op
+            if len(qubits) != 1:
+                index = len(out)
+                out.append(op)
+                for q in qubits:
+                    last[q] = index
+                continue
+            q = qubits[0]
+            if name in merging and _is_zero_angle(angle):
+                changed = True
+                continue
+            index_prev = last.get(q)
+            if index_prev is not None:
+                prev = out[index_prev]
+                assert prev is not None
+                if len(prev[1]) == 1 and prev[0] == name:
+                    if name in merging:
+                        out[index_prev] = None
+                        del last[q]
+                        changed = True
+                        merged = normalize_angle(prev[2] + angle)
+                        if not _is_zero_angle(merged):
+                            last[q] = len(out)
+                            out.append((name, qubits, merged))
+                        continue
+                    if (
+                        name == involution
+                        and _is_zero_angle(angle)
+                        and _is_zero_angle(prev[2])
+                    ):
+                        out[index_prev] = None
+                        del last[q]
+                        changed = True
+                        continue
+            last[q] = len(out)
+            out.append(op)
+        ops = [op for op in out if op is not None]
+    return ops
+
+
+def jcz_ops(circuit: Circuit, simplify: bool = True) -> List[Op]:
+    """*circuit* lowered to the ``{j, cz}`` set, as op tuples.
+
+    With ``simplify=True`` the basic-set ops are peephole simplified
+    first, and the only rule applied at the ``{j, cz}`` level is
+    ``J(0) J(0) = I`` cancellation.
+    """
+    ops = basic_ops(circuit)
+    if simplify:
+        ops = _peephole(ops, _MERGING, "h")
+    out: List[Op] = []
+    append = out.append
+    for op in ops:
+        name, qubits, angle = op
+        if name == "cz":
+            append(op)
+            continue
+        for j_angle in _J_ANGLES[name]:
+            append(("j", qubits, normalize_angle(angle) if j_angle is None else j_angle))
+    if simplify:
+        out = _peephole(out, frozenset(), "j")
+    return out
+
+
+def _ops_of(circuit: Circuit) -> List[Op]:
+    return [
+        (gate.name, gate.qubits, gate.params[0] if gate.params else 0.0)
+        for gate in circuit
+    ]
+
+
+def _circuit_of(num_qubits: int, ops: List[Op]) -> Circuit:
+    return Circuit(num_qubits, [
+        Gate(name, qubits, (angle,) if GATE_SIGNATURES[name][1] else ())
+        for name, qubits, angle in ops
+    ])
 
 
 def to_basic(circuit: Circuit) -> Circuit:
     """Lower *circuit* to the ``{h, rz, rx, cz}`` gate set."""
-    out = Circuit(circuit.num_qubits)
-    for gate in circuit:
-        for lowered in _lower_to_basic(gate):
-            out.append(lowered)
-    return out
-
-
-def _is_zero_angle(theta: float) -> bool:
-    return abs(normalize_angle(theta)) < ANGLE_ATOL
+    return _circuit_of(circuit.num_qubits, basic_ops(circuit))
 
 
 def simplify_basic(circuit: Circuit) -> Circuit:
@@ -130,54 +274,9 @@ def simplify_basic(circuit: Circuit) -> Circuit:
 
     "Adjacent" means no intervening gate touches the wire.
     """
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        out: List[Gate] = []
-        last_on_wire: dict = {}
-        for gate in gates:
-            if gate.arity == 1:
-                q = gate.qubits[0]
-                if gate.name in ("rz", "rx") and _is_zero_angle(gate.params[0]):
-                    changed = True
-                    continue
-                prev_idx = last_on_wire.get(q)
-                prev = out[prev_idx] if prev_idx is not None else None
-                if prev is not None and prev.qubits == gate.qubits:
-                    if prev.name == gate.name and gate.name in ("rz", "rx"):
-                        merged = normalize_angle(prev.params[0] + gate.params[0])
-                        out.pop(prev_idx)
-                        _reindex(last_on_wire, prev_idx)
-                        last_on_wire.pop(q, None)
-                        changed = True
-                        if not _is_zero_angle(merged):
-                            out.append(Gate(gate.name, gate.qubits, (merged,)))
-                            last_on_wire[q] = len(out) - 1
-                        continue
-                    if prev.name == "h" and gate.name == "h":
-                        out.pop(prev_idx)
-                        _reindex(last_on_wire, prev_idx)
-                        last_on_wire.pop(q, None)
-                        changed = True
-                        continue
-                out.append(gate)
-                last_on_wire[q] = len(out) - 1
-            else:
-                out.append(gate)
-                for q in gate.qubits:
-                    last_on_wire[q] = len(out) - 1
-        gates = out
-    return Circuit(circuit.num_qubits, gates)
-
-
-def _reindex(last_on_wire: dict, removed_idx: int) -> None:
-    """Shift wire->index bookkeeping after removing position *removed_idx*."""
-    for wire, idx in list(last_on_wire.items()):
-        if idx > removed_idx:
-            last_on_wire[wire] = idx - 1
-        elif idx == removed_idx:
-            del last_on_wire[wire]
+    return _circuit_of(
+        circuit.num_qubits, _peephole(_ops_of(circuit), _MERGING, "h")
+    )
 
 
 def to_jcz(circuit: Circuit, simplify: bool = True) -> Circuit:
@@ -187,55 +286,8 @@ def to_jcz(circuit: Circuit, simplify: bool = True) -> Circuit:
     simplified first and trailing/leading trivial ``J(0)`` pairs produced
     by ``h h`` are already gone; the only remaining rule applied at the
     ``{j, cz}`` level is ``J(0) J(0) = I`` cancellation.
+
+    >>> [(g.name, g.qubits, g.params) for g in to_jcz(Circuit(2).cx(0, 1))]
+    [('j', (1,), (0.0,)), ('cz', (0, 1), ()), ('j', (1,), (0.0,))]
     """
-    basic = to_basic(circuit)
-    if simplify:
-        basic = simplify_basic(basic)
-    out: List[Gate] = []
-    for gate in basic:
-        if gate.name == "cz":
-            out.append(gate)
-        elif gate.name == "h":
-            out.append(Gate("j", gate.qubits, (0.0,)))
-        elif gate.name == "rz":
-            # Rz(t) = J(0) @ J(t): apply J(t) first.
-            out.append(Gate("j", gate.qubits, (normalize_angle(gate.params[0]),)))
-            out.append(Gate("j", gate.qubits, (0.0,)))
-        elif gate.name == "rx":
-            # Rx(t) = J(t) @ J(0): apply J(0) first.
-            out.append(Gate("j", gate.qubits, (0.0,)))
-            out.append(Gate("j", gate.qubits, (normalize_angle(gate.params[0]),)))
-        else:  # pragma: no cover - to_basic guarantees the set above
-            raise ValueError(f"unexpected basic gate {gate}")
-    if simplify:
-        out = _cancel_j0_pairs(out)
-    return Circuit(circuit.num_qubits, out)
-
-
-def _cancel_j0_pairs(gates: List[Gate]) -> List[Gate]:
-    """Cancel adjacent ``J(0) J(0)`` pairs on the same wire (fixpoint)."""
-    changed = True
-    while changed:
-        changed = False
-        out: List[Gate] = []
-        last_on_wire: dict = {}
-        for gate in gates:
-            if gate.name == "j" and _is_zero_angle(gate.params[0]):
-                q = gate.qubits[0]
-                prev_idx = last_on_wire.get(q)
-                prev = out[prev_idx] if prev_idx is not None else None
-                if (
-                    prev is not None
-                    and prev.name == "j"
-                    and prev.qubits == gate.qubits
-                    and _is_zero_angle(prev.params[0])
-                ):
-                    out.pop(prev_idx)
-                    _reindex(last_on_wire, prev_idx)
-                    changed = True
-                    continue
-            out.append(gate)
-            for q in gate.qubits:
-                last_on_wire[q] = len(out) - 1
-        gates = out
-    return gates
+    return _circuit_of(circuit.num_qubits, jcz_ops(circuit, simplify))

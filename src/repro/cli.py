@@ -50,11 +50,29 @@ def _add_hardware_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-delay", type=int, default=2)
 
 
+class _UsageError(Exception):
+    """Invalid command-line input; :func:`main` reports it as a usage
+    error (exit 2, one line) instead of a traceback."""
+
+
+def _qubit_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_circuit(args) -> tuple:
-    if args.qasm:
-        with open(args.qasm) as handle:
-            return from_qasm(handle.read()), args.qasm
-    circuit = get_benchmark(args.benchmark, args.qubits, seed=args.seed)
+    try:
+        if args.qasm:
+            with open(args.qasm) as handle:
+                return from_qasm(handle.read()), args.qasm
+        circuit = get_benchmark(args.benchmark, args.qubits, seed=args.seed)
+    except (ValueError, OSError) as exc:
+        raise _UsageError(str(exc)) from exc
     return circuit, f"{args.benchmark}-{args.qubits}"
 
 
@@ -67,13 +85,20 @@ def _hardware_from(args, num_qubits: int) -> HardwareConfig:
         rows = cols = side
     elif rows is None or cols is None:
         rows = cols = rows or cols
-    return HardwareConfig(
-        rows=rows,
-        cols=cols,
-        resource_state=rst,
-        extension=args.extension,
-        max_delay=args.max_delay,
-    )
+    try:
+        hardware = HardwareConfig(
+            rows=rows,
+            cols=cols,
+            resource_state=rst,
+            extension=args.extension,
+            max_delay=args.max_delay,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    if min(hardware.extended_shape) < 2:
+        shape = "x".join(map(str, hardware.extended_shape))
+        raise _UsageError(f"the extended layer ({shape}) must be at least 2x2")
+    return hardware
 
 
 def cmd_compile(args) -> int:
@@ -468,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
         p.add_argument("--benchmark", default="QFT", help="QFT|QAOA|RCA|BV")
-        p.add_argument("--qubits", type=int, default=16)
+        p.add_argument("--qubits", type=_qubit_count, default=16)
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--qasm", help="compile a QASM file instead")
         if cmd == "lint":
@@ -728,7 +753,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except _UsageError as exc:
+        parser.error(f"{args.command}: {exc}")
+
+
+def _run(args) -> int:
     if args.command == "compile":
         return cmd_compile(args)
     if args.command == "baseline":

@@ -19,8 +19,8 @@ of a planar embedding, which keeps the fusion graph planar (Fig. 9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -36,8 +36,12 @@ class FusionGraph:
     """The synthesized fusion strategy for one partition.
 
     Attributes:
-        graph: fusion graph; nodes are :data:`FGNode`, edges carry
-            ``kind`` ('chain' or 'edge').
+        adj: the fusion graph as an insertion-ordered adjacency: node ->
+            neighbour -> fusion kind (``'chain'`` or ``'edge'``).  Nodes
+            are :data:`FGNode`, the chains in subgraph node order; each
+            node lists its chain links first, then its edge fusions in
+            ``subgraph.edges()`` order.  :meth:`to_networkx` rebuilds the
+            networkx view for verification.
         chains: origin node -> its chain of fusion-graph nodes in order.
         port_of: (node, neighbour) -> fusion-graph node that exposes the
             photon for the edge towards ``neighbour``.  Covers both
@@ -46,7 +50,7 @@ class FusionGraph:
         edge_fusions: number of 'edge' edges.
     """
 
-    graph: nx.Graph
+    adj: Dict[FGNode, Dict[FGNode, str]]
     chains: Dict[int, List[FGNode]]
     port_of: Dict[Tuple[int, int], FGNode]
     synthesis_fusions: int = 0
@@ -55,27 +59,30 @@ class FusionGraph:
 
     @property
     def num_resource_states(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.adj)
 
     def origin_of(self, fg_node: FGNode) -> int:
         return fg_node[0]
 
+    def to_networkx(self) -> nx.Graph:
+        """The fusion graph as an ``nx.Graph`` with a ``kind`` per edge.
 
-@dataclass
-class _ChainState:
-    """Port bookkeeping while assigning edges to a node's chain."""
-
-    nodes: List[FGNode]
-    free: List[int] = field(default_factory=list)
-    cursor: int = 0
-
-    def take_port(self) -> FGNode:
-        while self.cursor < len(self.nodes) and self.free[self.cursor] == 0:
-            self.cursor += 1
-        if self.cursor >= len(self.nodes):
-            raise RuntimeError("chain ran out of ports; capacity bug")
-        self.free[self.cursor] -= 1
-        return self.nodes[self.cursor]
+        Node order and every node's neighbour order equal :attr:`adj`:
+        all chain links are added before any edge fusion, and each kind
+        in node order, so every edge joins its endpoints' neighbour
+        lists where :func:`build_fusion_graph` put it.
+        """
+        graph = nx.Graph()
+        graph.add_nodes_from(self.adj)
+        for kind in ("chain", "edge"):
+            done = set()
+            for u, nbrs in self.adj.items():
+                done.add(u)
+                graph.add_edges_from(
+                    ((u, v) for v, k in nbrs.items() if k == kind and v not in done),
+                    kind=kind,
+                )
+        return graph
 
 
 def build_fusion_graph(
@@ -101,61 +108,63 @@ def build_fusion_graph(
 
     embedding_order = planar_embedding_order(subgraph) if use_embedding else None
 
-    fg = nx.Graph()
+    adj: Dict[FGNode, Dict[FGNode, str]] = {}
     chains: Dict[int, List[FGNode]] = {}
-    states: Dict[int, _ChainState] = {}
+    port_of: Dict[Tuple[int, int], FGNode] = {}
     synthesis = 0
+    # demand -> (chain length, the chain position of every port in
+    # order); a port is a photon not spent on a chain link, and the inner
+    # states of a chain spend two, its ends one (none if it is alone)
+    shapes: Dict[int, Tuple[int, List[int]]] = {}
 
-    for node in subgraph.nodes():
-        demand = degrees.get(node, subgraph.degree(node))
-        k = resource_state.states_for_degree(demand)
+    for node, nbrs in subgraph.adj.items():
+        demand = degrees.get(node, len(nbrs))
+        shape = shapes.get(demand)
+        if shape is None:
+            k = resource_state.states_for_degree(demand)
+            slots = [
+                i
+                for i in range(k)
+                for _ in range(size - (0 if k == 1 else 1 if i in (0, k - 1) else 2))
+            ]
+            if len(slots) < demand:
+                raise RuntimeError(
+                    f"node {node}: chain of {k} states exposes {len(slots)} "
+                    f"ports < demand {demand}"
+                )
+            shape = shapes[demand] = (k, slots)
+        k, slots = shape
         chain = [(node, i) for i in range(k)]
         chains[node] = chain
-        fg.add_nodes_from(chain)
+        for fg_node in chain:
+            adj[fg_node] = {}
         for a, b in zip(chain, chain[1:]):
-            fg.add_edge(a, b, kind="chain")
-            synthesis += 1
-        free = []
-        for i in range(k):
-            chain_links = 0 if k == 1 else (1 if i in (0, k - 1) else 2)
-            free.append(size - chain_links)
-        if sum(free) < demand:
-            raise RuntimeError(
-                f"node {node}: chain of {k} states exposes {sum(free)} "
-                f"ports < demand {demand}"
-            )
-        states[node] = _ChainState(nodes=chain, free=free)
-
-    port_of: Dict[Tuple[int, int], FGNode] = {}
-
-    def neighbor_sequence(node: int) -> List[int]:
+            adj[a][b] = adj[b][a] = "chain"
+        synthesis += k - 1
+        # reserve ports in rotational order (planarity preservation)
         in_part = (
-            embedding_order[node]
-            if embedding_order is not None
-            else sorted(subgraph.neighbors(node))
+            embedding_order[node] if embedding_order is not None else sorted(nbrs)
         )
-        return list(in_part) + sorted(cross_neighbors.get(node, []))
-
-    # reserve ports in rotational order (planarity preservation)
-    for node in subgraph.nodes():
-        for nbr in neighbor_sequence(node):
-            port_of[(node, nbr)] = states[node].take_port()
+        sequence: List[int] = list(in_part) + sorted(cross_neighbors.get(node, []))
+        if len(sequence) > len(slots):
+            raise RuntimeError("chain ran out of ports; capacity bug")
+        for nbr, i in zip(sequence, slots):
+            port_of[(node, nbr)] = chain[i]
 
     edge_fusions = 0
     for u, v in subgraph.edges():
         pu = port_of[(u, v)]
         pv = port_of[(v, u)]
-        fg.add_edge(pu, pv, kind="edge")
+        adj[pu][pv] = adj[pv][pu] = "edge"
         edge_fusions += 1
 
-    planar = embedding_order is not None
     return FusionGraph(
-        graph=fg,
+        adj=adj,
         chains=chains,
         port_of=port_of,
         synthesis_fusions=synthesis,
         edge_fusions=edge_fusions,
-        planar=planar,
+        planar=embedding_order is not None,
     )
 
 
@@ -173,12 +182,13 @@ def verify_fusion_graph(
     * the fusion graph of a planar partition is planar.
     """
     cap = resource_state.fusion_capacity()
-    for fg_node in fusion.graph.nodes():
-        if fusion.graph.degree(fg_node) > cap:
+    graph = fusion.to_networkx()
+    for fg_node in graph.nodes():
+        if graph.degree(fg_node) > cap:
             return False, f"{fg_node} exceeds fusion capacity {cap}"
     contracted = nx.Graph()
     contracted.add_nodes_from(n for n in fusion.chains)
-    for a, b, data in fusion.graph.edges(data=True):
+    for a, b, data in graph.edges(data=True):
         if data["kind"] == "edge":
             u, v = a[0], b[0]
             if u == v:
@@ -193,7 +203,7 @@ def verify_fusion_graph(
     if not (same_nodes and same_edges):
         return False, "contracted fusion graph does not match subgraph"
     if fusion.planar:
-        ok, _ = nx.check_planarity(fusion.graph, counterexample=False)
+        ok, _ = nx.check_planarity(graph, counterexample=False)
         if not ok:
             return False, "fusion graph broke planarity"
     return True, "ok"

@@ -37,9 +37,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
-
-import networkx as nx
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.fusion_graph import FGNode, FusionGraph
 from repro.hardware.resource_state import ResourceStateType
@@ -415,9 +413,10 @@ class InLayerMapper:
         the coordinates of cross-partition counterparts so that shuffle
         paths between partitions stay short).
         """
-        graph = fusion.graph
+        adj = fusion.adj
         self._hints = hints or {}
-        self._degree = dict(graph.degree())
+        self._degree = degree = {v: len(nbrs) for v, nbrs in adj.items()}
+        num_edges = sum(degree.values()) // 2
         self._open_layer()
         start_layer = len(self.layers) - 1
 
@@ -428,14 +427,13 @@ class InLayerMapper:
 
         def count_realized(a: FGNode, b: FGNode) -> None:
             nonlocal edge_fusions, synthesis_fusions
-            kind = graph.adj[a][b].get("kind", "edge")
-            if kind == "chain":
+            if adj[a][b] == "chain":
                 synthesis_fusions += 1
             else:
                 edge_fusions += 1
 
-        pending = list(_edge_order(graph))
-        isolated = [v for v in graph.nodes() if graph.degree(v) == 0]
+        pending = _edge_order(adj)
+        isolated = [v for v, nbrs in adj.items() if not nbrs]
         for node in isolated:
             coord = self._find_free_cell_near(None)
             if coord is None:
@@ -449,11 +447,11 @@ class InLayerMapper:
         guard = 0
         while pending:
             guard += 1
-            if guard > 20 * (len(pending) + graph.number_of_edges() + 1) + 1000:
+            if guard > 20 * (len(pending) + num_edges + 1) + 1000:
                 raise RuntimeError("mapper failed to make progress")
             spill: List[Tuple[FGNode, FGNode]] = []
             for (a, b) in pending:
-                outcome = self._realize_edge(a, b, graph)
+                outcome = self._realize_edge(a, b)
                 if outcome == "edge":
                     count_realized(a, b)
                 elif isinstance(outcome, int):
@@ -489,9 +487,7 @@ class InLayerMapper:
         place = self.placements.get(node)
         return place is not None and place.layer == len(self.layers) - 1
 
-    def _realize_edge(
-        self, a: FGNode, b: FGNode, graph: nx.Graph
-    ) -> Union[str, int]:
+    def _realize_edge(self, a: FGNode, b: FGNode) -> Union[str, int]:
         """Attempt one edge.  Returns:
 
         * ``"edge"`` — realized by direct adjacency (1 fusion);
@@ -510,12 +506,12 @@ class InLayerMapper:
             return "defer"
         if a_old:  # b unplaced: place b near a's old coordinate, defer edge
             placed = self._place_new_node(
-                b, graph, near=self.placements[a].coord, budget_for_edge=False
+                b, near=self.placements[a].coord, budget_for_edge=False
             )
             return "defer" if placed else "spill"
         if b_old:
             placed = self._place_new_node(
-                a, graph, near=self.placements[b].coord, budget_for_edge=False
+                a, near=self.placements[b].coord, budget_for_edge=False
             )
             return "defer" if placed else "spill"
 
@@ -524,7 +520,7 @@ class InLayerMapper:
             degree = self._degree
             seed = a if degree[a] >= degree[b] else b
             near = self._hints.get(seed, self._hints.get(a, self._hints.get(b)))
-            if not self._place_new_node(seed, graph, near=near, budget_for_edge=False):
+            if not self._place_new_node(seed, near=near, budget_for_edge=False):
                 return "spill"
             a_cur, b_cur = self._is_current(a), self._is_current(b)
 
@@ -532,7 +528,7 @@ class InLayerMapper:
             return self._connect_placed(a, b)
 
         placed_node, new_node = (a, b) if a_cur else (b, a)
-        return self._attach_new(placed_node, new_node, graph)
+        return self._attach_new(placed_node, new_node)
 
     # ------------------------------------------------------------------
     def _connect_placed(self, a: FGNode, b: FGNode) -> Union[str, int]:
@@ -560,14 +556,12 @@ class InLayerMapper:
         self._current.paths.append(path)
         return len(path) - 2  # routing fusions beyond the 1 edge fusion
 
-    def _attach_new(
-        self, placed: FGNode, new: FGNode, graph: nx.Graph
-    ) -> Union[str, int]:
+    def _attach_new(self, placed: FGNode, new: FGNode) -> Union[str, int]:
         """Place *new* adjacent to *placed* (directly or via routing)."""
         if self._node_capacity_left(placed) <= 0:
             # port exhausted by routing overhead; hand to shuffling
             if self._place_new_node(
-                new, graph, near=self.placements[placed].coord, budget_for_edge=False
+                new, near=self.placements[placed].coord, budget_for_edge=False
             ):
                 return "defer"
             return "spill"
@@ -767,7 +761,6 @@ class InLayerMapper:
     def _place_new_node(
         self,
         node: FGNode,
-        graph: nx.Graph,
         near: Optional[Coord],
         budget_for_edge: bool,
     ) -> bool:
@@ -813,22 +806,33 @@ class InLayerMapper:
         return spec.coord[hit]
 
 
-def _bridge_set(graph: nx.Graph) -> Set[Tuple[FGNode, FGNode]]:
-    """Both directions of every bridge of *graph* (iterative low-link DFS).
+#: A fusion-graph adjacency: node -> neighbours (any mapping, such as
+#: :attr:`FusionGraph.adj` or an ``nx.Graph``, in node insertion order).
+Adjacency = Mapping[FGNode, Mapping[FGNode, object]]
 
-    Bridges are a property of the graph, so this holds the same edges as
-    ``nx.bridges`` at a fraction of the constant factor — and
-    :func:`_edge_order` only ever tests membership, so DFS order is
-    irrelevant.
+
+def _bridges_and_components(
+    adj: Adjacency,
+) -> Tuple[Set[Tuple[FGNode, FGNode]], List[List[FGNode]]]:
+    """Both directions of every bridge of *adj*, and its connected
+    components (iterative low-link DFS).
+
+    Components come in the order of their first node, as
+    ``nx.connected_components`` yields them.  Bridges are a property of
+    the graph, so the set holds the same edges as ``nx.bridges`` at a
+    fraction of the constant factor — and :func:`_edge_order` only ever
+    tests membership, so DFS order is irrelevant.
     """
     index: Dict[FGNode, int] = {}
     low: Dict[FGNode, int] = {}
     bridges: Set[Tuple[FGNode, FGNode]] = set()
+    components: List[List[FGNode]] = []
     counter = 0
-    adj = graph.adj
-    for root in graph.nodes():
+    for root in adj:
         if root in index:
             continue
+        component = [root]
+        components.append(component)
         index[root] = low[root] = counter
         counter += 1
         stack = [(root, root, iter(adj[root]))]
@@ -839,6 +843,7 @@ def _bridge_set(graph: nx.Graph) -> Set[Tuple[FGNode, FGNode]]:
                 if nbr not in index:
                     index[nbr] = low[nbr] = counter
                     counter += 1
+                    component.append(nbr)
                     stack.append((nbr, node, iter(adj[nbr])))
                     descended = True
                     break
@@ -853,41 +858,34 @@ def _bridge_set(graph: nx.Graph) -> Set[Tuple[FGNode, FGNode]]:
                     if low[node] > index[pnode]:
                         bridges.add((pnode, node))
                         bridges.add((node, pnode))
-    return bridges
+    return bridges, components
 
 
-def _edge_order(graph: nx.Graph) -> List[Tuple[FGNode, FGNode]]:
+def _edge_order(adj: Adjacency) -> List[Tuple[FGNode, FGNode]]:
     """Cycle-prioritized BFS edge order (Sec. 6).
 
     Edges on cycles come before bridges at each BFS step, because tree
     edges are flexible and can be mapped around a committed cycle layout.
     """
-    if graph.number_of_edges() == 0:
+    degree: Dict[FGNode, int] = {v: len(adj[v]) for v in adj}
+    if not any(degree.values()):
         return []
-    bridge_pairs = _bridge_set(graph)
-    degree: Dict[FGNode, int] = dict(graph.degree())
+    bridge_pairs, components = _bridges_and_components(adj)
     order: List[Tuple[FGNode, FGNode]] = []
     # edge u-w was emitted already iff w was expanded before u
     expanded: Set[FGNode] = set()
     visited: Set[FGNode] = set()
-    components = sorted(
-        nx.connected_components(graph), key=len, reverse=True
-    )
-    for comp in components:
+    for comp in sorted(components, key=len, reverse=True):
         start = max(comp, key=lambda v: (degree[v], v))
         visited.add(start)
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            nbrs = sorted(
-                graph.neighbors(u),
-                key=lambda w: (
-                    (u, w) in bridge_pairs,  # cycle edges first
-                    -degree[w],
-                    w,
-                ),
-            )
-            for w in nbrs:
+            # cycle edges first, then by degree; w itself breaks ties
+            keyed = sorted([
+                ((u, w) in bridge_pairs, -degree[w], w) for w in adj[u]
+            ])
+            for _, _, w in keyed:
                 if w not in expanded:
                     order.append((u, w))
                 if w not in visited:

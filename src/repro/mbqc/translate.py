@@ -20,7 +20,7 @@ from typing import Dict, Set
 import networkx as nx
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.library import to_jcz
+from repro.circuit.library import jcz_ops
 from repro.mbqc.pattern import MeasurementPattern
 from repro.utils.angles import normalize_angle
 
@@ -30,20 +30,21 @@ def circuit_to_pattern(circuit: Circuit, simplify: bool = True) -> MeasurementPa
 
     The resulting pattern, executed on input nodes holding ``|0...0>``,
     produces the circuit's output state on its output nodes up to the
-    recorded Pauli byproducts (see :mod:`repro.sim.pattern_sim`).
+    recorded Pauli byproducts (see :mod:`repro.sim.pattern_sim`).  It
+    consumes the ``{j, cz}`` op tuples of :func:`jcz_ops` directly.
+
+    >>> from repro.circuit.circuit import Circuit
+    >>> pattern = circuit_to_pattern(Circuit(2).h(0).cx(0, 1))
+    >>> pattern.num_nodes, pattern.num_edges, pattern.outputs
+    (5, 4, (2, 4))
     """
-    jcz = to_jcz(circuit, simplify=simplify)
     n = circuit.num_qubits
 
     graph = nx.Graph()
-    cur: Dict[int, int] = {}
-    wire_of: Dict[int, int] = {}
-    next_node = 0
-    for wire in range(n):
-        graph.add_node(next_node)
-        cur[wire] = next_node
-        wire_of[next_node] = wire
-        next_node += 1
+    graph.add_nodes_from(range(n))
+    cur: Dict[int, int] = {wire: wire for wire in range(n)}
+    wire_of: Dict[int, int] = dict(cur)
+    next_node = n
     inputs = tuple(range(n))
 
     # Pending byproducts per live node, as XOR-sets of measured sources.
@@ -55,39 +56,33 @@ def circuit_to_pattern(circuit: Circuit, simplify: bool = True) -> MeasurementPa
     z_deps: Dict[int, frozenset] = {}
     sequence = []
 
-    for gate in jcz:
-        if gate.name == "j":
-            wire = gate.qubits[0]
-            alpha = gate.params[0]
+    for name, qubits, alpha in jcz_ops(circuit, simplify=simplify):
+        if name == "j":
+            wire = qubits[0]
             u = cur[wire]
             v = next_node
             next_node += 1
-            graph.add_node(v)
+            # v is fresh, so the E_{uv} toggle always adds the edge
+            graph.add_edge(u, v)
             wire_of[v] = wire
-            pend_x[v] = set()
-            pend_z[v] = set()
-            _toggle_edge(graph, u, v)
             # E_{uv} commutation: a pending X on u becomes a Z on v.
-            pend_z[v] ^= pend_x[u]
+            pend_z[v] = set(pend_x[u])
             # Measure u at nominal angle -alpha, absorbing u's pendings
             # into its dependency sets.
             angles[u] = normalize_angle(-alpha)
-            x_deps[u] = frozenset(pend_x[u])
-            z_deps[u] = frozenset(pend_z[u])
+            x_deps[u] = frozenset(pend_x.pop(u))
+            z_deps[u] = frozenset(pend_z.pop(u))
             sequence.append(u)
-            del pend_x[u], pend_z[u]
             # New byproduct: X^{s_u} on the successor node.
-            pend_x[v] ^= {u}
+            pend_x[v] = {u}
             cur[wire] = v
-        elif gate.name == "cz":
-            a, b = gate.qubits
+        else:  # cz
+            a, b = qubits
             u, w = cur[a], cur[b]
             _toggle_edge(graph, u, w)
             # CZ commutation: pending X on one side becomes Z on the other.
             pend_z[w] ^= pend_x[u]
             pend_z[u] ^= pend_x[w]
-        else:  # pragma: no cover - to_jcz guarantees {j, cz}
-            raise ValueError(f"unexpected gate {gate} in J/CZ circuit")
 
     outputs = tuple(cur[wire] for wire in range(n))
     output_x = {v: frozenset(pend_x[v]) for v in outputs}

@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from repro.circuit import Circuit
+from repro.core.fusion_graph import FusionGraph
 
 
 def random_circuit(
@@ -36,6 +38,16 @@ def random_circuit(
             else:
                 circuit.add(gate, *qubits)
     return circuit
+
+
+def fusion_graph_of(graph: nx.Graph) -> FusionGraph:
+    """A chainless :class:`FusionGraph` over *graph*'s adjacency, in its
+    node and neighbour order; an edge without a ``kind`` is an 'edge'."""
+    adj = {
+        u: {v: data.get("kind", "edge") for v, data in nbrs.items()}
+        for u, nbrs in graph.adj.items()
+    }
+    return FusionGraph(adj=adj, chains={}, port_of={})
 
 
 @pytest.fixture

@@ -396,7 +396,7 @@ class InLayerMapper:
         the coordinates of cross-partition counterparts so that shuffle
         paths between partitions stay short).
         """
-        graph = fusion.graph
+        graph = fusion.to_networkx()
         self._hints = hints or {}
         self._open_layer()
         start_layer = len(self.layers) - 1

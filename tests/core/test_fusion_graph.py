@@ -44,7 +44,7 @@ class TestChainSynthesis:
     def test_chain_edges_marked(self):
         g = nx.star_graph(4)
         fg = fg_for(g)
-        kinds = [d["kind"] for _, _, d in fg.graph.edges(data=True)]
+        kinds = [d["kind"] for _, _, d in fg.to_networkx().edges(data=True)]
         assert kinds.count("chain") == fg.synthesis_fusions
         assert kinds.count("edge") == fg.edge_fusions
 
@@ -106,13 +106,13 @@ class TestPlanarityPreservation:
         g = nx.wheel_graph(8)  # planar with a high-degree hub
         fg = fg_for(g)
         assert fg.planar
-        ok, _ = nx.check_planarity(fg.graph, counterexample=False)
+        ok, _ = nx.check_planarity(fg.to_networkx(), counterexample=False)
         assert ok
 
     def test_grid_stays_planar(self):
         g = nx.grid_2d_graph(4, 4)
         fg = fg_for(g)
-        ok, _ = nx.check_planarity(fg.graph, counterexample=False)
+        ok, _ = nx.check_planarity(fg.to_networkx(), counterexample=False)
         assert ok
 
     def test_embedding_disabled(self):

@@ -25,10 +25,11 @@ class TestEdgeOrder:
     def test_covers_all_edges(self):
         g = nx.wheel_graph(7)
         fg = fg_of(g)
-        order = _edge_order(fg.graph)
-        assert len(order) == fg.graph.number_of_edges()
+        graph = fg.to_networkx()
+        order = _edge_order(fg.adj)
+        assert len(order) == graph.number_of_edges()
         assert {frozenset(e) for e in order} == {
-            frozenset(e) for e in fg.graph.edges()
+            frozenset(e) for e in graph.edges()
         }
 
     def test_cycle_edges_before_bridges(self):
@@ -87,7 +88,7 @@ class TestBasicMapping:
         fg = fg_of(g)
         mapper = InLayerMapper((12, 12), THREE_LINE)
         mapper.map_fusion_graph(fg)
-        assert set(mapper.placements) == set(fg.graph.nodes())
+        assert set(mapper.placements) == set(fg.adj)
 
     def test_isolated_nodes_placed(self):
         g = nx.Graph()
@@ -237,7 +238,7 @@ class TestRoutedSearchBound:
             return full_search(start, needed, radius)
 
         mapper._routed_targets = spy
-        outcome = mapper._attach_new(self.ANCHOR, self.NEW, nx.Graph())
+        outcome = mapper._attach_new(self.ANCHOR, self.NEW)
         return outcome, radii
 
     @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ import pytest
 import repro.core.compiler as compiler_mod
 from repro.circuit.benchmarks import get_benchmark
 from repro.core.compiler import OneQCompiler, OneQConfig
-from repro.core.fusion_graph import FusionGraph
 from repro.core.mapping import Coord, FGNode, InLayerMapper
 from repro.core.partition import (
     GraphPartition,
@@ -30,6 +29,7 @@ from repro.eval.experiments import _hardware_for
 from repro.hardware.resource_state import THREE_LINE
 from repro.mbqc.flow import rank_layers, scheduling_ranks
 from repro.mbqc.translate import circuit_to_pattern
+from tests.conftest import fusion_graph_of
 
 GRID_16 = [("QFT", 16), ("QAOA", 16), ("RCA", 16), ("BV", 16)]
 #: non-default cost weights: they move the bound of the pruned
@@ -122,16 +122,16 @@ class ReferenceMapper(InLayerMapper):
             self._remaining = saved
         return score
 
-    def _attach_new(self, placed: FGNode, new: FGNode, graph: nx.Graph):
+    def _attach_new(self, placed: FGNode, new: FGNode):
         if self._node_capacity_left(placed) <= 0:
             if self._place_new_node(
-                new, graph, near=self.placements[placed].coord,
+                new, near=self.placements[placed].coord,
                 budget_for_edge=False,
             ):
                 return "defer"
             return "spill"
         cp = self.placements[placed].coord
-        degree = graph.degree(new)
+        degree = self._degree[new]
         after = {
             placed: self._remaining.get(placed, 0) - 1,
             new: degree - 1,
@@ -306,15 +306,12 @@ class TestMapperEquivalence:
         """Property: identical placements on random fusion graphs."""
         base = nx.gnm_random_graph(20, 24, seed=graph_seed)
         graph = nx.relabel_nodes(base, {v: (v, 0) for v in base.nodes()})
-        fusion = FusionGraph(graph=graph, chains={}, port_of={})
         results = []
         for cls in (ReferenceMapper, InLayerMapper):
             mapper = cls(
                 shape=(10, 10), resource_state=THREE_LINE, alpha=alpha
             )
-            out = mapper.map_fusion_graph(
-                FusionGraph(graph=fusion.graph.copy(), chains={}, port_of={})
-            )
+            out = mapper.map_fusion_graph(fusion_graph_of(graph))
             results.append((mapper, out))
         (ref_mapper, ref), (opt_mapper, opt) = results
         assert opt_mapper.placements == ref_mapper.placements

@@ -26,7 +26,7 @@ import reference_shuffling
 import repro.core.mapping as packed_mapping
 import repro.core.shuffling as packed_shuffling
 from repro.circuit.benchmarks import get_benchmark
-from repro.core.fusion_graph import FusionGraph, build_fusion_graph
+from repro.core.fusion_graph import build_fusion_graph
 from repro.core.partition import (
     PartitionConfig,
     partition_pattern,
@@ -36,6 +36,7 @@ from repro.core.partition import (
 from repro.eval.experiments import _hardware_for
 from repro.hardware.resource_state import THREE_LINE
 from repro.mbqc.translate import circuit_to_pattern
+from tests.conftest import fusion_graph_of
 
 Coord = Tuple[int, int]
 
@@ -186,9 +187,7 @@ def _map_raw_graph(mapping_mod, graph: nx.Graph, shape: Coord, alpha=None):
     mapper = mapping_mod.InLayerMapper(
         shape=shape, resource_state=THREE_LINE, alpha=alpha
     )
-    result = mapper.map_fusion_graph(
-        FusionGraph(graph=graph.copy(), chains={}, port_of={})
-    )
+    result = mapper.map_fusion_graph(fusion_graph_of(graph))
     snap = _mapper_snapshot(mapper)
     snap["tally"] = (
         result.synthesis_fusions,

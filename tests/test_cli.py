@@ -144,6 +144,56 @@ class TestCommands:
         assert "[cache]" in capsys.readouterr().out
 
 
+class TestInvalidInput:
+    """Bad input to the circuit commands is a usage error: exit 2 and a
+    one-line message on stderr, never a traceback."""
+
+    CASES = [
+        (["--benchmark", "FOO"], "unknown benchmark 'FOO'"),
+        (["--qubits", "0"], "argument --qubits: must be at least 1, got 0"),
+        (["--qubits", "-3"], "argument --qubits: must be at least 1, got -3"),
+        (["--qasm", "/no/such/dir/circuit.qasm"], "No such file or directory"),
+    ]
+    HARDWARE_CASES = [
+        (["--rows", "1", "--cols", "1"], "extended layer (1x1) must be at least 2x2"),
+        (["--extension", "0"], "extension must be at least 1"),
+        (["--max-delay", "-1"], "max_delay must be at least 1"),
+    ]
+
+    @staticmethod
+    def _usage_error(argv, capsys) -> str:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return captured.err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("command", ["compile", "baseline", "export", "lint"])
+    @pytest.mark.parametrize("extra,message", CASES)
+    def test_circuit_input(self, command, extra, message, capsys):
+        line = self._usage_error([command, *extra], capsys)
+        assert "error:" in line and message in line
+
+    @pytest.mark.parametrize("extra,message", HARDWARE_CASES)
+    def test_compile_hardware(self, extra, message, capsys):
+        argv = ["compile", "--benchmark", "BV", "--qubits", "4", *extra]
+        line = self._usage_error(argv, capsys)
+        assert "error: compile:" in line and message in line
+
+    @pytest.mark.parametrize("extra,message", HARDWARE_CASES)
+    def test_lint_compile_hardware(self, extra, message, capsys):
+        argv = ["lint", "--compile", "--benchmark", "BV", "--qubits", "4", *extra]
+        line = self._usage_error(argv, capsys)
+        assert "error: lint:" in line and message in line
+
+    def test_malformed_qasm(self, tmp_path, capsys):
+        path = tmp_path / "bad.qasm"
+        path.write_text("OPENQASM 2.0;\nqreg q[2];\nfoo q[0];\n")
+        line = self._usage_error(["compile", "--qasm", str(path)], capsys)
+        assert "error: compile:" in line
+
+
 class TestServeCLI:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])

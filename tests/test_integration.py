@@ -51,7 +51,7 @@ class TestFusionStrategyBuildsGraphState:
         assert ok, msg
 
         big = nx.Graph()
-        index = {n: i for i, n in enumerate(sorted(fg.graph.nodes()))}
+        index = {n: i for i, n in enumerate(sorted(fg.adj))}
         for fg_node, idx in index.items():
             base = idx * 10_000
             for u, v in THREE_LINE.edges:

@@ -215,5 +215,16 @@ class TestFusionGraphDigests:
     def test_timed_row(self, fusion_graphs, label):
         lines = []
         for fusion in fusion_graphs[label]:
-            lines.extend(_fusion_lines(fusion, _nx_adjacency(fusion.graph)))
+            lines.extend(_fusion_lines(fusion, fusion.adj))
+        assert _sha(lines) == FUSION_DIGESTS[label]
+
+    @pytest.mark.parametrize(
+        "label", [f"{name}-{qubits}" for name, qubits in TIMED_ROWS]
+    )
+    def test_networkx_view_of_timed_row(self, fusion_graphs, label):
+        """``to_networkx`` rebuilds the same node, neighbour and kind order."""
+        lines = []
+        for fusion in fusion_graphs[label]:
+            graph = _nx_adjacency(fusion.to_networkx())
+            lines.extend(_fusion_lines(fusion, graph))
         assert _sha(lines) == FUSION_DIGESTS[label]
