@@ -20,7 +20,7 @@ of a planar embedding, which keeps the fusion graph planar (Fig. 9).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -67,15 +67,15 @@ class FusionGraph:
     def to_networkx(self) -> nx.Graph:
         """The fusion graph as an ``nx.Graph`` with a ``kind`` per edge.
 
-        Node order and every node's neighbour order equal :attr:`adj`:
-        all chain links are added before any edge fusion, and each kind
-        in node order, so every edge joins its endpoints' neighbour
-        lists where :func:`build_fusion_graph` put it.
+        For any graph :func:`build_fusion_graph` returns, node order and
+        every node's neighbour order equal :attr:`adj`: adding all chain
+        links before any edge fusion, each kind in node order, replays
+        the order in which it filled the adjacency.
         """
         graph = nx.Graph()
         graph.add_nodes_from(self.adj)
         for kind in ("chain", "edge"):
-            done = set()
+            done: Set[FGNode] = set()
             for u, nbrs in self.adj.items():
                 done.add(u)
                 graph.add_edges_from(

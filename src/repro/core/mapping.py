@@ -885,7 +885,7 @@ def _edge_order(adj: Adjacency) -> List[Tuple[FGNode, FGNode]]:
             keyed = sorted([
                 ((u, w) in bridge_pairs, -degree[w], w) for w in adj[u]
             ])
-            for _, _, w in keyed:
+            for *_, w in keyed:
                 if w not in expanded:
                     order.append((u, w))
                 if w not in visited:
