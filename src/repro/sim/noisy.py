@@ -89,7 +89,11 @@ from repro.sim.stabilizer import StabilizerState, non_clifford_gate_counts
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compiler import CompiledProgram
 
-#: Faulty shots per frame-engine chunk.  Frames pack 64 shots per
+#: Shots per block, for both the fault draw and the frame engine.  The
+#: draw samples each per-shot channel this many shots at a time and
+#: reduces every block at once into narrow per-shot counts, so its
+#: transients stay at a few MB however many shots run.  Faulty shots run
+#: on the frame engine in chunks of this size: frames pack 64 shots per
 #: uint64 word, and each measurement step costs a handful of word-vector
 #: XORs regardless of chunk size — so much larger chunks amortize the
 #: per-step Python dispatch; 64k shots is ~1k words, i.e.
@@ -103,9 +107,10 @@ FRAME_CHUNK_SHOTS = 1 << 16
 _RateGroups = Tuple[Tuple[float, int], ...]
 
 #: Random-key matrix budget (elements) per block when placing distinct
-#: measurement-flip slots; bounds peak memory at ~32 MB of float64 keys
-#: however many shots carry flips.
-_FLIP_KEY_BLOCK = 1 << 22
+#: measurement-flip slots.  Each element costs 8 B of float64 key, 8 B
+#: of int64 argsort index and 1 B of selection mask, so a block's
+#: transient stays at ~4.5 MB however many shots carry flips.
+_FLIP_KEY_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -282,6 +287,10 @@ class _FaultDraw:
     flip_qubit)`` entries place each executed shot's Pauli faults and
     measurement flips on tableau qubits; shot indices run over the
     executed shots and are sorted.
+
+    The arrays hold one entry per fault, in narrow dtypes: shot indices
+    are ``int32`` (``int64`` past 2**31 - 1 shots), qubits the smallest
+    unsigned type that holds a tableau qubit index, kinds ``uint8``.
     """
 
     shots: int
@@ -527,7 +536,11 @@ class NoisySampler:
         )
 
     def _place_flips(
-        self, n_meas: np.ndarray, rng: np.random.Generator
+        self,
+        n_meas: np.ndarray,
+        rng: np.random.Generator,
+        shot_dtype: np.dtype,
+        qubit_dtype: np.dtype,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Place each faulty shot's erring-measurement slots, in bulk.
 
@@ -545,12 +558,9 @@ class NoisySampler:
         """
         readout = np.zeros(n_meas.size, dtype=bool)
         rows = np.flatnonzero(n_meas)
-        if rows.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return readout, empty, empty
+        shot_parts = [np.zeros(0, dtype=shot_dtype)]
+        qubit_parts = [np.zeros(0, dtype=qubit_dtype)]
         m_slots = self.counts.measurements
-        shot_parts = []
-        qubit_parts = []
         block = max(1, _FLIP_KEY_BLOCK // max(1, m_slots))
         for start in range(0, rows.size, block):
             sub = rows[start : start + block]
@@ -563,13 +573,9 @@ class NoisySampler:
             np.logical_or.at(block_readout, local, self._slot_readout[slots])
             readout[sub] = block_readout
             keep = ~block_readout[local]
-            shot_parts.append(sub[local[keep]])
-            qubit_parts.append(slots[keep])
-        return (
-            readout,
-            np.concatenate(shot_parts),
-            np.concatenate(qubit_parts),
-        )
+            shot_parts.append(sub[local[keep]].astype(shot_dtype))
+            qubit_parts.append(slots[keep].astype(qubit_dtype))
+        return readout, np.concatenate(shot_parts), np.concatenate(qubit_parts)
 
     # ------------------------------------------------------------------
     def _draw_faults(self, shots: int, rng: np.random.Generator) -> _FaultDraw:
@@ -578,48 +584,89 @@ class NoisySampler:
         Execution never feeds back into sampling, so the tally of any
         executor consuming this draw cannot depend on how it executes
         or chunks the faulty shots.
+
+        Every per-shot channel is drawn ``FRAME_CHUNK_SHOTS`` shots at a
+        time, channel by channel and rate group by rate group, each
+        block reduced at once: loss to a "lost" flag, fusion errors and
+        measurement flips to counts in the narrowest unsigned dtype that
+        holds the channel's event total, retries to a running sum.
+        Consecutive blocks of one distribution call return exactly the
+        values of a single ``size=shots`` call and leave the generator
+        in the same state, so the stream — and every tally — does not
+        depend on the block size.  Memory is ~3 B per shot while the
+        channels are drawn and ~7 B per placed fault after.
         """
         if shots <= 0:
             raise ValueError("shots must be positive")
+        blocks = [
+            (lo, min(lo + FRAME_CHUNK_SHOTS, shots))
+            for lo in range(0, shots, FRAME_CHUNK_SHOTS)
+        ]
 
-        def event_counts(groups: _RateGroups) -> np.ndarray:
+        def event_counts(groups: _RateGroups, total: int) -> np.ndarray:
             # Poisson-binomial draw: one binomial per rate group
-            out = np.zeros(shots, dtype=np.int64)
+            out = np.zeros(shots, dtype=np.min_scalar_type(total))
             for rate, events in groups:
                 if rate > 0.0:
-                    out += rng.binomial(events, min(rate, 1.0), size=shots)
+                    for lo, hi in blocks:
+                        drawn = rng.binomial(
+                            events, min(rate, 1.0), size=hi - lo
+                        )
+                        out[lo:hi] += drawn.astype(out.dtype)
             return out
 
-        losses = event_counts(self._loss_groups)
-        fusion_errors = event_counts(self._error_groups)
-        meas_errors = event_counts(self._meas_groups)
-        # repeat-until-success: each fusion's retries are geometric
-        attempts = np.full(shots, self.counts.fusions, dtype=np.int64)
+        # a lost photon aborts the shot whatever else it drew
+        lost = np.zeros(shots, dtype=bool)
+        for rate, events in self._loss_groups:
+            if rate > 0.0:
+                for lo, hi in blocks:
+                    lost[lo:hi] |= (
+                        rng.binomial(events, min(rate, 1.0), size=hi - lo) > 0
+                    )
+        fusion_errors = event_counts(self._error_groups, self.counts.fusions)
+        meas_errors = event_counts(self._meas_groups, self.counts.measurements)
+        loss_aborts = int(lost.sum())
+        # repeat-until-success: each fusion's retries are geometric.
+        # Loss-aborted shots stop before their fusion sequence, so only
+        # the retries of the shots that ran count.
+        fusion_attempts = self.counts.fusions * (shots - loss_aborts)
         for rate, events in self._success_groups:
             if rate < 1.0:  # init rejects 0-success fusions
-                attempts += rng.negative_binomial(events, rate, size=shots)
+                for lo, hi in blocks:
+                    retries = rng.negative_binomial(events, rate, size=hi - lo)
+                    fusion_attempts += int(retries.sum(where=~lost[lo:hi]))
 
-        # shot classification is pure mask algebra: a lost shot aborts
-        # whatever else it drew, and a shot with zero non-loss events is
-        # tally-only — neither costs a Python iteration
-        loss_mask = losses > 0
-        faulty_mask = ~loss_mask & ((fusion_errors > 0) | (meas_errors > 0))
-        loss_aborts = int(loss_mask.sum())
-        fault_free = int(shots - loss_aborts - faulty_mask.sum())
+        # shot classification is pure mask algebra: a shot with zero
+        # non-loss events is tally-only — neither class costs a Python
+        # iteration.  Only the faulty rows' counts outlive this step.
+        faulty = (fusion_errors > 0) | (meas_errors > 0)
+        faulty &= ~lost
+        fault_free = shots - loss_aborts - int(faulty.sum())
+        n_fus = fusion_errors[faulty]
+        n_meas = meas_errors[faulty]
+        del lost, fusion_errors, meas_errors, faulty
 
         # fault placement for every faulty shot, in bulk
-        n_fus = fusion_errors[faulty_mask]
-        fault_shot = np.repeat(np.arange(n_fus.size), n_fus)
-        fault_qubit = rng.integers(0, self._base.n, size=fault_shot.size)
-        fault_kind = rng.integers(0, 3, size=fault_shot.size)  # "xyz" index
+        shot_dtype = np.dtype(
+            np.int32 if shots <= np.iinfo(np.int32).max else np.int64
+        )
+        qubit_dtype = np.min_scalar_type(self._base.n - 1)
+        fault_shot = np.repeat(np.arange(n_fus.size, dtype=shot_dtype), n_fus)
+        fault_qubit = np.empty(fault_shot.size, dtype=qubit_dtype)
+        fault_kind = np.empty(fault_shot.size, dtype=np.uint8)  # "xyz" index
+        for out, high in ((fault_qubit, self._base.n), (fault_kind, 3)):
+            for lo in range(0, out.size, FRAME_CHUNK_SHOTS):
+                hi = min(lo + FRAME_CHUNK_SHOTS, out.size)
+                out[lo:hi] = rng.integers(0, high, size=hi - lo)
         readout, flip_shot, flip_qubit = self._place_flips(
-            meas_errors[faulty_mask], rng
+            n_meas, rng, shot_dtype, qubit_dtype
         )
 
         # a flipped output readout is classically wrong whatever the
         # quantum state, so those shots skip execution outright
         readout_failures = int(readout.sum())
-        position = np.cumsum(~readout) - 1  # faulty row -> executed slot
+        # faulty row -> executed slot
+        position = np.cumsum(~readout, dtype=shot_dtype) - 1
         keep = ~readout[fault_shot]
         return _FaultDraw(
             shots=shots,
@@ -627,9 +674,7 @@ class NoisySampler:
             loss_aborts=loss_aborts,
             readout_failures=readout_failures,
             executed=n_fus.size - readout_failures,
-            # loss-aborted shots stop before their fusion sequence, so
-            # their pre-sampled attempt counts never happened
-            fusion_attempts=int(attempts[losses == 0].sum()),
+            fusion_attempts=fusion_attempts,
             fault_shot=position[fault_shot[keep]],
             fault_qubit=fault_qubit[keep],
             fault_kind=fault_kind[keep],
@@ -658,7 +703,17 @@ class NoisySampler:
     def run(self, shots: int) -> NoisySampleResult:
         """Sample and execute *shots* (> 0) noisy shots; returns the
         tally.  Faulty shots run on the frame engine in chunks of
-        :data:`FRAME_CHUNK_SHOTS`."""
+        :data:`FRAME_CHUNK_SHOTS`.
+
+        The tally is a pure function of the arguments and the seed; this
+        run draws its faults in two blocks:
+
+        >>> from repro.circuit import get_benchmark
+        >>> result = NoisySampler(get_benchmark("BV", 4), seed=7).run(70_000)
+        >>> (result.successes, result.fault_free, result.loss_aborts,
+        ...  result.logical_failures, result.executed, result.fusion_attempts)
+        (67267, 64925, 585, 2148, 4262, 555340)
+        """
         t0 = time.perf_counter()
         draw = self._draw_faults(shots, np.random.default_rng(self.seed))
         passed = 0

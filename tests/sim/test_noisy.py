@@ -479,6 +479,30 @@ class TestFaultDraw:
         with pytest.raises(ValueError, match="shots must be positive"):
             sampler._run_per_shot(0)
 
+    def test_draw_memory_grows_with_faults_not_shots(self):
+        """The per-shot channels are drawn in blocks into narrow counts:
+        a million BV-16 shots trace well under the ~60 MiB of
+        full-length int64 per-shot arrays."""
+        import tracemalloc
+
+        sampler = NoisySampler(get_benchmark("BV", 16, seed=7), seed=7)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            sampler.run(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    def test_draw_dtypes_are_narrow(self):
+        import numpy as np
+
+        faults = draw(NoisySampler(get_benchmark("BV", 10), model=HEAVY), 500)
+        assert faults.fault_shot.dtype == faults.flip_shot.dtype == np.int32
+        assert faults.fault_qubit.dtype == faults.flip_qubit.dtype == np.uint8
+        assert faults.fault_kind.dtype == np.uint8
+
 
 class TestEstimateYield:
     def test_clifford_runs_monte_carlo(self):
