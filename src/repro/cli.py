@@ -55,14 +55,45 @@ class _UsageError(Exception):
     error (exit 2, one line) instead of a traceback."""
 
 
-def _qubit_count(text: str) -> int:
+def _int_at_least(text: str, minimum: int, rule: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"{rule}, got {value}")
     return value
+
+
+def _qubit_count(text: str) -> int:
+    return _int_at_least(text, 1, "must be at least 1")
+
+
+def _shot_count(text: str) -> int:
+    return _int_at_least(text, 0, "must be a non-negative integer")
+
+
+def _probability(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, 1], got {text}"
+        )
+    return value
+
+
+def _sweep_circuits(names: List[str], qubits: int, seed: int) -> list:
+    """Build every swept benchmark up front, so a bad name or size is a
+    usage error instead of a failed sweep."""
+    try:
+        return [get_benchmark(name, qubits, seed=seed) for name in names]
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _load_circuit(args) -> tuple:
@@ -413,7 +444,18 @@ def cmd_noise_sweep(args) -> int:
     import pathlib
 
     from repro import eval as evaluation
+    from repro.sim.stabilizer import circuit_is_clifford
 
+    circuits = _sweep_circuits(args.benchmarks, args.qubits, args.seed)
+    if (
+        args.shots
+        and 0.0 in args.fusion_success
+        and any(map(circuit_is_clifford, circuits))
+    ):
+        raise _UsageError(
+            "--fusion-success 0 cannot be sampled (repeat-until-success "
+            "never terminates); use --shots 0 for the closed form only"
+        )
     benchmarks = [(name, args.qubits) for name in args.benchmarks]
     out_dir = pathlib.Path(args.out)
     records = evaluation.run_noise_sweep(
@@ -445,6 +487,7 @@ def cmd_degrade_sweep(args) -> int:
         severities = [0.0, 0.1, 0.3]
         shots = 0
     else:
+        _sweep_circuits(args.benchmarks, args.qubits, args.seed)
         benchmarks = [(name, args.qubits) for name in args.benchmarks]
         severities = args.severities
         shots = args.shots
@@ -660,18 +703,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--benchmarks", nargs="+", default=["QFT", "QAOA", "RCA", "BV"],
         help="benchmark names to sweep (QFT|QAOA|RCA|BV)",
     )
-    p.add_argument("--qubits", type=int, default=16)
+    p.add_argument("--qubits", type=_qubit_count, default=16)
     p.add_argument(
-        "--shots", type=int, default=2000,
+        "--shots", type=_shot_count, default=2000,
         help="Monte-Carlo shots per noise point (>=2000 recommended)",
     )
     p.add_argument(
-        "--fusion-success", type=float, nargs="+", default=[0.5, 0.75],
+        "--fusion-success", type=_probability, nargs="+",
+        default=[0.5, 0.75],
         help="fusion success probabilities to sweep (0.5 bare, "
         "0.75 boosted)",
     )
     p.add_argument(
-        "--cycle-loss", type=float, nargs="+", default=[0.001, 0.01],
+        "--cycle-loss", type=_probability, nargs="+",
+        default=[0.001, 0.01],
         help="per-photon per-clock-cycle delay-line loss probabilities",
     )
     p.add_argument(
@@ -701,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--benchmarks", nargs="+", default=["BV", "QFT"],
         help="benchmark names to sweep (QFT|QAOA|RCA|BV)",
     )
-    p.add_argument("--qubits", type=int, default=8)
+    p.add_argument("--qubits", type=_qubit_count, default=8)
     p.add_argument(
         "--scenarios", nargs="+",
         default=["dead-rsg", "loss-gradient", "loss-hotspot",
@@ -711,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="degradation scenarios to sweep",
     )
     p.add_argument(
-        "--severities", type=float, nargs="+",
+        "--severities", type=_probability, nargs="+",
         default=[0.0, 0.05, 0.1, 0.2, 0.3],
         help="scenario severities in [0, 1] (0 = pristine control row)",
     )
@@ -723,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
         "('auto' walks the ladder and records the winner)",
     )
     p.add_argument(
-        "--shots", type=int, default=0,
+        "--shots", type=_shot_count, default=0,
         help="Monte-Carlo shots sampling the recovered program under "
         "the per-site map (0 = analytic-only; Clifford benchmarks "
         "only)",
