@@ -81,9 +81,7 @@ def _probability(text: str) -> float:
             f"invalid float value: {text!r}"
         ) from None
     if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"must be in [0, 1], got {text}"
-        )
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
     return value
 
 

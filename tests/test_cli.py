@@ -194,41 +194,38 @@ class TestInvalidInput:
         assert "error: compile:" in line
 
     SWEEP_CASES = [
-        (["--shots", "-5"], "argument --shots: must be a non-negative integer, got -5"),
-        (["--qubits", "0"], "argument --qubits: must be at least 1, got 0"),
-        (["--benchmarks", "FOO"], "unknown benchmark 'FOO'"),
-        (["--benchmarks", "RCA", "--qubits", "2"], "needs at least 4 qubits"),
+        *(
+            (command, extra, message)
+            for command in ("noise-sweep", "degrade-sweep")
+            for extra, message in [
+                (["--shots", "-5"],
+                 "argument --shots: must be a non-negative integer, got -5"),
+                (["--qubits", "0"],
+                 "argument --qubits: must be at least 1, got 0"),
+                (["--benchmarks", "FOO"], "unknown benchmark 'FOO'"),
+                (["--benchmarks", "RCA", "--qubits", "2"],
+                 "needs at least 4 qubits"),
+            ]
+        ),
+        ("noise-sweep", ["--fusion-success", "1.5"],
+         "argument --fusion-success: must be in [0, 1], got 1.5"),
+        ("noise-sweep", ["--fusion-success", "nan"],
+         "argument --fusion-success: must be in [0, 1], got nan"),
+        ("noise-sweep", ["--cycle-loss", "-0.1"],
+         "argument --cycle-loss: must be in [0, 1], got -0.1"),
+        ("noise-sweep", ["--cycle-loss", "lots"],
+         "argument --cycle-loss: invalid float value: 'lots'"),
+        ("degrade-sweep", ["--severities", "1.5"],
+         "argument --severities: must be in [0, 1], got 1.5"),
+        ("degrade-sweep", ["--severities", "-0.2"],
+         "argument --severities: must be in [0, 1], got -0.2"),
+        ("noise-sweep", ["--fusion-success", "0", "--shots", "10"],
+         "--fusion-success 0 cannot be sampled"),
     ]
 
-    @pytest.mark.parametrize("command", ["noise-sweep", "degrade-sweep"])
-    @pytest.mark.parametrize("extra,message", SWEEP_CASES)
+    @pytest.mark.parametrize("command,extra,message", SWEEP_CASES)
     def test_sweep_input(self, command, extra, message, tmp_path, capsys):
         """Checked before any run: no artifacts are written."""
-        out = tmp_path / "out"
-        line = self._usage_error([command, *extra, "--out", str(out)], capsys)
-        assert "error:" in line and message in line
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command,extra,message",
-        [
-            ("noise-sweep", ["--fusion-success", "1.5"],
-             "argument --fusion-success: must be in [0, 1], got 1.5"),
-            ("noise-sweep", ["--fusion-success", "nan"],
-             "argument --fusion-success: must be in [0, 1], got nan"),
-            ("noise-sweep", ["--cycle-loss", "-0.1"],
-             "argument --cycle-loss: must be in [0, 1], got -0.1"),
-            ("noise-sweep", ["--cycle-loss", "lots"],
-             "argument --cycle-loss: invalid float value: 'lots'"),
-            ("degrade-sweep", ["--severities", "1.5"],
-             "argument --severities: must be in [0, 1], got 1.5"),
-            ("degrade-sweep", ["--severities", "-0.2"],
-             "argument --severities: must be in [0, 1], got -0.2"),
-            ("noise-sweep", ["--fusion-success", "0", "--shots", "10"],
-             "--fusion-success 0 cannot be sampled"),
-        ],
-    )
-    def test_sweep_rates(self, command, extra, message, tmp_path, capsys):
         out = tmp_path / "out"
         line = self._usage_error([command, *extra, "--out", str(out)], capsys)
         assert "error:" in line and message in line
