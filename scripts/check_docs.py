@@ -17,7 +17,12 @@ and everything under ``docs/``:
    path under ``src/``, and when the reference carries an attribute
    suffix (``repro.sim.frame.FrameProgram``), the first attribute is
    defined in that module's source — so renaming or deleting a class
-   breaks the doc check, not just deleting the file.
+   breaks the doc check, not just deleting the file;
+4. in ``README.md`` and ``docs/`` (not ``CHANGES.md``, which is
+   history), every inline-code ``repro <cmd>`` and every
+   ``python -m repro <cmd>`` names a subcommand that ``src/repro/cli.py``
+   registers with ``add_parser`` — so a removed subcommand cannot
+   linger in the docs.
 
 Exits non-zero with a per-problem report when anything is broken, so
 docs rot fails CI instead of accumulating.
@@ -25,10 +30,11 @@ docs rot fails CI instead of accumulating.
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import sys
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -37,6 +43,7 @@ DOC_FILES = ["README.md", "PAPER.md", "PAPERS.md", "CHANGES.md"]
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FILE_REF_RE = re.compile(r"`((?:src|docs|tests|benchmarks|scripts|examples)/[\w./-]+)`")
 MODULE_REF_RE = re.compile(r"`(repro(?:\.\w+)+)")
+COMMAND_RE = re.compile(r"(?:`|python -m )repro ([\w-]+)")
 
 
 def doc_paths() -> List[pathlib.Path]:
@@ -46,8 +53,48 @@ def doc_paths() -> List[pathlib.Path]:
     return paths
 
 
-def iter_problems(path: pathlib.Path) -> Iterator[Tuple[int, str]]:
-    """Yield ``(line_number, message)`` problems found in *path*."""
+def cli_subcommands() -> Set[str]:
+    """Subcommand names ``src/repro/cli.py`` registers.
+
+    Read from the source, like the other checks: ``add_parser("name")``
+    literals, and ``add_parser(var)`` inside a ``for var in ("a", ...)``
+    loop over string literals.
+    """
+    tree = ast.parse((ROOT / "src" / "repro" / "cli.py").read_text())
+    loop_values = {
+        node.target.id: [
+            elt.value for elt in node.iter.elts
+            if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+        ]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For)
+        and isinstance(node.target, ast.Name)
+        and isinstance(node.iter, (ast.Tuple, ast.List))
+    }
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_parser"
+            and node.args
+        ):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            names.add(arg.value)
+        elif isinstance(arg, ast.Name):
+            names.update(loop_values.get(arg.id, ()))
+    return names
+
+
+def iter_problems(
+    path: pathlib.Path, commands: Optional[Set[str]] = None
+) -> Iterator[Tuple[int, str]]:
+    """Yield ``(line_number, message)`` problems found in *path*.
+
+    With *commands*, every ``repro <cmd>`` mention must name one of them.
+    """
     text = path.read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         for match in LINK_RE.finditer(line):
@@ -71,6 +118,11 @@ def iter_problems(path: pathlib.Path) -> Iterator[Tuple[int, str]]:
             problem = _module_problem(dotted)
             if problem is not None:
                 yield lineno, problem
+        if commands is None:
+            continue
+        for match in COMMAND_RE.finditer(line):
+            if match.group(1) not in commands:
+                yield lineno, f"unknown subcommand: `repro {match.group(1)}`"
 
 
 def _module_problem(dotted: str) -> "str | None":
@@ -120,8 +172,13 @@ def _defines_name(source_path: pathlib.Path, name: str) -> bool:
 
 def main() -> int:
     problems = 0
+    commands = cli_subcommands()
     for path in doc_paths():
-        for lineno, message in iter_problems(path):
+        # CHANGES.md is history: it may name removed subcommands
+        checked = path.name == "README.md" or ROOT / "docs" in path.parents
+        for lineno, message in iter_problems(
+            path, commands if checked else None
+        ):
             print(f"{path.relative_to(ROOT)}:{lineno}: {message}")
             problems += 1
     if problems:

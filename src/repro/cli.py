@@ -18,10 +18,6 @@ Commands:
   determinism certificate + structural checks; exit 1 on errors);
 * ``serve``    — run the long-lived compile server (async socket
   front-end + worker process pool + two-tier artifact store);
-* ``loadgen``  — drive a compile server with closed-loop load cells
-  and persist the serving table (``serving_table.csv`` +
-  ``BENCH_<label>.json``); ``--spawn`` hosts a throwaway server
-  in-process first;
 * ``export``   — emit a benchmark circuit as OpenQASM 2.0.
 """
 
@@ -65,12 +61,21 @@ def _int_at_least(text: str, minimum: int, rule: str) -> int:
     return value
 
 
-def _qubit_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     return _int_at_least(text, 1, "must be at least 1")
 
 
-def _shot_count(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0, "must be a non-negative integer")
+
+
+def _port(text: str) -> int:
+    """A TCP port; 0 asks the OS for an ephemeral one."""
+    rule = "must be in [0, 65535]"
+    value = _int_at_least(text, 0, rule)
+    if value > 65535:
+        raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+    return value
 
 
 def _probability(text: str) -> float:
@@ -241,21 +246,8 @@ def cmd_bench(args) -> int:
         resource_state=args.resource_state,
         verify=args.verify,
     )
-    reference = None
-    if args.reference:
-        import json
-
-        ref_path = pathlib.Path(args.reference)
-        if not ref_path.exists():
-            print(f"error: reference file not found: {ref_path}", file=sys.stderr)
-            return 2
-        payload = json.loads(ref_path.read_text())
-        reference = payload.get("runs", payload)
     bench_path = evaluation.write_bench_json(
-        records,
-        out_dir / f"BENCH_{args.label}.json",
-        label=args.label,
-        reference=reference,
+        records, out_dir / f"BENCH_{args.label}.json", label=args.label
     )
     print(evaluation.render_run_records(records))
     if args.profile:
@@ -370,74 +362,6 @@ def cmd_serve(args) -> int:
     )
 
 
-def cmd_loadgen(args) -> int:
-    import pathlib
-
-    from repro.serve.loadgen import (
-        render_cells,
-        run_load,
-        write_serving_table,
-    )
-    from repro.serve.store import atomic_write_json
-
-    handle = None
-    host, port = args.host, args.port
-    if args.spawn:
-        from repro.serve.server import ServerThread
-
-        handle = ServerThread(
-            workers=args.workers, cache_dir=args.cache
-        ).start()
-        host, port = handle.host, handle.port
-        print(f"spawned server on {host}:{port}")
-    elif port is None:
-        print("error: --port is required without --spawn", file=sys.stderr)
-        return 2
-    try:
-        cells = run_load(
-            host, port, args.workloads, args.concurrency, args.requests
-        )
-    finally:
-        if handle is not None:
-            handle.stop()
-    print(render_cells(cells))
-    out_dir = pathlib.Path(args.out)
-    json_path, csv_path = write_serving_table(
-        cells,
-        out_dir,
-        stem=args.stem,
-        meta={
-            "requests_per_cell": args.requests,
-            "workloads": list(args.workloads),
-            "concurrency": list(args.concurrency),
-            "spawned": bool(args.spawn),
-        },
-    )
-    bench_path = out_dir / f"BENCH_{args.label}.json"
-    atomic_write_json(
-        bench_path,
-        {
-            "schema_version": 1,
-            "label": args.label,
-            "cells": [cell.row() for cell in cells],
-        },
-    )
-    print(f"serving table: {json_path}")
-    print(f"serving csv:   {csv_path}")
-    print(f"bench:         {bench_path}")
-    failed = [cell for cell in cells if cell.failure_rate > 0]
-    if failed:
-        for cell in failed:
-            print(
-                f"error: {cell.workload} x{cell.concurrency}: "
-                f"failure_rate={cell.failure_rate:.3f} "
-                f"({'; '.join(cell.errors[:3])})",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
-
-
 def cmd_noise_sweep(args) -> int:
     import pathlib
 
@@ -534,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
         p.add_argument("--benchmark", default="QFT", help="QFT|QAOA|RCA|BV")
-        p.add_argument("--qubits", type=_qubit_count, default=16)
+        p.add_argument("--qubits", type=_positive_int, default=16)
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--qasm", help="compile a QASM file instead")
         if cmd == "lint":
@@ -593,17 +517,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench", help="batch-compile the Table-2 grid, persist run table"
     )
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=None, help="worker processes"
+    )
     p.add_argument(
         "--out", default="benchmarks/results", help="artifact directory"
     )
     p.add_argument("--cache", default=None, help="on-disk result cache dir")
     p.add_argument("--stem", default="run_table", help="artifact file stem")
     p.add_argument("--label", default="run", help="BENCH_<label>.json name")
-    p.add_argument(
-        "--reference", default=None,
-        help="earlier BENCH_*.json to compute speedups against",
-    )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
         "--resource-state", default="3-line",
@@ -631,64 +553,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
-        "--port", type=int, default=7711,
+        "--port", type=_port, default=7711,
         help="TCP port (0 binds an ephemeral port)",
     )
     p.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="compile worker processes (default: min(4, cpu_count))",
     )
     p.add_argument("--cache", default=None, help="artifact store disk dir")
     p.add_argument(
-        "--mem-capacity", type=int, default=256,
-        help="in-memory LRU tier capacity (artifacts)",
-    )
-
-    p = sub.add_parser(
-        "loadgen",
-        help="drive a compile server with (workload x concurrency) "
-        "closed-loop load cells and persist the serving table "
-        "(throughput_rps / avg / p95 latency / failure_rate / "
-        "cache_hit_rate per cell); exit 1 when any cell records "
-        "failures",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--port", type=int, default=None,
-        help="server port (required unless --spawn)",
-    )
-    p.add_argument(
-        "--spawn", action="store_true",
-        help="host a throwaway in-process server on an ephemeral port "
-        "for the duration of the run",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the spawned server",
-    )
-    p.add_argument(
-        "--cache", default=None, help="cache dir for the spawned server"
-    )
-    p.add_argument(
-        "--workloads", nargs="+",
-        default=["hot-qft16", "mixed-16"],
-        choices=["hot-qft16", "mixed-16", "cold-seeds", "qasm-bv12"],
-        help="workload generators to sweep",
-    )
-    p.add_argument(
-        "--concurrency", type=int, nargs="+", default=[1, 4],
-        help="closed-loop client counts to sweep",
-    )
-    p.add_argument(
-        "--requests", type=int, default=50,
-        help="measured requests per cell",
-    )
-    p.add_argument(
-        "--out", default="benchmarks/results", help="artifact directory"
-    )
-    p.add_argument("--stem", default="serving_table", help="table file stem")
-    p.add_argument(
-        "--label", default="serving", help="BENCH_<label>.json name"
+        "--mem-capacity", type=_non_negative_int, default=256,
+        help="in-memory LRU tier capacity (artifacts; 0 runs disk-only)",
     )
 
     p = sub.add_parser(
@@ -701,9 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--benchmarks", nargs="+", default=["QFT", "QAOA", "RCA", "BV"],
         help="benchmark names to sweep (QFT|QAOA|RCA|BV)",
     )
-    p.add_argument("--qubits", type=_qubit_count, default=16)
+    p.add_argument("--qubits", type=_positive_int, default=16)
     p.add_argument(
-        "--shots", type=_shot_count, default=2000,
+        "--shots", type=_non_negative_int, default=2000,
         help="Monte-Carlo shots per noise point (>=2000 recommended)",
     )
     p.add_argument(
@@ -722,7 +597,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["3-line", "4-line", "4-star", "4-ring"],
         help="resource-state types to sweep",
     )
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=None, help="worker processes"
+    )
     p.add_argument(
         "--out", default="benchmarks/results", help="artifact directory"
     )
@@ -744,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--benchmarks", nargs="+", default=["BV", "QFT"],
         help="benchmark names to sweep (QFT|QAOA|RCA|BV)",
     )
-    p.add_argument("--qubits", type=_qubit_count, default=8)
+    p.add_argument("--qubits", type=_positive_int, default=8)
     p.add_argument(
         "--scenarios", nargs="+",
         default=["dead-rsg", "loss-gradient", "loss-hotspot",
@@ -766,12 +643,14 @@ def build_parser() -> argparse.ArgumentParser:
         "('auto' walks the ladder and records the winner)",
     )
     p.add_argument(
-        "--shots", type=_shot_count, default=0,
+        "--shots", type=_non_negative_int, default=0,
         help="Monte-Carlo shots sampling the recovered program under "
         "the per-site map (0 = analytic-only; Clifford benchmarks "
         "only)",
     )
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=None, help="worker processes"
+    )
     p.add_argument(
         "--out", default="benchmarks/results", help="artifact directory"
     )
@@ -821,8 +700,6 @@ def _run(args) -> int:
         return cmd_lint(args)
     if args.command == "serve":
         return cmd_serve(args)
-    if args.command == "loadgen":
-        return cmd_loadgen(args)
     return cmd_table(args, args.command)
 
 

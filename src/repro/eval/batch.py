@@ -13,9 +13,8 @@ configuration at a time.  This module adds the production layer on top:
 * run-table artifacts — every batch can be persisted as machine-readable
   JSON + CSV (one row per run, schema in ``RUN_TABLE_COLUMNS``), the
   convention the paper-adjacent replication repos use for all analysis;
-* ``BENCH_*.json`` — a compact perf-trajectory artifact comparing a
-  labelled run against a stored reference (wall seconds + headline
-  metrics per benchmark).
+* ``BENCH_*.json`` — a compact per-benchmark snapshot of a labelled
+  run (wall seconds + headline metrics).
 """
 
 from __future__ import annotations
@@ -671,14 +670,9 @@ def write_bench_json(
     records: Sequence[RunRecord],
     path: pathlib.Path,
     label: str,
-    reference: Optional[Dict[str, Dict]] = None,
 ) -> pathlib.Path:
-    """Write a ``BENCH_*.json`` perf-trajectory artifact.
-
-    *reference* maps run labels to previously recorded entries (same
-    shape as the emitted ``runs``); when given, per-benchmark speedups
-    against it are included.
-    """
+    """Write a ``BENCH_*.json`` snapshot: per-benchmark wall seconds and
+    headline metrics of one labelled run."""
     path = pathlib.Path(path)
     runs: Dict[str, Dict] = {}
     for record in records:
@@ -700,29 +694,6 @@ def write_bench_json(
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "runs": runs,
     }
-    if reference:
-        payload["reference"] = reference
-        speedups = {}
-        identical = True
-        compared = 0
-        for key, run in runs.items():
-            ref = reference.get(key)
-            if not ref:
-                continue
-            for metric in ("depth", "fusions"):
-                if metric in ref:
-                    compared += 1
-                    if ref[metric] != run[metric]:
-                        identical = False
-            if run["seconds"] and ref.get("seconds"):
-                speedups[key] = round(ref["seconds"] / run["seconds"], 2)
-        payload["speedup_vs_reference"] = speedups
-        # None (not true) when the reference shared no comparable metrics
-        # — a vacuous comparison must not read as a verified pass
-        payload["metrics_identical_to_reference"] = (
-            identical if compared else None
-        )
-        payload["metrics_compared"] = compared
     atomic_write_json(path, payload)
     return path
 

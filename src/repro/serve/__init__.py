@@ -1,4 +1,4 @@
-"""Compilation-as-a-service layer: store, service, server, load harness.
+"""Compilation-as-a-service layer: store, service, server, client.
 
 The serving stack, bottom to top:
 
@@ -12,23 +12,13 @@ The serving stack, bottom to top:
 * :mod:`repro.serve.server` — asyncio TCP front-end
   (:class:`CompileServer`), plus :class:`ServerThread` for in-process
   hosting and :func:`run_server` for the ``repro serve`` CLI;
-* :mod:`repro.serve.client` — blocking :class:`CompileClient`;
-* :mod:`repro.serve.loadgen` — closed-loop load generator producing
-  the (workload x concurrency) serving table.
+* :mod:`repro.serve.client` — blocking :class:`CompileClient`.
+
+Serving speed is measured by the ``serve-mixed`` workload of
+``perfbench/run.py``, not by this package.
 """
 
 from repro.serve.client import CompileClient, ServerClosedError
-from repro.serve.loadgen import (
-    SERVING_TABLE_COLUMNS,
-    CellResult,
-    Workload,
-    WORKLOADS,
-    percentile,
-    render_cells,
-    run_cell,
-    run_load,
-    write_serving_table,
-)
 from repro.serve.protocol import (
     ERROR_CODES,
     MAX_PAYLOAD_BYTES,
@@ -55,7 +45,6 @@ from repro.serve.store import (
 
 __all__ = [
     "ArtifactStore",
-    "CellResult",
     "CompileClient",
     "CompileServer",
     "CompileService",
@@ -65,23 +54,15 @@ __all__ = [
     "MAX_PAYLOAD_BYTES",
     "MemoryLRU",
     "RequestError",
-    "SERVING_TABLE_COLUMNS",
     "ServerClosedError",
     "ServerThread",
     "StoreHit",
     "StoreStats",
-    "WORKLOADS",
-    "Workload",
     "compile_job",
     "encode_frame",
     "error_response",
     "normalize_request",
-    "percentile",
     "recv_frame",
-    "render_cells",
-    "run_cell",
-    "run_load",
     "run_server",
     "send_frame",
-    "write_serving_table",
 ]

@@ -2,8 +2,7 @@
 
 One :class:`CompileClient` owns one TCP connection and issues one
 request at a time (the protocol is strictly request/response per
-connection; open more clients for concurrency — the load generator
-opens one per simulated user).
+connection; open one client per thread for concurrency).
 
 Transient-failure policy: compiles are deterministic and the server
 memoizes them by content hash, so every op except ``shutdown`` is

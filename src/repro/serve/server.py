@@ -21,9 +21,8 @@ Failure handling at the connection level:
   their responses are delivered before the loop exits.
 
 :class:`ServerThread` runs the whole event loop in a daemon thread —
-the harness tests, the load generator's ``--spawn`` mode and the
-serving benchmark all use it to host a server in-process on an
-ephemeral port.
+the serve tests use it to host a server in-process on an ephemeral
+port.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ first-class store with the properties a long-lived service needs:
   *miss* (counted in :attr:`StoreStats.corrupt_reads`), never an
   exception: a torn cache file must not poison a worker;
 * **accounting** — :class:`StoreStats` counts hits per tier, misses,
-  evictions, corrupt reads and puts; the serving table's
-  ``cache_hit_rate`` column and the ``stats`` protocol op read it.
+  evictions, corrupt reads and puts; the ``stats`` protocol op reads
+  it.
 
 Artifacts are JSON-serializable dicts.  On disk each is wrapped in an
 envelope ``{"schema_version", "created_at", "artifact"}``; a schema

@@ -168,18 +168,6 @@ class TestArtifacts:
         assert rows[0]["benchmark"] == "BV"
         assert int(rows[0]["depth"]) == records[0].depth
 
-    def test_bench_json_with_reference(self, tmp_path):
-        records = BatchRunner(jobs=1).run([RunSpec("BV", 8)])
-        first = write_bench_json(records, tmp_path / "BENCH_a.json", "a")
-        reference = json.loads(first.read_text())["runs"]
-        second = write_bench_json(
-            records, tmp_path / "BENCH_b.json", "b", reference=reference
-        )
-        payload = json.loads(second.read_text())
-        assert payload["label"] == "b"
-        assert payload["metrics_identical_to_reference"] is True
-        assert "BV-8" in payload["speedup_vs_reference"]
-
     def test_run_grid_writes_artifacts(self, tmp_path):
         records = run_grid(
             benchmarks=QUICK,

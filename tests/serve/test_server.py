@@ -1,9 +1,9 @@
 """End-to-end socket tests for the compile server.
 
-The ISSUE-8 service checklist: ephemeral-port server, QFT-16 submitted
-twice (second response a bit-identical cache hit), malformed-request
-and oversized-payload rejection, graceful shutdown (in-flight jobs
-complete, queue drains).
+Covered: ephemeral-port server, QFT-16 submitted twice (second response
+a bit-identical cache hit), malformed-request and oversized-payload
+rejection, two closed-loop clients mixing hot, cold and invalid
+requests, graceful shutdown (in-flight jobs complete, queue drains).
 """
 
 import socket
@@ -127,6 +127,80 @@ class TestEndToEnd:
         with pytest.raises((ServerClosedError, OSError)):
             client.request({"op": "ping"})
         client.close()
+
+
+class TestClosedLoop:
+    def test_two_clients_mixed_hot_cold_and_bad(self, tmp_path):
+        """Two clients each send hot, cold and bad requests back to back
+        against one server: every reply is right and no job is wasted."""
+        rounds = 3
+        handle = ServerThread(workers=2, cache_dir=tmp_path).start()
+        try:
+            with CompileClient(handle.host, handle.port) as c:
+                warm = c.compile(benchmark="QFT", qubits=16)
+                assert warm["ok"], warm
+                jobs_before = c.stats()["jobs_completed"]
+
+            start = threading.Barrier(2)
+            replies = {0: [], 1: []}
+            errors = []
+
+            def client_loop(slot):
+                try:
+                    with CompileClient(handle.host, handle.port) as c:
+                        start.wait(10)
+                        for step in range(rounds):
+                            seed = 1000 + rounds * slot + step
+                            for kind, fields in (
+                                ("hot", {"benchmark": "QFT", "qubits": 16}),
+                                ("cold", {"benchmark": "BV", "qubits": 8,
+                                          "seed": seed}),
+                                ("bad", {"benchmark": "NOPE", "qubits": 8}),
+                            ):
+                                replies[slot].append(
+                                    (kind, seed, c.compile(**fields))
+                                )
+                        # the last reply was a bad request: the
+                        # connection must still serve
+                        assert c.ping() is True
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=client_loop, args=(slot,))
+                for slot in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+                assert not thread.is_alive()
+            assert errors == []
+
+            everything = replies[0] + replies[1]
+            assert len(everything) == 2 * rounds * 3
+            by_kind = {"hot": [], "cold": [], "bad": []}
+            for kind, seed, reply in everything:
+                by_kind[kind].append((seed, reply))
+            for _, reply in by_kind["bad"]:
+                assert reply["ok"] is False
+                assert reply["error"]["code"] == "bad-request"
+            for _, reply in by_kind["hot"]:
+                assert reply["ok"], reply
+                assert reply["cache_tier"] in ("memory", "disk", "inflight")
+                assert reply["artifact"] == warm["artifact"]
+            for _, reply in by_kind["cold"]:
+                assert reply["ok"], reply
+                assert reply["artifact"]["depth"] >= 1
+            cold_specs = {seed for seed, _ in by_kind["cold"]}
+            assert len(cold_specs) == 2 * rounds
+
+            with CompileClient(handle.host, handle.port) as c:
+                stats = c.stats()
+            assert stats["jobs_completed"] - jobs_before == len(cold_specs)
+            assert stats["jobs_failed"] == 0
+        finally:
+            handle.stop()
 
 
 class TestGracefulShutdown:

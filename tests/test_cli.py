@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import json
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -221,13 +219,32 @@ class TestInvalidInput:
          "argument --severities: must be in [0, 1], got -0.2"),
         ("noise-sweep", ["--fusion-success", "0", "--shots", "10"],
          "--fusion-success 0 cannot be sampled"),
+        *(
+            (command, ["--jobs", jobs],
+             f"argument --jobs: must be at least 1, got {jobs}")
+            for command in ("bench", "noise-sweep", "degrade-sweep")
+            for jobs in ("0", "-2")
+        ),
+        ("serve", ["--workers", "0"],
+         "argument --workers: must be at least 1, got 0"),
+        ("serve", ["--mem-capacity", "-1"],
+         "argument --mem-capacity: must be a non-negative integer, got -1"),
+        ("serve", ["--port", "70000"],
+         "argument --port: must be in [0, 65535], got 70000"),
+        ("serve", ["--port", "-1"],
+         "argument --port: must be in [0, 65535], got -1"),
+        ("bench", ["--reference", "x"], "unrecognized arguments: --reference"),
+        ("loadgen", [], "invalid choice: 'loadgen'"),
     ]
 
     @pytest.mark.parametrize("command,extra,message", SWEEP_CASES)
     def test_sweep_input(self, command, extra, message, tmp_path, capsys):
         """Checked before any run: no artifacts are written."""
         out = tmp_path / "out"
-        line = self._usage_error([command, *extra, "--out", str(out)], capsys)
+        argv = [command, *extra]
+        if command != "serve":  # the server writes no artifacts
+            argv += ["--out", str(out)]
+        line = self._usage_error(argv, capsys)
         assert "error:" in line and message in line
         assert not out.exists()
 
@@ -241,42 +258,5 @@ class TestServeCLI:
         assert args.workers is None
         assert args.cache is None
         assert args.mem_capacity == 256
-
-    def test_loadgen_defaults(self):
-        args = build_parser().parse_args(["loadgen"])
-        assert args.command == "loadgen"
-        assert args.port is None
-        assert args.spawn is False
-        assert args.workloads == ["hot-qft16", "mixed-16"]
-        assert args.concurrency == [1, 4]
-        assert args.requests == 50
-        assert args.out == "benchmarks/results"
-        assert args.label == "serving"
-
-    def test_loadgen_rejects_unknown_workload(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["loadgen", "--workloads", "nope"])
-
-    def test_loadgen_without_port_or_spawn_exits_2(self, capsys):
-        assert main(["loadgen"]) == 2
-        assert "--port is required" in capsys.readouterr().err
-
-    def test_loadgen_spawn_end_to_end(self, tmp_path, capsys):
-        code = main([
-            "loadgen", "--spawn",
-            "--workloads", "hot-qft16",
-            "--concurrency", "1", "2",
-            "--requests", "6",
-            "--out", str(tmp_path),
-            "--label", "smoke",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "spawned server" in out
-        assert "hot-qft16" in out
-        table = json.loads((tmp_path / "serving_table.json").read_text())
-        assert len(table["cells"]) == 2  # one workload x two concurrencies
-        assert all(c["failure_rate"] == 0.0 for c in table["cells"])
-        assert (tmp_path / "serving_table.csv").exists()
-        bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-        assert bench["label"] == "smoke"
+        # serve-mixed binds an ephemeral port
+        assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
