@@ -24,7 +24,8 @@ Request lifecycle:
 3. **single-flight dispatch** — on a miss the job runs on a worker
    process pool; concurrent requests for the *same* key join the
    in-flight future (``cache_tier="inflight"``) instead of compiling
-   twice;
+   twice, and a miss read before another owner published the key looks
+   the store up again;
 4. **publish** — the finished artifact lands in both store tiers, so
    the next request is a memory hit.
 
@@ -266,18 +267,23 @@ class CompileService:
             return error_response("bad-request", exc.message)
         key = spec.key()
 
-        hit = self.store.get(key)
-        if hit is not None:
-            return {
-                "ok": True,
-                "key": key,
-                "cache_tier": hit.tier,
-                "cache_age_seconds": round(hit.age_seconds, 3),
-                "seconds": time.perf_counter() - t0,
-                "artifact": hit.artifact,
-            }
-
-        future, owner = self._dispatch(key, spec)
+        while True:
+            with self._lock:  # every publish bumps jobs_completed
+                published = self.jobs_completed
+            hit = self.store.get(key)
+            if hit is not None:
+                return {
+                    "ok": True,
+                    "key": key,
+                    "cache_tier": hit.tier,
+                    "cache_age_seconds": round(hit.age_seconds, 3),
+                    "seconds": time.perf_counter() - t0,
+                    "artifact": hit.artifact,
+                }
+            dispatched = self._dispatch(key, spec, published)
+            if dispatched is not None:
+                break
+        future, owner = dispatched
         if future is None:
             return error_response(
                 "shutting-down", "service is draining; compile rejected"
@@ -311,18 +317,23 @@ class CompileService:
         }
 
     def _dispatch(
-        self, key: str, spec: "RunSpec"
-    ) -> Tuple[Optional["Future[Dict[str, Any]]"], bool]:
+        self, key: str, spec: "RunSpec", published: int
+    ) -> Optional[Tuple[Optional["Future[Dict[str, Any]]"], bool]]:
         """The future computing *key*'s artifact, plus ownership.
 
         The owner (the caller that actually submitted the spec) is
         responsible for publishing the artifact (or counting the
         failure) and retiring the in-flight entry; joiners just wait.
+        ``None`` means an owner published since the caller read
+        ``jobs_completed == published``: its store miss may predate
+        that publish, so it must look again rather than compile twice.
         """
         with self._lock:
             existing = self._inflight.get(key)
             if existing is not None:
                 return existing, False
+            if self.jobs_completed != published:
+                return None
             if self._closed:
                 return None, False
             if self._executor is None:

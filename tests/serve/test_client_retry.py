@@ -167,6 +167,18 @@ class TestRetries:
         assert stub.connections == 3
 
 
+class TestRefusedConnections:
+    def test_server_gone_exhausts_retries(self, make_stub):
+        stub = make_stub(["drop"])
+        client, sleeps = make_client(stub, retries=2)
+        stub.close()
+        with client:
+            # the first connection is dropped, both reconnects refused
+            with pytest.raises(ConnectionError):
+                client.ping()
+        assert sleeps == [0.05, 0.1]
+
+
 class TestShutdownIsNotRetried:
     def test_shutdown_single_attempt(self, make_stub):
         stub = make_stub(["drop-after-read", "ok"])

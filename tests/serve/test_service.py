@@ -348,6 +348,69 @@ class TestCompileService:
             assert len(fresh) == 1
             assert svc.jobs_completed == 1
 
+    def test_stale_miss_after_a_publish_looks_again(
+        self, tmp_path, monkeypatch
+    ):
+        """A store miss read just before another owner published the key
+        must not compile the key again: the request looks again."""
+        request = {"op": "compile", "benchmark": "BV", "qubits": 6}
+        with CompileService(workers=1, cache_dir=tmp_path) as svc:
+            real_get, lookups = svc.store.get, []
+
+            def stale_first_get(key):
+                lookups.append(key)
+                if len(lookups) > 1:
+                    return real_get(key)
+                # another request compiles and publishes the key between
+                # this lookup and its dispatch
+                assert svc.handle(request)["cache_tier"] is None
+
+            monkeypatch.setattr(svc.store, "get", stale_first_get)
+            assert svc.handle(request)["cache_tier"] == "memory"
+            assert (svc.jobs_completed, len(lookups)) == (1, 3)
+
+    def test_failed_compile_is_never_cached(self, tmp_path):
+        request = {"op": "compile", "qasm": "not qasm", "name": "bad"}
+        with CompileService(workers=1, cache_dir=tmp_path) as svc:
+            for attempt in (1, 2):
+                assert svc.handle(request)["error"]["code"] == "compile-error"
+                stats = svc.stats()
+                assert (stats["jobs_failed"], stats["inflight"]) == (attempt, 0)
+            assert stats["jobs_completed"] == stats["store"]["puts"] == 0
+
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    def test_repeat_requests_hit_the_only_tier(self, tmp_path, tier):
+        request = {"op": "compile", "benchmark": "BV", "qubits": 6}
+        with CompileService(
+            workers=1, cache_dir=tmp_path if tier == "disk" else None,
+            memory_capacity=0 if tier == "disk" else 256,
+        ) as svc:
+            responses = [svc.handle(request) for _ in range(3)]
+            stats = svc.stats()
+        assert [r["cache_tier"] for r in responses] == [None, tier, tier]
+        assert all(r["artifact"] == responses[0]["artifact"] for r in responses)
+        assert stats["jobs_completed"] == stats["store"]["misses"] == 1
+        assert stats["store"][f"{tier}_hits"] == 2
+
+    @pytest.mark.parametrize("request_payload", [
+        {"op": "compile"},
+        {"op": "compile", "benchmark": "BV", "qasm": "OPENQASM 2.0;"},
+        {"op": "compile", "benchmark": "BV", "qubits": 0},
+        {"op": "compile", "benchmark": "BV", "colour": "red"},
+    ])
+    def test_bad_request_touches_neither_store_nor_pool(
+        self, tmp_path, request_payload
+    ):
+        with CompileService(workers=1, cache_dir=tmp_path) as svc:
+            response = svc.handle(request_payload)
+            assert response["error"]["code"] == "bad-request"
+            assert svc.stats()["store"]["lookups"] == 0
+            assert svc._executor is None
+
+    def test_workers_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            CompileService(workers=0, cache_dir=tmp_path)
+
     def test_single_flight_under_sanitizer(self, tmp_path, lock_sanitizer):
         """Single-flight + torn-stat guarantees hold under TrackedLock.
 
