@@ -17,7 +17,9 @@ and everything under ``docs/``:
    path under ``src/``, and when the reference carries an attribute
    suffix (``repro.sim.frame.FrameProgram``), the first attribute is
    defined in that module's source — so renaming or deleting a class
-   breaks the doc check, not just deleting the file;
+   breaks the doc check, not just deleting the file.  A package's
+   lazy export table (``_EXPORTS`` in its ``__init__.py``) is followed
+   to the defining module, which must define the name;
 4. in ``README.md`` and ``docs/`` (not ``CHANGES.md``, which is
    history), every inline-code ``repro <cmd>`` and every
    ``python -m repro <cmd>`` names a subcommand that ``src/repro/cli.py``
@@ -34,7 +36,7 @@ import ast
 import pathlib
 import re
 import sys
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -132,12 +134,13 @@ def _module_problem(dotted: str) -> "str | None":
     under ``src/``.  Any remainder is an attribute path
     (``repro.eval.batch.RunSpec``); its first segment must be *defined*
     in the resolved module — as a ``class``, ``def``, or module-level
-    assignment, or re-exported for packages — which catches docs still
-    naming a class that was renamed away.  Checking is textual so the
-    docs job never imports the package.
+    assignment, or, for a package, in the defining module its export
+    table names — which catches docs still naming a class that was
+    renamed away.  Checking is textual so the docs job never imports
+    the package.
     """
     parts = dotted.split(".")
-    for end in range(len(parts), 1, -1):
+    for end in range(len(parts), 0, -1):
         base = ROOT / "src" / pathlib.Path(*parts[:end])
         if base.with_suffix(".py").exists():
             source_path = base.with_suffix(".py")
@@ -148,6 +151,10 @@ def _module_problem(dotted: str) -> "str | None":
         if end == len(parts):
             return None
         attr = parts[end]
+        home = _lazy_exports(source_path).get(attr)
+        if home is not None:  # follow the package's export table
+            package = ".".join(parts[:end])
+            return _module_problem(".".join([package + home, *parts[end:]]))
         if _defines_name(source_path, attr):
             return None
         return (
@@ -155,6 +162,20 @@ def _module_problem(dotted: str) -> "str | None":
             f"({attr!r} is not defined in {source_path.relative_to(ROOT)})"
         )
     return f"stale module reference: `{dotted}`"
+
+
+def _lazy_exports(source_path: pathlib.Path) -> Dict[str, str]:
+    """A package's ``_EXPORTS`` table (name -> relative defining module),
+    read from its ``__init__.py`` source; empty for other modules."""
+    if source_path.name != "__init__.py":
+        return {}
+    for node in ast.parse(source_path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "_EXPORTS"
+            for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return {}
 
 
 def _defines_name(source_path: pathlib.Path, name: str) -> bool:

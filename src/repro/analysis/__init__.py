@@ -14,60 +14,34 @@ on the repo's own serving/eval source: lock discipline, async blocking
 effects, lock-order cycles and resource lifetimes, CC-coded.
 """
 
-from repro.analysis.concurrency import (
-    CC_CODES,
-    ConcurrencyAnalyzer,
-    ConcurrencyFinding,
-    analyze_paths,
-    analyze_source,
-)
-from repro.analysis.flow import (
-    DeterminismCertificate,
-    FlowViolation,
-    certify_pattern,
-    find_causal_flow,
-    find_gflow,
-    flow_corrections,
-)
-from repro.analysis.lint import (
-    LintIssue,
-    LintReport,
-    PatternLinter,
-    lint_compiled_program,
-    lint_frame_program,
-    lint_pattern,
-)
-from repro.analysis.mutate import (
-    FRAME_MUTATIONS,
-    MUTATION_EXPECTED_CODES,
-    PATTERN_MUTATIONS,
-    corrupt_frame_program,
-    corrupt_pattern,
-    harness_report,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CC_CODES",
-    "ConcurrencyAnalyzer",
-    "ConcurrencyFinding",
-    "DeterminismCertificate",
-    "FlowViolation",
-    "FRAME_MUTATIONS",
-    "analyze_paths",
-    "analyze_source",
-    "LintIssue",
-    "LintReport",
-    "MUTATION_EXPECTED_CODES",
-    "PATTERN_MUTATIONS",
-    "PatternLinter",
-    "certify_pattern",
-    "corrupt_frame_program",
-    "corrupt_pattern",
-    "find_causal_flow",
-    "find_gflow",
-    "flow_corrections",
-    "harness_report",
-    "lint_compiled_program",
-    "lint_frame_program",
-    "lint_pattern",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "CC_CODES": ".concurrency",
+    "ConcurrencyAnalyzer": ".concurrency",
+    "ConcurrencyFinding": ".concurrency",
+    "analyze_paths": ".concurrency",
+    "analyze_source": ".concurrency",
+    "DeterminismCertificate": ".flow",
+    "FlowViolation": ".flow",
+    "certify_pattern": ".flow",
+    "find_causal_flow": ".flow",
+    "find_gflow": ".flow",
+    "flow_corrections": ".flow",
+    "LintIssue": ".lint",
+    "LintReport": ".lint",
+    "PatternLinter": ".lint",
+    "lint_compiled_program": ".lint",
+    "lint_frame_program": ".lint",
+    "lint_pattern": ".lint",
+    "FRAME_MUTATIONS": ".mutate",
+    "MUTATION_EXPECTED_CODES": ".mutate",
+    "PATTERN_MUTATIONS": ".mutate",
+    "corrupt_frame_program": ".mutate",
+    "corrupt_pattern": ".mutate",
+    "harness_report": ".mutate",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,57 +1,32 @@
 """Baseline cluster-state interpreter (the paper's comparison point)."""
 
-from repro.baseline.cluster import (
-    LayerSynthesisCost,
-    cluster_3d_graph,
-    cluster_layer_graph,
-    layer_synthesis_cost,
-    logical_sites,
-    redundancy_stats,
-    verify_against_flat_bound,
-)
-from repro.baseline.interpreter import (
-    BaselineResult,
-    baseline_depth,
-    compile_baseline,
-    gate_width,
-    PATTERN_WIDTHS,
-)
-from repro.baseline.mapper import (
-    GridRouter,
-    RoutedCircuit,
-    logical_grid_side,
-    route_on_grid,
-)
-from repro.baseline.metrics import (
-    BaselineAreas,
-    CLUSTER_NODE_DEGREE,
-    cluster_area,
-    cluster_side,
-    physical_area,
-    physical_side,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BaselineAreas",
-    "LayerSynthesisCost",
-    "cluster_3d_graph",
-    "cluster_layer_graph",
-    "layer_synthesis_cost",
-    "logical_sites",
-    "redundancy_stats",
-    "verify_against_flat_bound",
-    "BaselineResult",
-    "CLUSTER_NODE_DEGREE",
-    "GridRouter",
-    "PATTERN_WIDTHS",
-    "RoutedCircuit",
-    "baseline_depth",
-    "cluster_area",
-    "cluster_side",
-    "compile_baseline",
-    "gate_width",
-    "logical_grid_side",
-    "physical_area",
-    "physical_side",
-    "route_on_grid",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "LayerSynthesisCost": ".cluster",
+    "cluster_3d_graph": ".cluster",
+    "cluster_layer_graph": ".cluster",
+    "layer_synthesis_cost": ".cluster",
+    "logical_sites": ".cluster",
+    "redundancy_stats": ".cluster",
+    "verify_against_flat_bound": ".cluster",
+    "BaselineResult": ".interpreter",
+    "baseline_depth": ".interpreter",
+    "compile_baseline": ".interpreter",
+    "gate_width": ".interpreter",
+    "PATTERN_WIDTHS": ".interpreter",
+    "GridRouter": ".mapper",
+    "RoutedCircuit": ".mapper",
+    "logical_grid_side": ".mapper",
+    "route_on_grid": ".mapper",
+    "BaselineAreas": ".metrics",
+    "CLUSTER_NODE_DEGREE": ".metrics",
+    "cluster_area": ".metrics",
+    "cluster_side": ".metrics",
+    "physical_area": ".metrics",
+    "physical_side": ".metrics",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

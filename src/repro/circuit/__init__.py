@@ -1,36 +1,27 @@
 """Circuit IR: gates, circuits, lowering passes and paper benchmarks."""
 
-from repro.circuit.benchmarks import (
-    BENCHMARKS,
-    bernstein_vazirani,
-    get_benchmark,
-    qaoa_maxcut,
-    qft,
-    random_maxcut_edges,
-    random_secret_string,
-    ripple_carry_adder,
-)
-from repro.circuit.circuit import Circuit
-from repro.circuit.gates import CLIFFORD_1Q, GATE_SIGNATURES, Gate
-from repro.circuit.library import simplify_basic, to_basic, to_jcz
-from repro.circuit.qasm import from_qasm, to_qasm
+from repro import lazy_exports
 
-__all__ = [
-    "BENCHMARKS",
-    "CLIFFORD_1Q",
-    "Circuit",
-    "GATE_SIGNATURES",
-    "Gate",
-    "bernstein_vazirani",
-    "from_qasm",
-    "get_benchmark",
-    "qaoa_maxcut",
-    "qft",
-    "random_maxcut_edges",
-    "random_secret_string",
-    "ripple_carry_adder",
-    "simplify_basic",
-    "to_basic",
-    "to_jcz",
-    "to_qasm",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "BENCHMARKS": ".benchmarks",
+    "bernstein_vazirani": ".benchmarks",
+    "get_benchmark": ".benchmarks",
+    "qaoa_maxcut": ".benchmarks",
+    "qft": ".benchmarks",
+    "random_maxcut_edges": ".benchmarks",
+    "random_secret_string": ".benchmarks",
+    "ripple_carry_adder": ".benchmarks",
+    "Circuit": ".circuit",
+    "CLIFFORD_1Q": ".gates",
+    "GATE_SIGNATURES": ".gates",
+    "Gate": ".gates",
+    "simplify_basic": ".library",
+    "to_basic": ".library",
+    "to_jcz": ".library",
+    "from_qasm": ".qasm",
+    "to_qasm": ".qasm",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -19,19 +19,20 @@ Commands:
 * ``serve``    — run the long-lived compile server (async socket
   front-end + worker process pool + two-tier artifact store);
 * ``export``   — emit a benchmark circuit as OpenQASM 2.0.
+
+Each command imports the layers it runs inside its handler, so parsing
+the command line (and ``--help``) loads no compiler, simulator or
+server code.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.baseline import compile_baseline, physical_side
-from repro.circuit import get_benchmark
-from repro.circuit.qasm import from_qasm, to_qasm
-from repro.core import OneQCompiler, OneQConfig, render_program
-from repro.hardware import HardwareConfig, get_resource_state
+if TYPE_CHECKING:
+    from repro.hardware.coupling import HardwareConfig
 
 
 def _add_hardware_args(parser: argparse.ArgumentParser) -> None:
@@ -93,6 +94,8 @@ def _probability(text: str) -> float:
 def _sweep_circuits(names: List[str], qubits: int, seed: int) -> list:
     """Build every swept benchmark up front, so a bad name or size is a
     usage error instead of a failed sweep."""
+    from repro.circuit.benchmarks import get_benchmark
+
     try:
         return [get_benchmark(name, qubits, seed=seed) for name in names]
     except ValueError as exc:
@@ -100,6 +103,9 @@ def _sweep_circuits(names: List[str], qubits: int, seed: int) -> list:
 
 
 def _load_circuit(args) -> tuple:
+    from repro.circuit.benchmarks import get_benchmark
+    from repro.circuit.qasm import from_qasm
+
     try:
         if args.qasm:
             with open(args.qasm) as handle:
@@ -111,6 +117,10 @@ def _load_circuit(args) -> tuple:
 
 
 def _hardware_from(args, num_qubits: int) -> HardwareConfig:
+    from repro.baseline.metrics import physical_side
+    from repro.hardware.coupling import HardwareConfig
+    from repro.hardware.resource_state import get_resource_state
+
     rst = get_resource_state(args.resource_state)
     rows = args.rows
     cols = args.cols
@@ -136,6 +146,9 @@ def _hardware_from(args, num_qubits: int) -> HardwareConfig:
 
 
 def cmd_compile(args) -> int:
+    from repro.core.compiler import OneQCompiler, OneQConfig
+    from repro.core.render import render_program
+
     circuit, name = _load_circuit(args)
     hardware = _hardware_from(args, circuit.num_qubits)
     compiler = OneQCompiler(OneQConfig(hardware=hardware))
@@ -148,6 +161,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from repro.baseline.interpreter import compile_baseline
+    from repro.hardware.resource_state import get_resource_state
+
     circuit, name = _load_circuit(args)
     result = compile_baseline(
         circuit, name=name, resource_state=get_resource_state(args.resource_state)
@@ -162,6 +178,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from repro.circuit.qasm import to_qasm
+
     circuit, _ = _load_circuit(args)
     text = to_qasm(circuit)
     if args.output:
@@ -178,49 +196,49 @@ _QUICK_FIG_BENCHMARKS = ("QFT", "BV")
 
 
 def cmd_table(args, which: str) -> int:
-    from repro import eval as evaluation
+    from repro.eval import experiments, reporting
 
     quick = getattr(args, "quick", False)
     fig_benchmarks = (
         _QUICK_FIG_BENCHMARKS if quick else ("QFT", "QAOA", "RCA", "BV")
     )
     if which == "table1":
-        print(evaluation.render_table1(evaluation.run_table1()))
+        print(reporting.render_table1(experiments.run_table1()))
     elif which == "table2":
         benchmarks = None
         if quick:
             benchmarks = [("QFT", 16), ("QAOA", 16), ("RCA", 16), ("BV", 16)]
-        print(evaluation.render_table2(evaluation.run_table2(benchmarks)))
+        print(reporting.render_table2(experiments.run_table2(benchmarks)))
     elif which == "fig12":
         print(
-            evaluation.render_fig12(
-                evaluation.run_fig12(
+            reporting.render_fig12(
+                experiments.run_fig12(
                     num_qubits=args.qubits, benchmarks=fig_benchmarks
                 )
             )
         )
     elif which == "fig13":
         print(
-            evaluation.render_fig13(
-                evaluation.run_fig13(
+            reporting.render_fig13(
+                experiments.run_fig13(
                     num_qubits=args.qubits, benchmarks=fig_benchmarks
                 )
             )
         )
     elif which == "fig14":
-        print(evaluation.render_fig14(evaluation.run_fig14(num_qubits=args.qubits)))
+        print(reporting.render_fig14(experiments.run_fig14(num_qubits=args.qubits)))
     elif which == "fig15":
         print(
-            evaluation.render_fig15(
-                evaluation.run_fig15(
+            reporting.render_fig15(
+                experiments.run_fig15(
                     num_qubits=args.qubits, benchmarks=fig_benchmarks
                 )
             )
         )
     elif which == "ablation":
         print(
-            evaluation.render_ablation(
-                evaluation.run_ablation(num_qubits=args.qubits)
+            reporting.render_ablation(
+                experiments.run_ablation(num_qubits=args.qubits)
             )
         )
     return 0
@@ -229,14 +247,19 @@ def cmd_table(args, which: str) -> int:
 def cmd_bench(args) -> int:
     import pathlib
 
-    from repro import eval as evaluation
+    from repro.eval.batch import (
+        render_run_records,
+        render_stage_profile,
+        run_grid,
+        write_bench_json,
+    )
 
     benchmarks = None
     if args.quick:
         benchmarks = [("QFT", 16), ("QAOA", 16), ("RCA", 16), ("BV", 16)]
     out_dir = pathlib.Path(args.out)
     cache_dir = pathlib.Path(args.cache) if args.cache else None
-    records = evaluation.run_grid(
+    records = run_grid(
         benchmarks=benchmarks,
         jobs=args.jobs,
         cache_dir=cache_dir,
@@ -246,13 +269,13 @@ def cmd_bench(args) -> int:
         resource_state=args.resource_state,
         verify=args.verify,
     )
-    bench_path = evaluation.write_bench_json(
+    bench_path = write_bench_json(
         records, out_dir / f"BENCH_{args.label}.json", label=args.label
     )
-    print(evaluation.render_run_records(records))
+    print(render_run_records(records))
     if args.profile:
         print()
-        print(evaluation.render_stage_profile(records))
+        print(render_stage_profile(records))
     print(f"run table: {out_dir / (args.stem + '.json')}")
     print(f"bench:     {bench_path}")
     if args.verify and any(r.verified is False for r in records):
@@ -265,7 +288,7 @@ def cmd_lint(args) -> int:
     if args.concurrency:
         return _lint_concurrency(args)
 
-    from repro.analysis import lint_compiled_program, lint_pattern
+    from repro.analysis.lint import lint_compiled_program, lint_pattern
     from repro.mbqc.translate import circuit_to_pattern
 
     circuit, name = _load_circuit(args)
@@ -274,7 +297,8 @@ def cmd_lint(args) -> int:
     print(report.render())
 
     if args.frame:
-        from repro.analysis import lint_frame_program
+        from repro.analysis.lint import lint_frame_program
+        from repro.sim.frame import FrameProgram
         from repro.sim.pattern_sim import pattern_is_clifford
         from repro.sim.stabilizer import StabilizerState
 
@@ -283,8 +307,6 @@ def cmd_lint(args) -> int:
         else:
             circuit_state = StabilizerState(circuit.num_qubits)
             circuit_state.apply_circuit(circuit)
-            from repro.sim.frame import FrameProgram
-
             _, index = StabilizerState.graph_state(
                 pattern.graph, zero_nodes=pattern.inputs
             )
@@ -298,6 +320,8 @@ def cmd_lint(args) -> int:
             report.extend(frame_report)
 
     if args.compile:
+        from repro.core.compiler import OneQCompiler, OneQConfig
+
         hardware = _hardware_from(args, circuit.num_qubits)
         compiler = OneQCompiler(OneQConfig(hardware=hardware))
         program = compiler.compile_pattern(
@@ -365,7 +389,8 @@ def cmd_serve(args) -> int:
 def cmd_noise_sweep(args) -> int:
     import pathlib
 
-    from repro import eval as evaluation
+    from repro.eval.batch import render_run_records
+    from repro.eval.experiments import run_noise_sweep
     from repro.sim.stabilizer import circuit_is_clifford
 
     circuits = _sweep_circuits(args.benchmarks, args.qubits, args.seed)
@@ -380,7 +405,7 @@ def cmd_noise_sweep(args) -> int:
         )
     benchmarks = [(name, args.qubits) for name in args.benchmarks]
     out_dir = pathlib.Path(args.out)
-    records = evaluation.run_noise_sweep(
+    records = run_noise_sweep(
         benchmarks=benchmarks,
         fusion_success=args.fusion_success,
         cycle_loss=args.cycle_loss,
@@ -393,7 +418,7 @@ def cmd_noise_sweep(args) -> int:
         stem=args.stem,
         label=args.label,
     )
-    print(evaluation.render_run_records(records))
+    print(render_run_records(records))
     print(f"run table: {out_dir / (args.stem + '.json')}")
     print(f"sweep:     {out_dir / ('BENCH_' + args.label + '.json')}")
     return 0
@@ -402,7 +427,8 @@ def cmd_noise_sweep(args) -> int:
 def cmd_degrade_sweep(args) -> int:
     import pathlib
 
-    from repro import eval as evaluation
+    from repro.eval.degrade import check_recovery, run_degrade_sweep
+    from repro.eval.reporting import render_survival_table
 
     if args.quick:
         benchmarks = [("BV", 8)]
@@ -414,7 +440,7 @@ def cmd_degrade_sweep(args) -> int:
         severities = args.severities
         shots = args.shots
     out_dir = pathlib.Path(args.out)
-    records = evaluation.run_degrade_sweep(
+    records = run_degrade_sweep(
         benchmarks=benchmarks,
         scenarios=args.scenarios,
         severities=severities,
@@ -427,12 +453,12 @@ def cmd_degrade_sweep(args) -> int:
         stem=args.stem,
         label=args.label,
     )
-    print(evaluation.render_survival_table(records))
+    print(render_survival_table(records))
     print(f"run table: {out_dir / (args.stem + '.json')}")
     print(f"survival:  {out_dir / ('BENCH_' + args.label + '.json')}")
     status = 0
     if args.check_recovery:
-        failures = evaluation.check_recovery(records)
+        failures = check_recovery(records)
         for failure in failures:
             print(f"error: recovery gate: {failure}", file=sys.stderr)
         if failures:

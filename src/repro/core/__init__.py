@@ -1,98 +1,51 @@
 """The OneQ compiler: partitioning, fusion graphs, mapping and routing."""
 
-from repro.core.compiler import (
-    CompiledProgram,
-    OneQCompiler,
-    OneQConfig,
-    compile_circuit,
-)
-from repro.core.fusion_graph import (
-    FGNode,
-    FusionGraph,
-    build_fusion_graph,
-    verify_fusion_graph,
-)
-from repro.core.mapping import (
-    InLayerMapper,
-    LayerLayout,
-    MappingResult,
-    NoViableSitesError,
-    Placement,
-)
-from repro.core.partition import (
-    GraphPartition,
-    PartitionConfig,
-    cross_partition_edges,
-    partition_pattern,
-    required_degrees,
-    verify_partitioning,
-)
-from repro.core.planarity import (
-    is_planar,
-    maximal_planar_subgraph,
-    planar_edge_decomposition,
-    planar_embedding_order,
-)
-from repro.core.recovery import (
-    POLICIES,
-    DegradationReport,
-    PolicyOutcome,
-    apply_policy,
-    recover,
-    reroute_program,
-)
-from repro.core.render import render_layer, render_program
-from repro.core.shuffling import ShuffleLayer, ShuffleResult, connect_pairs
-from repro.core.validate import (
-    PatternVerification,
-    ValidationError,
-    YieldEstimate,
-    assert_valid,
-    estimate_yield,
-    validate_program,
-    verify_pattern,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CompiledProgram",
-    "DegradationReport",
-    "FGNode",
-    "FusionGraph",
-    "GraphPartition",
-    "InLayerMapper",
-    "LayerLayout",
-    "MappingResult",
-    "NoViableSitesError",
-    "OneQCompiler",
-    "OneQConfig",
-    "POLICIES",
-    "PartitionConfig",
-    "Placement",
-    "PatternVerification",
-    "PolicyOutcome",
-    "ShuffleLayer",
-    "ShuffleResult",
-    "ValidationError",
-    "YieldEstimate",
-    "apply_policy",
-    "assert_valid",
-    "estimate_yield",
-    "recover",
-    "reroute_program",
-    "validate_program",
-    "verify_pattern",
-    "build_fusion_graph",
-    "compile_circuit",
-    "connect_pairs",
-    "cross_partition_edges",
-    "is_planar",
-    "maximal_planar_subgraph",
-    "partition_pattern",
-    "planar_edge_decomposition",
-    "planar_embedding_order",
-    "render_layer",
-    "render_program",
-    "required_degrees",
-    "verify_fusion_graph",
-    "verify_partitioning",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "CompiledProgram": ".compiler",
+    "OneQCompiler": ".compiler",
+    "OneQConfig": ".compiler",
+    "compile_circuit": ".compiler",
+    "FGNode": ".fusion_graph",
+    "FusionGraph": ".fusion_graph",
+    "build_fusion_graph": ".fusion_graph",
+    "verify_fusion_graph": ".fusion_graph",
+    "InLayerMapper": ".mapping",
+    "LayerLayout": ".mapping",
+    "MappingResult": ".mapping",
+    "NoViableSitesError": ".mapping",
+    "Placement": ".mapping",
+    "GraphPartition": ".partition",
+    "PartitionConfig": ".partition",
+    "cross_partition_edges": ".partition",
+    "partition_pattern": ".partition",
+    "required_degrees": ".partition",
+    "verify_partitioning": ".partition",
+    "is_planar": ".planarity",
+    "maximal_planar_subgraph": ".planarity",
+    "planar_edge_decomposition": ".planarity",
+    "planar_embedding_order": ".planarity",
+    "POLICIES": ".recovery",
+    "DegradationReport": ".recovery",
+    "PolicyOutcome": ".recovery",
+    "apply_policy": ".recovery",
+    "recover": ".recovery",
+    "reroute_program": ".recovery",
+    "render_layer": ".render",
+    "render_program": ".render",
+    "ShuffleLayer": ".shuffling",
+    "ShuffleResult": ".shuffling",
+    "connect_pairs": ".shuffling",
+    "PatternVerification": ".validate",
+    "ValidationError": ".validate",
+    "YieldEstimate": ".validate",
+    "assert_valid": ".validate",
+    "estimate_yield": ".validate",
+    "validate_program": ".validate",
+    "verify_pattern": ".validate",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,99 +1,53 @@
 """Evaluation harness: one runner + renderer per paper table/figure."""
 
-from repro.eval.experiments import (
-    FIG13_SHAPES,
-    NOISE_SWEEP_BENCHMARKS,
-    PAPER_TABLE2,
-    TABLE_BENCHMARKS,
-    ComparisonRow,
-    compare_one,
-    noise_sweep_specs,
-    run_ablation,
-    run_fidelity,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-    run_fig15,
-    run_noise_sweep,
-    run_table1,
-    run_table2,
-)
-from repro.eval.batch import (
-    BatchRunner,
-    RunRecord,
-    RunSpec,
-    execute_spec,
-    render_run_records,
-    render_stage_profile,
-    run_grid,
-    table2_specs,
-    write_bench_json,
-    write_noise_sweep_json,
-    write_run_table,
-)
-from repro.eval.degrade import (
-    DEGRADE_BENCHMARKS,
-    DEGRADE_SEVERITIES,
-    MILD_NOISE,
-    check_recovery,
-    degrade_specs,
-    run_degrade_sweep,
-    summarize_survival,
-    write_degradation_json,
-)
-from repro.eval.reporting import (
-    render_ablation,
-    render_fig12,
-    render_fig13,
-    render_fig14,
-    render_fig15,
-    render_survival_table,
-    render_table1,
-    render_table2,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BatchRunner",
-    "ComparisonRow",
-    "DEGRADE_BENCHMARKS",
-    "DEGRADE_SEVERITIES",
-    "FIG13_SHAPES",
-    "MILD_NOISE",
-    "NOISE_SWEEP_BENCHMARKS",
-    "PAPER_TABLE2",
-    "RunRecord",
-    "RunSpec",
-    "TABLE_BENCHMARKS",
-    "check_recovery",
-    "compare_one",
-    "degrade_specs",
-    "execute_spec",
-    "noise_sweep_specs",
-    "render_ablation",
-    "render_fig12",
-    "render_fig13",
-    "render_fig14",
-    "render_fig15",
-    "render_run_records",
-    "render_stage_profile",
-    "render_survival_table",
-    "render_table1",
-    "render_table2",
-    "run_ablation",
-    "run_degrade_sweep",
-    "run_fidelity",
-    "run_fig12",
-    "run_fig13",
-    "run_fig14",
-    "run_fig15",
-    "run_grid",
-    "run_noise_sweep",
-    "run_table1",
-    "run_table2",
-    "summarize_survival",
-    "table2_specs",
-    "write_bench_json",
-    "write_degradation_json",
-    "write_noise_sweep_json",
-    "write_run_table",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "FIG13_SHAPES": ".experiments",
+    "NOISE_SWEEP_BENCHMARKS": ".experiments",
+    "PAPER_TABLE2": ".experiments",
+    "TABLE_BENCHMARKS": ".experiments",
+    "ComparisonRow": ".experiments",
+    "compare_one": ".experiments",
+    "noise_sweep_specs": ".experiments",
+    "run_ablation": ".experiments",
+    "run_fidelity": ".experiments",
+    "run_fig12": ".experiments",
+    "run_fig13": ".experiments",
+    "run_fig14": ".experiments",
+    "run_fig15": ".experiments",
+    "run_noise_sweep": ".experiments",
+    "run_table1": ".experiments",
+    "run_table2": ".experiments",
+    "BatchRunner": ".batch",
+    "RunRecord": ".batch",
+    "RunSpec": ".batch",
+    "execute_spec": ".batch",
+    "render_run_records": ".batch",
+    "render_stage_profile": ".batch",
+    "run_grid": ".batch",
+    "table2_specs": ".batch",
+    "write_bench_json": ".batch",
+    "write_noise_sweep_json": ".batch",
+    "write_run_table": ".batch",
+    "DEGRADE_BENCHMARKS": ".degrade",
+    "DEGRADE_SEVERITIES": ".degrade",
+    "MILD_NOISE": ".degrade",
+    "check_recovery": ".degrade",
+    "degrade_specs": ".degrade",
+    "run_degrade_sweep": ".degrade",
+    "summarize_survival": ".degrade",
+    "write_degradation_json": ".degrade",
+    "render_ablation": ".reporting",
+    "render_fig12": ".reporting",
+    "render_fig13": ".reporting",
+    "render_fig14": ".reporting",
+    "render_fig15": ".reporting",
+    "render_survival_table": ".reporting",
+    "render_table1": ".reporting",
+    "render_table2": ".reporting",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

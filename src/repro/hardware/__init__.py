@@ -1,65 +1,36 @@
 """Hardware model: resource states, coupling graph and fusion accounting."""
 
-from repro.hardware.coupling import (
-    HardwareConfig,
-    SpaceTimeCouplingGraph,
-    extended_to_physical,
-)
-from repro.hardware.degradation import (
-    SCENARIOS,
-    SiteNoiseMap,
-    SiteProfile,
-    dead_assigned_fusions,
-    make_scenario,
-    program_site_profile,
-    site_analytic_yield,
-)
-from repro.hardware.fusion import FusionTally
-from repro.hardware.noise import (
-    DEFAULT_NOISE,
-    NoiseModel,
-    baseline_log_fidelity,
-    expected_fusion_attempts,
-    fidelity_improvement_factor,
-    log_fidelity,
-    program_log_fidelity,
-    success_probability,
-)
-from repro.hardware.resource_state import (
-    FOUR_LINE,
-    FOUR_RING,
-    FOUR_STAR,
-    RESOURCE_STATES,
-    THREE_LINE,
-    ResourceStateType,
-    get_resource_state,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_NOISE",
-    "FOUR_LINE",
-    "FOUR_RING",
-    "FOUR_STAR",
-    "FusionTally",
-    "NoiseModel",
-    "HardwareConfig",
-    "RESOURCE_STATES",
-    "ResourceStateType",
-    "SCENARIOS",
-    "SiteNoiseMap",
-    "SiteProfile",
-    "SpaceTimeCouplingGraph",
-    "THREE_LINE",
-    "baseline_log_fidelity",
-    "dead_assigned_fusions",
-    "expected_fusion_attempts",
-    "extended_to_physical",
-    "fidelity_improvement_factor",
-    "log_fidelity",
-    "make_scenario",
-    "program_log_fidelity",
-    "program_site_profile",
-    "site_analytic_yield",
-    "success_probability",
-    "get_resource_state",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "HardwareConfig": ".coupling",
+    "SpaceTimeCouplingGraph": ".coupling",
+    "extended_to_physical": ".coupling",
+    "SCENARIOS": ".degradation",
+    "SiteNoiseMap": ".degradation",
+    "SiteProfile": ".degradation",
+    "dead_assigned_fusions": ".degradation",
+    "make_scenario": ".degradation",
+    "program_site_profile": ".degradation",
+    "site_analytic_yield": ".degradation",
+    "FusionTally": ".fusion",
+    "DEFAULT_NOISE": ".noise",
+    "NoiseModel": ".noise",
+    "baseline_log_fidelity": ".noise",
+    "expected_fusion_attempts": ".noise",
+    "fidelity_improvement_factor": ".noise",
+    "log_fidelity": ".noise",
+    "program_log_fidelity": ".noise",
+    "success_probability": ".noise",
+    "FOUR_LINE": ".resource_state",
+    "FOUR_RING": ".resource_state",
+    "FOUR_STAR": ".resource_state",
+    "RESOURCE_STATES": ".resource_state",
+    "THREE_LINE": ".resource_state",
+    "ResourceStateType": ".resource_state",
+    "get_resource_state": ".resource_state",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,45 +1,28 @@
 """MBQC substrate: graph states, patterns, translation and flow analysis."""
 
-from repro.mbqc.flow import (
-    adaptive_depth,
-    blocking_sources,
-    dependency_layers,
-    layer_assignment,
-    verify_layering,
-)
-from repro.mbqc.graph_state import (
-    disjoint_union,
-    fuse,
-    graph_state_vector,
-    grid_graph,
-    linear_graph,
-    max_degree,
-    neighborhood,
-    relabeled,
-    ring_graph,
-    star_graph,
-    z_measure,
-)
-from repro.mbqc.pattern import MeasurementPattern
-from repro.mbqc.translate import circuit_to_pattern
+from repro import lazy_exports
 
-__all__ = [
-    "MeasurementPattern",
-    "adaptive_depth",
-    "blocking_sources",
-    "circuit_to_pattern",
-    "dependency_layers",
-    "disjoint_union",
-    "fuse",
-    "graph_state_vector",
-    "grid_graph",
-    "layer_assignment",
-    "linear_graph",
-    "max_degree",
-    "neighborhood",
-    "relabeled",
-    "ring_graph",
-    "star_graph",
-    "verify_layering",
-    "z_measure",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "adaptive_depth": ".flow",
+    "blocking_sources": ".flow",
+    "dependency_layers": ".flow",
+    "layer_assignment": ".flow",
+    "verify_layering": ".flow",
+    "disjoint_union": ".graph_state",
+    "fuse": ".graph_state",
+    "graph_state_vector": ".graph_state",
+    "grid_graph": ".graph_state",
+    "linear_graph": ".graph_state",
+    "max_degree": ".graph_state",
+    "neighborhood": ".graph_state",
+    "relabeled": ".graph_state",
+    "ring_graph": ".graph_state",
+    "star_graph": ".graph_state",
+    "z_measure": ".graph_state",
+    "MeasurementPattern": ".pattern",
+    "circuit_to_pattern": ".translate",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

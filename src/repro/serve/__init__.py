@@ -18,51 +18,32 @@ Serving speed is measured by the ``serve-mixed`` workload of
 ``perfbench/run.py``, not by this package.
 """
 
-from repro.serve.client import CompileClient, ServerClosedError
-from repro.serve.protocol import (
-    ERROR_CODES,
-    MAX_PAYLOAD_BYTES,
-    FrameError,
-    encode_frame,
-    error_response,
-    recv_frame,
-    send_frame,
-)
-from repro.serve.server import CompileServer, ServerThread, run_server
-from repro.serve.service import (
-    CompileService,
-    RequestError,
-    compile_job,
-    normalize_request,
-)
-from repro.serve.store import (
-    ArtifactStore,
-    DiskTier,
-    MemoryLRU,
-    StoreHit,
-    StoreStats,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ArtifactStore",
-    "CompileClient",
-    "CompileServer",
-    "CompileService",
-    "DiskTier",
-    "ERROR_CODES",
-    "FrameError",
-    "MAX_PAYLOAD_BYTES",
-    "MemoryLRU",
-    "RequestError",
-    "ServerClosedError",
-    "ServerThread",
-    "StoreHit",
-    "StoreStats",
-    "compile_job",
-    "encode_frame",
-    "error_response",
-    "normalize_request",
-    "recv_frame",
-    "run_server",
-    "send_frame",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "CompileClient": ".client",
+    "ServerClosedError": ".client",
+    "ERROR_CODES": ".protocol",
+    "MAX_PAYLOAD_BYTES": ".protocol",
+    "FrameError": ".protocol",
+    "encode_frame": ".protocol",
+    "error_response": ".protocol",
+    "recv_frame": ".protocol",
+    "send_frame": ".protocol",
+    "CompileServer": ".server",
+    "ServerThread": ".server",
+    "run_server": ".server",
+    "CompileService": ".service",
+    "RequestError": ".service",
+    "compile_job": ".service",
+    "normalize_request": ".service",
+    "ArtifactStore": ".store",
+    "DiskTier": ".store",
+    "MemoryLRU": ".store",
+    "StoreHit": ".store",
+    "StoreStats": ".store",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -13,9 +13,9 @@ first-class store with the properties a long-lived service needs:
   threads, other worker processes, other server instances sharing the
   cache directory — always see either the previous complete artifact or
   the new complete artifact, never a torn file;
-* **corruption tolerance** — a truncated/garbage/wrong-schema file is a
-  *miss* (counted in :attr:`StoreStats.corrupt_reads`), never an
-  exception: a torn cache file must not poison a worker;
+* **corruption tolerance** — a truncated/garbage file or a malformed
+  envelope is a *miss* (counted in :attr:`StoreStats.corrupt_reads`),
+  never an exception: a torn cache file must not poison a worker;
 * **accounting** — :class:`StoreStats` counts hits per tier, misses,
   evictions, corrupt reads and puts; the ``stats`` protocol op reads
   it.
@@ -67,8 +67,13 @@ def atomic_write_json(
     tmp = path.parent / (
         f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
     )
-    tmp.write_text(json.dumps(payload, indent=indent, default=str))
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(json.dumps(payload, indent=indent, default=str))
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write (a full disk, say) must not strand its temp file
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -248,12 +253,18 @@ class ArtifactStore:
             return StoreHit(artifact, MEMORY_TIER, self._age(created_at))
         if self._disk is not None:
             envelope, corrupt = self._disk.load_checked(key)
+            artifact = self._unwrap(envelope)
+            created_at = 0.0
+            if envelope is not None and artifact is not None:
+                stamp = envelope.get("created_at")
+                if isinstance(stamp, (int, float)):
+                    created_at = float(stamp)
+                elif stamp is not None:  # not a JSON number: corrupt
+                    artifact, corrupt = None, True
             if corrupt:
                 with self._lock:
                     self.stats.corrupt_reads += 1
-            artifact = self._unwrap(envelope)
             if artifact is not None:
-                created_at = float(envelope.get("created_at") or 0.0)
                 self._memory.put(key, (artifact, created_at))
                 with self._lock:
                     self.stats.disk_hits += 1

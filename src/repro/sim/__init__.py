@@ -1,52 +1,34 @@
 """Simulation substrates: statevector, MBQC pattern, stabilizer,
 Pauli frames, noisy MC."""
 
-from repro.sim.frame import FrameProgram, PauliFrameSimulator
-from repro.sim.noisy import FaultCounts, NoisySampler, NoisySampleResult
-from repro.sim.pattern_sim import (
-    PatternResult,
-    PatternSimulator,
-    StabilizerPatternResult,
-    StabilizerPatternSimulator,
-    pattern_is_clifford,
-    simulate_pattern,
-    simulate_pattern_stabilizer,
-)
-from repro.sim.stabilizer import PauliString, StabilizerState
-from repro.sim.statevector import (
-    Statevector,
-    basis_state_distribution,
-    circuit_unitary,
-    fidelity,
-    gate_matrix,
-    j_matrix,
-    simulate,
-    states_equal_up_to_phase,
-    unitaries_equal_up_to_phase,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "FaultCounts",
-    "FrameProgram",
-    "NoisySampleResult",
-    "NoisySampler",
-    "PauliFrameSimulator",
-    "PatternResult",
-    "PatternSimulator",
-    "PauliString",
-    "StabilizerPatternResult",
-    "StabilizerPatternSimulator",
-    "StabilizerState",
-    "Statevector",
-    "basis_state_distribution",
-    "circuit_unitary",
-    "fidelity",
-    "gate_matrix",
-    "j_matrix",
-    "pattern_is_clifford",
-    "simulate",
-    "simulate_pattern",
-    "simulate_pattern_stabilizer",
-    "states_equal_up_to_phase",
-    "unitaries_equal_up_to_phase",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "FrameProgram": ".frame",
+    "PauliFrameSimulator": ".frame",
+    "FaultCounts": ".noisy",
+    "NoisySampler": ".noisy",
+    "NoisySampleResult": ".noisy",
+    "PatternResult": ".pattern_sim",
+    "PatternSimulator": ".pattern_sim",
+    "StabilizerPatternResult": ".pattern_sim",
+    "StabilizerPatternSimulator": ".pattern_sim",
+    "pattern_is_clifford": ".pattern_sim",
+    "simulate_pattern": ".pattern_sim",
+    "simulate_pattern_stabilizer": ".pattern_sim",
+    "PauliString": ".stabilizer",
+    "StabilizerState": ".stabilizer",
+    "Statevector": ".statevector",
+    "basis_state_distribution": ".statevector",
+    "circuit_unitary": ".statevector",
+    "fidelity": ".statevector",
+    "gate_matrix": ".statevector",
+    "j_matrix": ".statevector",
+    "simulate": ".statevector",
+    "states_equal_up_to_phase": ".statevector",
+    "unitaries_equal_up_to_phase": ".statevector",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,45 +1,31 @@
 """Shared utilities: angles, geometry, RNG and lock instrumentation."""
 
-from repro.utils.angles import (
-    ANGLE_ATOL,
-    is_clifford_angle,
-    is_pauli_angle,
-    normalize_angle,
-)
-from repro.utils.bitgrid import BitGridSpec, expand, lexmin_path, nearest_free, spec_for
-from repro.utils.geometry import Rect, bounding_rect, manhattan
-from repro.utils.sync import (
-    GLOBAL_REGISTRY,
-    LockOrderError,
-    TrackedLock,
-    WitnessRegistry,
-    check_witness_against,
-    enable_sanitizer,
-    find_cycle,
-    make_lock,
-    sanitizer_enabled,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ANGLE_ATOL",
-    "BitGridSpec",
-    "GLOBAL_REGISTRY",
-    "LockOrderError",
-    "Rect",
-    "TrackedLock",
-    "WitnessRegistry",
-    "bounding_rect",
-    "check_witness_against",
-    "enable_sanitizer",
-    "expand",
-    "find_cycle",
-    "is_clifford_angle",
-    "is_pauli_angle",
-    "lexmin_path",
-    "make_lock",
-    "manhattan",
-    "nearest_free",
-    "normalize_angle",
-    "sanitizer_enabled",
-    "spec_for",
-]
+#: public name -> defining module, imported on first access
+_EXPORTS = {
+    "ANGLE_ATOL": ".angles",
+    "is_clifford_angle": ".angles",
+    "is_pauli_angle": ".angles",
+    "normalize_angle": ".angles",
+    "BitGridSpec": ".bitgrid",
+    "expand": ".bitgrid",
+    "lexmin_path": ".bitgrid",
+    "nearest_free": ".bitgrid",
+    "spec_for": ".bitgrid",
+    "Rect": ".geometry",
+    "bounding_rect": ".geometry",
+    "manhattan": ".geometry",
+    "GLOBAL_REGISTRY": ".sync",
+    "LockOrderError": ".sync",
+    "TrackedLock": ".sync",
+    "WitnessRegistry": ".sync",
+    "check_witness_against": ".sync",
+    "enable_sanitizer": ".sync",
+    "find_cycle": ".sync",
+    "make_lock": ".sync",
+    "sanitizer_enabled": ".sync",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

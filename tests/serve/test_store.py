@@ -6,16 +6,23 @@ accounting, atomic writes (no torn files under thread + process
 concurrency), and corruption-tolerant reads.
 """
 
+import errno
 import hashlib
 import json
 import multiprocessing
+import pathlib
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve.store import ArtifactStore, DiskTier, MemoryLRU
+from repro.serve.store import (
+    ArtifactStore,
+    DiskTier,
+    MemoryLRU,
+    atomic_write_json,
+)
 
 
 class TestMemoryLRU:
@@ -196,6 +203,23 @@ class TestArtifactStore:
         assert new.stats.corrupt_reads == 0  # stale, not corrupt
         assert new.stats.misses == 1
 
+    @pytest.mark.parametrize(
+        "created_at", ["abc", [1], {}], ids=["string", "list", "object"]
+    )
+    def test_malformed_created_at_is_a_corrupt_miss(
+        self, tmp_path, created_at
+    ):
+        store = ArtifactStore(cache_dir=tmp_path, schema_version=1)
+        store.put("k", _artifact("k"))
+        store.clear_memory()
+        path = store.disk_path("k")
+        envelope = json.loads(path.read_text())
+        envelope["created_at"] = created_at
+        path.write_text(json.dumps(envelope))
+        assert store.get("k") is None
+        assert store.stats.corrupt_reads == 1
+        assert store.stats.misses == 1
+
     def test_eviction_counter_tracks_lru(self, tmp_path):
         store = ArtifactStore(
             cache_dir=tmp_path, memory_capacity=2, schema_version=1
@@ -246,6 +270,22 @@ class TestDiskTierAtomicity:
         tier.path("bad").parent.mkdir(parents=True, exist_ok=True)
         tier.path("bad").write_text("{truncated")
         assert tier.load_checked("bad") == (None, True)
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "k.json"
+        atomic_write_json(path, {"v": 1})
+        real_write_text = pathlib.Path.write_text
+
+        def write_half_then_fail(self, text, *args, **kwargs):
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="No space left"):
+            atomic_write_json(path, {"v": 2, "pad": "x" * 1000})
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json"]
+        assert json.loads(path.read_text()) == {"v": 1}
 
 
 # -- concurrency stress -------------------------------------------------

@@ -1,4 +1,4 @@
-"""The subcommand check in scripts/check_docs.py."""
+"""The subcommand and module-reference checks in scripts/check_docs.py."""
 
 import importlib.util
 import pathlib
@@ -30,4 +30,25 @@ def test_subcommand_mentions(tmp_path, line, problems):
     doc = tmp_path / "doc.md"
     doc.write_text(f"# Title\n\n{line}\n")
     found = check_docs.iter_problems(doc, check_docs.cli_subcommands())
+    assert [message for _, message in found] == problems
+
+
+@pytest.mark.parametrize(
+    "line,problems",
+    [
+        ("See `repro.core.OneQCompiler`.", []),
+        (
+            "See `repro.core.NoSuchThing`.",
+            [
+                "stale attribute reference: `repro.core.NoSuchThing` "
+                "('NoSuchThing' is not defined in src/repro/core/__init__.py)"
+            ],
+        ),
+    ],
+    ids=["lazy-export", "unknown-export"],
+)
+def test_package_attribute_references(tmp_path, line, problems):
+    doc = tmp_path / "doc.md"
+    doc.write_text(f"# Title\n\n{line}\n")
+    found = check_docs.iter_problems(doc)
     assert [message for _, message in found] == problems
