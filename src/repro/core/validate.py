@@ -363,31 +363,58 @@ def estimate_yield(
         site_map: per-site degradation map
             (:class:`repro.hardware.degradation.SiteNoiseMap`); when
             given, fault configurations are sampled from the per-cell
-            rates and *model* is ignored in favour of the map.
+            rates and *model* is ignored in favour of the map.  A
+            non-Clifford program gets the map's closed form: the scalar
+            model of a uniform map, the per-site product
+            (:func:`repro.hardware.degradation.site_analytic_yield`) of
+            a heterogeneous one.
         site_profile: event→site assignment for *site_map*; required for
-            heterogeneous maps (``program_site_profile`` builds one from
-            a compiled program).
+            heterogeneous maps, sampled or not (``program_site_profile``
+            builds one from a compiled program).
+
+    Raises:
+        ValueError: a heterogeneous *site_map* without *site_profile*,
+            or any argument the sampler rejects.
     """
+    from repro.hardware.degradation import site_analytic_yield
     from repro.hardware.noise import DEFAULT_NOISE
     from repro.mbqc.translate import circuit_to_pattern
-    from repro.sim.noisy import FaultCounts, NoisySampler
+    from repro.sim.noisy import (
+        SITE_PROFILE_REQUIRED,
+        FaultCounts,
+        NoisySampler,
+    )
     from repro.sim.pattern_sim import pattern_is_clifford
     from repro.sim.stabilizer import circuit_is_clifford
 
     model = model or DEFAULT_NOISE
+    heterogeneous = False
     if site_map is not None:
-        model = site_map.as_uniform_model() or site_map.base
+        uniform = site_map.as_uniform_model()
+        heterogeneous = uniform is None
+        model = uniform or site_map.base
     t0 = time.perf_counter()
     if pattern is None:
         pattern = circuit_to_pattern(circuit)
     if counts is None:
         counts = FaultCounts.from_pattern(pattern)
     if not (pattern_is_clifford(pattern) and circuit_is_clifford(circuit)):
+        if not heterogeneous:
+            yield_analytic = counts.analytic_yield(model)
+        elif site_profile is None:
+            raise ValueError(SITE_PROFILE_REQUIRED)
+        else:
+            # no scalar model describes the map: take the per-site
+            # product (exactly 0 for a dead-assigned program)
+            assert site_map is not None
+            yield_analytic = site_analytic_yield(
+                site_profile, site_map, counts.measurements
+            )
         return YieldEstimate(
             shots=0,
             yield_mc=None,
             fault_free_yield=None,
-            yield_analytic=counts.analytic_yield(model),
+            yield_analytic=yield_analytic,
             sigma=0.0,
             method="analytic-only",
             seconds=time.perf_counter() - t0,

@@ -2,7 +2,7 @@
 
 The closed-form :mod:`repro.hardware.noise` model predicts the
 probability that one execution of a compiled program sees *zero* error
-events.  This module samples the actual fault process shot by shot and
+events.  This module samples the actual fault process of every shot and
 executes the pattern under each sampled fault configuration on the
 bit-packed stabilizer tableau, producing two yields per run:
 
@@ -49,8 +49,16 @@ Stim-style gauge reseed after each measurement.
 That one reference run is also the sampler's calibration: the engine
 raises unless the noiseless execution passes every output stabilizer
 check.  So shots with zero fault events never execute — they pass
-deterministically — and only faulty shots pay for execution.  At
-realistic error rates this makes large shot counts cheap.
+deterministically — and only faulty shots pay for execution.
+
+Nor do they pay for sampling: the draw costs per fault, not per shot.
+A channel's per-event Bernoulli trials over all shots form one
+sequence, and the positions of its successes are cumulative sums of
+geometric gaps — the joint law of per-shot binomials, sampled the way
+Stim skips between sparse error events.  Repeat-until-success retries
+reach the tally only as a sum, so each retry rate group is a single
+negative binomial over the shots that ran their fusions.  At realistic
+error rates this makes large shot counts cheap.
 
 Sampling is separated from execution: :meth:`NoisySampler._draw_faults`
 draws every shot's fault configuration up front, and pass/fail per shot
@@ -69,7 +77,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,28 +97,31 @@ from repro.sim.stabilizer import StabilizerState, non_clifford_gate_counts
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compiler import CompiledProgram
 
-#: Shots per block, for both the fault draw and the frame engine.  The
-#: draw samples each per-shot channel this many shots at a time and
-#: reduces every block at once into narrow per-shot counts, so its
-#: transients stay at a few MB however many shots run.  Faulty shots run
-#: on the frame engine in chunks of this size: frames pack 64 shots per
-#: uint64 word, and each measurement step costs a handful of word-vector
-#: XORs regardless of chunk size — so much larger chunks amortize the
+#: Shots per frame-engine chunk.  Frames pack 64 shots per uint64 word,
+#: and each measurement step costs a handful of word-vector XORs
+#: regardless of chunk size — so much larger chunks amortize the
 #: per-step Python dispatch; 64k shots is ~1k words, i.e.
 #: ``(2n + steps) * 8`` KB of frame matrices.  Tallies do not depend on
-#: it.
+#: it: the fault draw never reads it.
 FRAME_CHUNK_SHOTS = 1 << 16
 
+#: Why a heterogeneous site map without a site profile is rejected (by
+#: the sampler and by the closed-form fallback of ``estimate_yield``).
+SITE_PROFILE_REQUIRED = (
+    "a heterogeneous site_map needs a site_profile assigning each fault "
+    "event to its site (see "
+    "repro.hardware.degradation.program_site_profile)"
+)
+
 #: ``(rate, events)`` groups of one fault channel: events sharing a
-#: per-event probability are drawn as one binomial (or negative
-#: binomial) per group.
+#: per-event probability are drawn as one Bernoulli sequence (and one
+#: negative binomial for retries) per group.
 _RateGroups = Tuple[Tuple[float, int], ...]
 
-#: Random-key matrix budget (elements) per block when placing distinct
-#: measurement-flip slots.  Each element costs 8 B of float64 key, 8 B
-#: of int64 argsort index and 1 B of selection mask, so a block's
-#: transient stays at ~4.5 MB however many shots carry flips.
-_FLIP_KEY_BLOCK = 1 << 18
+#: Most geometric gaps drawn per call when placing one rate group's
+#: events, and most fault shots ranked per search, so the draw's
+#: ``int64`` transients stay at 512 KB however many shots run.
+_GAP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -276,6 +287,68 @@ def _rate_groups(rates: np.ndarray) -> _RateGroups:
     return tuple((float(v), int(k)) for v, k in zip(values, sizes))
 
 
+def _event_positions(
+    rng: np.random.Generator, rate: float, trials: int
+) -> Iterator[np.ndarray]:
+    """Ascending positions of the successes among *trials*
+    Bernoulli(*rate*) trials, in blocks.
+
+    The gaps between successive successes are i.i.d. geometric, so
+    their cumulative sums place every success with the exact joint law
+    of the trials, at a cost per success rather than per trial.  Every
+    block draws the same number of gaps, set by *rate* and *trials*
+    alone (a few standard deviations above the mean count, at most
+    ``_GAP_BLOCK``), so how many values the stream yields never depends
+    on how a caller chunks its shots.
+    """
+    mean = rate * trials
+    block = int(min(_GAP_BLOCK, mean + 6.0 * math.sqrt(mean) + 64.0))
+    # a gap is clipped at trials + 1 (that long ends the sequence
+    # anyway), which keeps a block's cumulative sum inside int64
+    block = max(1, min(block, (1 << 62) // (trials + 1)))
+    last = -1
+    while True:
+        gaps = rng.geometric(rate, size=block)
+        np.minimum(gaps, trials + 1, out=gaps)
+        positions = np.cumsum(gaps, out=gaps)
+        positions += last
+        if positions[-1] >= trials:
+            yield positions[: np.searchsorted(positions, trials)]
+            return
+        last = int(positions[-1])
+        yield positions  # the caller may reuse the block in place
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of sorted *values* (``np.unique`` without its
+    hash table or re-sort)."""
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _rank(
+    keys: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Index of each of *values* in the sorted, distinct *keys* (in the
+    keys' dtype), and whether the value is there at all.  Searched one
+    ``_GAP_BLOCK`` of values at a time, so the ``int64`` search indices
+    never outgrow a block."""
+    rank = np.zeros(values.size, dtype=keys.dtype)
+    hit = np.zeros(values.size, dtype=bool)
+    if keys.size == 0:
+        return rank, hit
+    for lo in range(0, values.size, _GAP_BLOCK):
+        part = values[lo : lo + _GAP_BLOCK]
+        index = np.searchsorted(keys, part)
+        # a clipped miss still compares unequal below
+        np.minimum(index, keys.size - 1, out=index)
+        rank[lo : lo + _GAP_BLOCK] = index
+        hit[lo : lo + _GAP_BLOCK] = keys[index] == part
+    return rank, hit
+
+
 @dataclass(frozen=True)
 class _FaultDraw:
     """Every shot's sampled fault configuration (``_draw_faults``).
@@ -286,11 +359,12 @@ class _FaultDraw:
     fault_kind)`` entries (kind indexes ``"xyz"``) and ``(flip_shot,
     flip_qubit)`` entries place each executed shot's Pauli faults and
     measurement flips on tableau qubits; shot indices run over the
-    executed shots and are sorted.
+    executed shots and are sorted, and no shot flips one qubit twice.
 
     The arrays hold one entry per fault, in narrow dtypes: shot indices
     are ``int32`` (``int64`` past 2**31 - 1 shots), qubits the smallest
     unsigned type that holds a tableau qubit index, kinds ``uint8``.
+    Nothing in the draw is sized by the shot count.
     """
 
     shots: int
@@ -342,12 +416,12 @@ class NoisySampler:
             required with a heterogeneous *site_map*, and its event
             counts must match *counts*.
 
-    Fault configurations for all shots are sampled vectorized up front,
-    and the shot classification (loss abort / fault free / readout
-    flip) is pure numpy mask algebra — tally-only shots never cost a
-    Python iteration.  Only shots with at least one non-loss,
-    non-readout fault event execute, as bit-packed Pauli flip frames
-    (:class:`repro.sim.frame.PauliFrameSimulator`; per-shot cost
+    Fault events for all shots are sampled vectorized up front, at a
+    cost per event, and the shot classification (loss abort / fault
+    free / readout flip) is set algebra over the events' shot indices —
+    fault-free shots cost nothing at all.  Only shots with at least one
+    non-loss, non-readout fault event execute, as bit-packed Pauli flip
+    frames (:class:`repro.sim.frame.PauliFrameSimulator`; per-shot cost
     independent of qubit count).
 
     Raises:
@@ -408,11 +482,7 @@ class NoisySampler:
             else:
                 heterogeneous = True
                 if site_profile is None:
-                    raise ValueError(
-                        "a heterogeneous site_map needs a site_profile "
-                        "assigning each fault event to its site (see "
-                        "repro.hardware.degradation.program_site_profile)"
-                    )
+                    raise ValueError(SITE_PROFILE_REQUIRED)
                 if site_profile.shape != site_map.shape:
                     raise ValueError(
                         f"site_profile shape {site_profile.shape} != "
@@ -447,8 +517,9 @@ class NoisySampler:
         self.model = model
         # per-channel (rate, events) groups, drawn in this order: a
         # scalar model is one group per channel; a heterogeneous map
-        # groups its per-event rates (the measurement channel stays
-        # scalar — readout is not a grid operation)
+        # groups its per-event rates.  The measurement channel is always
+        # the scalar model.measurement_error — readout is not a grid
+        # operation.
         counts = self.counts
         if heterogeneous:
             assert site_map is not None and site_profile is not None
@@ -473,9 +544,6 @@ class NoisySampler:
             self._success_groups = _one_group(
                 model.fusion_success, counts.fusions
             )
-        self._meas_groups = _one_group(
-            model.measurement_error, counts.measurements
-        )
         if model.fusion_success == 0.0 and counts.fusions > 0:
             raise ValueError(
                 f"fusion_success=0 with {counts.fusions} fusions to "
@@ -535,48 +603,6 @@ class NoisySampler:
             is None
         )
 
-    def _place_flips(
-        self,
-        n_meas: np.ndarray,
-        rng: np.random.Generator,
-        shot_dtype: np.dtype,
-        qubit_dtype: np.dtype,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Place each faulty shot's erring-measurement slots, in bulk.
-
-        The binomial event count is the number of *distinct* erring
-        measurements, so slots are placed without replacement: every
-        shot with flips gets a row of random keys over the measurement
-        slots and takes its ``n_meas`` smallest (drawn in fixed-size
-        blocks to bound the key matrix at ``_FLIP_KEY_BLOCK``
-        elements).  Returns ``(readout, flip_shot, flip_qubit)``:
-        ``readout`` flags faulty rows with a flip on an output-readout
-        slot (classically wrong whatever the quantum state — those
-        shots never execute); the flat, shot-sorted ``(flip_shot,
-        flip_qubit)`` entries are the remaining rows' flips on
-        measured, non-output tableau qubits.
-        """
-        readout = np.zeros(n_meas.size, dtype=bool)
-        rows = np.flatnonzero(n_meas)
-        shot_parts = [np.zeros(0, dtype=shot_dtype)]
-        qubit_parts = [np.zeros(0, dtype=qubit_dtype)]
-        m_slots = self.counts.measurements
-        block = max(1, _FLIP_KEY_BLOCK // max(1, m_slots))
-        for start in range(0, rows.size, block):
-            sub = rows[start : start + block]
-            keys = rng.random((sub.size, m_slots))
-            order = np.argsort(keys, axis=1)
-            chosen = np.arange(m_slots)[None, :] < n_meas[sub][:, None]
-            local = np.nonzero(chosen)[0]  # block-row per chosen slot
-            slots = order[chosen]
-            block_readout = np.zeros(sub.size, dtype=bool)
-            np.logical_or.at(block_readout, local, self._slot_readout[slots])
-            readout[sub] = block_readout
-            keep = ~block_readout[local]
-            shot_parts.append(sub[local[keep]].astype(shot_dtype))
-            qubit_parts.append(slots[keep].astype(qubit_dtype))
-        return readout, np.concatenate(shot_parts), np.concatenate(qubit_parts)
-
     # ------------------------------------------------------------------
     def _draw_faults(self, shots: int, rng: np.random.Generator) -> _FaultDraw:
         """Sample and place every shot's faults from the master *rng*.
@@ -585,100 +611,111 @@ class NoisySampler:
         executor consuming this draw cannot depend on how it executes
         or chunks the faulty shots.
 
-        Every per-shot channel is drawn ``FRAME_CHUNK_SHOTS`` shots at a
-        time, channel by channel and rate group by rate group, each
-        block reduced at once: loss to a "lost" flag, fusion errors and
-        measurement flips to counts in the narrowest unsigned dtype that
-        holds the channel's event total, retries to a running sum.
-        Consecutive blocks of one distribution call return exactly the
-        values of a single ``size=shots`` call and leave the generator
-        in the same state, so the stream — and every tally — does not
-        depend on the block size.  Memory is ~3 B per shot while the
-        channels are drawn and ~7 B per placed fault after.
+        Each rate group's ``events x shots`` Bernoulli trials form one
+        sequence indexed ``shot * events + slot``, whose successes
+        :func:`_event_positions` places directly — the joint law of
+        per-shot binomials at a cost per fault, not per shot.  The
+        calls run channel by channel (loss, fusion error, measurement
+        flip), rate group by rate group, then one negative binomial per
+        retry group, then the Pauli kind and last the qubit of every
+        executed fault.  Nothing is held per shot: lost, faulty and
+        readout-failed shots are sorted ``int32`` index sets, and every
+        array holds one entry per fault.
         """
         if shots <= 0:
             raise ValueError("shots must be positive")
-        blocks = [
-            (lo, min(lo + FRAME_CHUNK_SHOTS, shots))
-            for lo in range(0, shots, FRAME_CHUNK_SHOTS)
-        ]
-
-        def event_counts(groups: _RateGroups, total: int) -> np.ndarray:
-            # Poisson-binomial draw: one binomial per rate group
-            out = np.zeros(shots, dtype=np.min_scalar_type(total))
-            for rate, events in groups:
-                if rate > 0.0:
-                    for lo, hi in blocks:
-                        drawn = rng.binomial(
-                            events, min(rate, 1.0), size=hi - lo
-                        )
-                        out[lo:hi] += drawn.astype(out.dtype)
-            return out
-
-        # a lost photon aborts the shot whatever else it drew
-        lost = np.zeros(shots, dtype=bool)
-        for rate, events in self._loss_groups:
-            if rate > 0.0:
-                for lo, hi in blocks:
-                    lost[lo:hi] |= (
-                        rng.binomial(events, min(rate, 1.0), size=hi - lo) > 0
-                    )
-        fusion_errors = event_counts(self._error_groups, self.counts.fusions)
-        meas_errors = event_counts(self._meas_groups, self.counts.measurements)
-        loss_aborts = int(lost.sum())
-        # repeat-until-success: each fusion's retries are geometric.
-        # Loss-aborted shots stop before their fusion sequence, so only
-        # the retries of the shots that ran count.
-        fusion_attempts = self.counts.fusions * (shots - loss_aborts)
-        for rate, events in self._success_groups:
-            if rate < 1.0:  # init rejects 0-success fusions
-                for lo, hi in blocks:
-                    retries = rng.negative_binomial(events, rate, size=hi - lo)
-                    fusion_attempts += int(retries.sum(where=~lost[lo:hi]))
-
-        # shot classification is pure mask algebra: a shot with zero
-        # non-loss events is tally-only — neither class costs a Python
-        # iteration.  Only the faulty rows' counts outlive this step.
-        faulty = (fusion_errors > 0) | (meas_errors > 0)
-        faulty &= ~lost
-        fault_free = shots - loss_aborts - int(faulty.sum())
-        n_fus = fusion_errors[faulty]
-        n_meas = meas_errors[faulty]
-        del lost, fusion_errors, meas_errors, faulty
-
-        # fault placement for every faulty shot, in bulk
         shot_dtype = np.dtype(
             np.int32 if shots <= np.iinfo(np.int32).max else np.int64
         )
-        qubit_dtype = np.min_scalar_type(self._base.n - 1)
-        fault_shot = np.repeat(np.arange(n_fus.size, dtype=shot_dtype), n_fus)
-        fault_qubit = np.empty(fault_shot.size, dtype=qubit_dtype)
-        fault_kind = np.empty(fault_shot.size, dtype=np.uint8)  # "xyz" index
-        for out, high in ((fault_qubit, self._base.n), (fault_kind, 3)):
-            for lo in range(0, out.size, FRAME_CHUNK_SHOTS):
-                hi = min(lo + FRAME_CHUNK_SHOTS, out.size)
-                out[lo:hi] = rng.integers(0, high, size=hi - lo)
-        readout, flip_shot, flip_qubit = self._place_flips(
-            n_meas, rng, shot_dtype, qubit_dtype
-        )
 
+        def event_shots(groups: _RateGroups, distinct: bool) -> np.ndarray:
+            # sorted shot of every event (of every shot at most once
+            # when *distinct*)
+            parts = [np.zeros(0, dtype=shot_dtype)]
+            for rate, events in groups:
+                if rate > 0.0:
+                    for pos in _event_positions(
+                        rng, min(rate, 1.0), events * shots
+                    ):
+                        pos //= events
+                        hit = pos.astype(shot_dtype)
+                        parts.append(_distinct(hit) if distinct else hit)
+            merged = np.concatenate(parts)
+            merged.sort()
+            return _distinct(merged) if distinct else merged
+
+        # a lost photon aborts the shot whatever else it drew
+        lost = event_shots(self._loss_groups, distinct=True)
+        error_shot = event_shots(self._error_groups, distinct=False)
+        # measurement slots of one shot are distinct positions of the
+        # sequence, so flips never repeat a slot
+        m_slots = self.counts.measurements
+        slot_dtype = np.min_scalar_type(max(0, m_slots - 1))
+        flip_parts = [np.zeros(0, dtype=shot_dtype)]
+        slot_parts = [np.zeros(0, dtype=slot_dtype)]
+        if self.model.measurement_error > 0.0 and m_slots:
+            for pos in _event_positions(
+                rng, self.model.measurement_error, m_slots * shots
+            ):
+                slot_parts.append((pos % m_slots).astype(slot_dtype))
+                pos //= m_slots
+                flip_parts.append(pos.astype(shot_dtype))
+        meas_shot = np.concatenate(flip_parts)
+        meas_slot = np.concatenate(slot_parts)
+
+        # repeat-until-success: each fusion's retries are geometric, so
+        # a group's retries over the shots that ran their fusion
+        # sequence (loss-aborted shots stop before it) are one negative
+        # binomial
+        kept = shots - lost.size
+        fusion_attempts = self.counts.fusions * kept
+        for rate, events in self._success_groups:
+            if rate < 1.0 and kept:  # init rejects 0-success fusions
+                fusion_attempts += int(
+                    rng.negative_binomial(events * kept, rate)
+                )
+
+        # shot classification is set algebra over the faults: a shot
+        # with zero non-loss events is tally-only
+        error_shot = error_shot[~_rank(lost, error_shot)[1]]
+        alive = ~_rank(lost, meas_shot)[1]
+        meas_shot, meas_slot = meas_shot[alive], meas_slot[alive]
+        faulty = np.concatenate((error_shot, meas_shot))
+        faulty.sort()
+        faulty = _distinct(faulty)
         # a flipped output readout is classically wrong whatever the
         # quantum state, so those shots skip execution outright
-        readout_failures = int(readout.sum())
-        # faulty row -> executed slot
-        position = np.cumsum(~readout, dtype=shot_dtype) - 1
-        keep = ~readout[fault_shot]
+        readout = _distinct(meas_shot[self._slot_readout[meas_slot]])
+        executed = faulty[~_rank(readout, faulty)[1]]
+        fault_free = shots - lost.size - faulty.size
+        del alive, faulty
+
+        # faults and flips of executed shots, by executed-shot rank
+        qubit_dtype = np.min_scalar_type(self._base.n - 1)
+        rank, hit = _rank(executed, meas_shot)
+        flip_shot = rank[hit]
+        flip_qubit = meas_slot[hit].astype(qubit_dtype)
+        rank, hit = _rank(executed, error_shot)
+        fault_shot = rank[hit]
+        del rank, hit, meas_shot, meas_slot, error_shot
+        fault_kind = rng.integers(0, 3, size=fault_shot.size, dtype=np.uint8)
+        # the uniform qubit draw is the last one, so placing each fault
+        # on the qubits its fusion touches can replace it without moving
+        # any other draw
+        fault_qubit = rng.integers(
+            0, self._base.n, size=fault_shot.size, dtype=qubit_dtype
+        )
         return _FaultDraw(
             shots=shots,
             fault_free=fault_free,
-            loss_aborts=loss_aborts,
-            readout_failures=readout_failures,
-            executed=n_fus.size - readout_failures,
+            loss_aborts=int(lost.size),
+            readout_failures=int(readout.size),
+            executed=int(executed.size),
             fusion_attempts=fusion_attempts,
-            fault_shot=position[fault_shot[keep]],
-            fault_qubit=fault_qubit[keep],
-            fault_kind=fault_kind[keep],
-            flip_shot=position[flip_shot],  # flips land on executed rows
+            fault_shot=fault_shot,
+            fault_qubit=fault_qubit,
+            fault_kind=fault_kind,
+            flip_shot=flip_shot,
             flip_qubit=flip_qubit,
         )
 
@@ -705,14 +742,13 @@ class NoisySampler:
         tally.  Faulty shots run on the frame engine in chunks of
         :data:`FRAME_CHUNK_SHOTS`.
 
-        The tally is a pure function of the arguments and the seed; this
-        run draws its faults in two blocks:
+        The tally is a pure function of the arguments and the seed:
 
         >>> from repro.circuit import get_benchmark
         >>> result = NoisySampler(get_benchmark("BV", 4), seed=7).run(70_000)
         >>> (result.successes, result.fault_free, result.loss_aborts,
         ...  result.logical_failures, result.executed, result.fusion_attempts)
-        (67267, 64925, 585, 2148, 4262, 555340)
+        (67151, 64736, 627, 2222, 4362, 555242)
         """
         t0 = time.perf_counter()
         draw = self._draw_faults(shots, np.random.default_rng(self.seed))

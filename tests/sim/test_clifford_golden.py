@@ -21,14 +21,14 @@ SEED = 7
 CASES = {
     "BV-16": (
         lambda: get_benchmark("BV", 16, seed=SEED),
-        DEFAULT_NOISE, 20_000, 0.84235, 0.73545,
+        DEFAULT_NOISE, 20_000, 0.84065, 0.7348,
     ),
     "RND-48": (
         lambda: random_circuit(
             48, 800, seed=SEED,
             two_qubit_gates=("cx", "cz"), one_qubit_gates=("h", "s"),
         ),
-        DEFAULT_NOISE.scaled(0.005), 500, 0.968, 0.948,
+        DEFAULT_NOISE.scaled(0.005), 500, 0.964, 0.952,
     ),
 }
 

@@ -305,13 +305,12 @@ EQUIVALENCE_NOISE = {
 
 
 #: Frame-engine tallies of BV-12 under HEAVY noise at (seed, shots) =
-#: (0, 2000), (7, 2000), (123, 5000), in ``tallies`` order.  Recorded
-#: when the sampler still offered three engines; the single frame path
-#: must reproduce them bit for bit.
+#: (0, 2000), (7, 2000), (123, 5000), in ``tallies`` order, as drawn by
+#: the sparse fault draw (fault events placed by geometric gaps).
 PINNED_TALLIES = [
-    (2000, 263, 16, 25, 1712, 1528, 71346),
-    (2000, 260, 22, 29, 1711, 1505, 71315),
-    (5000, 646, 50, 56, 4298, 3832, 178143),
+    (2000, 271, 26, 15, 1714, 1550, 71782),
+    (2000, 279, 23, 25, 1696, 1512, 70718),
+    (5000, 639, 49, 68, 4293, 3809, 177342),
 ]
 
 

@@ -1,10 +1,11 @@
-"""Golden tallies and fault-draw digests above one draw block.
+"""Golden tallies and fault-draw digests across block boundaries.
 
-``NoisySampler`` draws its per-shot fault channels and places the
-faults of every faulty shot from one master generator.  These cases run
-well past ``FRAME_CHUNK_SHOTS`` shots (several blocks plus a ragged last
-one), through several rate groups per channel and through rows carrying
-several measurement flips, and pin:
+``NoisySampler`` places the fault events of every shot from one master
+generator, a block of geometric gaps at a time.  These cases run well
+past ``FRAME_CHUNK_SHOTS`` shots (several frame chunks plus a ragged
+last one), through more fault events than one gap block holds, through
+several rate groups per channel and through rows carrying several
+measurement flips, and pin:
 
 * the exact ``NoisySampler.run`` tally;
 * every scalar field of ``_draw_faults`` and a sha256 of every array
@@ -83,9 +84,9 @@ CASES = {
 #: ``NoisySampler.run`` tallies: shots, successes, fault_free,
 #: loss_aborts, logical_failures, executed, fusion_attempts
 GOLDEN_TALLIES = {
-    "bv10-flippy": (131075, 11113, 4266, 233, 119729, 21288, 2180996),
-    "bv12-heavy": (200003, 26247, 2194, 2431, 171325, 152739, 7108946),
-    "bv16-site-map": (70001, 65437, 63321, 1549, 3015, 4082, 3612798),
+    "bv10-flippy": (131075, 11365, 4237, 239, 119471, 21668, 2180302),
+    "bv12-heavy": (200003, 26540, 2174, 2522, 170941, 153177, 7108446),
+    "bv16-site-map": (70001, 65327, 63239, 1603, 3071, 4101, 3611518),
 }
 
 #: ``_draw_faults`` fields: scalars verbatim, arrays as the sha256 of
@@ -93,71 +94,71 @@ GOLDEN_TALLIES = {
 GOLDEN_DRAWS = {
     "bv10-flippy": {
         "shots": 131075,
-        "fault_free": 4266,
-        "loss_aborts": 233,
-        "readout_failures": 105288,
-        "executed": 21288,
-        "fusion_attempts": 2180996,
+        "fault_free": 4237,
+        "loss_aborts": 239,
+        "readout_failures": 104931,
+        "executed": 21668,
+        "fusion_attempts": 2180302,
         "fault_shot": (
-            "5742d4dc518a9a7c66213b6816a0f77c4f0c8deac7d13938ff5d84c1ba49016f"
+            "c0d1585fa61a83b851d1ac143b84b49ed1084fcf2fa541db5ec7e201e118b703"
         ),
         "fault_qubit": (
-            "75e8b12277a56d1a62336744ce9e4823548f88afaf59cd03478e83c8f5f1f951"
+            "3cbbb507b018baa9b5bbbd005dcd7b6bd32b29a9c11383a31a01ff4fe897fae1"
         ),
         "fault_kind": (
-            "ac8c7aea5bb122f43cd0cc6c841da960042b98664407c6284ecb8cffc0261e0a"
+            "6556cb2dbbe153df5e4fe18078a55ffe04285e6271667517ab54f882f514c99b"
         ),
         "flip_shot": (
-            "cfb9ba43b0688e5845320ba114da07d90fe3570bc7c02f850b87fdcef2986248"
+            "4e8a776e3c4e0e3ec1dafcfc7351939a3f3b3796e80f2be9f26524997c403237"
         ),
         "flip_qubit": (
-            "7c190eda6abe6a26c8784d3324c8daacd80b599164ba5d0cc92e4f97fd9fb341"
+            "027f6fb0ad6abe6f3fb1edcc755f509ede5253586462339d58a01218ce01be55"
         ),
     },
     "bv12-heavy": {
         "shots": 200003,
-        "fault_free": 2194,
-        "loss_aborts": 2431,
-        "readout_failures": 42639,
-        "executed": 152739,
-        "fusion_attempts": 7108946,
+        "fault_free": 2174,
+        "loss_aborts": 2522,
+        "readout_failures": 42130,
+        "executed": 153177,
+        "fusion_attempts": 7108446,
         "fault_shot": (
-            "d2c78038331e1d9cc37c834a45bebabf6a2505657cb42c6d8433e58d2e777fa8"
+            "bdc482b56d1c9d961625f78d685ec60696af4e4ef60435ce6f89ce06b4994a3e"
         ),
         "fault_qubit": (
-            "d67ee7c05ec669762102de13e4aeac7aad0e7425d7bd25d0b8e0d8dacf0aa02f"
+            "f36e02fcc3b900eb238dda78402e2a5eef541db33a742b9db1075ef1d170c002"
         ),
         "fault_kind": (
-            "860644dacd2746af16e62bfc0422b5b7ab62ef5cd07c8a980af4e30db2e398b6"
+            "dd115fd8cb4a0059ba3fbcd739428efb32fe154b784ed2a7b718c0659e5f4445"
         ),
         "flip_shot": (
-            "a45f504ca9dab1c6728aea04a6e80e8bf8c0ab44ad3a53732b4bcaf6bb22639e"
+            "d4ca075844457b2ae87879e54d0f32d502400f1ceb5781055aef50bb657aebb6"
         ),
         "flip_qubit": (
-            "ef93c203f2e24ef27f96cc07ce5b69adfaed87b792d022e9ebf0889ddd7b034a"
+            "e233d2899045c94bb51fc08139f69fe2179fd5cbc0ffc272bfee53bd1d7e6513"
         ),
     },
     "bv16-site-map": {
         "shots": 70001,
-        "fault_free": 63321,
-        "loss_aborts": 1549,
-        "readout_failures": 1049,
-        "executed": 4082,
-        "fusion_attempts": 3612798,
+        "fault_free": 63239,
+        "loss_aborts": 1603,
+        "readout_failures": 1058,
+        "executed": 4101,
+        "fusion_attempts": 3611518,
         "fault_shot": (
-            "92cca9d59ab64326c6b9b7e358a16da7a2f91b79dd1419df1a186c8fc8d8dcde"
+            "728159b7330624352432364d8602372d27d18379bdd6c54791a78e26c1d6f386"
         ),
         "fault_qubit": (
-            "5bcac3e9877cbc4093178a3b56d00e41d77489fbe7e3779f2e77d98040383d5c"
+            "e12575bd69a59ea22c0575b19330efd41733ddc932fae2095ef1765daffc9f98"
         ),
         "fault_kind": (
-            "361f11058a8108bd1ef86bcbef1baf2a20677b65b6c76d7a5a6826c95efc96a0"
+            "ac1a997271e7d8d7a644661848a19c4d2b3d4a7c33dfb2627ae824ab3dc85b3a"
         ),
         "flip_shot": (
-            "7e8820f48cabb885a5dcafc5663869e9ac838feddce48041dae02c24010c58c0"
+            "9449ead253f218e9fcfcd704fd26f761f326578ea92ab2cc220ee796eae47d37"
         ),
         "flip_qubit": (
-            "4eda35c81ed63aeae3193a5aca2aa1ec644dae36f4bb8e86b237a5aaa6fb8fe0"
+            "5523500ea25ba4e292fb933874847fdec94c4262ef6705cb490cff7d928d4207"
         ),
     },
 }
@@ -205,12 +206,19 @@ def test_draw_digest_pinned(case):
 
 
 def test_cases_cross_block_boundaries(case):
-    """The cases exercise what they claim: several draw blocks, several
-    rate groups per channel, and rows with several flips."""
+    """The cases exercise what they claim: several frame chunks and gap
+    blocks, several rate groups per channel, and rows with several
+    flips."""
     from repro.sim import noisy
 
     name, sampler, shots = case
     assert shots > noisy.FRAME_CHUNK_SHOTS
+    if name == "bv12-heavy":
+        draw = sampler._draw_faults(
+            shots, np.random.default_rng(sampler.seed)
+        )
+        assert draw.executed > noisy.FRAME_CHUNK_SHOTS
+        assert draw.fault_shot.size > noisy._GAP_BLOCK
     if name == "bv16-site-map":
         for groups in (
             sampler._loss_groups,

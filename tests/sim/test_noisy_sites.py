@@ -4,9 +4,11 @@ The contract the degradation layer rides on: a *uniform* SiteNoiseMap
 must be indistinguishable from the scalar ``NoiseModel`` path — same
 RNG consumption, bit-identical tallies at a fixed seed, on the frame
 engine and the per-shot tableau oracle alike.  Heterogeneous maps sample
-per-site rates (grouped Poisson-binomial draws); the frame engine must
-still match the oracle at every chunk size and the tally must agree
-with the per-site closed form within 3 sigma.
+per-site rates (one sparse event draw per rate group); the frame engine
+must still match the oracle at every chunk size and the tally must
+agree with the per-site closed form within 3 sigma.  Non-Clifford
+programs, which cannot be sampled, get that per-site closed form from
+``estimate_yield``.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.hardware.degradation import (
     SiteNoiseMap,
     make_scenario,
     program_site_profile,
+    site_analytic_yield,
 )
 from repro.hardware.noise import NoiseModel
 from repro.sim import noisy
@@ -153,3 +156,77 @@ class TestHeterogeneousSampling:
         )
         with pytest.raises(ValueError, match="re-route or recompile"):
             site_sampler(circuit, program, site_map)
+
+
+class TestNonCliffordClosedForm:
+    """``estimate_yield`` cannot sample a non-Clifford program; under a
+    heterogeneous site map its closed-form fallback must still be the
+    per-site product, not the base model's scalar yield."""
+
+    @pytest.fixture(scope="class")
+    def qft(self):
+        from repro.eval.experiments import _hardware_for
+        from repro.hardware.resource_state import THREE_LINE
+
+        hardware = _hardware_for(8, THREE_LINE)
+        circuit = get_benchmark("QFT", 8)
+        return hardware, circuit, compile_circuit(circuit, hardware)
+
+    def estimate(self, qft, site_map, profile=True):
+        from repro.core import estimate_yield
+
+        _, circuit, program = qft
+        return estimate_yield(
+            circuit,
+            counts=FaultCounts.from_program(program),
+            site_map=site_map,
+            site_profile=(
+                program_site_profile(program, site_map.shape)
+                if profile
+                else None
+            ),
+        )
+
+    def test_heterogeneous_map_uses_per_site_product(self, qft):
+        hardware, _, program = qft
+        site_map = make_scenario(
+            "loss-gradient", hardware.extended_shape, 0.8, seed=3
+        )
+        counts = FaultCounts.from_program(program)
+        estimate = self.estimate(qft, site_map)
+        assert estimate.method == "analytic-only"
+        expected = site_analytic_yield(
+            program_site_profile(program, site_map.shape),
+            site_map,
+            counts.measurements,
+        )
+        assert estimate.yield_analytic == expected
+        # the base model alone reads ~1e11 times higher here
+        assert estimate.yield_analytic < 1e-3 * counts.analytic_yield(
+            site_map.base
+        )
+
+    def test_dead_assigned_program_has_zero_yield(self, qft):
+        hardware, _, _ = qft
+        dead = np.ones(hardware.extended_shape, dtype=bool)
+        site_map = SiteNoiseMap(
+            shape=hardware.extended_shape, base=MODEL, dead=dead
+        )
+        assert self.estimate(qft, site_map).yield_analytic == 0.0
+
+    def test_uniform_map_needs_no_profile(self, qft):
+        hardware, _, program = qft
+        site_map = SiteNoiseMap.uniform(MODEL, hardware.extended_shape)
+        estimate = self.estimate(qft, site_map, profile=False)
+        assert estimate.yield_analytic == FaultCounts.from_program(
+            program
+        ).analytic_yield(MODEL)
+
+    def test_heterogeneous_map_requires_profile(self, qft):
+        hardware, _, _ = qft
+        site_map = make_scenario(
+            "loss-gradient", hardware.extended_shape, 0.8, seed=3
+        )
+        with pytest.raises(ValueError) as exc:
+            self.estimate(qft, site_map, profile=False)
+        assert str(exc.value) == noisy.SITE_PROFILE_REQUIRED
