@@ -8,12 +8,16 @@ Commands:
 * ``table1`` / ``table2`` / ``fig12`` / ``fig13`` / ``fig14`` /
   ``fig15`` / ``ablation`` — regenerate the paper's tables and figures;
 * ``bench``    — batch-compile the Table-2 grid (multiprocessing +
-  on-disk cache) and persist run-table / BENCH artifacts;
+  on-disk cache) and persist the run table;
 * ``noise-sweep`` — Monte-Carlo yield sweep across noise-model and
-  resource-state coordinates (``BENCH_noise_sweep.json`` artifact);
+  resource-state coordinates (``noise_sweep`` run table);
 * ``degrade-sweep`` — hardware-degradation survival sweep: per-site
-  scenarios x recovery policies (``BENCH_degradation.json`` artifact;
-  ``--check-recovery`` gates on the ladder actually rescuing);
+  scenarios x recovery policies (``degrade_sweep`` run table;
+  ``--check-recovery`` gates on the ladder actually rescuing and on
+  Monte-Carlo rows agreeing with the per-site closed form);
+
+Every sweep writes one artifact, the run table (``<stem>.json`` +
+``<stem>.csv``).
 * ``lint``     — statically lint a compiled measurement pattern (flow
   determinism certificate + structural checks; exit 1 on errors);
 * ``serve``    — run the long-lived compile server (async socket
@@ -251,7 +255,6 @@ def cmd_bench(args) -> int:
         render_run_records,
         render_stage_profile,
         run_grid,
-        write_bench_json,
     )
 
     benchmarks = None
@@ -269,15 +272,11 @@ def cmd_bench(args) -> int:
         resource_state=args.resource_state,
         verify=args.verify,
     )
-    bench_path = write_bench_json(
-        records, out_dir / f"BENCH_{args.label}.json", label=args.label
-    )
     print(render_run_records(records))
     if args.profile:
         print()
         print(render_stage_profile(records))
     print(f"run table: {out_dir / (args.stem + '.json')}")
-    print(f"bench:     {bench_path}")
     if args.verify and any(r.verified is False for r in records):
         print("error: verification failed for at least one run", file=sys.stderr)
         return 1
@@ -416,18 +415,20 @@ def cmd_noise_sweep(args) -> int:
         cache_dir=pathlib.Path(args.cache) if args.cache else None,
         out_dir=out_dir,
         stem=args.stem,
-        label=args.label,
     )
     print(render_run_records(records))
     print(f"run table: {out_dir / (args.stem + '.json')}")
-    print(f"sweep:     {out_dir / ('BENCH_' + args.label + '.json')}")
     return 0
 
 
 def cmd_degrade_sweep(args) -> int:
     import pathlib
 
-    from repro.eval.degrade import check_recovery, run_degrade_sweep
+    from repro.eval.degrade import (
+        check_recovery,
+        run_degrade_sweep,
+        summarize_survival,
+    )
     from repro.eval.reporting import render_survival_table
 
     if args.quick:
@@ -451,14 +452,20 @@ def cmd_degrade_sweep(args) -> int:
         cache_dir=pathlib.Path(args.cache) if args.cache else None,
         out_dir=out_dir,
         stem=args.stem,
-        label=args.label,
     )
+    summary = summarize_survival(records)
     print(render_survival_table(records))
+    print(
+        f"\n{len(records)} rows: "
+        f"{summary['survive_failures']} survive collapse(s), "
+        f"{summary['reroute_rescues']} reroute rescue(s), "
+        f"{summary['recompile_rescues']} recompile rescue(s), "
+        f"{len(summary['unrecovered'])} unrecovered"
+    )
     print(f"run table: {out_dir / (args.stem + '.json')}")
-    print(f"survival:  {out_dir / ('BENCH_' + args.label + '.json')}")
     status = 0
     if args.check_recovery:
-        failures = check_recovery(records)
+        failures = check_recovery(records, shots=shots)
         for failure in failures:
             print(f"error: recovery gate: {failure}", file=sys.stderr)
         if failures:
@@ -551,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cache", default=None, help="on-disk result cache dir")
     p.add_argument("--stem", default="run_table", help="artifact file stem")
-    p.add_argument("--label", default="run", help="BENCH_<label>.json name")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
         "--resource-state", default="3-line",
@@ -631,9 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cache", default=None, help="on-disk result cache dir")
     p.add_argument("--stem", default="noise_sweep", help="run-table stem")
-    p.add_argument(
-        "--label", default="noise_sweep", help="BENCH_<label>.json name"
-    )
     p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser(
@@ -641,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="hardware-degradation survival sweep: per-site noise "
         "scenarios (dead generators, loss gradients/hotspots, detuned "
         "fusion) x recovery policies (survive/reroute/recompile); "
-        "writes run-table + BENCH_degradation.json survival artifacts",
+        "prints survival tables and writes the degrade_sweep run table",
     )
     p.add_argument(
         "--benchmarks", nargs="+", default=["BV", "QFT"],
@@ -682,9 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cache", default=None, help="on-disk result cache dir")
     p.add_argument("--stem", default="degrade_sweep", help="run-table stem")
-    p.add_argument(
-        "--label", default="degradation", help="BENCH_<label>.json name"
-    )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
         "--quick", action="store_true",
@@ -694,7 +694,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-recovery", action="store_true",
         help="exit 1 unless the sweep shows survive collapsing and "
         "both reroute and recompile rescuing at least one scenario, "
-        "with every severity-0 row recovered",
+        "with every severity-0 row recovered; with --shots, every "
+        "Monte-Carlo row must also sample the scored program and lie "
+        "no more than 3 sigma below its per-site analytic yield",
     )
 
     return parser

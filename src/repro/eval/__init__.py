@@ -28,8 +28,6 @@ _EXPORTS = {
     "render_stage_profile": ".batch",
     "run_grid": ".batch",
     "table2_specs": ".batch",
-    "write_bench_json": ".batch",
-    "write_noise_sweep_json": ".batch",
     "write_run_table": ".batch",
     "DEGRADE_BENCHMARKS": ".degrade",
     "DEGRADE_SEVERITIES": ".degrade",
@@ -38,7 +36,6 @@ _EXPORTS = {
     "degrade_specs": ".degrade",
     "run_degrade_sweep": ".degrade",
     "summarize_survival": ".degrade",
-    "write_degradation_json": ".degrade",
     "render_ablation": ".reporting",
     "render_fig12": ".reporting",
     "render_fig13": ".reporting",

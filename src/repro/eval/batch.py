@@ -12,9 +12,9 @@ configuration at a time.  This module adds the production layer on top:
   hit is exact), and returns :class:`RunRecord` rows;
 * run-table artifacts — every batch can be persisted as machine-readable
   JSON + CSV (one row per run, schema in ``RUN_TABLE_COLUMNS``), the
-  convention the paper-adjacent replication repos use for all analysis;
-* ``BENCH_*.json`` — a compact per-benchmark snapshot of a labelled
-  run (wall seconds + headline metrics).
+  convention the paper-adjacent replication repos use for all analysis.
+  :func:`write_run_table` is the only artifact writer: every sweep
+  (Table 2, noise, degradation) persists its rows through it.
 """
 
 from __future__ import annotations
@@ -666,38 +666,6 @@ def write_run_table(
     return json_path, csv_path
 
 
-def write_bench_json(
-    records: Sequence[RunRecord],
-    path: pathlib.Path,
-    label: str,
-) -> pathlib.Path:
-    """Write a ``BENCH_*.json`` snapshot: per-benchmark wall seconds and
-    headline metrics of one labelled run."""
-    path = pathlib.Path(path)
-    runs: Dict[str, Dict] = {}
-    for record in records:
-        runs[record.label] = {
-            "seconds": round(record.seconds, 4),
-            "depth": record.depth,
-            "fusions": record.num_fusions,
-            "mapping_layers": record.mapping_layers,
-            "shuffle_layers": record.shuffle_layers,
-            # stale-timing markers: a cached row's seconds are from the
-            # run that originally produced it, not this invocation —
-            # cache_age_seconds says how stale (None: computed fresh)
-            "cached": record.cached,
-            "cache_age_seconds": record.cache_age_seconds,
-        }
-    payload: Dict = {
-        "schema_version": SCHEMA_VERSION,
-        "label": label,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "runs": runs,
-    }
-    atomic_write_json(path, payload)
-    return path
-
-
 def run_grid(
     benchmarks: Optional[Sequence[Tuple[str, int]]] = None,
     jobs: Optional[int] = None,
@@ -766,54 +734,6 @@ def render_run_records(records: Sequence[RunRecord]) -> str:
             f"[{origin}]{improvement}{verify}{noisy}"
         )
     return "\n".join(lines)
-
-
-def write_noise_sweep_json(
-    records: Sequence[RunRecord],
-    path: pathlib.Path,
-    label: str = "noise_sweep",
-    meta: Optional[Dict] = None,
-) -> pathlib.Path:
-    """Write a ``BENCH_noise_sweep.json``-style yield-sweep artifact.
-
-    One entry per (benchmark, resource state, noise point), keyed
-    ``"<label>@<resource_state>[<noise overrides>]"``, carrying both the
-    Monte-Carlo and analytic yields so the noise trajectory can be
-    tracked across PRs the same way compile times are.
-    """
-    path = pathlib.Path(path)
-    runs: Dict[str, Dict] = {}
-    for record in records:
-        key = f"{record.label}@{record.resource_state}[{record.noise}]"
-        runs[key] = {
-            "benchmark": record.benchmark,
-            "num_qubits": record.num_qubits,
-            "resource_state": record.resource_state,
-            "noise": record.noise,
-            "shots": record.shots,
-            "yield_mc": record.yield_mc,
-            "yield_analytic": record.yield_analytic,
-            "mc_attempts_per_fusion": record.mc_attempts_per_fusion,
-            "mc_seconds": round(record.mc_seconds, 4),
-            "shots_per_second": (
-                round(record.shots_per_second, 1)
-                if record.shots_per_second is not None
-                else None
-            ),
-            "depth": record.depth,
-            "fusions": record.num_fusions,
-            "cached": record.cached,
-            "cache_age_seconds": record.cache_age_seconds,
-        }
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "label": label,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "meta": meta or {},
-        "runs": runs,
-    }
-    atomic_write_json(path, payload)
-    return path
 
 
 def render_stage_profile(records: Sequence[RunRecord]) -> str:

@@ -18,20 +18,13 @@ by spec hash like every other batch.
 
 from __future__ import annotations
 
+import math
 import pathlib
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.recovery import POLICIES
-from repro.eval.batch import (
-    SCHEMA_VERSION,
-    BatchRunner,
-    RunRecord,
-    RunSpec,
-    write_run_table,
-)
+from repro.eval.batch import BatchRunner, RunRecord, RunSpec, write_run_table
 from repro.hardware.degradation import SCENARIOS
-from repro.serve.store import atomic_write_json
 
 #: Default benchmark grid: one Clifford benchmark (BV — Monte-Carlo
 #: samplable under the per-site map) and one non-Clifford (QFT —
@@ -98,8 +91,8 @@ def summarize_survival(records: Sequence[RunRecord]) -> Dict:
 
     Groups rows by (benchmark, scenario, severity) and counts, per
     group, whether ``survive`` failed and which policy rescued it.  The
-    returned dict is the ``summary`` block of the degradation artifact
-    and what the CI recovery gate checks.
+    returned dict is what :func:`check_recovery` gates on and what
+    ``repro degrade-sweep`` prints as its one-line summary.
     """
     groups: Dict[Tuple[str, str, float], Dict[str, RunRecord]] = {}
     for record in records:
@@ -144,62 +137,29 @@ def summarize_survival(records: Sequence[RunRecord]) -> Dict:
     }
 
 
-def write_degradation_json(
-    records: Sequence[RunRecord],
-    path: pathlib.Path,
-    label: str = "degradation",
-    meta: Optional[Dict] = None,
-) -> pathlib.Path:
-    """Write the ``BENCH_degradation.json`` survival artifact.
-
-    One entry per sweep row, keyed
-    ``"<benchmark>@<scenario>@<severity>[<policy>]"``, plus the
-    :func:`summarize_survival` block the CI recovery gate reads.
-    """
-    path = pathlib.Path(path)
-    runs: Dict[str, Dict] = {}
-    for record in records:
-        key = (
-            f"{record.label}@{record.scenario}@{record.severity:g}"
-            f"[{record.policy}]"
-        )
-        runs[key] = {
-            "benchmark": record.benchmark,
-            "num_qubits": record.num_qubits,
-            "scenario": record.scenario,
-            "severity": record.severity,
-            "dead_fraction": record.dead_fraction,
-            "policy": record.policy,
-            "recovered": record.recovered,
-            "yield_degraded": record.yield_degraded,
-            "yield_analytic": record.yield_analytic,
-            "yield_mc": record.yield_mc,
-            "shots": record.shots,
-            "rerouted_fusions": record.rerouted_fusions,
-            "fusions": record.num_fusions,
-            "cached": record.cached,
-        }
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "label": label,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "meta": meta or {},
-        "summary": summarize_survival(records),
-        "runs": runs,
-    }
-    atomic_write_json(path, payload)
-    return path
+#: Monte-Carlo rows may fall at most this many binomial standard errors
+#: below their per-site analytic yield.
+SIGMA_GATE = 3.0
 
 
-def check_recovery(records: Sequence[RunRecord]) -> List[str]:
-    """CI gate: the sweep must demonstrate actual recoveries.
+def check_recovery(
+    records: Sequence[RunRecord], shots: int = 0
+) -> List[str]:
+    """The degradation gate: real recoveries, and sampled yields that
+    agree with the per-site closed form.
 
     Returns a list of failure messages (empty = pass).  Checks:
 
     * at least one scenario group where ``survive`` fails and
       ``reroute`` recovers;
     * at least one where ``survive`` fails and ``recompile`` recovers;
-    * every severity-0 row reports ``recovered=True``.
+    * every severity-0 row reports ``recovered=True``;
+    * every Monte-Carlo row sampled the program the degradation stage
+      scored (its ``yield_analytic`` equals ``yield_degraded``) and its
+      ``yield_mc`` is at most ``SIGMA_GATE`` binomial standard errors
+      below that yield (benign faults can only push ``yield_mc``
+      *above* the zero-fault probability, never below);
+    * when the grid asked for *shots*, at least one row was sampled.
     """
     summary = summarize_survival(records)
     failures = []
@@ -218,6 +178,37 @@ def check_recovery(records: Sequence[RunRecord]) -> List[str]:
         )
     for tag in summary["severity_zero_failures"]:
         failures.append(f"severity-0 row not recovered: {tag}")
+
+    sampled = 0
+    for r in records:
+        if not r.scenario or not r.shots or r.yield_mc is None:
+            continue
+        sampled += 1
+        tag = f"{r.label}/{r.scenario}@{r.severity:g}[{r.policy}]"
+        p = r.yield_analytic
+        if (
+            p is None
+            or r.yield_degraded is None
+            or abs(p - r.yield_degraded) > 1e-9
+        ):
+            failures.append(
+                f"{tag}: MC sampled a different program than the "
+                f"degradation stage (analytic={p}, "
+                f"degraded={r.yield_degraded})"
+            )
+            continue
+        sigma = math.sqrt(max(p * (1.0 - p), 0.0) / r.shots)
+        if r.yield_mc < p - SIGMA_GATE * sigma:
+            failures.append(
+                f"{tag}: yield_mc={r.yield_mc:.4f} more than "
+                f"{SIGMA_GATE:g} sigma below the per-site analytic "
+                f"yield {p:.4f} (sigma={sigma:.4f})"
+            )
+    if shots > 0 and not sampled:
+        failures.append(
+            "no Monte-Carlo rows sampled despite shots > 0 — the "
+            "per-site sampler never ran"
+        )
     return failures
 
 
@@ -234,13 +225,9 @@ def run_degrade_sweep(
     cache_dir: Optional[pathlib.Path] = None,
     out_dir: Optional[pathlib.Path] = None,
     stem: str = "degrade_sweep",
-    label: str = "degradation",
 ) -> List[RunRecord]:
-    """Run the survival sweep; persist artifacts when *out_dir* given.
-
-    Artifacts: ``<stem>.json``/``.csv`` (the standard run table) and
-    ``BENCH_<label>.json`` (survival summary keyed per scenario row).
-    """
+    """Run the survival sweep; persist the run table
+    (``<stem>.json``/``.csv``) when *out_dir* is given."""
     specs = degrade_specs(
         benchmarks,
         scenarios=scenarios,
@@ -254,7 +241,6 @@ def run_degrade_sweep(
     runner = BatchRunner(jobs=jobs, cache_dir=cache_dir)
     records = runner.run(specs)
     if out_dir is not None:
-        out_dir = pathlib.Path(out_dir)
         meta = {
             "grid": "degrade_sweep",
             "benchmarks": [list(b) for b in (benchmarks or DEGRADE_BENCHMARKS)],
@@ -267,7 +253,4 @@ def run_degrade_sweep(
             "seed": seed,
         }
         write_run_table(records, out_dir, stem=stem, meta=meta)
-        write_degradation_json(
-            records, out_dir / f"BENCH_{label}.json", label=label, meta=meta
-        )
     return records

@@ -323,7 +323,6 @@ def run_noise_sweep(
     cache_dir=None,
     out_dir=None,
     stem: str = "noise_sweep",
-    label: str = "noise_sweep",
 ):
     """Sweep noise-model and hardware coordinates, sampling yields.
 
@@ -333,18 +332,15 @@ def run_noise_sweep(
     each benchmark is compiled per resource-state choice, its compiled
     fault counts feed the Monte-Carlo sampler per noise point, and the
     run table gains ``yield_mc`` / ``yield_analytic`` columns.  When
-    *out_dir* is given, artifacts (``<stem>.json``/``.csv`` +
-    ``BENCH_<label>.json``) are persisted there.
+    *out_dir* is given, the run table (``<stem>.json``/``.csv``) is
+    persisted there; its ``meta`` records every grid axis.
 
     Args mirror :func:`noise_sweep_specs`; ``jobs``/``cache_dir`` are
     forwarded to :class:`repro.eval.batch.BatchRunner`.
     """
-    from repro.eval.batch import (
-        BatchRunner,
-        write_noise_sweep_json,
-        write_run_table,
-    )
+    from repro.eval.batch import BatchRunner, write_run_table
 
+    benchmarks = list(benchmarks or NOISE_SWEEP_BENCHMARKS)
     specs = noise_sweep_specs(
         benchmarks,
         fusion_success=fusion_success,
@@ -358,6 +354,7 @@ def run_noise_sweep(
     if out_dir is not None:
         meta = {
             "grid": "noise_sweep",
+            "benchmarks": [list(b) for b in benchmarks],
             "seed": seed,
             "shots": shots,
             "fusion_success": list(fusion_success),
@@ -365,14 +362,6 @@ def run_noise_sweep(
             "resource_states": list(resource_states),
         }
         write_run_table(records, out_dir, stem=stem, meta=meta)
-        import pathlib
-
-        write_noise_sweep_json(
-            records,
-            pathlib.Path(out_dir) / f"BENCH_{label}.json",
-            label=label,
-            meta=meta,
-        )
     return records
 
 

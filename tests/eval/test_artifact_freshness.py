@@ -1,82 +1,77 @@
-"""The committed Monte-Carlo artifacts match the code that made them.
+"""The committed sweep run tables match the code that made them.
 
-``benchmarks/BENCH_noise_sweep.json`` and ``BENCH_degradation.json``
-record sampled yields at a fixed seed.  Any change to the fault draw's
-RNG stream moves those yields, so the affected rows are recomputed
-here from the specs the artifacts record (their ``meta`` block) and
-compared with the committed values field by field.  A stream change
-that forgets to regenerate the artifacts fails here.
-
-Covered: the BV rows of the noise sweep and every BV-8 row of the
-degradation sweep (its Monte-Carlo rows among them).  Timing fields
-are not compared.
+``benchmarks/noise_sweep.json`` and ``degrade_sweep.json`` are run
+tables whose ``meta`` block records every axis of their grid.  Each
+grid is rebuilt here from ``meta`` alone, every row is recomputed and
+matched to the committed row by its ``key`` column, and every column is
+compared except the wall-time ones, which no rerun reproduces, and the
+cache read provenance.  A change that moves a sampled yield (say, to
+the fault draw's RNG stream) or a compile metric without regenerating
+the artifacts fails here.
 """
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
-from repro.eval.batch import execute_spec, write_noise_sweep_json
-from repro.eval.degrade import degrade_specs, write_degradation_json
+from repro.eval.batch import execute_spec
+from repro.eval.degrade import degrade_specs
 from repro.eval.experiments import noise_sweep_specs
 
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
-#: wall-time fields, which no rerun reproduces
-TIMING = {"mc_seconds", "shots_per_second"}
+#: how a row was read, not what it holds
+READ_PROVENANCE = {"cached", "cache_tier"}
 
 
-def committed(name):
-    return json.loads((BENCHMARKS / name).read_text())
-
-
-def rewritten(writer, specs, tmp_path):
-    """The artifact rows *writer* produces for *specs*, rerun now."""
-    path = tmp_path / "artifact.json"
-    writer([execute_spec(spec) for spec in specs], path)
-    return json.loads(path.read_text())["runs"]
-
-
-def assert_rows_match(fresh, recorded):
-    assert fresh, "no rows recomputed"
-    for key, row in fresh.items():
-        assert key in recorded, key
-        for field, value in row.items():
-            if field not in TIMING:
-                assert recorded[key][field] == value, (key, field)
-
-
-def test_noise_sweep_bv_rows_are_fresh(tmp_path):
-    artifact = committed("BENCH_noise_sweep.json")
-    meta = artifact["meta"]
-    qubits = {
-        row["num_qubits"]
-        for row in artifact["runs"].values()
-        if row["benchmark"] == "BV"
-    }
-    specs = noise_sweep_specs(
-        [("BV", n) for n in sorted(qubits)],
-        fusion_success=meta["fusion_success"],
-        cycle_loss=meta["cycle_loss"],
-        resource_states=meta["resource_states"],
-        shots=meta["shots"],
-        seed=meta["seed"],
+def compared(column):
+    return not (
+        column.endswith("seconds")
+        or column == "shots_per_second"
+        or column in READ_PROVENANCE
     )
-    fresh = rewritten(write_noise_sweep_json, specs, tmp_path)
-    assert all(row["yield_mc"] is not None for row in fresh.values())
-    assert_rows_match(fresh, artifact["runs"])
 
 
-def test_degradation_bv8_rows_are_fresh(tmp_path):
-    artifact = committed("BENCH_degradation.json")
-    meta = artifact["meta"]
-    assert "BV-8" in meta["benchmarks"]
-    specs = degrade_specs(
-        [("BV", 8)],
-        severities=meta["severities"],
-        shots=meta["shots"],
-        seed=meta["seed"],
+def assert_fresh(name, specs_from_meta):
+    table = json.loads((BENCHMARKS / name).read_text())
+    recorded = {row["key"]: row for row in table["records"]}
+    specs = specs_from_meta(table["meta"])
+    assert len(specs) == len(recorded) == len(table["records"])
+    for spec in specs:
+        fresh = asdict(execute_spec(spec))
+        assert fresh["key"] in recorded, spec
+        row = recorded[fresh["key"]]
+        for column, value in fresh.items():
+            if compared(column):
+                assert row[column] == value, (spec, column)
+    assert any(row["yield_mc"] is not None for row in recorded.values())
+
+
+def test_noise_sweep_run_table_is_fresh():
+    assert_fresh(
+        "noise_sweep.json",
+        lambda meta: noise_sweep_specs(
+            [tuple(b) for b in meta["benchmarks"]],
+            fusion_success=meta["fusion_success"],
+            cycle_loss=meta["cycle_loss"],
+            resource_states=meta["resource_states"],
+            shots=meta["shots"],
+            seed=meta["seed"],
+        ),
     )
-    fresh = rewritten(write_degradation_json, specs, tmp_path)
-    assert sum(row["yield_mc"] is not None for row in fresh.values()) > 0
-    assert_rows_match(fresh, artifact["runs"])
 
+
+def test_degrade_sweep_run_table_is_fresh():
+    assert_fresh(
+        "degrade_sweep.json",
+        lambda meta: degrade_specs(
+            [tuple(b) for b in meta["benchmarks"]],
+            scenarios=meta["scenarios"],
+            severities=meta["severities"],
+            policies=meta["policies"],
+            noise=tuple(tuple(pair) for pair in meta["noise"]),
+            resource_state=meta["resource_state"],
+            shots=meta["shots"],
+            seed=meta["seed"],
+        ),
+    )

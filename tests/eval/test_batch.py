@@ -15,7 +15,6 @@ from repro.eval.batch import (
     render_run_records,
     run_grid,
     table2_specs,
-    write_bench_json,
     write_run_table,
 )
 from repro.eval.experiments import TABLE_BENCHMARKS, compare_one
@@ -343,36 +342,38 @@ class TestNoiseSweep:
             shots=200,
             jobs=1,
             out_dir=tmp_path,
-            label="test_sweep",
         )
         assert len(records) == 2
         assert all(r.yield_mc is not None for r in records)
-        sweep_path = tmp_path / "BENCH_test_sweep.json"
-        assert sweep_path.exists()
-        payload = json.loads(sweep_path.read_text())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "noise_sweep.csv", "noise_sweep.json"
+        ]
+        payload = json.loads((tmp_path / "noise_sweep.json").read_text())
         assert payload["schema_version"] == SCHEMA_VERSION
-        assert len(payload["runs"]) == 2
-        for entry in payload["runs"].values():
+        assert payload["meta"]["benchmarks"] == [["BV", 8]]
+        assert len(payload["records"]) == 2
+        for entry in payload["records"]:
             assert 0.0 <= entry["yield_mc"] <= 1.0
             assert entry["shots"] == 200
             assert entry["shots_per_second"] > 0.0
 
     def test_committed_artifact_is_current_schema(self):
-        """benchmarks/BENCH_noise_sweep.json must track the current
+        """benchmarks/noise_sweep.json must track the current
         schema."""
         import pathlib
 
         path = (
             pathlib.Path(__file__).resolve().parents[2]
             / "benchmarks"
-            / "BENCH_noise_sweep.json"
+            / "noise_sweep.json"
         )
         payload = json.loads(path.read_text())
         assert payload["schema_version"] == SCHEMA_VERSION
-        assert payload["runs"]
+        assert payload["columns"] == RUN_TABLE_COLUMNS
+        assert payload["records"]
         bv_rows = [
             entry
-            for entry in payload["runs"].values()
+            for entry in payload["records"]
             if entry["benchmark"] == "BV"
         ]
         assert bv_rows and all(
@@ -481,17 +482,17 @@ class TestCacheTiers:
 
         assert "cache_tier" in RUN_TABLE_COLUMNS
         assert "cache_age_seconds" in RUN_TABLE_COLUMNS
-        _, csv_path = write_run_table(cached, tmp_path)
+        json_path, csv_path = write_run_table(cached, tmp_path)
         with csv_path.open() as handle:
             row = next(iter(csv.DictReader(handle)))
         assert row["cached"] == "True"
         assert row["cache_tier"] == "disk"
         assert float(row["cache_age_seconds"]) >= 0.0
 
-        bench = write_bench_json(cached, tmp_path / "BENCH_c.json", "c")
-        run = json.loads(bench.read_text())["runs"]["BV-8"]
-        assert run["cached"] is True
-        assert run["cache_age_seconds"] >= 0.0
+        record = json.loads(json_path.read_text())["records"][0]
+        assert record["cached"] is True
+        assert record["cache_tier"] == "disk"
+        assert record["cache_age_seconds"] >= 0.0
 
     def test_no_tmp_files_left_in_cache_dir(self, tmp_path):
         BatchRunner(jobs=1, cache_dir=tmp_path).run(

@@ -2,12 +2,14 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.eval.batch import (
     RUN_TABLE_COLUMNS,
     BatchRunner,
+    RunRecord,
     RunSpec,
     execute_spec,
     write_run_table,
@@ -18,7 +20,6 @@ from repro.eval.degrade import (
     degrade_specs,
     run_degrade_sweep,
     summarize_survival,
-    write_degradation_json,
 )
 from repro.eval.reporting import render_survival_table
 
@@ -176,14 +177,17 @@ class TestSweep:
             "dead-rsg", "loss-gradient", "loss-hotspot", "degraded-fusion"
         }
 
-    def test_degradation_artifact(self, records, tmp_path):
-        path = write_degradation_json(
-            records, tmp_path / "BENCH_degradation.json"
-        )
-        payload = json.loads(path.read_text())
-        assert payload["summary"]["survive_failures"] >= 1
-        key = "BV-8@dead-rsg@0.1[survive]"
-        assert payload["runs"][key]["recovered"] is False
+    def test_run_table_rows_carry_survival(self, records, tmp_path):
+        json_path, _ = write_run_table(records, tmp_path)
+        rows = json.loads(json_path.read_text())["records"]
+        replayed = [RunRecord(**row) for row in rows]
+        assert summarize_survival(replayed) == summarize_survival(records)
+        (row,) = [
+            row for row in rows
+            if (row["scenario"], row["severity"], row["policy"])
+            == ("dead-rsg", 0.1, "survive")
+        ]
+        assert row["recovered"] is False
 
     def test_cached_rows_keep_degradation_columns(self, tmp_path):
         specs = degrade_specs(
@@ -217,3 +221,83 @@ class TestRecoveryGate:
         )
         failures = check_recovery(records)
         assert any("no scenario collapsed" in f for f in failures)
+
+
+def gate_row(policy, recovered, severity=0.1, **kw):
+    """A hand-built degradation row: only the gate's columns matter."""
+    counts = dict.fromkeys(
+        (
+            "depth", "num_fusions", "synthesis", "edge", "routing",
+            "shuffling", "z_measurements", "mapping_layers",
+            "shuffle_layers", "num_partitions", "pattern_nodes",
+            "pattern_edges", "resource_states_used", "deferred_pairs",
+            "photon_deficit",
+        ),
+        0,
+    )
+    return RunRecord(
+        key=f"{policy}@{severity}", benchmark="BV", num_qubits=8, seed=7,
+        resource_state="3-line", ratio=1.0, area=None, extension=1,
+        scenario="dead-rsg", severity=severity, policy=policy,
+        recovered=recovered, **counts, **kw,
+    )
+
+
+def gate_grid(**reroute_mc):
+    """The smallest grid that passes the recovery checks: a pristine
+    group and a collapsed group both rungs rescue.  *reroute_mc* puts
+    Monte-Carlo columns on the collapsed group's reroute row."""
+    return [
+        *(gate_row(policy, True, severity=0.0)
+          for policy in ("survive", "reroute", "recompile")),
+        gate_row("survive", False),
+        gate_row("reroute", True, **reroute_mc),
+        gate_row("recompile", True),
+    ]
+
+
+def sampled(yield_mc, yield_analytic=0.9, yield_degraded=0.9, shots=2000):
+    return dict(
+        shots=shots, yield_mc=yield_mc, yield_analytic=yield_analytic,
+        yield_degraded=yield_degraded,
+    )
+
+
+class TestMonteCarloGate:
+    """The 3-sigma agreement checks inside :func:`check_recovery`.
+
+    At p = 0.9 and 2000 shots one binomial standard error is 0.0067, so
+    the gate's floor is 0.9 - 3 * 0.0067 = 0.8799.
+    """
+
+    def test_clean_grid_passes(self):
+        assert check_recovery(gate_grid(**sampled(0.9)), shots=2000) == []
+
+    def test_row_within_three_sigma_below_passes(self):
+        assert check_recovery(gate_grid(**sampled(0.881)), shots=2000) == []
+
+    def test_row_more_than_three_sigma_below_fails(self):
+        (failure,) = check_recovery(gate_grid(**sampled(0.879)), shots=2000)
+        assert "BV-8/dead-rsg@0.1[reroute]" in failure
+        assert "more than 3 sigma below" in failure
+
+    def test_analytic_differing_from_degraded_fails(self):
+        records = gate_grid(**sampled(0.9, yield_degraded=0.8))
+        (failure,) = check_recovery(records)
+        assert "different program than the degradation stage" in failure
+
+    def test_shots_asked_but_none_sampled_fails(self):
+        assert check_recovery(gate_grid()) == []
+        (failure,) = check_recovery(gate_grid(), shots=2000)
+        assert "no Monte-Carlo rows sampled" in failure
+
+    def test_committed_sweep_passes(self):
+        path = (
+            Path(__file__).resolve().parents[2]
+            / "benchmarks" / "degrade_sweep.json"
+        )
+        table = json.loads(path.read_text())
+        records = [RunRecord(**row) for row in table["records"]]
+        assert table["meta"]["shots"] > 0
+        assert any(r.yield_mc is not None for r in records)
+        assert check_recovery(records, shots=table["meta"]["shots"]) == []

@@ -94,14 +94,13 @@ class TestCommands:
             [
                 "bench", "--quick", "--jobs", "1",
                 "--out", str(out_dir), "--cache", str(tmp_path / "cache"),
-                "--label", "test",
             ]
         ) == 0
         out = capsys.readouterr().out
         assert "QFT-16" in out and "BV-16" in out
-        assert (out_dir / "run_table.json").exists()
-        assert (out_dir / "run_table.csv").exists()
-        assert (out_dir / "BENCH_test.json").exists()
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "run_table.csv", "run_table.json"
+        ]
 
     def test_noise_sweep(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
@@ -110,14 +109,29 @@ class TestCommands:
                 "noise-sweep", "--benchmarks", "BV", "--qubits", "8",
                 "--shots", "200", "--fusion-success", "0.75",
                 "--cycle-loss", "0.001", "0.01", "--jobs", "1",
-                "--out", str(out_dir), "--label", "test",
+                "--out", str(out_dir),
             ]
         ) == 0
         out = capsys.readouterr().out
         assert "yield_mc=" in out
-        assert (out_dir / "BENCH_test.json").exists()
-        assert (out_dir / "noise_sweep.json").exists()
-        assert (out_dir / "noise_sweep.csv").exists()
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "noise_sweep.csv", "noise_sweep.json"
+        ]
+
+    def test_degrade_sweep_quick(self, tmp_path, capsys):
+        out_dir = tmp_path / "degrade"
+        assert main(
+            [
+                "degrade-sweep", "--quick", "--check-recovery",
+                "--jobs", "1", "--out", str(out_dir),
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "BV-8 / dead-rsg" in out
+        assert "36 rows: " in out and " unrecovered" in out
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "degrade_sweep.csv", "degrade_sweep.json"
+        ]
 
     def test_noise_sweep_rejects_bad_resource_state(self):
         with pytest.raises(SystemExit):
@@ -134,7 +148,7 @@ class TestCommands:
         args = [
             "bench", "--quick", "--jobs", "1",
             "--out", str(tmp_path / "results"),
-            "--cache", str(tmp_path / "cache"), "--label", "test",
+            "--cache", str(tmp_path / "cache"),
         ]
         main(args)
         capsys.readouterr()
@@ -234,6 +248,10 @@ class TestInvalidInput:
         ("serve", ["--port", "-1"],
          "argument --port: must be in [0, 65535], got -1"),
         ("bench", ["--reference", "x"], "unrecognized arguments: --reference"),
+        *(
+            (command, ["--label", "x"], "unrecognized arguments: --label")
+            for command in ("bench", "noise-sweep", "degrade-sweep")
+        ),
         ("loadgen", [], "invalid choice: 'loadgen'"),
     ]
 
