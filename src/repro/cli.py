@@ -6,9 +6,11 @@ Commands:
   metrics and optionally the layer layouts;
 * ``baseline`` — run the baseline cluster-state interpreter;
 * ``table1`` / ``table2`` / ``fig12`` / ``fig13`` / ``fig14`` /
-  ``fig15`` / ``ablation`` — regenerate the paper's tables and figures;
-* ``bench``    — batch-compile the Table-2 grid (multiprocessing +
-  on-disk cache) and persist the run table;
+  ``fig15`` / ``ablation`` — render the paper's tables and figures from
+  the committed run tables under ``benchmarks/`` (Table 1 is static)
+  and check the paper's claims on them; they compile nothing;
+* ``bench``    — batch-compile one exhibit's grid (``--grid``, default
+  Table 2; multiprocessing + on-disk cache) and persist its run table;
 * ``noise-sweep`` — Monte-Carlo yield sweep across noise-model and
   resource-state coordinates (``noise_sweep`` run table);
 * ``degrade-sweep`` — hardware-degradation survival sweep: per-site
@@ -194,89 +196,76 @@ def cmd_export(args) -> int:
     return 0
 
 
-#: ``--quick`` restricts figure sweeps to the cheapest/most contrasting
-#: benchmark pair (QFT worst case, BV best case).
-_QUICK_FIG_BENCHMARKS = ("QFT", "BV")
+def cmd_exhibit(args) -> int:
+    """Render one paper exhibit; compiles nothing.  A compiled exhibit
+    renders from its run table under ``benchmarks/`` and then checks
+    the paper's claims on it (exit 1 if one fails)."""
+    from repro.eval import reporting
 
+    if args.command == "table1":
+        from repro.eval.experiments import run_table1
 
-def cmd_table(args, which: str) -> int:
-    from repro.eval import experiments, reporting
+        print(reporting.render_table1(run_table1()))
+        return 0
 
-    quick = getattr(args, "quick", False)
-    fig_benchmarks = (
-        _QUICK_FIG_BENCHMARKS if quick else ("QFT", "QAOA", "RCA", "BV")
-    )
-    if which == "table1":
-        print(reporting.render_table1(experiments.run_table1()))
-    elif which == "table2":
-        benchmarks = None
-        if quick:
-            benchmarks = [("QFT", 16), ("QAOA", 16), ("RCA", 16), ("BV", 16)]
-        print(reporting.render_table2(experiments.run_table2(benchmarks)))
-    elif which == "fig12":
-        print(
-            reporting.render_fig12(
-                experiments.run_fig12(
-                    num_qubits=args.qubits, benchmarks=fig_benchmarks
-                )
-            )
+    import pathlib
+
+    from repro.eval.batch import read_run_table
+    from repro.eval.experiments import check_claims, exhibit_stem
+
+    path = pathlib.Path("benchmarks") / f"{exhibit_stem(args.command)}.json"
+    if not path.exists():
+        raise _UsageError(
+            f"no run table {path}; write it with "
+            f"`repro bench --grid {args.command} --out benchmarks`"
         )
-    elif which == "fig13":
-        print(
-            reporting.render_fig13(
-                experiments.run_fig13(
-                    num_qubits=args.qubits, benchmarks=fig_benchmarks
-                )
-            )
-        )
-    elif which == "fig14":
-        print(reporting.render_fig14(experiments.run_fig14(num_qubits=args.qubits)))
-    elif which == "fig15":
-        print(
-            reporting.render_fig15(
-                experiments.run_fig15(
-                    num_qubits=args.qubits, benchmarks=fig_benchmarks
-                )
-            )
-        )
-    elif which == "ablation":
-        print(
-            reporting.render_ablation(
-                experiments.run_ablation(num_qubits=args.qubits)
-            )
-        )
-    return 0
+    records = read_run_table(path)
+    print(reporting.RENDERERS[args.command](records))
+    failures = check_claims(args.command, records)
+    for failure in failures:
+        print(f"error: claim: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_bench(args) -> int:
     import pathlib
 
-    from repro.eval.batch import (
-        render_run_records,
-        render_stage_profile,
-        run_grid,
+    from repro.eval.batch import render_run_records, render_stage_profile
+    from repro.eval.experiments import (
+        EXHIBITS,
+        TABLE_BENCHMARKS,
+        exhibit_stem,
+        run_exhibit,
     )
+    from repro.eval.reporting import RENDERERS
 
-    benchmarks = None
-    if args.quick:
-        benchmarks = [("QFT", 16), ("QAOA", 16), ("RCA", 16), ("BV", 16)]
+    if args.grid not in EXHIBITS:
+        raise _UsageError(
+            f"unknown grid {args.grid!r} (choose from {', '.join(EXHIBITS)})"
+        )
+    grid = {"seed": args.seed, "verify": args.verify}
+    if args.grid == "table2":
+        grid["resource_state"] = args.resource_state or "3-line"
+        if args.quick:
+            grid["benchmarks"] = [b for b in TABLE_BENCHMARKS if b[1] == 16]
+    elif args.quick or args.resource_state is not None:
+        flag = "--quick" if args.quick else "--resource-state"
+        raise _UsageError(f"{flag} applies to --grid table2 only")
     out_dir = pathlib.Path(args.out)
-    cache_dir = pathlib.Path(args.cache) if args.cache else None
-    records = run_grid(
-        benchmarks=benchmarks,
+    records = run_exhibit(
+        args.grid,
         jobs=args.jobs,
-        cache_dir=cache_dir,
+        cache_dir=pathlib.Path(args.cache) if args.cache else None,
         out_dir=out_dir,
-        stem=args.stem,
-        seed=args.seed,
-        resource_state=args.resource_state,
-        verify=args.verify,
+        **grid,
     )
     print(render_run_records(records))
+    print()
+    print(RENDERERS[args.grid](records))
     if args.profile:
         print()
         print(render_stage_profile(records))
-    print(f"run table: {out_dir / (args.stem + '.json')}")
+    print(f"run table: {out_dir / (exhibit_stem(args.grid) + '.json')}")
     if args.verify and any(r.verified is False for r in records):
         print("error: verification failed for at least one run", file=sys.stderr)
         return 1
@@ -425,21 +414,35 @@ def cmd_degrade_sweep(args) -> int:
     import pathlib
 
     from repro.eval.degrade import (
+        DEGRADE_SEVERITIES,
         check_recovery,
         run_degrade_sweep,
         summarize_survival,
     )
     from repro.eval.reporting import render_survival_table
 
+    grid_flags = {
+        "--benchmarks": args.benchmarks,
+        "--qubits": args.qubits,
+        "--severities": args.severities,
+        "--shots": args.shots,
+    }
     if args.quick:
+        given = [flag for flag, value in grid_flags.items() if value is not None]
+        if given:
+            raise _UsageError(
+                f"--quick sets the grid; drop {', '.join(given)}"
+            )
         benchmarks = [("BV", 8)]
         severities = [0.0, 0.1, 0.3]
         shots = 0
     else:
-        _sweep_circuits(args.benchmarks, args.qubits, args.seed)
-        benchmarks = [(name, args.qubits) for name in args.benchmarks]
-        severities = args.severities
-        shots = args.shots
+        names = args.benchmarks or ["BV", "QFT"]
+        qubits = args.qubits or 8
+        _sweep_circuits(names, qubits, args.seed)
+        benchmarks = [(name, qubits) for name in names]
+        severities = args.severities or list(DEGRADE_SEVERITIES)
+        shots = args.shots or 0
     out_dir = pathlib.Path(args.out)
     records = run_degrade_sweep(
         benchmarks=benchmarks,
@@ -534,21 +537,14 @@ def build_parser() -> argparse.ArgumentParser:
     for which in (
         "table1", "table2", "fig12", "fig13", "fig14", "fig15", "ablation",
     ):
-        p = sub.add_parser(which)
-        p.add_argument("--qubits", type=int, default=16)
-        # only offer --quick where it actually changes the run: table1
-        # is already cheap, fig14/ablation run a single benchmark
-        if which == "table2":
-            p.add_argument(
-                "--quick", action="store_true", help="16-qubit rows only"
-            )
-        elif which in ("fig12", "fig13", "fig15"):
-            p.add_argument(
-                "--quick", action="store_true", help="QFT+BV benchmarks only"
-            )
+        sub.add_parser(
+            which,
+            help="render the paper's Table 1 (static)" if which == "table1"
+            else f"render {which} from benchmarks/ and check its claims",
+        )
 
     p = sub.add_parser(
-        "bench", help="batch-compile the Table-2 grid, persist run table"
+        "bench", help="batch-compile one exhibit's grid, persist run table"
     )
     p.add_argument(
         "--jobs", type=_positive_int, default=None, help="worker processes"
@@ -557,13 +553,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="benchmarks/results", help="artifact directory"
     )
     p.add_argument("--cache", default=None, help="on-disk result cache dir")
-    p.add_argument("--stem", default="run_table", help="artifact file stem")
+    p.add_argument(
+        "--grid", default="table2",
+        help="exhibit to run: table2 (writes run_table.json), fig12, "
+        "fig13, fig14, fig15 or ablation (writes <grid>.json)",
+    )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
-        "--resource-state", default="3-line",
+        "--resource-state", default=None,
         choices=["3-line", "4-line", "4-star", "4-ring"],
+        help="table2 only (default 3-line)",
     )
-    p.add_argument("--quick", action="store_true", help="16-qubit rows only")
+    p.add_argument(
+        "--quick", action="store_true", help="table2's 16-qubit rows only"
+    )
     p.add_argument(
         "--verify", action="store_true",
         help="semantically verify each compiled pattern against its "
@@ -647,10 +650,12 @@ def build_parser() -> argparse.ArgumentParser:
         "prints survival tables and writes the degrade_sweep run table",
     )
     p.add_argument(
-        "--benchmarks", nargs="+", default=["BV", "QFT"],
-        help="benchmark names to sweep (QFT|QAOA|RCA|BV)",
+        "--benchmarks", nargs="+", default=None,
+        help="benchmark names to sweep (QFT|QAOA|RCA|BV; default BV QFT)",
     )
-    p.add_argument("--qubits", type=_positive_int, default=8)
+    p.add_argument(
+        "--qubits", type=_positive_int, default=None, help="default 8"
+    )
     p.add_argument(
         "--scenarios", nargs="+",
         default=["dead-rsg", "loss-gradient", "loss-hotspot",
@@ -660,9 +665,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="degradation scenarios to sweep",
     )
     p.add_argument(
-        "--severities", type=_probability, nargs="+",
-        default=[0.0, 0.05, 0.1, 0.2, 0.3],
-        help="scenario severities in [0, 1] (0 = pristine control row)",
+        "--severities", type=_probability, nargs="+", default=None,
+        help="scenario severities in [0, 1] (0 = pristine control row; "
+        "default 0 0.05 0.1 0.2 0.3)",
     )
     p.add_argument(
         "--policies", nargs="+",
@@ -672,10 +677,10 @@ def build_parser() -> argparse.ArgumentParser:
         "('auto' walks the ladder and records the winner)",
     )
     p.add_argument(
-        "--shots", type=_non_negative_int, default=0,
+        "--shots", type=_non_negative_int, default=None,
         help="Monte-Carlo shots sampling the recovered program under "
-        "the per-site map (0 = analytic-only; Clifford benchmarks "
-        "only)",
+        "the per-site map (default 0 = analytic-only; Clifford "
+        "benchmarks only)",
     )
     p.add_argument(
         "--jobs", type=_positive_int, default=None, help="worker processes"
@@ -688,7 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
         "--quick", action="store_true",
-        help="CI smoke grid: BV-8, severities 0/0.1/0.3, no shots",
+        help="smoke grid: BV-8, severities 0/0.1/0.3, no shots "
+        "(not combinable with --benchmarks, --qubits, --severities "
+        "or --shots)",
     )
     p.add_argument(
         "--check-recovery", action="store_true",
@@ -728,7 +735,7 @@ def _run(args) -> int:
         return cmd_lint(args)
     if args.command == "serve":
         return cmd_serve(args)
-    return cmd_table(args, args.command)
+    return cmd_exhibit(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,33 +1,30 @@
-"""Evaluation harness: one runner + renderer per paper table/figure."""
+"""Evaluation harness: the paper's exhibits as run-spec grids, the
+batch runner that runs them, and their renderers and claim checks."""
 
 from repro import lazy_exports
 
 #: public name -> defining module, imported on first access
 _EXPORTS = {
-    "FIG13_SHAPES": ".experiments",
+    "ABLATION_VARIANTS": ".experiments",
+    "EXHIBITS": ".experiments",
+    "FIG13_RATIOS": ".experiments",
+    "FIG15_AREAS": ".experiments",
     "NOISE_SWEEP_BENCHMARKS": ".experiments",
     "PAPER_TABLE2": ".experiments",
     "TABLE_BENCHMARKS": ".experiments",
-    "ComparisonRow": ".experiments",
-    "compare_one": ".experiments",
+    "check_claims": ".experiments",
     "noise_sweep_specs": ".experiments",
-    "run_ablation": ".experiments",
-    "run_fidelity": ".experiments",
-    "run_fig12": ".experiments",
-    "run_fig13": ".experiments",
-    "run_fig14": ".experiments",
-    "run_fig15": ".experiments",
+    "run_exhibit": ".experiments",
     "run_noise_sweep": ".experiments",
     "run_table1": ".experiments",
-    "run_table2": ".experiments",
+    "table2_specs": ".experiments",
     "BatchRunner": ".batch",
     "RunRecord": ".batch",
     "RunSpec": ".batch",
     "execute_spec": ".batch",
+    "read_run_table": ".batch",
     "render_run_records": ".batch",
     "render_stage_profile": ".batch",
-    "run_grid": ".batch",
-    "table2_specs": ".batch",
     "write_run_table": ".batch",
     "DEGRADE_BENCHMARKS": ".degrade",
     "DEGRADE_SEVERITIES": ".degrade",
@@ -36,6 +33,7 @@ _EXPORTS = {
     "degrade_specs": ".degrade",
     "run_degrade_sweep": ".degrade",
     "summarize_survival": ".degrade",
+    "RENDERERS": ".reporting",
     "render_ablation": ".reporting",
     "render_fig12": ".reporting",
     "render_fig13": ".reporting",

@@ -1,7 +1,8 @@
 """Batch experiment runner: grids of compiles, cached and parallel.
 
-The table/figure runners in :mod:`repro.eval.experiments` compile one
-configuration at a time.  This module adds the production layer on top:
+Every experiment is a grid of :class:`RunSpec` rows: the paper's
+exhibits (``EXHIBITS`` in :mod:`repro.eval.experiments`), the noise
+sweep and the degradation sweep all run through this module:
 
 * :class:`RunSpec` — one hashable experiment coordinate (benchmark,
   qubits, hardware, compiler knobs);
@@ -14,7 +15,8 @@ configuration at a time.  This module adds the production layer on top:
   JSON + CSV (one row per run, schema in ``RUN_TABLE_COLUMNS``), the
   convention the paper-adjacent replication repos use for all analysis.
   :func:`write_run_table` is the only artifact writer: every sweep
-  (Table 2, noise, degradation) persists its rows through it.
+  (the paper's exhibits, noise, degradation) persists its rows through
+  it, and :func:`read_run_table` loads them back for rendering.
 """
 
 from __future__ import annotations
@@ -610,30 +612,8 @@ class BatchRunner:
 
 
 # ----------------------------------------------------------------------
-# grid helpers and artifacts
+# run-table artifacts
 # ----------------------------------------------------------------------
-def table2_specs(
-    benchmarks: Optional[Sequence[Tuple[str, int]]] = None,
-    resource_state: str = "3-line",
-    seed: int = 7,
-    verify: bool = False,
-) -> List[RunSpec]:
-    """Specs for the Table-2 benchmark grid (the default batch)."""
-    from repro.eval.experiments import TABLE_BENCHMARKS
-
-    benchmarks = list(benchmarks or TABLE_BENCHMARKS)
-    return [
-        RunSpec(
-            benchmark=name,
-            num_qubits=n,
-            seed=seed,
-            resource_state=resource_state,
-            verify=verify,
-        )
-        for name, n in benchmarks
-    ]
-
-
 def write_run_table(
     records: Sequence[RunRecord],
     out_dir: pathlib.Path,
@@ -666,35 +646,10 @@ def write_run_table(
     return json_path, csv_path
 
 
-def run_grid(
-    benchmarks: Optional[Sequence[Tuple[str, int]]] = None,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[pathlib.Path] = None,
-    out_dir: Optional[pathlib.Path] = None,
-    stem: str = "run_table",
-    seed: int = 7,
-    resource_state: str = "3-line",
-    verify: bool = False,
-) -> List[RunRecord]:
-    """One-call batch: Table-2 grid -> records (+ artifacts when asked)."""
-    specs = table2_specs(
-        benchmarks, resource_state=resource_state, seed=seed, verify=verify
-    )
-    runner = BatchRunner(jobs=jobs, cache_dir=cache_dir)
-    records = runner.run(specs)
-    if out_dir is not None:
-        write_run_table(
-            records,
-            out_dir,
-            stem=stem,
-            meta={
-                "grid": "table2",
-                "seed": seed,
-                "resource_state": resource_state,
-                "verify": verify,
-            },
-        )
-    return records
+def read_run_table(json_path: pathlib.Path) -> List[RunRecord]:
+    """The records of a run table :func:`write_run_table` wrote."""
+    payload = json.loads(pathlib.Path(json_path).read_text())
+    return [RunRecord(**row) for row in payload["records"]]
 
 
 def render_run_records(records: Sequence[RunRecord]) -> str:

@@ -1,27 +1,31 @@
-"""Experiment runners: one per table/figure of the paper's evaluation.
+"""The paper's evaluation (Sec. 7) as run-spec grids.
 
-Each ``run_*`` function regenerates the corresponding table or figure
-data with our compiler stack; renderers in :mod:`repro.eval.reporting`
-print them in the paper's format.  Absolute values are not expected to
-match the paper (our baseline router and substrates differ) but the
-shapes — who wins, by what order of magnitude, where trends bend — are.
+Every compiled exhibit — Table 2, Figs. 12–15 and the ablation — is a
+grid of :class:`repro.eval.batch.RunSpec` rows, built by its entry in
+``EXHIBITS``.  :func:`run_exhibit` runs a grid through the batch runner
+and writes it as one run table whose ``meta`` holds the builder's
+keyword arguments, so the grid can be rebuilt from the table alone
+(``repro bench --grid NAME``).  :func:`check_claims` checks the paper's
+claims on a table's records and :mod:`repro.eval.reporting` renders
+them; neither compiles anything.  Table 1 needs no compile and stays a
+static render (:func:`run_table1`).
+
+Absolute values are not expected to match the paper (our baseline
+router and substrates differ) but the shapes — who wins, by what order
+of magnitude, where trends bend — are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.baseline.interpreter import BaselineResult, compile_baseline
-from repro.baseline.metrics import BaselineAreas, physical_side
-from repro.circuit.benchmarks import get_benchmark
-from repro.core.compiler import CompiledProgram, OneQCompiler, OneQConfig
-from repro.hardware.coupling import HardwareConfig
-from repro.hardware.resource_state import (
-    RESOURCE_STATES,
-    THREE_LINE,
-    ResourceStateType,
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
 )
+
+if TYPE_CHECKING:
+    from repro.baseline.metrics import BaselineAreas
+    from repro.eval.batch import RunRecord, RunSpec
+    from repro.hardware.coupling import HardwareConfig
+    from repro.hardware.resource_state import ResourceStateType
 
 #: The paper's Table 1 / Table 2 benchmark grid, extended with the
 #: 100-qubit QFT/QAOA scaling rows the packed compile path makes cheap.
@@ -59,27 +63,22 @@ PAPER_TABLE2: Dict[Tuple[str, int], Tuple[int, int, int, int]] = {
     ("BV", 100): (787, 4, 1455163, 644),
 }
 
+#: The 16-qubit benchmarks every figure grid compiles.
+FIG_BENCHMARKS: Tuple[str, ...] = ("QFT", "QAOA", "RCA", "BV")
 
-@dataclass
-class ComparisonRow:
-    """One Table 2 row: baseline vs OneQ on the same physical area."""
+#: Fig. 13's layer aspect ratios; at area 256 ``HardwareConfig.with_area``
+#: gives the paper's 16x16, 13x20, 11x23 and 10x26 layers.
+FIG13_RATIOS: Tuple[float, ...] = (1.0, 1.5, 2.1, 2.6)
 
-    name: str
-    num_qubits: int
-    baseline: BaselineResult
-    oneq: CompiledProgram
+#: Fig. 15's physical areas (256 is the baseline's 16-qubit area).
+FIG15_AREAS: Tuple[int, ...] = (100, 200, 256, 400, 600, 800, 1000)
 
-    @property
-    def label(self) -> str:
-        return f"{self.name}-{self.num_qubits}"
-
-    @property
-    def depth_improvement(self) -> float:
-        return self.baseline.depth / max(1, self.oneq.physical_depth)
-
-    @property
-    def fusion_improvement(self) -> float:
-        return self.baseline.num_fusions / max(1, self.oneq.num_fusions)
+#: The ablation's compiler variants, in grid (and run-table row) order:
+#: pure Lemma-1 layers, no planar rotational order, no cross-partition
+#: placement hints, and a weak total-blockage penalty.
+ABLATION_VARIANTS: Tuple[str, ...] = (
+    "default", "lemma1-scheduling", "no-embedding", "no-hints", "alpha-1",
+)
 
 
 def _hardware_for(
@@ -90,6 +89,9 @@ def _hardware_for(
     extension: int = 1,
 ) -> HardwareConfig:
     """Hardware sized like the baseline requires (Sec. 7.1), by default."""
+    from repro.baseline.metrics import physical_side
+    from repro.hardware.coupling import HardwareConfig
+
     if area is None:
         side = physical_side(num_qubits, resource_state)
         area = side * side
@@ -98,29 +100,6 @@ def _hardware_for(
     )
 
 
-def compare_one(
-    name: str,
-    num_qubits: int,
-    resource_state: ResourceStateType = THREE_LINE,
-    ratio: float = 1.0,
-    area: Optional[int] = None,
-    seed: int = 7,
-    **compiler_kwargs,
-) -> ComparisonRow:
-    """Compile one benchmark with both flows on the same physical area."""
-    circuit = get_benchmark(name, num_qubits, seed=seed)
-    baseline = compile_baseline(circuit, name=name, resource_state=resource_state)
-    hardware = _hardware_for(num_qubits, resource_state, ratio=ratio, area=area)
-    compiler = OneQCompiler(OneQConfig(hardware=hardware, **compiler_kwargs))
-    oneq = compiler.compile(circuit, name=f"{name}-{num_qubits}")
-    return ComparisonRow(
-        name=name, num_qubits=num_qubits, baseline=baseline, oneq=oneq
-    )
-
-
-# ----------------------------------------------------------------------
-# Table 1
-# ----------------------------------------------------------------------
 def run_table1(
     benchmarks: Optional[Sequence[Tuple[str, int]]] = None,
 ) -> List[Tuple[str, BaselineAreas]]:
@@ -130,6 +109,8 @@ def run_table1(
     100-qubit scaling rows have no Table-1 counterpart to compare
     against.
     """
+    from repro.baseline.metrics import BaselineAreas
+
     if benchmarks is None:
         benchmarks = [key for key in TABLE_BENCHMARKS if key in PAPER_TABLE2]
     return [
@@ -138,126 +119,241 @@ def run_table1(
 
 
 # ----------------------------------------------------------------------
-# Table 2
+# exhibit grids
 # ----------------------------------------------------------------------
-def run_table2(
+def table2_specs(
     benchmarks: Optional[Sequence[Tuple[str, int]]] = None,
-    resource_state: ResourceStateType = THREE_LINE,
-) -> List[ComparisonRow]:
-    """Baseline vs OneQ on every benchmark (Table 2)."""
+    resource_state: str = "3-line",
+    seed: int = 7,
+    verify: bool = False,
+) -> List[RunSpec]:
+    """Table 2: baseline vs OneQ on every benchmark."""
+    from repro.eval.batch import RunSpec
+
     benchmarks = list(benchmarks or TABLE_BENCHMARKS)
     return [
-        compare_one(name, n, resource_state=resource_state)
+        RunSpec(
+            benchmark=name,
+            num_qubits=n,
+            seed=seed,
+            resource_state=resource_state,
+            verify=verify,
+        )
         for name, n in benchmarks
     ]
 
 
-# ----------------------------------------------------------------------
-# Figure 12: resource-state types
-# ----------------------------------------------------------------------
-def run_fig12(
-    num_qubits: int = 16,
-    benchmarks: Sequence[str] = ("QFT", "QAOA", "RCA", "BV"),
-    resource_states: Optional[Sequence[str]] = None,
-) -> Dict[str, List[ComparisonRow]]:
-    """Improvement factors for each resource-state type (Fig. 12)."""
-    names = list(resource_states or RESOURCE_STATES.keys())
-    out: Dict[str, List[ComparisonRow]] = {}
-    for rst_name in names:
-        rst = RESOURCE_STATES[rst_name]
-        out[rst_name] = [
-            compare_one(bench, num_qubits, resource_state=rst)
-            for bench in benchmarks
-        ]
-    return out
+def fig12_specs(seed: int = 7, verify: bool = False) -> List[RunSpec]:
+    """Fig. 12: baseline vs OneQ per resource-state type."""
+    from repro.eval.batch import RunSpec
+    from repro.hardware.resource_state import RESOURCE_STATES
+
+    return [
+        RunSpec(bench, 16, seed=seed, resource_state=rst, verify=verify)
+        for rst in RESOURCE_STATES
+        for bench in FIG_BENCHMARKS
+    ]
 
 
-# ----------------------------------------------------------------------
-# Figure 13: layer aspect ratio
-# ----------------------------------------------------------------------
-#: The paper's four layer shapes for 16-qubit benchmarks.
-FIG13_SHAPES: List[Tuple[float, Tuple[int, int]]] = [
-    (1.0, (16, 16)),
-    (1.5, (13, 20)),
-    (2.1, (11, 23)),
-    (2.6, (10, 26)),
-]
+def fig13_specs(seed: int = 7, verify: bool = False) -> List[RunSpec]:
+    """Fig. 13: OneQ on rectangular layers of the baseline's area."""
+    from repro.eval.batch import RunSpec
+
+    return [
+        RunSpec(
+            bench, 16, seed=seed, ratio=ratio, area=256,
+            include_baseline=False, verify=verify,
+        )
+        for bench in FIG_BENCHMARKS
+        for ratio in FIG13_RATIOS
+    ]
 
 
-def run_fig13(
-    num_qubits: int = 16,
-    benchmarks: Sequence[str] = ("QFT", "QAOA", "RCA", "BV"),
-    seed: int = 7,
-) -> Dict[str, Dict[float, CompiledProgram]]:
-    """OneQ on rectangular layers, keyed benchmark -> ratio (Fig. 13)."""
-    out: Dict[str, Dict[float, CompiledProgram]] = {}
-    for bench in benchmarks:
-        circuit = get_benchmark(bench, num_qubits, seed=seed)
-        per_ratio: Dict[float, CompiledProgram] = {}
-        for ratio, (rows, cols) in FIG13_SHAPES:
-            hardware = HardwareConfig(rows=rows, cols=cols)
-            compiler = OneQCompiler(OneQConfig(hardware=hardware))
-            per_ratio[ratio] = compiler.compile(
-                circuit, name=f"{bench}-{num_qubits}@{ratio}"
-            )
-        out[bench] = per_ratio
-    return out
+def fig14_specs(seed: int = 7, verify: bool = False) -> List[RunSpec]:
+    """Fig. 14: QFT mapped on an extended layer (3 x 13x13 -> 13x39)."""
+    from repro.eval.batch import RunSpec
+
+    return [
+        RunSpec(
+            "QFT", 16, seed=seed, area=169, extension=3,
+            include_baseline=False, verify=verify,
+        )
+    ]
 
 
-# ----------------------------------------------------------------------
-# Figure 15: physical area sweep
-# ----------------------------------------------------------------------
-def run_fig15(
-    num_qubits: int = 16,
-    benchmarks: Sequence[str] = ("QFT", "QAOA", "RCA", "BV"),
-    areas: Sequence[int] = (100, 200, 256, 400, 600, 800, 1000),
-    seed: int = 7,
-) -> Dict[str, Dict[int, CompiledProgram]]:
-    """OneQ across physical areas (Fig. 15; 256 is the baseline area)."""
-    out: Dict[str, Dict[int, CompiledProgram]] = {}
-    for bench in benchmarks:
-        circuit = get_benchmark(bench, num_qubits, seed=seed)
-        per_area: Dict[int, CompiledProgram] = {}
-        for area in areas:
-            hardware = HardwareConfig.with_area(area)
-            compiler = OneQCompiler(OneQConfig(hardware=hardware))
-            per_area[area] = compiler.compile(
-                circuit, name=f"{bench}-{num_qubits}@{area}"
-            )
-        out[bench] = per_area
-    return out
+def fig15_specs(seed: int = 7, verify: bool = False) -> List[RunSpec]:
+    """Fig. 15: OneQ across physical areas."""
+    from repro.eval.batch import RunSpec
+
+    return [
+        RunSpec(
+            bench, 16, seed=seed, area=area,
+            include_baseline=False, verify=verify,
+        )
+        for bench in FIG_BENCHMARKS
+        for area in FIG15_AREAS
+    ]
 
 
-# ----------------------------------------------------------------------
-# Fidelity estimate (paper Sec. 2.1 motivation, extension experiment)
-# ----------------------------------------------------------------------
-def run_fidelity(
-    benchmarks: Optional[Sequence[Tuple[str, int]]] = None,
-    model=None,
-) -> List[Tuple[ComparisonRow, float, float, float]]:
-    """Estimated log-fidelity of baseline vs OneQ programs.
+def ablation_specs(seed: int = 7, verify: bool = False) -> List[RunSpec]:
+    """QFT-16 under each compiler variant of ``ABLATION_VARIANTS``."""
+    from repro.core.partition import PartitionConfig
+    from repro.eval.batch import RunSpec
 
-    Returns ``(row, baseline_logF, oneq_logF, improvement_factor)`` per
-    benchmark, quantifying the paper's claim that reducing fusions
-    enhances overall fidelity.
+    options: List[Tuple[Tuple[str, object], ...]] = [
+        (),
+        (("partition", PartitionConfig(scheduling="lemma1")),),
+        (("use_embedding", False),),
+        (("use_placement_hints", False),),
+        (("alpha", 1.5),),
+    ]
+    return [
+        RunSpec(
+            "QFT", 16, seed=seed, include_baseline=False, verify=verify,
+            compiler_options=variant,
+        )
+        for variant in options
+    ]
+
+
+#: exhibit name -> grid builder; the builder's keyword arguments are
+#: the run table's ``meta`` (plus ``grid``: the exhibit name)
+EXHIBITS: Dict[str, Callable[..., List[RunSpec]]] = {
+    "table2": table2_specs,
+    "fig12": fig12_specs,
+    "fig13": fig13_specs,
+    "fig14": fig14_specs,
+    "fig15": fig15_specs,
+    "ablation": ablation_specs,
+}
+
+
+def exhibit_stem(name: str) -> str:
+    """Run-table file stem of exhibit *name*: Table 2 keeps the
+    historical ``run_table`` (``perfbench`` reads it), the rest their
+    own name."""
+    return "run_table" if name == "table2" else name
+
+
+def run_exhibit(
+    name: str,
+    jobs: Optional[int] = None,
+    cache_dir=None,
+    out_dir=None,
+    **kwargs,
+) -> List[RunRecord]:
+    """Run exhibit *name*'s grid through the batch runner.
+
+    *kwargs* go to the builder in ``EXHIBITS``.  When *out_dir* is
+    given the records are written as the run table
+    ``<exhibit_stem(name)>.json``/``.csv`` with ``meta`` =
+    ``{"grid": name, **kwargs}``.
     """
-    from repro.hardware.noise import (
-        DEFAULT_NOISE,
-        baseline_log_fidelity,
-        fidelity_improvement_factor,
-        program_log_fidelity,
-    )
+    from repro.eval.batch import BatchRunner, write_run_table
 
-    model = model or DEFAULT_NOISE
-    benchmarks = list(benchmarks or [(n, 16) for n in ("QFT", "QAOA", "RCA", "BV")])
-    out = []
-    for name, n in benchmarks:
-        row = compare_one(name, n)
-        base_lf = baseline_log_fidelity(row.baseline, model)
-        oneq_lf = program_log_fidelity(row.oneq, model)
-        factor = fidelity_improvement_factor(row.oneq, row.baseline, model)
-        out.append((row, base_lf, oneq_lf, factor))
-    return out
+    records = BatchRunner(jobs=jobs, cache_dir=cache_dir).run(
+        EXHIBITS[name](**kwargs)
+    )
+    if out_dir is not None:
+        write_run_table(
+            records, out_dir, stem=exhibit_stem(name),
+            meta={"grid": name, **kwargs},
+        )
+    return records
+
+
+# ----------------------------------------------------------------------
+# the paper's claims, checked on run-table records
+# ----------------------------------------------------------------------
+#: Table-2 rows the claims compare
+_TABLE2_CLAIM_ROWS: Tuple[Tuple[str, int], ...] = (
+    ("QFT", 16), ("QAOA", 16), ("RCA", 16), ("BV", 16),
+    ("QFT", 36), ("QAOA", 36), ("RCA", 36), ("BV", 100),
+)
+
+
+def _table2_claims(records: Sequence[RunRecord]) -> List[str]:
+    # a row without the baseline shows no improvement: it counts as 0
+    depth_x = {(r.benchmark, r.num_qubits): r.depth_improvement or 0.0
+               for r in records}
+    fusion_x = {(r.benchmark, r.num_qubits): r.fusion_improvement or 0.0
+                for r in records}
+    failures = [
+        f"{name}-{n}: improvement depth x{depth_x[name, n]:.1f} / "
+        f"#fusions x{fusion_x[name, n]:.1f} is below x5 / x10"
+        for name, n in fusion_x
+        if depth_x[name, n] < 5 or fusion_x[name, n] < 10
+    ]
+    missing = [
+        f"{n}-{q}" for n, q in _TABLE2_CLAIM_ROWS if (n, q) not in fusion_x
+    ]
+    if missing:
+        return failures + [f"no {', '.join(missing)} row to check"]
+    depth16 = {r.benchmark: r.depth for r in records if r.num_qubits == 16}
+    fusion16 = {name: fusion_x[name, 16] for name in FIG_BENCHMARKS}
+    if fusion16["BV"] < max(fusion16.values()):
+        failures.append("BV-16 does not have the largest fusion improvement")
+    if fusion16["QFT"] > min(fusion16.values()):
+        failures.append("QFT-16 does not have the smallest fusion improvement")
+    if depth16["BV"] > min(depth16.values()):
+        failures.append("BV-16 does not have the smallest 16-qubit depth")
+    for name in ("QFT", "QAOA", "RCA"):
+        if fusion_x[name, 36] < 0.5 * fusion16[name]:
+            failures.append(
+                f"{name}-36's fusion improvement is under half of {name}-16's"
+            )
+    if fusion_x["BV", 100] <= fusion16["BV"]:
+        failures.append("BV-100's fusion improvement does not exceed BV-16's")
+    return failures
+
+
+def _fig15_claims(records: Sequence[RunRecord]) -> List[str]:
+    per_label: Dict[str, List[Tuple[int, int]]] = {}
+    for r in records:
+        per_label.setdefault(r.label, []).append((r.area or 0, r.depth))
+    failures = []
+    for label, points in per_label.items():
+        (smallest, small_depth), (largest, large_depth) = (
+            min(points), max(points),
+        )
+        if small_depth < large_depth:
+            failures.append(
+                f"{label}: depth at area {smallest} is below depth at "
+                f"area {largest}"
+            )
+    return failures
+
+
+def check_claims(exhibit: str, records: Sequence[RunRecord]) -> List[str]:
+    """The paper's claims on one exhibit's run-table records.
+
+    Returns a list of failure messages (empty = pass).  Checks:
+
+    * ``table2``: every row improves depth at least 5x and #fusions at
+      least 10x; at 16 qubits BV has the largest fusion improvement,
+      QFT the smallest, and BV the smallest depth; each benchmark's
+      36-qubit fusion improvement is at least half its 16-qubit one;
+      BV-100's fusion improvement exceeds BV-16's;
+    * ``fig12``: every improvement exceeds 1;
+    * ``fig15``: per benchmark, depth at the smallest area is at least
+      depth at the largest.
+
+    ``fig13``, ``fig14`` and ``ablation`` carry no claim.
+    """
+    if exhibit == "table2":
+        return _table2_claims(records)
+    if exhibit == "fig12":
+        return [
+            f"{r.label} on {r.resource_state}: improvement depth "
+            f"x{r.depth_improvement or 0:.2f} / #fusions "
+            f"x{r.fusion_improvement or 0:.2f} is not above 1"
+            for r in records
+            if (r.depth_improvement or 0) <= 1
+            or (r.fusion_improvement or 0) <= 1
+        ]
+    if exhibit == "fig15":
+        return _fig15_claims(records)
+    return []
 
 
 # ----------------------------------------------------------------------
@@ -363,51 +459,3 @@ def run_noise_sweep(
         }
         write_run_table(records, out_dir, stem=stem, meta=meta)
     return records
-
-
-# ----------------------------------------------------------------------
-# Ablations: the design choices DESIGN.md calls out
-# ----------------------------------------------------------------------
-def run_ablation(
-    name: str = "QFT",
-    num_qubits: int = 16,
-    seed: int = 7,
-) -> Dict[str, CompiledProgram]:
-    """Compile one benchmark under each compiler variant.
-
-    Variants: ``default``, ``lemma1-scheduling`` (pure Lemma-1 layers,
-    geometry scattered), ``no-embedding`` (ignore planar rotational
-    order), ``no-hints`` (no cross-partition placement hints), and
-    ``alpha-1`` (weak total-blockage penalty).
-    """
-    from repro.core.partition import PartitionConfig
-
-    circuit = get_benchmark(name, num_qubits, seed=seed)
-    hardware = _hardware_for(num_qubits, THREE_LINE)
-
-    def compile_with(**kwargs) -> CompiledProgram:
-        compiler = OneQCompiler(OneQConfig(hardware=hardware, **kwargs))
-        return compiler.compile(circuit, name=f"{name}-{num_qubits}")
-
-    return {
-        "default": compile_with(),
-        "lemma1-scheduling": compile_with(
-            partition=PartitionConfig(scheduling="lemma1")
-        ),
-        "no-embedding": compile_with(use_embedding=False),
-        "no-hints": compile_with(use_placement_hints=False),
-        "alpha-1": compile_with(alpha=1.5),
-    }
-
-
-# ----------------------------------------------------------------------
-# Figure 14: extended physical layers
-# ----------------------------------------------------------------------
-def run_fig14(
-    num_qubits: int = 16, side: int = 13, extension: int = 3, seed: int = 7
-) -> CompiledProgram:
-    """QFT mapping on an extended layer (Fig. 14: 3 x 13x13 -> 13x39)."""
-    circuit = get_benchmark("QFT", num_qubits, seed=seed)
-    hardware = HardwareConfig(rows=side, cols=side, extension=extension)
-    compiler = OneQCompiler(OneQConfig(hardware=hardware))
-    return compiler.compile(circuit, name=f"QFT-{num_qubits}-ext{extension}")

@@ -1,12 +1,18 @@
-"""Text renderers for the experiment runners (paper-style tables)."""
+"""Text renderers for the paper's exhibits (paper-style tables).
+
+Each compiled exhibit renders from its run-table records
+(:class:`repro.eval.batch.RunRecord`), so rendering compiles nothing.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
-from repro.baseline.metrics import BaselineAreas
-from repro.core.compiler import CompiledProgram
-from repro.eval.experiments import PAPER_TABLE2, ComparisonRow
+from repro.eval.experiments import ABLATION_VARIANTS, PAPER_TABLE2
+
+if TYPE_CHECKING:
+    from repro.baseline.metrics import BaselineAreas
+    from repro.eval.batch import RunRecord
 
 
 def _table(headers: Sequence[str], rows: List[Sequence[object]]) -> str:
@@ -36,7 +42,9 @@ def render_table1(rows: List[Tuple[str, BaselineAreas]]) -> str:
     return _table(["Name", "#qubit", "cluster area", "physical area"], body)
 
 
-def render_table2(rows: List[ComparisonRow], with_paper: bool = True) -> str:
+def render_table2(
+    records: Sequence[RunRecord], with_paper: bool = True
+) -> str:
     """Table 2: baseline vs OneQ depth and #fusions + improvements."""
     headers = [
         "Name-#q",
@@ -50,18 +58,18 @@ def render_table2(rows: List[ComparisonRow], with_paper: bool = True) -> str:
     if with_paper:
         headers += ["Paper D-Improv.", "Paper F-Improv."]
     body = []
-    for row in rows:
+    for r in records:
         cells = [
-            row.label,
-            row.baseline.depth,
-            row.oneq.physical_depth,
-            f"{row.depth_improvement:.0f}x",
-            f"{row.baseline.num_fusions:,}",
-            f"{row.oneq.num_fusions:,}",
-            f"{row.fusion_improvement:.0f}x",
+            r.label,
+            r.baseline_depth,
+            r.depth,
+            f"{r.depth_improvement:.0f}x",
+            f"{r.baseline_fusions:,}",
+            f"{r.num_fusions:,}",
+            f"{r.fusion_improvement:.0f}x",
         ]
         if with_paper:
-            paper = PAPER_TABLE2.get((row.name, row.num_qubits))
+            paper = PAPER_TABLE2.get((r.benchmark, r.num_qubits))
             if paper:
                 bd, od, bf, of = paper
                 cells += [f"{bd / od:.0f}x", f"{bf / of:.0f}x"]
@@ -71,21 +79,20 @@ def render_table2(rows: List[ComparisonRow], with_paper: bool = True) -> str:
     return _table(headers, body)
 
 
-def render_fig12(results: Dict[str, List[ComparisonRow]]) -> str:
+def render_fig12(records: Sequence[RunRecord]) -> str:
     """Fig. 12: improvement factors per resource-state type."""
-    rst_names = list(results.keys())
-    benches = [row.label for row in next(iter(results.values()))]
-    depth_rows = []
-    fusion_rows = []
-    for i, bench in enumerate(benches):
-        depth_rows.append(
-            [bench]
-            + [f"{results[r][i].depth_improvement:.0f}x" for r in rst_names]
-        )
-        fusion_rows.append(
-            [bench]
-            + [f"{results[r][i].fusion_improvement:.0f}x" for r in rst_names]
-        )
+    cells: Dict[str, Dict[str, RunRecord]] = {}
+    for r in records:
+        cells.setdefault(r.label, {})[r.resource_state] = r
+    rst_names = list(dict.fromkeys(r.resource_state for r in records))
+    depth_rows = [
+        [label] + [f"{per[rst].depth_improvement:.0f}x" for rst in rst_names]
+        for label, per in cells.items()
+    ]
+    fusion_rows = [
+        [label] + [f"{per[rst].fusion_improvement:.0f}x" for rst in rst_names]
+        for label, per in cells.items()
+    ]
     return (
         "depth improvement\n"
         + _table(["bench"] + rst_names, depth_rows)
@@ -94,65 +101,83 @@ def render_fig12(results: Dict[str, List[ComparisonRow]]) -> str:
     )
 
 
-def _normalized(
-    per_key: Dict[float, CompiledProgram], base_key
-) -> Dict[float, Tuple[float, float]]:
-    base = per_key[base_key]
-    return {
-        key: (
-            prog.physical_depth / max(1, base.physical_depth),
-            prog.num_fusions / max(1, base.num_fusions),
-        )
-        for key, prog in per_key.items()
-    }
-
-
-def render_fig13(results: Dict[str, Dict[float, CompiledProgram]]) -> str:
-    """Fig. 13: normalized depth/#fusions per layer aspect ratio."""
-    ratios = sorted(next(iter(results.values())).keys())
+def _normalized_sweep(
+    records: Sequence[RunRecord], column: str, base: object = None
+) -> str:
+    """Per benchmark, depth/#fusions at each value of *column*, both
+    normalized to the row at *base* (default: the smallest value)."""
+    per_label: Dict[str, Dict[object, RunRecord]] = {}
+    for r in records:
+        per_label.setdefault(r.label, {})[getattr(r, column)] = r
+    values = sorted({getattr(r, column) for r in records})
+    if base not in values:
+        base = values[0]
     rows = []
-    for bench, per_ratio in results.items():
-        norm = _normalized(per_ratio, base_key=ratios[0])
+    for label, per_value in per_label.items():
+        ref = per_value[base]
         rows.append(
-            [bench]
-            + [f"{norm[r][0]:.2f}/{norm[r][1]:.2f}" for r in ratios]
+            [label]
+            + [
+                f"{per_value[v].depth / max(1, ref.depth):.2f}/"
+                f"{per_value[v].num_fusions / max(1, ref.num_fusions):.2f}"
+                for v in values
+            ]
         )
     return _table(
-        ["bench (depth/fus)"] + [f"ratio {r}" for r in ratios], rows
+        ["bench (depth/fus)"] + [f"{column} {v}" for v in values], rows
     )
 
 
-def render_fig14(program: CompiledProgram) -> str:
+def render_fig13(records: Sequence[RunRecord]) -> str:
+    """Fig. 13: normalized depth/#fusions per layer aspect ratio."""
+    return _normalized_sweep(records, "ratio")
+
+
+def render_fig14(records: Sequence[RunRecord]) -> str:
     """Fig. 14: one benchmark mapped onto an extended physical layer."""
-    return (
-        f"{program.name}: extension={program.extension} "
-        f"mapping_layers={program.mapping_layers} "
-        f"shuffle_layers={program.shuffle_layers} "
-        f"physical depth={program.physical_depth} "
-        f"fusions={program.num_fusions:,}"
+    return "\n".join(
+        f"{r.label}: extension={r.extension} "
+        f"mapping_layers={r.mapping_layers} "
+        f"shuffle_layers={r.shuffle_layers} "
+        f"physical depth={r.depth} "
+        f"fusions={r.num_fusions:,}"
+        for r in records
     )
 
 
-def render_ablation(results: Dict[str, CompiledProgram]) -> str:
-    """Compiler-variant ablation: depth/#fusions per variant."""
-    base = results.get("default")
-    rows = []
-    for variant, prog in results.items():
-        cells = [
+def render_fig15(records: Sequence[RunRecord], base_area: int = 256) -> str:
+    """Fig. 15: normalized depth/#fusions per physical area."""
+    return _normalized_sweep(records, "area", base=base_area)
+
+
+def render_ablation(records: Sequence[RunRecord]) -> str:
+    """Compiler-variant ablation: depth/#fusions per variant, the rows
+    in ``ABLATION_VARIANTS`` order."""
+    base = records[0]
+    rows = [
+        [
             variant,
-            prog.physical_depth,
-            f"{prog.num_fusions:,}",
+            r.depth,
+            f"{r.num_fusions:,}",
+            f"{r.depth / max(1, base.depth):.2f}",
+            f"{r.num_fusions / max(1, base.num_fusions):.2f}",
         ]
-        if base is not None:
-            cells += [
-                f"{prog.physical_depth / max(1, base.physical_depth):.2f}",
-                f"{prog.num_fusions / max(1, base.num_fusions):.2f}",
-            ]
-        rows.append(cells)
-    headers = ["variant", "depth", "#fusions"]
-    if base is not None:
-        headers += ["depth/default", "fusions/default"]
+        for variant, r in zip(ABLATION_VARIANTS, records)
+    ]
+    headers = ["variant", "depth", "#fusions", "depth/default",
+               "fusions/default"]
     return _table(headers, rows)
+
+
+#: exhibit name -> renderer of its run-table records
+RENDERERS: Dict[str, Callable[[Sequence[RunRecord]], str]] = {
+    "table2": render_table2,
+    "fig12": render_fig12,
+    "fig13": render_fig13,
+    "fig14": render_fig14,
+    "fig15": render_fig15,
+    "ablation": render_ablation,
+}
 
 
 def render_survival_table(records: Sequence) -> str:
@@ -195,21 +220,3 @@ def render_survival_table(records: Sequence) -> str:
             )
         )
     return "\n\n".join(blocks) if blocks else "(no degradation rows)"
-
-
-def render_fig15(
-    results: Dict[str, Dict[int, CompiledProgram]], base_area: int = 256
-) -> str:
-    """Fig. 15: normalized depth/#fusions per physical area."""
-    areas = sorted(next(iter(results.values())).keys())
-    base = base_area if base_area in areas else areas[0]
-    rows = []
-    for bench, per_area in results.items():
-        norm = _normalized(per_area, base_key=base)
-        rows.append(
-            [bench]
-            + [f"{norm[a][0]:.2f}/{norm[a][1]:.2f}" for a in areas]
-        )
-    return _table(
-        ["bench (depth/fus)"] + [f"area {a}" for a in areas], rows
-    )

@@ -13,11 +13,9 @@ from repro.eval.batch import (
     RunSpec,
     execute_spec,
     render_run_records,
-    run_grid,
-    table2_specs,
     write_run_table,
 )
-from repro.eval.experiments import TABLE_BENCHMARKS, compare_one
+from repro.eval.experiments import table2_specs
 
 QUICK = [("BV", 8), ("BV", 12)]
 
@@ -42,10 +40,6 @@ class TestRunSpec:
         b = RunSpec("c", 0, qasm=to_qasm(get_benchmark("BV", 6, seed=8)))
         assert len({a.key(), b.key(), RunSpec("c", 0).key()}) == 3
 
-    def test_table2_specs_cover_grid(self):
-        specs = table2_specs()
-        assert [(s.benchmark, s.num_qubits) for s in specs] == TABLE_BENCHMARKS
-
     def test_keys_match_committed_run_table(self):
         """Spec keys are stable across releases: the committed Table-2
         run table's keys are today's, so existing caches stay valid."""
@@ -62,15 +56,27 @@ class TestRunSpec:
 
 
 class TestExecuteSpec:
-    def test_matches_compare_one(self):
-        """The batch path reproduces the interactive path exactly."""
+    def test_matches_direct_compile(self):
+        """The batch path reproduces a direct compile exactly."""
+        from repro.baseline.interpreter import compile_baseline
+        from repro.core.compiler import OneQCompiler, OneQConfig
+        from repro.eval.experiments import _hardware_for
+        from repro.hardware.resource_state import THREE_LINE
+
         record = execute_spec(RunSpec("BV", 16))
-        row = compare_one("BV", 16)
-        assert record.depth == row.oneq.physical_depth
-        assert record.num_fusions == row.oneq.num_fusions
-        assert record.baseline_depth == row.baseline.depth
-        assert record.baseline_fusions == row.baseline.num_fusions
-        assert record.depth_improvement == pytest.approx(row.depth_improvement)
+        circuit = get_benchmark("BV", 16, seed=7)
+        baseline = compile_baseline(
+            circuit, name="BV", resource_state=THREE_LINE
+        )
+        hardware = _hardware_for(16, THREE_LINE)
+        oneq = OneQCompiler(OneQConfig(hardware=hardware)).compile(circuit)
+        assert record.depth == oneq.physical_depth
+        assert record.num_fusions == oneq.num_fusions
+        assert record.baseline_depth == baseline.depth
+        assert record.baseline_fusions == baseline.num_fusions
+        assert record.depth_improvement == pytest.approx(
+            baseline.depth / oneq.physical_depth
+        )
 
     def test_qasm_spec_matches_library_spec(self):
         """A QASM spec compiles the parsed circuit: same metrics as the
@@ -166,17 +172,6 @@ class TestArtifacts:
         assert set(rows[0].keys()) == set(RUN_TABLE_COLUMNS)
         assert rows[0]["benchmark"] == "BV"
         assert int(rows[0]["depth"]) == records[0].depth
-
-    def test_run_grid_writes_artifacts(self, tmp_path):
-        records = run_grid(
-            benchmarks=QUICK,
-            jobs=1,
-            cache_dir=tmp_path / "cache",
-            out_dir=tmp_path / "out",
-        )
-        assert len(records) == len(QUICK)
-        assert (tmp_path / "out" / "run_table.json").exists()
-        assert (tmp_path / "out" / "run_table.csv").exists()
 
     def test_render_run_records(self):
         records = BatchRunner(jobs=1).run([RunSpec("BV", 8)])

@@ -1,20 +1,37 @@
-"""Tests for the experiment runners (small sizes to stay fast)."""
+"""Tests for the exhibit grids and the claim checks.
+
+The grids are checked as specs (no compile); the committed run tables
+they produce are kept fresh by ``test_artifact_freshness.py``.  The
+claims run on every committed table, and each claim is shown to fail
+on a perturbed copy of the records.
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from repro.eval.batch import read_run_table
 from repro.eval.experiments import (
-    FIG13_SHAPES,
+    ABLATION_VARIANTS,
+    EXHIBITS,
+    FIG13_RATIOS,
     PAPER_TABLE2,
     TABLE_BENCHMARKS,
-    compare_one,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-    run_fig15,
+    _hardware_for,
+    check_claims,
+    exhibit_stem,
+    run_exhibit,
     run_table1,
-    run_table2,
 )
-from repro.hardware.resource_state import FOUR_STAR
+from repro.hardware.resource_state import THREE_LINE
+
+BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
+
+
+def committed(exhibit):
+    return read_run_table(BENCHMARKS / f"{exhibit_stem(exhibit)}.json")
 
 
 class TestTable1:
@@ -28,86 +45,110 @@ class TestTable1:
         )
 
     def test_matches_paper_exactly(self):
-        for name, areas in run_table1():
-            key_found = False
-            for (bench, n), _ in PAPER_TABLE2.items():
-                if bench == name and n == areas.num_qubits:
-                    key_found = True
-            assert key_found
+        assert {(n, a.num_qubits) for n, a in run_table1()} == set(PAPER_TABLE2)
         # spot check paper values
         by_key = {(n, a.num_qubits): a for n, a in run_table1()}
         assert by_key[("QFT", 16)].cluster_side == 7
         assert by_key[("BV", 100)].physical_side == 43
 
 
-class TestCompareOne:
-    def test_improvements_positive(self):
-        row = compare_one("BV", 16)
-        assert row.depth_improvement > 1
-        assert row.fusion_improvement > 1
+class TestExhibitGrids:
+    def test_table2_covers_the_benchmark_grid(self):
+        specs = EXHIBITS["table2"]()
+        assert [(s.benchmark, s.num_qubits) for s in specs] == TABLE_BENCHMARKS
+        assert all(s.include_baseline for s in specs)
 
-    def test_label(self):
-        assert compare_one("BV", 16).label == "BV-16"
+    def test_only_improvement_grids_compile_the_baseline(self):
+        for name, build in EXHIBITS.items():
+            baseline = {s.include_baseline for s in build()}
+            assert baseline == {name in ("table2", "fig12")}, name
 
-    def test_resource_state_forwarded(self):
-        row = compare_one("BV", 16, resource_state=FOUR_STAR)
-        assert row.baseline.areas.physical_area < 256
+    def test_fig13_keeps_the_paper_layer_shapes(self):
+        shapes = [
+            _hardware_for(16, THREE_LINE, ratio=ratio, area=256)
+            for ratio in FIG13_RATIOS
+        ]
+        assert [(h.rows, h.cols) for h in shapes] == [
+            (16, 16), (13, 20), (11, 23), (10, 26)
+        ]
 
-    def test_area_override(self):
-        row = compare_one("BV", 16, area=100)
-        assert row.oneq.layouts[0].shape == (10, 10)
-
-
-class TestTable2:
-    def test_subset_run(self):
-        rows = run_table2(benchmarks=[("BV", 16), ("QAOA", 16)])
-        assert [r.label for r in rows] == ["BV-16", "QAOA-16"]
-
-    def test_orders_of_magnitude(self):
-        """The paper's headline: improvements of orders of magnitude."""
-        rows = run_table2(benchmarks=[("BV", 16), ("RCA", 16)])
-        for row in rows:
-            assert row.depth_improvement > 10
-            assert row.fusion_improvement > 10
-
-    def test_bv_best(self):
-        rows = run_table2(
-            benchmarks=[("QAOA", 16), ("BV", 16)]
+    def test_fig14_is_the_extended_13x13_layer(self):
+        (spec,) = EXHIBITS["fig14"]()
+        hardware = _hardware_for(
+            spec.num_qubits, THREE_LINE, area=spec.area,
+            extension=spec.extension,
         )
-        by_name = {r.name: r for r in rows}
-        assert (
-            by_name["BV"].fusion_improvement
-            > by_name["QAOA"].fusion_improvement
+        assert hardware.extended_shape == (13, 39)
+
+    def test_ablation_rows_follow_the_variant_names(self):
+        specs = EXHIBITS["ablation"]()
+        assert len(specs) == len(ABLATION_VARIANTS)
+        assert specs[0].compiler_options == ()
+        assert len({s.key() for s in specs}) == len(specs)
+
+    def test_run_exhibit_writes_rebuildable_table(self, tmp_path):
+        records = run_exhibit(
+            "table2", jobs=1, out_dir=tmp_path, benchmarks=[["BV", 8]]
         )
+        payload = json.loads((tmp_path / "run_table.json").read_text())
+        assert (tmp_path / "run_table.csv").exists()
+        assert payload["meta"] == {"grid": "table2", "benchmarks": [["BV", 8]]}
+        assert [r["key"] for r in payload["records"]] == [
+            r.key for r in records
+        ]
+        assert read_run_table(tmp_path / "run_table.json") == records
 
 
-class TestFigures:
-    def test_fig12_all_resource_states(self):
-        results = run_fig12(num_qubits=8, benchmarks=("BV",))
-        assert set(results) == {"3-line", "4-line", "4-star", "4-ring"}
-        for rows in results.values():
-            assert rows[0].fusion_improvement > 1
+class TestClaims:
+    @pytest.mark.parametrize("exhibit", list(EXHIBITS))
+    def test_committed_tables_meet_the_claims(self, exhibit):
+        assert check_claims(exhibit, committed(exhibit)) == []
 
-    def test_fig13_shapes(self):
-        results = run_fig13(num_qubits=8, benchmarks=("BV",))
-        assert set(results["BV"].keys()) == {r for r, _ in FIG13_SHAPES}
+    #: (exhibit, row to change, {field: value from the row accessor},
+    #: the one failure expected); ``None`` as the change drops the row
+    CASES = [
+        ("table2", "QFT-25", {"depth_improvement": lambda row: 4.9},
+         "QFT-25: improvement depth x4.9"),
+        ("table2", "QFT-25", {"fusion_improvement": lambda row: 9.0},
+         "#fusions x9.0 is below x5 / x10"),
+        ("table2", "BV-16",
+         {"fusion_improvement": lambda row: row("QAOA-16").fusion_improvement - 1},
+         "BV-16 does not have the largest fusion improvement"),
+        ("table2", "QFT-16",
+         {"fusion_improvement": lambda row: row("QAOA-16").fusion_improvement + 1},
+         "QFT-16 does not have the smallest fusion improvement"),
+        ("table2", "BV-16", {"depth": lambda row: row("QFT-16").depth + 1},
+         "BV-16 does not have the smallest 16-qubit depth"),
+        ("table2", "QAOA-36",
+         {"fusion_improvement": lambda row: 0.49 * row("QAOA-16").fusion_improvement},
+         "QAOA-36's fusion improvement is under half of QAOA-16's"),
+        ("table2", "BV-100",
+         {"fusion_improvement": lambda row: row("BV-16").fusion_improvement},
+         "BV-100's fusion improvement does not exceed BV-16's"),
+        ("table2", "BV-100", None, "no BV-100 row to check"),
+        ("fig12", "RCA-16", {"depth_improvement": lambda row: 1.0},
+         "RCA-16 on 3-line: improvement depth x1.00"),
+        ("fig12", "QFT-16", {"fusion_improvement": lambda row: 0.5},
+         "#fusions x0.50 is not above 1"),
+        ("fig15", "QAOA-16", {"depth": lambda row: 1},
+         "QAOA-16: depth at area 100 is below depth at area 1000"),
+    ]
 
-    def test_fig14_extended_layer(self):
-        prog = run_fig14(num_qubits=8, side=9, extension=3)
-        assert prog.extension == 3
-        assert prog.layouts[0].shape == (9, 27)
+    @pytest.mark.parametrize("exhibit,label,change,message", CASES)
+    def test_each_claim_can_fail(self, exhibit, label, change, message):
+        records = committed(exhibit)
 
-    def test_fig15_area_sweep(self):
-        results = run_fig15(
-            num_qubits=8, benchmarks=("BV",), areas=(64, 144, 256)
-        )
-        per_area = results["BV"]
-        assert set(per_area) == {64, 144, 256}
+        def row(name):
+            return next(r for r in records if r.label == name)
 
-    def test_fig15_depth_monotone_trend(self):
-        """Fig. 15 shape: depth does not increase with physical area."""
-        results = run_fig15(
-            num_qubits=16, benchmarks=("QAOA",), areas=(100, 256, 600)
-        )
-        per_area = results["QAOA"]
-        assert per_area[100].physical_depth >= per_area[600].physical_depth
+        target = row(label)  # the first row of a multi-row label
+        if change is None:
+            perturbed = [r for r in records if r.label != label]
+        else:
+            fields = {name: value(row) for name, value in change.items()}
+            perturbed = [
+                replace(r, **fields) if r is target else r for r in records
+            ]
+        failures = check_claims(exhibit, perturbed)
+        assert len(failures) == 1, failures
+        assert message in failures[0]

@@ -7,10 +7,10 @@ blowup in fusions, shuffle explosion, depth regressions).
 ``TestTable2Exact`` pins the 16- and 25-qubit Table-2 rows exactly to
 the committed ``benchmarks/run_table.json``.
 
-Measured values at time of writing (see EXPERIMENTS.md):
+Measured values at time of writing (``benchmarks/run_table.json``):
   BV-16:   depth 2,   fusions 38
-  QAOA-16: depth ~38, fusions ~2300
-  QFT-16:  depth ~76, fusions ~6000
+  QAOA-16: depth 38,  fusions 2,294
+  QFT-16:  depth 76,  fusions 6,040
 """
 
 import json
@@ -20,7 +20,7 @@ import pytest
 
 from repro.circuit.benchmarks import get_benchmark
 from repro.core.compiler import OneQCompiler, OneQConfig
-from repro.eval import compare_one
+from repro.eval.batch import RunSpec, execute_spec
 from repro.eval.experiments import _hardware_for
 from repro.hardware.resource_state import THREE_LINE
 
@@ -28,30 +28,31 @@ from repro.hardware.resource_state import THREE_LINE
 @pytest.fixture(scope="module")
 def rows():
     return {
-        name: compare_one(name, 16) for name in ("QFT", "QAOA", "RCA", "BV")
+        name: execute_spec(RunSpec(name, 16))
+        for name in ("QFT", "QAOA", "RCA", "BV")
     }
 
 
 class TestGoldenRanges:
     def test_bv16(self, rows):
-        oneq = rows["BV"].oneq
-        assert 1 <= oneq.physical_depth <= 4
-        assert 20 <= oneq.num_fusions <= 120
+        row = rows["BV"]
+        assert 1 <= row.depth <= 4
+        assert 20 <= row.num_fusions <= 120
 
     def test_qaoa16(self, rows):
-        oneq = rows["QAOA"].oneq
-        assert 15 <= oneq.physical_depth <= 90
-        assert 800 <= oneq.num_fusions <= 6000
+        row = rows["QAOA"]
+        assert 15 <= row.depth <= 90
+        assert 800 <= row.num_fusions <= 6000
 
     def test_rca16(self, rows):
-        oneq = rows["RCA"].oneq
-        assert 15 <= oneq.physical_depth <= 80
-        assert 800 <= oneq.num_fusions <= 6000
+        row = rows["RCA"]
+        assert 15 <= row.depth <= 80
+        assert 800 <= row.num_fusions <= 6000
 
     def test_qft16(self, rows):
-        oneq = rows["QFT"].oneq
-        assert 40 <= oneq.physical_depth <= 180
-        assert 2500 <= oneq.num_fusions <= 15000
+        row = rows["QFT"]
+        assert 40 <= row.depth <= 180
+        assert 2500 <= row.num_fusions <= 15000
 
     def test_improvement_orders_of_magnitude(self, rows):
         for name, row in rows.items():
@@ -59,19 +60,19 @@ class TestGoldenRanges:
             assert row.fusion_improvement > 50, name
 
     def test_baseline_depths_stable(self, rows):
-        assert 2000 <= rows["QFT"].baseline.depth <= 6000
-        assert 150 <= rows["BV"].baseline.depth <= 600
+        assert 2000 <= rows["QFT"].baseline_depth <= 6000
+        assert 150 <= rows["BV"].baseline_depth <= 600
 
     def test_shuffle_not_dominating_bv(self, rows):
         """BV is one partition: shuffling must stay negligible."""
-        t = rows["BV"].oneq.fusions
-        assert t.shuffling <= t.edge + t.synthesis
+        row = rows["BV"]
+        assert row.shuffling <= row.edge + row.synthesis
 
     def test_oneq_absolute_values_near_paper(self, rows):
         """Sanity: our compiler lands in the paper's output range."""
-        assert rows["QFT"].oneq.physical_depth <= 2 * 83   # paper: 83
-        assert rows["QAOA"].oneq.num_fusions <= 3 * 2578   # paper: 2578
-        assert rows["BV"].oneq.num_fusions <= 3 * 63       # paper: 63
+        assert rows["QFT"].depth <= 2 * 83            # paper: 83
+        assert rows["QAOA"].num_fusions <= 3 * 2578   # paper: 2578
+        assert rows["BV"].num_fusions <= 3 * 63       # paper: 63
 
 
 RUN_TABLE = Path(__file__).resolve().parents[2] / "benchmarks" / "run_table.json"

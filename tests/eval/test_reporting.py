@@ -1,13 +1,29 @@
-"""Tests for the table renderers."""
+"""Tests for the table renderers, over the committed run tables."""
 
-from repro.eval.experiments import run_fig13, run_fig15, run_table1, run_table2
+from pathlib import Path
+
+from repro.eval.batch import read_run_table
+from repro.eval.experiments import (
+    ABLATION_VARIANTS,
+    FIG15_AREAS,
+    exhibit_stem,
+    run_table1,
+)
 from repro.eval.reporting import (
+    render_ablation,
     render_fig12,
     render_fig13,
+    render_fig14,
     render_fig15,
     render_table1,
     render_table2,
 )
+
+BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
+
+
+def committed(exhibit):
+    return read_run_table(BENCHMARKS / f"{exhibit_stem(exhibit)}.json")
 
 
 class TestRenderTable1:
@@ -24,33 +40,51 @@ class TestRenderTable1:
 
 class TestRenderTable2:
     def test_rendering(self):
-        rows = run_table2(benchmarks=[("BV", 16)])
-        text = render_table2(rows)
-        assert "BV-16" in text
-        assert "x" in text
-        assert "Paper" in text
+        text = render_table2(committed("table2"))
+        assert "BV-16" in text and "QFT-100" in text
+        assert "1967x" in text  # BV-16's fusion improvement
+        assert "382x" in text  # the paper's BV-16 fusion improvement
+        # the 100-qubit scaling rows have no paper counterpart
+        qft100 = next(line for line in text.splitlines() if "QFT-100" in line)
+        assert qft100.split()[-2:] == ["-", "-"]
 
     def test_without_paper_columns(self):
-        rows = run_table2(benchmarks=[("BV", 16)])
-        text = render_table2(rows, with_paper=False)
+        text = render_table2(committed("table2"), with_paper=False)
         assert "Paper" not in text
 
 
 class TestRenderFigures:
     def test_fig12(self):
-        from repro.eval.experiments import run_fig12
+        text = render_fig12(committed("fig12"))
+        assert "depth improvement" in text and "#fusion improvement" in text
+        header = text.splitlines()[1].split()
+        assert header == ["bench", "3-line", "4-line", "4-star", "4-ring"]
 
-        results = run_fig12(num_qubits=8, benchmarks=("BV",), resource_states=("3-line", "4-star"))
-        text = render_fig12(results)
-        assert "depth improvement" in text
-        assert "4-star" in text
+    def test_fig13_normalizes_to_the_square_layer(self):
+        text = render_fig13(committed("fig13"))
+        assert "ratio 2.6" in text
+        assert all(
+            line.split()[1] == "1.00/1.00" for line in text.splitlines()[2:]
+        )
 
-    def test_fig13(self):
-        results = run_fig13(num_qubits=8, benchmarks=("BV",))
-        text = render_fig13(results)
-        assert "ratio" in text
+    def test_fig14(self):
+        text = render_fig14(committed("fig14"))
+        assert text == (
+            "QFT-16: extension=3 mapping_layers=14 shuffle_layers=50 "
+            "physical depth=92 fusions=6,192"
+        )
 
-    def test_fig15_normalizes_to_one(self):
-        results = run_fig15(num_qubits=8, benchmarks=("BV",), areas=(144, 256))
-        text = render_fig15(results, base_area=256)
-        assert "1.00/1.00" in text
+    def test_fig15_normalizes_to_the_baseline_area(self):
+        records = committed("fig15")
+        lines = render_fig15(records).splitlines()
+        base = 1 + FIG15_AREAS.index(256)
+        assert all(line.split()[base] == "1.00/1.00" for line in lines[2:])
+        # an area grid without 256 normalizes to its smallest area
+        text = render_fig15([r for r in records if r.area != 256])
+        assert text.splitlines()[2].split()[1] == "1.00/1.00"
+
+    def test_ablation_labels_rows_in_variant_order(self):
+        records = committed("ablation")
+        rows = render_ablation(records).splitlines()[2:]
+        assert [row.split()[0] for row in rows] == list(ABLATION_VARIANTS)
+        assert rows[0].split()[1:] == ["76", "6,040", "1.00", "1.00"]

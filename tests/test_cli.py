@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: the paper-exhibit subcommands: renderers without options
+EXHIBITS = {
+    "table1", "table2", "fig12", "fig13", "fig14", "fig15", "ablation",
+}
 
 
 class TestParser:
@@ -63,30 +73,55 @@ class TestCommands:
         assert "cluster area" in out
         assert "43x43" in out
 
-    def test_table2_quick(self, capsys):
-        assert main(["table2", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "BV-16" in out
-        assert "Improv." in out
+    @pytest.mark.parametrize(
+        "exhibit,expected",
+        [
+            ("table2", "BV-100"),
+            ("fig12", "#fusion improvement"),
+            ("fig13", "ratio 2.6"),
+            ("fig14", "extension=3"),
+            ("fig15", "area 1000"),
+            ("ablation", "lemma1-scheduling"),
+        ],
+    )
+    def test_exhibit_renders_committed_table(
+        self, exhibit, expected, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(REPO)
+        assert main([exhibit]) == 0
+        captured = capsys.readouterr()
+        assert expected in captured.out
+        assert captured.err == ""
 
-    def test_fig13_quick_restricts_benchmarks(self, capsys):
-        assert main(["fig13", "--qubits", "6", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "QFT" in out and "BV" in out
-        assert "QAOA" not in out and "RCA" not in out
+    def test_exhibit_claim_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        """A table that misses a claim renders, then fails the claim."""
+        table = json.loads((REPO / "benchmarks" / "fig15.json").read_text())
+        for row in table["records"]:
+            if row["benchmark"] == "BV" and row["area"] == 100:
+                row["depth"] = 1
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "fig15.json").write_text(json.dumps(table))
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig15"]) == 1
+        captured = capsys.readouterr()
+        assert "area 1000" in captured.out
+        assert captured.err.strip() == (
+            "error: claim: BV-16: depth at area 100 is below depth at "
+            "area 1000"
+        )
 
-    def test_fig14(self, capsys):
-        assert main(["fig14", "--qubits", "8"]) == 0
+    def test_bench_grid_writes_exhibit_table(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        assert main(
+            ["bench", "--grid", "fig14", "--jobs", "1", "--out", str(out_dir)]
+        ) == 0
         out = capsys.readouterr().out
-        assert "extension=3" in out
-        assert "depth=" in out
-
-    def test_ablation(self, capsys):
-        assert main(["ablation", "--qubits", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "default" in out
-        assert "no-embedding" in out
-        assert "lemma1-scheduling" in out
+        assert "extension=3 mapping_layers=14" in out
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "fig14.csv", "fig14.json"
+        ]
+        meta = json.loads((out_dir / "fig14.json").read_text())["meta"]
+        assert meta == {"grid": "fig14", "seed": 7, "verify": False}
 
     def test_bench_quick(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
@@ -199,6 +234,14 @@ class TestInvalidInput:
         line = self._usage_error(argv, capsys)
         assert "error: lint:" in line and message in line
 
+    @pytest.mark.parametrize("exhibit", sorted(EXHIBITS - {"table1"}))
+    def test_exhibit_without_run_table(self, exhibit, tmp_path, monkeypatch,
+                                       capsys):
+        monkeypatch.chdir(tmp_path)
+        line = self._usage_error([exhibit], capsys)
+        assert f"error: {exhibit}: no run table benchmarks/" in line
+        assert f"`repro bench --grid {exhibit} --out benchmarks`" in line
+
     def test_malformed_qasm(self, tmp_path, capsys):
         path = tmp_path / "bad.qasm"
         path.write_text("OPENQASM 2.0;\nqreg q[2];\nfoo q[0];\n")
@@ -253,6 +296,30 @@ class TestInvalidInput:
             for command in ("bench", "noise-sweep", "degrade-sweep")
         ),
         ("loadgen", [], "invalid choice: 'loadgen'"),
+        *(
+            ("degrade-sweep", ["--quick", *extra],
+             f"--quick sets the grid; drop {flag}")
+            for flag, extra in [
+                ("--shots", ["--shots", "500", "--check-recovery"]),
+                ("--benchmarks", ["--benchmarks", "QFT"]),
+                ("--qubits", ["--qubits", "12"]),
+                ("--severities", ["--severities", "0.2"]),
+            ]
+        ),
+        ("bench", ["--grid", "fig12", "--quick"],
+         "--quick applies to --grid table2 only"),
+        ("bench", ["--grid", "fig15", "--resource-state", "4-star"],
+         "--resource-state applies to --grid table2 only"),
+        ("bench", ["--grid", "fig99"], "unknown grid 'fig99'"),
+        ("bench", ["--stem", "x"], "unrecognized arguments: --stem"),
+        *(
+            (exhibit, ["--qubits", "8"], "unrecognized arguments: --qubits")
+            for exhibit in (
+                "table1", "table2", "fig12", "fig13", "fig14", "fig15",
+                "ablation",
+            )
+        ),
+        ("fig13", ["--quick"], "unrecognized arguments: --quick"),
     ]
 
     @pytest.mark.parametrize("command,extra,message", SWEEP_CASES)
@@ -260,7 +327,8 @@ class TestInvalidInput:
         """Checked before any run: no artifacts are written."""
         out = tmp_path / "out"
         argv = [command, *extra]
-        if command != "serve":  # the server writes no artifacts
+        if command != "serve" and command not in EXHIBITS:
+            # the server and the renderers take no --out
             argv += ["--out", str(out)]
         line = self._usage_error(argv, capsys)
         assert "error:" in line and message in line

@@ -80,6 +80,23 @@ def test_compile_spec_loads_no_sim_or_server():
     ) == []
 
 
+def test_rendering_an_exhibit_loads_no_compiler():
+    loaded = _loaded_after(
+        f"""
+        import contextlib, io, os
+        os.chdir({str(SRC.parent)!r})
+        from repro.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["fig15"]) == 0
+        """
+    )
+    assert "repro.eval.reporting" in loaded
+    assert _offenders(
+        loaded,
+        ["numpy", "networkx", "repro.core", "repro.sim", "repro.serve.server"],
+    ) == []
+
+
 def test_export_names_resolve_to_their_definitions():
     # each name in each package's __all__ must be the very object its
     # defining module holds, as the package's export table names it
