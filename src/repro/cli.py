@@ -295,11 +295,8 @@ def cmd_lint(args) -> int:
         else:
             circuit_state = StabilizerState(circuit.num_qubits)
             circuit_state.apply_circuit(circuit)
-            _, index = StabilizerState.graph_state(
-                pattern.graph, zero_nodes=pattern.inputs
-            )
             frame = FrameProgram.compile(
-                pattern, circuit_state.stabilizer_rows(), index
+                pattern, circuit_state.stabilizer_rows()
             )
             frame_report = lint_frame_program(
                 frame, pattern, name=f"{name} (frame program)"

@@ -150,13 +150,13 @@ def _verify_stabilizer(
     """Check the pattern's output state against the circuit's on the CHP
     engine.
 
-    The pattern runs on the full tableau (one random outcome branch); a
-    measured node ends disentangled, so the reduced output state is pure
-    and fully determined by its stabilizer group.  It equals the circuit
-    state iff every generator of the circuit's output stabilizer group,
-    lifted onto the output qubits of the big tableau, is a deterministic
+    The pattern runs on the live-window tableau (one random outcome
+    branch); every measured node's slot is freed, so what is left is
+    the pure output state, fully determined by its stabilizer group.  It
+    equals the circuit state iff every generator of the circuit's output
+    stabilizer group, lifted onto the output slots, is a deterministic
     ``+1``-with-recorded-sign measurement there — ``n`` independent
-    generators on ``n`` output qubits pin the reduced state exactly.
+    generators on ``n`` output qubits pin the state exactly.
     """
     from repro.sim.pattern_sim import StabilizerPatternSimulator
     from repro.sim.stabilizer import StabilizerState
@@ -180,8 +180,9 @@ def _verify_stabilizer(
             f"got {got})"
         )
     return True, (
-        f"{circuit.num_qubits} circuit stabilizers hold on the "
-        f"{result.state.n}-node tableau"
+        f"{circuit.num_qubits} circuit stabilizers hold on the pattern "
+        f"output (peak live window {result.peak_window} of "
+        f"{pattern.num_nodes} nodes)"
     )
 
 

@@ -19,7 +19,15 @@ import networkx as nx
 
 @dataclass(frozen=True)
 class ResourceStateType:
-    """An immutable description of the hardware's emitted resource state."""
+    """An immutable description of the hardware's emitted resource state.
+
+    The compiler sees a resource state only through :attr:`size` and
+    :attr:`max_degree` (synthesis costs, fusion capacity, photon
+    counts); ``edges`` beyond the maximum degree change nothing.  The
+    4-line and the 4-ring are both ``(4, 2)``, so they compile to the
+    same program: the Fig. 12 run table has identical 4-line and 4-ring
+    rows.
+    """
 
     name: str
     size: int

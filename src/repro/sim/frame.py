@@ -1,6 +1,6 @@
 """Bit-packed Pauli-frame Monte-Carlo engine for Clifford patterns.
 
-The per-shot reference executor copies a tableau per shot.  This
+The per-shot reference executor builds a tableau per shot.  This
 module removes the tableau from the faulty-shot path altogether: every
 fault channel :class:`repro.sim.noisy.NoisySampler` supports is a
 sign-only Pauli perturbation of one fixed Clifford execution, so after a
@@ -12,9 +12,12 @@ frame propagation, PAPERS.md).
 Why a frame suffices
 --------------------
 
-A pattern execution applies no gates: the graph state is prepared up
-front and nodes are then measured in single-qubit Pauli bases (X or Y,
-with a feed-forward-adapted sign).  A faulty shot's state before any
+A pattern execution applies no gates besides the graph state's CZs,
+and nodes are measured in single-qubit Pauli bases (X or Y, with a
+feed-forward-adapted sign).  The executor entangles each qubit only as
+it enters its live window, but a Pauli measurement on one qubit
+commutes with every CZ not on that qubit, so the analysis may take the
+graph state as prepared up front.  A faulty shot's state before any
 measurement is ``E |psi>`` with ``E`` the injected Pauli frame and
 ``|psi>`` the reference state.  Aligning each measurement's random
 collapse branch with the reference run (a gauge choice — pass/fail is
@@ -57,8 +60,10 @@ change any result.  The frame linter enforces the second half
 (``R009`` in :mod:`repro.analysis.lint`).
 
 :class:`PauliFrameSimulator` compiles the frame program and runs the
-noiseless pattern once on the scalar tableau
-(:class:`repro.sim.pattern_sim.StabilizerPatternSimulator`).  That
+noiseless pattern once on the live-window tableau
+(:class:`repro.sim.pattern_sim.StabilizerPatternSimulator`).  No
+tableau over all pattern nodes is built: frame row ``i`` is the
+``i``-th node in sorted order.  That
 reference run anchors every frame and is also the calibration: it
 proves a fault-free shot passes every output check, so
 :class:`repro.sim.noisy.NoisySampler` counts zero-fault shots as passes
@@ -93,7 +98,7 @@ class FrameStep:
 
     Attributes:
         node: pattern node this step measures.
-        qubit: its tableau qubit (frame row) index.
+        qubit: its frame row (the node's rank in sorted node order).
         y_basis: measured operator is Y (else X).  Doubles as the
             feed-forward coefficient: at Pauli angles the measured sign
             depends on the X-dependency parity ``s`` iff the basis is Y
@@ -131,7 +136,7 @@ class FrameProgram:
     """Flat compiled form of a Clifford pattern for frame execution.
 
     Attributes:
-        num_qubits: tableau qubits (= pattern nodes).
+        num_qubits: frame rows (= pattern nodes).
         steps: the measurement sequence, in pattern measurement order.
         step_of_node: measured pattern node -> step index (where a
             sampled detector flip on that node lands).
@@ -149,15 +154,17 @@ class FrameProgram:
         cls,
         pattern: MeasurementPattern,
         circuit_rows: Sequence[Tuple[np.ndarray, np.ndarray, int]],
-        index: Dict[int, int],
     ) -> "FrameProgram":
         """Flatten *pattern* + ideal-output generators into a program.
 
         ``circuit_rows`` are the unpacked ``(x, z, sign)`` stabilizer
         generators of the ideal circuit output
-        (:meth:`repro.sim.stabilizer.StabilizerState.stabilizer_rows`);
-        ``index`` maps pattern nodes to tableau qubits.
+        (:meth:`repro.sim.stabilizer.StabilizerState.stabilizer_rows`).
+        Frame row ``i`` belongs to the ``i``-th pattern node in sorted
+        order.
         """
+        nodes = sorted(pattern.graph.nodes())
+        index = {node: i for i, node in enumerate(nodes)}
         steps = []
         step_of: Dict[int, int] = {}
         for node in pattern.measurement_order():
@@ -232,7 +239,7 @@ class PauliFrameSimulator:
     """Executes faulty shots of a Clifford pattern as bit-packed frames.
 
     Construction compiles the flat :class:`FrameProgram` and runs the
-    noiseless pattern once on the scalar tableau — the reference
+    noiseless pattern once on the live-window tableau — the reference
     execution every frame is relative to, and the calibration proof
     that a fault-free shot passes every output stabilizer check.
 
@@ -243,9 +250,6 @@ class PauliFrameSimulator:
         circuit_rows: those rows directly (callers that already built
             them, e.g. :class:`repro.sim.noisy.NoisySampler`).  Exactly
             one of *circuit* / *circuit_rows* must be given.
-        prepared: optional ``(state, node->qubit)`` base graph-state
-            tableau; consumed by the reference run.  Defaults to a fresh
-            :meth:`StabilizerState.graph_state` build.
         seed: seeds the reference run's (gauge) outcome draws.
 
     Raises:
@@ -265,7 +269,6 @@ class PauliFrameSimulator:
         circuit_rows: Optional[
             Sequence[Tuple[np.ndarray, np.ndarray, int]]
         ] = None,
-        prepared: Optional[Tuple[StabilizerState, Dict[int, int]]] = None,
         seed: Optional[int] = None,
     ) -> None:
         if (circuit is None) == (circuit_rows is None):
@@ -290,22 +293,12 @@ class PauliFrameSimulator:
                 f"{len(pattern.outputs)} pattern outputs"
             )
         self.pattern = pattern
-
-        if prepared is None:
-            state, index = StabilizerState.graph_state(
-                pattern.graph, zero_nodes=pattern.inputs
-            )
-        else:
-            state, index = prepared
-        self.program = FrameProgram.compile(pattern, circuit_rows, index)
+        self.program = FrameProgram.compile(pattern, circuit_rows)
 
         # reference run + calibration: the noiseless execution must pass
         # every output check, or "frame commutes with G" would not mean
         # "G holds" and zero-frame shots could not be counted as passes
-        state.rng = np.random.default_rng(seed)
-        result = StabilizerPatternSimulator(pattern).run(
-            prepared=(state, index)
-        )
+        result = StabilizerPatternSimulator(pattern, seed=seed).run()
         violated = result.violated_generator(pattern.outputs, circuit_rows)
         if violated is not None:
             raise RuntimeError(
@@ -314,7 +307,7 @@ class PauliFrameSimulator:
                 "the circuit"
             )
         self.reference_outcomes: Dict[int, int] = dict(result.outcomes)
-        # measured tableau qubit -> step index (-1: output, never a step)
+        # measured frame row -> step index (-1: output, never a step)
         self._step_of_qubit = np.full(self.program.num_qubits, -1, np.int64)
         for k, step in enumerate(self.program.steps):
             self._step_of_qubit[step.qubit] = k
@@ -329,7 +322,7 @@ class PauliFrameSimulator:
         boolean pass mask of the output stabilizer checks.
 
         Each chunk entry is ``(pauli_faults, outcome_flips)``:
-        ``pauli_faults`` iterates ``(tableau_qubit, 'x'|'y'|'z')``
+        ``pauli_faults`` iterates ``(frame_row, 'x'|'y'|'z')``
         injected Pauli faults, ``outcome_flips`` iterates measured
         pattern nodes whose recorded outcome bit is complemented
         (detector errors).  Convenience converter onto
@@ -367,9 +360,9 @@ class PauliFrameSimulator:
         returns the ``(num_shots,)`` boolean pass mask.
 
         Entry ``e`` of the fault arrays injects Pauli
-        ``"xyz"[fault_kind[e]]`` on tableau qubit ``fault_qubit[e]`` of
+        ``"xyz"[fault_kind[e]]`` on frame row ``fault_qubit[e]`` of
         shot ``fault_shot[e]``; entry ``e`` of the flip arrays
-        complements the recorded outcome of the measured tableau qubit
+        complements the recorded outcome of the measured frame row
         ``flip_qubit[e]`` on shot ``flip_shot[e]`` (a detector error —
         output qubits are rejected, their readout flips are classical
         failures the caller tallies without executing).  The pass mask

@@ -3,8 +3,8 @@
 The closed-form :mod:`repro.hardware.noise` model predicts the
 probability that one execution of a compiled program sees *zero* error
 events.  This module samples the actual fault process of every shot and
-executes the pattern under each sampled fault configuration on the
-bit-packed stabilizer tableau, producing two yields per run:
+executes the pattern under each sampled fault configuration as
+bit-packed Pauli frames, producing two yields per run:
 
 * ``fault_free_yield`` — the fraction of shots in which no error event
   fired at all.  Its expectation is exactly the analytic
@@ -28,8 +28,8 @@ Sampled fault channels, per shot (probabilities are per event):
   line): loss is heralded by the fusion/measurement detectors, so a lost
   photon aborts the shot outright (``loss_aborts``).
 * **fusion Pauli error** (``fusion_error`` per fusion): a uniformly
-  random X/Y/Z on a uniformly random cluster photon, injected into the
-  tableau as a sign update before the measurement sequence runs.
+  random X/Y/Z on a uniformly random cluster photon, acting on the
+  prepared graph state (before that photon is measured).
 * **measurement flip** (``measurement_error`` per measurement, counting
   output readout): a measured node's *recorded* outcome bit is
   complemented — feed-forward and byproduct corrections then act on the
@@ -40,7 +40,9 @@ Faulty shots run on the bit-packed Pauli-frame engine
 (:mod:`repro.sim.frame`), which each sampler builds once, in
 ``__init__``.  Every supported fault channel is a sign-only
 perturbation of one fixed Clifford execution, so after a single
-reference tableau run each faulty shot reduces to an X/Z flip frame
+reference run on the live-window tableau
+(:class:`repro.sim.pattern_sim.StabilizerPatternSimulator`, as wide as
+the peak number of live qubits) each faulty shot reduces to an X/Z flip frame
 XOR-propagated 64 shots per ``uint64`` word — per-shot cost is
 independent of qubit count.  Frames never leave the engine and no
 output check reads a measured qubit's frame row, so the engine needs no
@@ -65,7 +67,11 @@ draws every shot's fault configuration up front, and pass/fail per shot
 is a deterministic function of that configuration (random measurement
 outcomes are a gauge the feed-forward corrections cancel).  The
 one-tableau-per-shot executor :meth:`NoisySampler._execute_shot` stays
-as the test oracle: :meth:`NoisySampler._run_per_shot` replays the same
+as the test oracle.  It hands a shot's faults to the same live-window
+executor (``faults=``), which applies each once its node is entangled
+and before the node is measured, so the oracle pins the frame tallies
+through tableau execution, independently of the frame algebra.
+:meth:`NoisySampler._run_per_shot` replays the same
 draw shot by shot, and ``tests/sim/test_noisy.py`` pins its tallies
 bit-identical to :meth:`NoisySampler.run` across seeds, chunk
 boundaries and noise grids (``TestOracleEquivalence``).  Sampling speed
@@ -358,12 +364,14 @@ class _FaultDraw:
     ``executed`` rest.  The flat ``(fault_shot, fault_qubit,
     fault_kind)`` entries (kind indexes ``"xyz"``) and ``(flip_shot,
     flip_qubit)`` entries place each executed shot's Pauli faults and
-    measurement flips on tableau qubits; shot indices run over the
+    measurement flips on fault qubits (qubit ``i`` is the ``i``-th
+    pattern node in sorted order, the frame program's row); shot
+    indices run over the
     executed shots and are sorted, and no shot flips one qubit twice.
 
     The arrays hold one entry per fault, in narrow dtypes: shot indices
     are ``int32`` (``int64`` past 2**31 - 1 shots), qubits the smallest
-    unsigned type that holds a tableau qubit index, kinds ``uint8``.
+    unsigned type that holds a node index, kinds ``uint8``.
     Nothing in the draw is sized by the shot count.
     """
 
@@ -398,7 +406,7 @@ class NoisySampler:
             :meth:`FaultCounts.from_pattern`.  Pass
             :meth:`FaultCounts.from_program` for compiled-program
             accounting.
-        seed: seeds the fault sampling and all tableau RNGs; two
+        seed: seeds the fault sampling and the reference run; two
             samplers with equal arguments and seed produce identical
             tallies bit for bit.
         site_map: optional per-site
@@ -554,17 +562,13 @@ class NoisySampler:
             )
         self.seed = seed
         self._outputs = frozenset(pattern.outputs)
-        # node list in tableau-qubit order: graph_state sorts nodes, so
-        # qubit i of the base tableau hosts self._nodes[i]
+        # fault qubit i is node self._nodes[i], the frame program's row
+        # order (FrameProgram.compile sorts the nodes the same way)
         self._nodes: List[int] = sorted(pattern.graph.nodes())
-        self._base, self._index = StabilizerState.graph_state(
-            pattern.graph, zero_nodes=pattern.inputs
-        )
         # measurement slot -> does a flip there corrupt the classical
-        # readout directly?  Slots land on tableau qubits in order (the
-        # node list is sorted exactly like the graph-state qubits);
-        # slots at or beyond the node count model extra hardware
-        # readouts, which are classical by definition.
+        # readout directly?  Slots land on fault qubits in order; slots
+        # at or beyond the node count model extra hardware readouts,
+        # which are classical by definition.
         slot_readout = np.ones(self.counts.measurements, dtype=bool)
         for slot in range(min(self.counts.measurements, len(self._nodes))):
             slot_readout[slot] = self._nodes[slot] in self._outputs
@@ -576,28 +580,24 @@ class NoisySampler:
         # unless a fault-free execution passes every output check, which
         # is what lets zero-fault shots count as passes unexecuted
         self._frame_sim = PauliFrameSimulator(
-            pattern,
-            circuit_rows=self._circuit_rows,
-            prepared=(self._base.copy(), self._index),
-            seed=seed,
+            pattern, circuit_rows=self._circuit_rows, seed=seed
         )
 
     # ------------------------------------------------------------------
     def _execute_shot(
         self,
         rng: np.random.Generator,
-        pauli_faults: Tuple[Tuple[int, str], ...],
+        faults: Tuple[Tuple[int, str], ...],
         outcome_flips: frozenset,
     ) -> bool:
-        """Run one shot on a copy of the base tableau; True on success."""
-        state = self._base.copy()
-        state.rng = rng
-        for qubit, kind in pauli_faults:
-            getattr(state, f"{kind}_gate")(qubit)
+        """Run one shot on its own window tableau; True on success.
+
+        *faults* are ``(node, 'x'|'y'|'z')`` Pauli faults, *rng* draws
+        the shot's random outcomes."""
         simulator = StabilizerPatternSimulator(
-            self.pattern, outcome_flips=outcome_flips
+            self.pattern, seed=rng, outcome_flips=outcome_flips, faults=faults
         )
-        result = simulator.run(prepared=(state, self._index))
+        result = simulator.run()
         return (
             result.violated_generator(self.pattern.outputs, self._circuit_rows)
             is None
@@ -691,7 +691,8 @@ class NoisySampler:
         del alive, faulty
 
         # faults and flips of executed shots, by executed-shot rank
-        qubit_dtype = np.min_scalar_type(self._base.n - 1)
+        num_qubits = len(self._nodes)
+        qubit_dtype = np.min_scalar_type(num_qubits - 1)
         rank, hit = _rank(executed, meas_shot)
         flip_shot = rank[hit]
         flip_qubit = meas_slot[hit].astype(qubit_dtype)
@@ -703,7 +704,7 @@ class NoisySampler:
         # on the qubits its fusion touches can replace it without moving
         # any other draw
         fault_qubit = rng.integers(
-            0, self._base.n, size=fault_shot.size, dtype=qubit_dtype
+            0, num_qubits, size=fault_shot.size, dtype=qubit_dtype
         )
         return _FaultDraw(
             shots=shots,
@@ -770,7 +771,7 @@ class NoisySampler:
 
     def _run_per_shot(self, shots: int) -> NoisySampleResult:
         """The test oracle for :meth:`run`: the same fault draw, each
-        faulty shot executed on its own copy of the base tableau.
+        faulty shot executed on its own window tableau.
 
         Tallies are bit-identical to :meth:`run` at a fixed seed; the
         per-shot cost grows with the pattern size, so this is for
@@ -786,8 +787,8 @@ class NoisySampler:
         for j in range(draw.executed):
             f_lo, f_hi = f_bounds[j], f_bounds[j + 1]
             l_lo, l_hi = l_bounds[j], l_bounds[j + 1]
-            pauli_faults = tuple(
-                (int(q), "xyz"[int(k)])
+            faults = tuple(
+                (self._nodes[int(q)], "xyz"[int(k)])
                 for q, k in zip(
                     draw.fault_qubit[f_lo:f_hi], draw.fault_kind[f_lo:f_hi]
                 )
@@ -795,6 +796,6 @@ class NoisySampler:
             flips = frozenset(
                 self._nodes[int(q)] for q in draw.flip_qubit[l_lo:l_hi]
             )
-            passed += self._execute_shot(rng, pauli_faults, flips)
+            passed += self._execute_shot(rng, faults, flips)
         return self._tally(draw, passed, t0)
 

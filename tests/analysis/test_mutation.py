@@ -29,10 +29,7 @@ def bv_artifacts():
     pattern = circuit_to_pattern(circuit)
     state = StabilizerState(circuit.num_qubits)
     state.apply_circuit(circuit)
-    _, index = StabilizerState.graph_state(
-        pattern.graph, zero_nodes=pattern.inputs
-    )
-    program = FrameProgram.compile(pattern, state.stabilizer_rows(), index)
+    program = FrameProgram.compile(pattern, state.stabilizer_rows())
     return pattern, program
 
 

@@ -461,7 +461,7 @@ class TestFaultDraw:
         assert faults.fault_qubit.shape == faults.fault_shot.shape
         assert faults.fault_kind.shape == faults.fault_shot.shape
         assert set(np.unique(faults.fault_kind)) <= {0, 1, 2}
-        assert faults.fault_qubit.max() < sampler._base.n
+        assert faults.fault_qubit.max() < len(sampler._nodes)
         outputs = set(sampler.pattern.outputs)
         assert not {
             sampler._nodes[int(q)] for q in faults.flip_qubit

@@ -193,10 +193,10 @@ def test_loss_abort_rate(regime):
 def test_flip_slots_distinct_and_uniform(regime):
     _, sampler, draw = regime
     slots = np.flatnonzero(~sampler._slot_readout)
-    pairs = draw.flip_shot.astype(np.int64) * sampler._base.n + draw.flip_qubit
+    pairs = draw.flip_shot.astype(np.int64) * len(sampler._nodes) + draw.flip_qubit
     assert np.unique(pairs).size == pairs.size
-    per_slot = np.bincount(draw.flip_qubit, minlength=sampler._base.n)
-    assert not per_slot[sampler._slot_readout[: sampler._base.n]].any()
+    per_slot = np.bincount(draw.flip_qubit, minlength=len(sampler._nodes))
+    assert not per_slot[sampler._slot_readout[: len(sampler._nodes)]].any()
     observed = per_slot[slots]
     assert_fits(observed, np.full(slots.size, 1.0 / slots.size))
 
