@@ -24,7 +24,12 @@ and everything under ``docs/``:
    history), every inline-code ``repro <cmd>`` and every
    ``python -m repro <cmd>`` names a subcommand that ``src/repro/cli.py``
    registers with ``add_parser`` — so a removed subcommand cannot
-   linger in the docs.
+   linger in the docs;
+5. ``README.md``'s run-table schema table (the first table under the
+   heading naming ``run_table.json`` and "schema") lists exactly
+   ``RUN_TABLE_COLUMNS`` of ``src/repro/eval/batch.py``: every code
+   span in its first column is a registered column, and every
+   registered column appears there.
 
 Exits non-zero with a per-problem report when anything is broken, so
 docs rot fails CI instead of accumulating.
@@ -46,6 +51,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FILE_REF_RE = re.compile(r"`((?:src|docs|tests|benchmarks|scripts|examples)/[\w./-]+)`")
 MODULE_REF_RE = re.compile(r"`(repro(?:\.\w+)+)")
 COMMAND_RE = re.compile(r"(?:`|python -m )repro ([\w-]+)")
+SCHEMA_HEADING_RE = re.compile(r"^#+ .*run_table\.json.*schema")
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 
 
 def doc_paths() -> List[pathlib.Path]:
@@ -88,6 +95,53 @@ def cli_subcommands() -> Set[str]:
         elif isinstance(arg, ast.Name):
             names.update(loop_values.get(arg.id, ()))
     return names
+
+
+def run_table_columns() -> List[str]:
+    """``RUN_TABLE_COLUMNS`` as ``src/repro/eval/batch.py`` assigns it
+    (read from the source, like the other checks)."""
+    source = ROOT / "src" / "repro" / "eval" / "batch.py"
+    tree = ast.parse(source.read_text())
+    for node in tree.body:
+        if (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and node.target.id == "RUN_TABLE_COLUMNS"
+            and node.value is not None
+        ):
+            return list(ast.literal_eval(node.value))
+    raise LookupError("RUN_TABLE_COLUMNS not found in src/repro/eval/batch.py")
+
+
+def schema_table_problems(
+    path: pathlib.Path, columns: List[str]
+) -> Iterator[Tuple[int, str]]:
+    """Rule 5: the run-table schema table in *path* documents exactly
+    *columns* (code spans in its first column)."""
+    lines = path.read_text().splitlines()
+    heading = next(
+        (i for i, line in enumerate(lines) if SCHEMA_HEADING_RE.match(line)),
+        None,
+    )
+    if heading is None:
+        yield 0, "no run-table schema heading"
+        return
+    documented: Set[str] = set()
+    in_table = False
+    for lineno in range(heading + 1, len(lines)):
+        line = lines[lineno]
+        if not line.startswith("|"):
+            if in_table or line.startswith("#"):
+                break
+            continue
+        in_table = True
+        for name in CODE_SPAN_RE.findall(line.split("|")[1]):
+            documented.add(name)
+            if name not in columns:
+                yield lineno + 1, f"schema table names unknown column `{name}`"
+    for name in columns:
+        if name not in documented:
+            yield heading + 1, f"schema table is missing column `{name}`"
 
 
 def iter_problems(
@@ -197,9 +251,10 @@ def main() -> int:
     for path in doc_paths():
         # CHANGES.md is history: it may name removed subcommands
         checked = path.name == "README.md" or ROOT / "docs" in path.parents
-        for lineno, message in iter_problems(
-            path, commands if checked else None
-        ):
+        found = list(iter_problems(path, commands if checked else None))
+        if path == ROOT / "README.md":
+            found.extend(schema_table_problems(path, run_table_columns()))
+        for lineno, message in found:
             print(f"{path.relative_to(ROOT)}:{lineno}: {message}")
             problems += 1
     if problems:

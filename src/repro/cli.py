@@ -288,15 +288,13 @@ def cmd_lint(args) -> int:
         from repro.analysis.lint import lint_frame_program
         from repro.sim.frame import FrameProgram
         from repro.sim.pattern_sim import pattern_is_clifford
-        from repro.sim.stabilizer import StabilizerState
+        from repro.sim.stabilizer import circuit_stabilizer_rows
 
         if not pattern_is_clifford(pattern):
             print(f"{name}: frame lint skipped (non-Clifford pattern)")
         else:
-            circuit_state = StabilizerState(circuit.num_qubits)
-            circuit_state.apply_circuit(circuit)
             frame = FrameProgram.compile(
-                pattern, circuit_state.stabilizer_rows()
+                pattern, circuit_stabilizer_rows(circuit)
             )
             frame_report = lint_frame_program(
                 frame, pattern, name=f"{name} (frame program)"

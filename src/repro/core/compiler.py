@@ -80,7 +80,8 @@ class CompiledProgram:
     #: non-zero value flags a bookkeeping bug (see ``z_measurements``)
     photon_deficit: int = 0
     #: wall seconds per pipeline stage (translate / schedule / partition /
-    #: map / shuffle), filled by the compiler for ``bench --profile``.
+    #: map / shuffle); the run table's ``stage_seconds`` column is this
+    #: dict plus the stages a batch run times around the compile.
     #: The map stage additionally reports its ``map_score`` /
     #: ``map_route`` / ``map_place`` sub-stages (candidate scoring, path
     #: search, placement bookkeeping); their sum is below ``map``, whose
@@ -244,9 +245,8 @@ class OneQCompiler:
             tally.add("routing", result.routing_fusions)
             deferred.extend(result.deferred_edges)
         stage_seconds["map"] = time.perf_counter() - t0
-        stage_seconds["map_score"] = mapper.stage_seconds["score"]
-        stage_seconds["map_route"] = mapper.stage_seconds["route"]
-        stage_seconds["map_place"] = mapper.stage_seconds["place"]
+        for sub_stage, seconds in mapper.stage_seconds.items():
+            stage_seconds[f"map_{sub_stage}"] = seconds
 
         # ---- inter-layer shuffling -----------------------------------
         t0 = time.perf_counter()

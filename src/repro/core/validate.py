@@ -23,7 +23,6 @@ simulator when the output register is small enough.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -140,7 +139,6 @@ class PatternVerification:
 
     ok: Optional[bool]
     method: str  # "stabilizer" | "statevector" | "static" | "skipped"
-    seconds: float = 0.0
     detail: str = ""
 
 
@@ -159,16 +157,14 @@ def _verify_stabilizer(
     generators on ``n`` output qubits pin the state exactly.
     """
     from repro.sim.pattern_sim import StabilizerPatternSimulator
-    from repro.sim.stabilizer import StabilizerState
+    from repro.sim.stabilizer import circuit_stabilizer_rows
 
     if len(pattern.outputs) != circuit.num_qubits:
         return False, (
             f"pattern has {len(pattern.outputs)} outputs for a "
             f"{circuit.num_qubits}-qubit circuit"
         )
-    circuit_state = StabilizerState(circuit.num_qubits)
-    circuit_state.apply_circuit(circuit)
-    rows = circuit_state.stabilizer_rows()
+    rows = circuit_stabilizer_rows(circuit)
     result = StabilizerPatternSimulator(pattern, seed=seed).run()
     violated = result.violated_generator(pattern.outputs, rows)
     if violated is not None:
@@ -248,14 +244,11 @@ def verify_pattern(
 
     if method not in ("auto", "stabilizer", "statevector", "static"):
         raise ValueError(f"unknown verification method {method!r}")
-    t0 = time.perf_counter()
     if pattern is None:
         pattern = circuit_to_pattern(circuit)
     if method == "static":
         ok, detail = _verify_static(pattern)
-        return PatternVerification(
-            ok, "static", time.perf_counter() - t0, detail
-        )
+        return PatternVerification(ok, "static", detail)
     clifford = pattern_is_clifford(pattern) and circuit_is_clifford(circuit)
     if method == "stabilizer" and not clifford:
         raise ValueError(
@@ -263,24 +256,17 @@ def verify_pattern(
         )
     if clifford and method in ("auto", "stabilizer"):
         ok, detail = _verify_stabilizer(circuit, pattern, seed)
-        return PatternVerification(
-            ok, "stabilizer", time.perf_counter() - t0, detail
-        )
+        return PatternVerification(ok, "stabilizer", detail)
     if method == "statevector" or len(pattern.outputs) <= max_dense_outputs:
         try:
             ok, detail = _verify_statevector(circuit, pattern, seed)
         except RuntimeError as exc:  # active-window blowup and kin
-            return PatternVerification(
-                None, "skipped", time.perf_counter() - t0, str(exc)
-            )
-        return PatternVerification(
-            ok, "statevector", time.perf_counter() - t0, detail
-        )
+            return PatternVerification(None, "skipped", str(exc))
+        return PatternVerification(ok, "statevector", detail)
     ok, detail = _verify_static(pattern)
     return PatternVerification(
         ok,
         "static",
-        time.perf_counter() - t0,
         f"{len(pattern.outputs)} outputs exceed the dense limit "
         f"({max_dense_outputs}); fell back to static certification: "
         f"{detail}",
@@ -315,7 +301,6 @@ class YieldEstimate:
         method: ``"mc-stabilizer"`` or ``"analytic-only"``.
         shots_per_second: sampling throughput; ``None`` when no sampling
             ran.
-        seconds: wall time spent sampling.
     """
 
     shots: int
@@ -326,7 +311,6 @@ class YieldEstimate:
     method: str
     attempts_per_fusion: Optional[float] = None
     shots_per_second: Optional[float] = None
-    seconds: float = 0.0
     detail: str = ""
 
 
@@ -394,7 +378,6 @@ def estimate_yield(
         uniform = site_map.as_uniform_model()
         heterogeneous = uniform is None
         model = uniform or site_map.base
-    t0 = time.perf_counter()
     if pattern is None:
         pattern = circuit_to_pattern(circuit)
     if counts is None:
@@ -418,7 +401,6 @@ def estimate_yield(
             yield_analytic=yield_analytic,
             sigma=0.0,
             method="analytic-only",
-            seconds=time.perf_counter() - t0,
             detail="non-Clifford program; closed-form estimate only",
         )
     sampler = NoisySampler(
@@ -440,6 +422,5 @@ def estimate_yield(
         method="mc-stabilizer",
         attempts_per_fusion=result.attempts_per_fusion,
         shots_per_second=result.shots_per_second,
-        seconds=time.perf_counter() - t0,
         detail=result.summary(),
     )

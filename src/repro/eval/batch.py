@@ -27,15 +27,16 @@ import json
 import multiprocessing
 import pathlib
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.store import ArtifactStore, atomic_write_json
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
-#: Run-table columns, in on-disk CSV order (v10 dropped the v4-v9
-#: sampler-engine column: the frame engine is the only sampler).  Meanings:
+#: Run-table columns, in on-disk CSV order (v11 folded the per-stage
+#: ``*_seconds`` columns into ``stage_seconds`` and dropped
+#: ``lint_issues``).  Meanings:
 #:   key                 content hash of the spec (cache identity)
 #:   benchmark/num_qubits/seed   which circuit was compiled (for a QASM
 #:       spec: the circuit's name and the width parsed from the text)
@@ -48,20 +49,20 @@ SCHEMA_VERSION = 10
 #:   baseline_depth/baseline_fusions   baseline interpreter on the same
 #:       area (absent when the spec disables the baseline)
 #:   depth_improvement/fusion_improvement   baseline / OneQ ratios
-#:   seconds   OneQ compile wall time;  baseline_seconds   baseline time
-#:   translate/schedule/partition/map/shuffle_seconds   per-stage compile
-#:       breakdown (``bench --profile`` renders these)
-#:   map_score/map_route/map_place_seconds   mapper sub-stages (v7):
-#:       candidate scoring, path routing, and cell placement inside the
-#:       map stage; their sum is below map_seconds, whose remainder is
-#:       fusion-graph synthesis and edge-order bookkeeping
-#:   verified/verify_method/verify_seconds   semantic verification stage
+#:   seconds   OneQ compile wall time (translate included)
+#:   stage_seconds   wall seconds per stage that ran, in pipeline order
+#:       (one JSON object; a JSON-text cell in the CSV): the compiler's
+#:       ``CompiledProgram.stage_seconds`` (schedule, partition, map and
+#:       its map_score/map_route/map_place sub-stages, shuffle) after
+#:       ``translate``, then ``verify``, ``mc`` and ``baseline`` when
+#:       the spec ran them.  The map sub-stages sum below ``map``, whose
+#:       remainder is fusion-graph synthesis and edge-order bookkeeping;
+#:       ``bench --profile`` renders the dict
+#:   verified/verify_method   semantic verification stage
 #:       (``verify=True`` specs): did the compiled pattern implement the
 #:       circuit, which engine checked it (stabilizer for Clifford
 #:       patterns, statevector for small dense ones, static flow-based
 #:       determinism certification otherwise)
-#:   lint_issues   static-lint error count over the pattern and compiled
-#:       program (v6, ``lint=True`` specs; None = lint stage not run)
 #:   noise     NoiseModel overrides as "name=value,..." ("" = defaults)
 #:   shots     Monte-Carlo shots actually sampled (0 = no sampling ran,
 #:       including non-Clifford programs where only the analytic yield
@@ -74,7 +75,6 @@ SCHEMA_VERSION = 10
 #:       fusion (repeat-until-success; expected 1/fusion_success — the
 #:       observable the fusion_success axis moves), tallied over the
 #:       shots that completed their fusion sequence
-#:   mc_seconds   wall seconds of the Monte-Carlo stage
 #:   shots_per_second   Monte-Carlo sampling throughput (v4; None when
 #:       no sampling ran)
 #:   scenario  hardware-degradation scenario name (v9; "" = pristine
@@ -127,25 +127,14 @@ RUN_TABLE_COLUMNS: List[str] = [
     "depth_improvement",
     "fusion_improvement",
     "seconds",
-    "baseline_seconds",
-    "translate_seconds",
-    "schedule_seconds",
-    "partition_seconds",
-    "map_seconds",
-    "map_score_seconds",
-    "map_route_seconds",
-    "map_place_seconds",
-    "shuffle_seconds",
+    "stage_seconds",
     "verified",
     "verify_method",
-    "verify_seconds",
-    "lint_issues",
     "noise",
     "shots",
     "yield_mc",
     "yield_analytic",
     "mc_attempts_per_fusion",
-    "mc_seconds",
     "shots_per_second",
     "scenario",
     "severity",
@@ -158,13 +147,6 @@ RUN_TABLE_COLUMNS: List[str] = [
     "cache_tier",
     "cache_age_seconds",
 ]
-
-#: compile stages reported by ``CompiledProgram.stage_seconds``, in
-#: pipeline order (the ``verify`` stage is appended by ``execute_spec``)
-PROFILE_STAGES: Tuple[str, ...] = (
-    "translate", "schedule", "partition", "map",
-    "map_score", "map_route", "map_place", "shuffle",
-)
 
 #: the spec-key serializer (stateless, shared across threads)
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
@@ -191,10 +173,6 @@ class RunSpec:
     #: semantically verify the compiled pattern against the circuit
     #: (auto-picking the stabilizer, statevector or static engine)
     verify: bool = False
-    #: statically lint the pattern and compiled program
-    #: (:class:`repro.analysis.lint.PatternLinter`); the error count
-    #: lands in the ``lint_issues`` column
-    lint: bool = False
     #: Monte-Carlo shots for noisy execution (0 disables the MC stage)
     shots: int = 0
     #: ``NoiseModel`` overrides as a sorted tuple of (name, value), e.g.
@@ -268,25 +246,14 @@ class RunRecord:
     depth_improvement: Optional[float] = None
     fusion_improvement: Optional[float] = None
     seconds: float = 0.0
-    baseline_seconds: float = 0.0
-    translate_seconds: float = 0.0
-    schedule_seconds: float = 0.0
-    partition_seconds: float = 0.0
-    map_seconds: float = 0.0
-    map_score_seconds: float = 0.0
-    map_route_seconds: float = 0.0
-    map_place_seconds: float = 0.0
-    shuffle_seconds: float = 0.0
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
     verified: Optional[bool] = None
     verify_method: Optional[str] = None
-    verify_seconds: float = 0.0
-    lint_issues: Optional[int] = None
     noise: str = ""
     shots: int = 0
     yield_mc: Optional[float] = None
     yield_analytic: Optional[float] = None
     mc_attempts_per_fusion: Optional[float] = None
-    mc_seconds: float = 0.0
     shots_per_second: Optional[float] = None
     scenario: str = ""
     severity: float = 0.0
@@ -342,27 +309,18 @@ def execute_spec(spec: RunSpec) -> RunRecord:
         pattern, name=label, num_qubits=circuit.num_qubits
     )
     oneq_seconds = translate_seconds + time.perf_counter() - t0
-    program.stage_seconds["translate"] = translate_seconds
+    # every stage that runs adds its wall seconds here, in pipeline order
+    stage_seconds = {"translate": translate_seconds, **program.stage_seconds}
 
     verified = verify_method = None
-    verify_seconds = 0.0
     if spec.verify:
         from repro.core.validate import verify_pattern
 
+        t0 = time.perf_counter()
         report = verify_pattern(circuit, pattern=pattern, seed=spec.seed)
+        stage_seconds["verify"] = time.perf_counter() - t0
         verified = report.ok
         verify_method = report.method
-        verify_seconds = report.seconds
-
-    lint_issues = None
-    if spec.lint:
-        from repro.analysis.lint import lint_compiled_program, lint_pattern
-
-        lint_report = lint_pattern(pattern, name=label)
-        lint_report.extend(
-            lint_compiled_program(program, hardware, name=label)
-        )
-        lint_issues = len(lint_report.errors())
 
     dead_fraction = policy_used = recovered = None
     yield_degraded = rerouted_fusions = None
@@ -398,12 +356,12 @@ def execute_spec(spec: RunSpec) -> RunRecord:
     yield_mc = yield_analytic = mc_attempts = None
     shots_per_second = None
     mc_shots = 0
-    mc_seconds = 0.0
     if spec.shots > 0:
         from repro.core.validate import estimate_yield
         from repro.hardware.noise import NoiseModel
         from repro.sim.noisy import FaultCounts
 
+        t0 = time.perf_counter()
         estimate = None
         if degrade_map is not None:
             # degradation specs sample the policy's program under the
@@ -437,24 +395,23 @@ def execute_spec(spec: RunSpec) -> RunRecord:
                 counts=FaultCounts.from_program(program),
             )
         if estimate is not None:
+            stage_seconds["mc"] = time.perf_counter() - t0
             # estimate.shots is 0 when no sampling engine applied
             # (non-Clifford program, analytic-only fallback)
             mc_shots = estimate.shots
             yield_mc = estimate.yield_mc
             yield_analytic = estimate.yield_analytic
             mc_attempts = estimate.attempts_per_fusion
-            mc_seconds = estimate.seconds
             shots_per_second = estimate.shots_per_second
 
     baseline_depth = baseline_fusions = None
     depth_improvement = fusion_improvement = None
-    baseline_seconds = 0.0
     if spec.include_baseline:
         t0 = time.perf_counter()
         baseline = compile_baseline(
             circuit, name=spec.benchmark, resource_state=rst
         )
-        baseline_seconds = time.perf_counter() - t0
+        stage_seconds["baseline"] = time.perf_counter() - t0
         baseline_depth = baseline.depth
         baseline_fusions = baseline.num_fusions
         depth_improvement = baseline.depth / max(1, program.physical_depth)
@@ -490,25 +447,14 @@ def execute_spec(spec: RunSpec) -> RunRecord:
         depth_improvement=depth_improvement,
         fusion_improvement=fusion_improvement,
         seconds=oneq_seconds,
-        baseline_seconds=baseline_seconds,
-        translate_seconds=program.stage_seconds.get("translate", 0.0),
-        schedule_seconds=program.stage_seconds.get("schedule", 0.0),
-        partition_seconds=program.stage_seconds.get("partition", 0.0),
-        map_seconds=program.stage_seconds.get("map", 0.0),
-        map_score_seconds=program.stage_seconds.get("map_score", 0.0),
-        map_route_seconds=program.stage_seconds.get("map_route", 0.0),
-        map_place_seconds=program.stage_seconds.get("map_place", 0.0),
-        shuffle_seconds=program.stage_seconds.get("shuffle", 0.0),
+        stage_seconds=stage_seconds,
         verified=verified,
         verify_method=verify_method,
-        verify_seconds=verify_seconds,
-        lint_issues=lint_issues,
         noise=spec.noise_label(),
         shots=mc_shots,
         yield_mc=yield_mc,
         yield_analytic=yield_analytic,
         mc_attempts_per_fusion=mc_attempts,
-        mc_seconds=mc_seconds,
         shots_per_second=shots_per_second,
         scenario=spec.scenario,
         severity=spec.severity,
@@ -623,7 +569,8 @@ def write_run_table(
     """Persist *records* as ``<stem>.json`` + ``<stem>.csv`` in *out_dir*.
 
     The JSON carries schema/provenance metadata; the CSV is the flat
-    analysis artifact (one row per run, ``RUN_TABLE_COLUMNS`` order).
+    analysis artifact (one row per run, ``RUN_TABLE_COLUMNS`` order,
+    ``stage_seconds`` as one JSON-text cell).
     """
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -642,7 +589,9 @@ def write_run_table(
         writer = csv.DictWriter(handle, fieldnames=RUN_TABLE_COLUMNS)
         writer.writeheader()
         for row in rows:
-            writer.writerow({col: row.get(col) for col in RUN_TABLE_COLUMNS})
+            cells = {col: row.get(col) for col in RUN_TABLE_COLUMNS}
+            cells["stage_seconds"] = json.dumps(cells["stage_seconds"])
+            writer.writerow(cells)
     return json_path, csv_path
 
 
@@ -670,11 +619,6 @@ def render_run_records(records: Sequence[RunRecord]) -> str:
                 f"  verify[{r.verify_method}]="
                 f"{'ok' if r.verified else 'FAILED'}"
             )
-        if r.lint_issues is not None:
-            verify += (
-                "  lint=clean" if r.lint_issues == 0
-                else f"  lint={r.lint_issues} error(s)"
-            )
         noisy = ""
         if r.yield_analytic is not None:
             if r.yield_mc is not None:
@@ -692,20 +636,19 @@ def render_run_records(records: Sequence[RunRecord]) -> str:
 
 
 def render_stage_profile(records: Sequence[RunRecord]) -> str:
-    """Per-stage compile timing breakdown (``bench --profile``)."""
-    stage_cols = [f"{stage}_seconds" for stage in PROFILE_STAGES] + [
-        "verify_seconds"
-    ]
-    header = f"{'run':<12}" + "".join(
-        f"{col[:-8]:>11}" for col in stage_cols
-    ) + f"{'total':>11}"
+    """Per-stage timing breakdown (``bench --profile``): ``seconds``,
+    then one column per ``stage_seconds`` key, in first-seen order."""
+    stages: Dict[str, None] = {}
+    for r in records:
+        stages.update(dict.fromkeys(r.stage_seconds))
+    header = f"{'run':<12}{'seconds':>11}" + "".join(
+        f"{stage:>11}" for stage in stages
+    )
     lines = [header, "-" * len(header)]
     for r in records:
-        cells = [getattr(r, col) for col in stage_cols]
-        total = r.seconds + r.verify_seconds
-        lines.append(
-            f"{r.label:<12}"
-            + "".join(f"{value:>10.3f}s" for value in cells)
-            + f"{total:>10.3f}s"
-        )
+        cells = [r.seconds] + [r.stage_seconds.get(stage) for stage in stages]
+        lines.append(f"{r.label:<12}" + "".join(
+            f"{'-':>11}" if value is None else f"{value:>10.3f}s"
+            for value in cells
+        ))
     return "\n".join(lines)

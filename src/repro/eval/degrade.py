@@ -11,7 +11,7 @@ severity does the as-compiled program collapse, and which intervention
 (re-route vs recompile) saves it?
 
 Everything runs through :class:`repro.eval.batch.BatchRunner`, so rows
-land in the standard schema-v9 run table (``scenario`` / ``severity`` /
+land in the standard run table (``scenario`` / ``severity`` /
 ``policy`` / ``recovered`` / ``yield_degraded`` columns) and are cached
 by spec hash like every other batch.
 """

@@ -89,7 +89,11 @@ from repro.sim.pattern_sim import (
     _pauli_sign_table,
     pattern_is_clifford,
 )
-from repro.sim.stabilizer import StabilizerState, _bit_positions, _unpack_bits
+from repro.sim.stabilizer import (
+    _bit_positions,
+    _unpack_bits,
+    circuit_stabilizer_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -246,10 +250,7 @@ class PauliFrameSimulator:
     Args:
         pattern: the Clifford measurement pattern.
         circuit: source circuit defining the ideal output stabilizer
-            group; its ``stabilizer_rows()`` become the output checks.
-        circuit_rows: those rows directly (callers that already built
-            them, e.g. :class:`repro.sim.noisy.NoisySampler`).  Exactly
-            one of *circuit* / *circuit_rows* must be given.
+            group; its generators become the output checks.
         seed: seeds the reference run's (gauge) outcome draws.
 
     Raises:
@@ -258,6 +259,8 @@ class PauliFrameSimulator:
 
     Attributes:
         program: the compiled :class:`FrameProgram`.
+        circuit_rows: the circuit's output stabilizer generators
+            (:func:`repro.sim.stabilizer.circuit_stabilizer_rows`).
         reference_outcomes: measured node -> outcome bit of the
             reference run (one sampled gauge branch).
     """
@@ -265,41 +268,30 @@ class PauliFrameSimulator:
     def __init__(
         self,
         pattern: MeasurementPattern,
-        circuit: Optional[Circuit] = None,
-        circuit_rows: Optional[
-            Sequence[Tuple[np.ndarray, np.ndarray, int]]
-        ] = None,
+        circuit: Circuit,
         seed: Optional[int] = None,
     ) -> None:
-        if (circuit is None) == (circuit_rows is None):
-            raise ValueError("pass exactly one of circuit / circuit_rows")
         if not pattern_is_clifford(pattern):
             raise ValueError(
                 "pattern has non-Pauli measurement angles; the frame "
                 "engine needs a Clifford pattern"
             )
-        if circuit is not None:
-            if len(pattern.outputs) != circuit.num_qubits:
-                raise ValueError(
-                    f"pattern has {len(pattern.outputs)} outputs for a "
-                    f"{circuit.num_qubits}-qubit circuit"
-                )
-            circuit_state = StabilizerState(circuit.num_qubits)
-            circuit_state.apply_circuit(circuit)
-            circuit_rows = circuit_state.stabilizer_rows()
-        if len(circuit_rows) != len(pattern.outputs):
+        if len(pattern.outputs) != circuit.num_qubits:
             raise ValueError(
-                f"{len(circuit_rows)} output stabilizer generators for "
-                f"{len(pattern.outputs)} pattern outputs"
+                f"pattern has {len(pattern.outputs)} outputs for a "
+                f"{circuit.num_qubits}-qubit circuit"
             )
         self.pattern = pattern
-        self.program = FrameProgram.compile(pattern, circuit_rows)
+        self.circuit_rows = circuit_stabilizer_rows(circuit)
+        self.program = FrameProgram.compile(pattern, self.circuit_rows)
 
         # reference run + calibration: the noiseless execution must pass
         # every output check, or "frame commutes with G" would not mean
         # "G holds" and zero-frame shots could not be counted as passes
         result = StabilizerPatternSimulator(pattern, seed=seed).run()
-        violated = result.violated_generator(pattern.outputs, circuit_rows)
+        violated = result.violated_generator(
+            pattern.outputs, self.circuit_rows
+        )
         if violated is not None:
             raise RuntimeError(
                 f"reference execution violates output stabilizer "

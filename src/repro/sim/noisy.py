@@ -98,7 +98,7 @@ from repro.hardware.noise import DEFAULT_NOISE, NoiseModel, success_probability
 from repro.mbqc.pattern import MeasurementPattern
 from repro.sim.frame import PauliFrameSimulator
 from repro.sim.pattern_sim import StabilizerPatternSimulator, pattern_is_clifford
-from repro.sim.stabilizer import StabilizerState, non_clifford_gate_counts
+from repro.sim.stabilizer import non_clifford_gate_counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compiler import CompiledProgram
@@ -573,15 +573,10 @@ class NoisySampler:
         for slot in range(min(self.counts.measurements, len(self._nodes))):
             slot_readout[slot] = self._nodes[slot] in self._outputs
         self._slot_readout = slot_readout
-        circuit_state = StabilizerState(circuit.num_qubits)
-        circuit_state.apply_circuit(circuit)
-        self._circuit_rows = circuit_state.stabilizer_rows()
         # the engine's reference run is the calibration: it raises
         # unless a fault-free execution passes every output check, which
         # is what lets zero-fault shots count as passes unexecuted
-        self._frame_sim = PauliFrameSimulator(
-            pattern, circuit_rows=self._circuit_rows, seed=seed
-        )
+        self._frame_sim = PauliFrameSimulator(pattern, circuit, seed=seed)
 
     # ------------------------------------------------------------------
     def _execute_shot(
@@ -599,7 +594,9 @@ class NoisySampler:
         )
         result = simulator.run()
         return (
-            result.violated_generator(self.pattern.outputs, self._circuit_rows)
+            result.violated_generator(
+                self.pattern.outputs, self._frame_sim.circuit_rows
+            )
             is None
         )
 

@@ -711,6 +711,15 @@ def circuit_is_clifford(circuit: "Circuit") -> bool:
     return all(_gate_is_clifford(gate) for gate in circuit)
 
 
+def circuit_stabilizer_rows(
+    circuit: "Circuit",
+) -> List[Tuple[np.ndarray, np.ndarray, int]]:
+    """The output stabilizer generators of Clifford *circuit* run on
+    ``|0...0>``, as :meth:`StabilizerState.stabilizer_rows`."""
+    state = StabilizerState(circuit.num_qubits).apply_circuit(circuit)
+    return state.stabilizer_rows()
+
+
 def non_clifford_gate_counts(circuit: "Circuit") -> Dict[str, int]:
     """Gate name -> count of the gates the stabilizer engine rejects.
 

@@ -57,35 +57,6 @@ class TestVerifyStatic:
         )
 
 
-class TestBatchLintColumn:
-    def test_lint_spec_populates_lint_issues(self):
-        from repro.eval.batch import RunSpec, execute_spec
-
-        record = execute_spec(
-            RunSpec(
-                benchmark="BV",
-                num_qubits=8,
-                lint=True,
-                include_baseline=False,
-            )
-        )
-        assert record.lint_issues == 0
-
-    def test_lint_issues_column_is_in_schema(self):
-        from repro.eval.batch import RUN_TABLE_COLUMNS, SCHEMA_VERSION
-
-        assert SCHEMA_VERSION >= 6  # v6 introduced the column
-        assert "lint_issues" in RUN_TABLE_COLUMNS
-
-    def test_lint_defaults_off(self):
-        from repro.eval.batch import RunSpec, execute_spec
-
-        record = execute_spec(
-            RunSpec(benchmark="BV", num_qubits=8, include_baseline=False)
-        )
-        assert record.lint_issues is None
-
-
 class TestLintCLI:
     def test_lint_command_exits_zero_on_clean_benchmark(self, capsys):
         from repro.cli import main

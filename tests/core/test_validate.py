@@ -108,7 +108,6 @@ class TestVerifyPattern:
         report = verify_pattern(circuit)
         assert report.ok is True
         assert report.method == "stabilizer"
-        assert report.seconds > 0
 
     def test_clifford_scales_past_dense_limits(self):
         from repro.circuit.benchmarks import get_benchmark

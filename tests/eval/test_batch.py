@@ -185,7 +185,7 @@ class TestVerifyStage:
         record = execute_spec(RunSpec("BV", 8, verify=True))
         assert record.verified is True
         assert record.verify_method == "stabilizer"
-        assert record.verify_seconds > 0
+        assert record.stage_seconds["verify"] > 0
 
     def test_large_clifford_benchmark_still_verifies(self):
         """The stabilizer path scales past dense limits."""
@@ -202,7 +202,7 @@ class TestVerifyStage:
         record = execute_spec(RunSpec("BV", 8))
         assert record.verified is None
         assert record.verify_method is None
-        assert record.verify_seconds == 0.0
+        assert "verify" not in record.stage_seconds
 
     def test_verify_changes_cache_key(self):
         assert RunSpec("BV", 8).key() != RunSpec("BV", 8, verify=True).key()
@@ -222,7 +222,7 @@ class TestNoisyStage:
         assert record.shots == 0
         assert record.yield_mc is None
         assert record.yield_analytic is None
-        assert record.mc_seconds == 0.0
+        assert "mc" not in record.stage_seconds
         assert record.noise == ""
 
     def test_clifford_benchmark_samples_yield(self):
@@ -231,7 +231,7 @@ class TestNoisyStage:
         assert 0.0 <= record.yield_mc <= 1.0
         assert 0.0 < record.yield_analytic < 1.0
         assert record.yield_mc >= 0.0
-        assert record.mc_seconds > 0.0
+        assert record.stage_seconds["mc"] > 0.0
         # boosted fusions retry ~1/0.75 times on average
         assert record.mc_attempts_per_fusion == pytest.approx(4 / 3, rel=0.1)
         assert record.shots_per_second > 0.0
@@ -296,7 +296,6 @@ class TestNoisyStage:
             "yield_mc",
             "yield_analytic",
             "mc_attempts_per_fusion",
-            "mc_seconds",
             "shots_per_second",
         ):
             assert column in row
@@ -378,46 +377,57 @@ class TestNoiseSweep:
 
 
 class TestStageProfile:
+    """Schema v11: one ``stage_seconds`` column carries every stage's
+    wall time, from the compiler's dict through the run table."""
+
+    def test_one_timing_column(self):
+        assert SCHEMA_VERSION == 11
+        assert len(RUN_TABLE_COLUMNS) == 47
+        timed = [c for c in RUN_TABLE_COLUMNS if c.endswith("_seconds")]
+        assert timed == ["stage_seconds", "cache_age_seconds"]
+        assert "lint_issues" not in RUN_TABLE_COLUMNS
+
     def test_stage_seconds_recorded(self):
         record = execute_spec(RunSpec("BV", 8))
-        stages = [
-            record.translate_seconds,
-            record.schedule_seconds,
-            record.partition_seconds,
-            record.map_seconds,
-            record.shuffle_seconds,
-        ]
-        assert all(value >= 0.0 for value in stages)
-        assert record.map_seconds > 0.0
+        compile_stages = ["translate", "schedule", "partition", "map",
+                          "shuffle"]
+        assert list(record.stage_seconds)[:4] == compile_stages[:4]
+        assert all(value >= 0.0 for value in record.stage_seconds.values())
+        assert record.stage_seconds["map"] > 0.0
         # stage breakdown stays within the total compile time
-        assert sum(stages) <= record.seconds
+        assert sum(record.stage_seconds[s] for s in compile_stages) <= (
+            record.seconds
+        )
 
-    def test_profile_columns_in_run_table(self, tmp_path):
+    def test_run_stages_only_when_they_ran(self):
+        full = execute_spec(RunSpec("BV", 8, verify=True, shots=200))
+        assert list(full.stage_seconds)[-3:] == ["verify", "mc", "baseline"]
+        for stage in ("verify", "mc", "baseline"):
+            assert full.stage_seconds[stage] > 0.0
+        plain = execute_spec(RunSpec("BV", 8, include_baseline=False))
+        assert not {"verify", "mc", "baseline"} & set(plain.stage_seconds)
+
+    def test_csv_cell_is_json_of_the_dict(self, tmp_path):
         records = BatchRunner(jobs=1).run([RunSpec("BV", 8, verify=True)])
         _, csv_path = write_run_table(records, tmp_path)
         with csv_path.open() as handle:
             row = next(iter(csv.DictReader(handle)))
-        for column in (
-            "translate_seconds",
-            "schedule_seconds",
-            "partition_seconds",
-            "map_seconds",
-            "shuffle_seconds",
-            "verify_seconds",
-            "verified",
-            "verify_method",
-        ):
-            assert column in row
+        assert json.loads(row["stage_seconds"]) == records[0].stage_seconds
         assert row["verified"] == "True"
         assert row["verify_method"] == "stabilizer"
 
     def test_render_stage_profile(self):
         from repro.eval.batch import render_stage_profile
 
-        records = BatchRunner(jobs=1).run([RunSpec("BV", 8)])
-        text = render_stage_profile(records)
-        assert "translate" in text and "shuffle" in text
-        assert "BV-8" in text
+        records = BatchRunner(jobs=1).run(
+            [RunSpec("BV", 8, verify=True), RunSpec("BV", 12)]
+        )
+        lines = render_stage_profile(records).splitlines()
+        for stage in ("translate", "shuffle", "map_route", "verify"):
+            assert stage in lines[0]
+        assert lines[2].startswith("BV-8") and lines[3].startswith("BV-12")
+        # BV-12 ran no verify stage: its cell is a dash, not a zero
+        assert lines[3].split()[-2] == "-"
 
     def test_verify_survives_cache_roundtrip(self, tmp_path):
         spec = RunSpec("BV", 8, verify=True)
@@ -426,6 +436,8 @@ class TestStageProfile:
         assert second[0].cached
         assert second[0].verified is True
         assert second[0].verify_method == "stabilizer"
+        # a cached row keeps the original run's stage timings
+        assert second[0].stage_seconds == first[0].stage_seconds
 
 
 class TestCacheTiers:

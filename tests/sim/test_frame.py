@@ -16,7 +16,6 @@ from repro.mbqc.translate import circuit_to_pattern
 from repro.sim.frame import PauliFrameSimulator
 from repro.sim.noisy import NoisySampler
 from repro.sim.pattern_sim import StabilizerPatternSimulator
-from repro.sim.stabilizer import StabilizerState
 
 
 def _clifford_with_y_measurements(num_qubits=4, seed=3):
@@ -67,29 +66,6 @@ class TestFrameProgram:
 
 
 class TestConstruction:
-    def test_requires_exactly_one_reference_source(self):
-        circuit = get_benchmark("BV", 8)
-        pattern = circuit_to_pattern(circuit)
-        with pytest.raises(ValueError, match="exactly one"):
-            PauliFrameSimulator(pattern)
-        state = StabilizerState(circuit.num_qubits)
-        state.apply_circuit(circuit)
-        with pytest.raises(ValueError, match="exactly one"):
-            PauliFrameSimulator(
-                pattern, circuit=circuit, circuit_rows=state.stabilizer_rows()
-            )
-
-    def test_circuit_rows_path_matches_circuit_path(self):
-        circuit = get_benchmark("BV", 8)
-        pattern = circuit_to_pattern(circuit)
-        state = StabilizerState(circuit.num_qubits)
-        state.apply_circuit(circuit)
-        via_rows = PauliFrameSimulator(
-            pattern, circuit_rows=state.stabilizer_rows(), seed=2
-        )
-        via_circuit = PauliFrameSimulator(pattern, circuit=circuit, seed=2)
-        assert via_rows.program == via_circuit.program
-
     def test_wrong_circuit_fails_calibration(self):
         """The reference run must catch a pattern that does not
         implement the claimed circuit."""
@@ -106,7 +82,7 @@ class TestConstruction:
         import typing
 
         hints = typing.get_type_hints(PauliFrameSimulator.__init__)
-        assert hints["circuit"] == typing.Optional[Circuit]
+        assert hints["circuit"] is Circuit
 
     def test_non_clifford_pattern_rejected(self):
         circuit = get_benchmark("QFT", 4)

@@ -479,9 +479,10 @@ class TestFaultDraw:
             sampler._run_per_shot(0)
 
     def test_draw_memory_grows_with_faults_not_shots(self):
-        """The per-shot channels are drawn in blocks into narrow counts:
-        a million BV-16 shots trace well under the ~60 MiB of
-        full-length int64 per-shot arrays."""
+        """The draw is sparse: each channel's Bernoulli trials are placed
+        fault by fault and every array holds one narrow entry per fault,
+        nothing per shot, so a million BV-16 shots trace well under the
+        ~60 MiB of full-length int64 per-shot arrays."""
         import tracemalloc
 
         sampler = NoisySampler(get_benchmark("BV", 16, seed=7), seed=7)
@@ -511,7 +512,6 @@ class TestEstimateYield:
         assert 0.0 <= estimate.yield_mc <= 1.0
         assert estimate.fault_free_yield is not None
         assert estimate.sigma > 0.0
-        assert estimate.seconds > 0.0
 
     def test_non_clifford_falls_back_to_analytic(self):
         estimate = estimate_yield(get_benchmark("QFT", 4), shots=400, seed=7)

@@ -52,3 +52,56 @@ def test_package_attribute_references(tmp_path, line, problems):
     doc.write_text(f"# Title\n\n{line}\n")
     found = check_docs.iter_problems(doc)
     assert [message for _, message in found] == problems
+
+
+_SCHEMA_DOC = """# Title
+
+### `run_table.json` schema (v1)
+
+Prose before the table, with a stray `code` span.
+
+| column | meaning |
+| --- | --- |
+{rows}
+
+Schema history: v1 named `old_column`.
+"""
+
+
+@pytest.mark.parametrize(
+    "rows,problems",
+    [
+        ("| `key` | hash |\n| `depth`, `seconds` | metrics |", []),
+        (
+            "| `key` | hash |\n| `depth`, `seconds` | metrics |\n"
+            "| `verify_seconds` | a column the schema dropped |",
+            ["schema table names unknown column `verify_seconds`"],
+        ),
+        (
+            "| `key` | hash |\n| `depth` | metric, not `seconds` |",
+            ["schema table is missing column `seconds`"],
+        ),
+    ],
+    ids=["matches", "stale-column", "missing-column"],
+)
+def test_schema_table_matches_columns(tmp_path, rows, problems):
+    doc = tmp_path / "README.md"
+    doc.write_text(_SCHEMA_DOC.format(rows=rows))
+    found = check_docs.schema_table_problems(doc, ["key", "depth", "seconds"])
+    assert [message for _, message in found] == problems
+
+
+def test_schema_table_needs_its_heading(tmp_path):
+    doc = tmp_path / "README.md"
+    doc.write_text("# Title\n\n| `key` | hash |\n")
+    found = check_docs.schema_table_problems(doc, ["key"])
+    assert [message for _, message in found] == ["no run-table schema heading"]
+
+
+def test_readme_schema_table_is_current():
+    from repro.eval.batch import RUN_TABLE_COLUMNS
+
+    columns = check_docs.run_table_columns()
+    assert columns == RUN_TABLE_COLUMNS
+    readme = check_docs.ROOT / "README.md"
+    assert list(check_docs.schema_table_problems(readme, columns)) == []

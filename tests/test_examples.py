@@ -1,7 +1,8 @@
 """The examples run against the current API.
 
-Each example runs in a fresh interpreter, the way its docstring says to
-run it, so an example that calls a deleted name fails here.
+Each example under ``examples/`` runs in a fresh interpreter, the way
+its docstring says to run it, so an example that calls a deleted name
+fails here.
 """
 
 import os
@@ -9,7 +10,10 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+EXAMPLES = sorted(path.name for path in (ROOT / "examples").glob("*.py"))
 
 
 def run_example(name: str) -> str:
@@ -23,6 +27,11 @@ def run_example(name: str) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_example_exits_zero(name):
+    run_example(name)
 
 
 def test_resource_state_study():
