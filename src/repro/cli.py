@@ -6,20 +6,15 @@ Commands:
   metrics and optionally the layer layouts;
 * ``baseline`` — run the baseline cluster-state interpreter;
 * ``table1`` / ``table2`` / ``fig12`` / ``fig13`` / ``fig14`` /
-  ``fig15`` / ``ablation`` — render the paper's tables and figures from
-  the committed run tables under ``benchmarks/`` (Table 1 is static)
-  and check the paper's claims on them; they compile nothing;
-* ``bench``    — batch-compile one exhibit's grid (``--grid``, default
-  Table 2; multiprocessing + on-disk cache) and persist its run table;
-* ``noise-sweep`` — Monte-Carlo yield sweep across noise-model and
-  resource-state coordinates (``noise_sweep`` run table);
-* ``degrade-sweep`` — hardware-degradation survival sweep: per-site
-  scenarios x recovery policies (``degrade_sweep`` run table;
-  ``--check-recovery`` gates on the ladder actually rescuing and on
-  Monte-Carlo rows agreeing with the per-site closed form);
-
-Every sweep writes one artifact, the run table (``<stem>.json`` +
-``<stem>.csv``).
+  ``fig15`` / ``ablation`` / ``noise-sweep`` / ``degrade-sweep`` —
+  render the paper's tables and figures, and the Monte-Carlo yield and
+  hardware-degradation survival sweeps, from the committed run tables
+  under ``benchmarks/`` (Table 1 is static) and check the claims on
+  them (for ``degrade-sweep``, the recovery gate); they compile
+  nothing;
+* ``bench``    — run one exhibit's grid (``--grid``, default Table 2;
+  multiprocessing + on-disk cache), persist its run table and check
+  its claims;
 * ``lint``     — statically lint a compiled measurement pattern (flow
   determinism certificate + structural checks; exit 1 on errors);
 * ``serve``    — run the long-lived compile server (async socket
@@ -83,29 +78,6 @@ def _port(text: str) -> int:
     if value > 65535:
         raise argparse.ArgumentTypeError(f"{rule}, got {value}")
     return value
-
-
-def _probability(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}"
-        ) from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
-
-
-def _sweep_circuits(names: List[str], qubits: int, seed: int) -> list:
-    """Build every swept benchmark up front, so a bad name or size is a
-    usage error instead of a failed sweep."""
-    from repro.circuit.benchmarks import get_benchmark
-
-    try:
-        return [get_benchmark(name, qubits, seed=seed) for name in names]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
 
 
 def _load_circuit(args) -> tuple:
@@ -234,6 +206,7 @@ def cmd_bench(args) -> int:
     from repro.eval.experiments import (
         EXHIBITS,
         TABLE_BENCHMARKS,
+        check_claims,
         exhibit_stem,
         run_exhibit,
     )
@@ -266,10 +239,15 @@ def cmd_bench(args) -> int:
         print()
         print(render_stage_profile(records))
     print(f"run table: {out_dir / (exhibit_stem(args.grid) + '.json')}")
+    status = 0
     if args.verify and any(r.verified is False for r in records):
         print("error: verification failed for at least one run", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    # --quick runs part of Table 2, whose claims need every row
+    failures = [] if args.quick else check_claims(args.grid, records)
+    for failure in failures:
+        print(f"error: claim: {failure}", file=sys.stderr)
+    return 1 if failures else status
 
 
 def cmd_lint(args) -> int:
@@ -369,108 +347,6 @@ def cmd_serve(args) -> int:
     )
 
 
-def cmd_noise_sweep(args) -> int:
-    import pathlib
-
-    from repro.eval.batch import render_run_records
-    from repro.eval.experiments import run_noise_sweep
-    from repro.sim.stabilizer import circuit_is_clifford
-
-    circuits = _sweep_circuits(args.benchmarks, args.qubits, args.seed)
-    if (
-        args.shots
-        and 0.0 in args.fusion_success
-        and any(map(circuit_is_clifford, circuits))
-    ):
-        raise _UsageError(
-            "--fusion-success 0 cannot be sampled (repeat-until-success "
-            "never terminates); use --shots 0 for the closed form only"
-        )
-    benchmarks = [(name, args.qubits) for name in args.benchmarks]
-    out_dir = pathlib.Path(args.out)
-    records = run_noise_sweep(
-        benchmarks=benchmarks,
-        fusion_success=args.fusion_success,
-        cycle_loss=args.cycle_loss,
-        resource_states=args.resource_state,
-        shots=args.shots,
-        seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=pathlib.Path(args.cache) if args.cache else None,
-        out_dir=out_dir,
-        stem=args.stem,
-    )
-    print(render_run_records(records))
-    print(f"run table: {out_dir / (args.stem + '.json')}")
-    return 0
-
-
-def cmd_degrade_sweep(args) -> int:
-    import pathlib
-
-    from repro.eval.degrade import (
-        DEGRADE_SEVERITIES,
-        check_recovery,
-        run_degrade_sweep,
-        summarize_survival,
-    )
-    from repro.eval.reporting import render_survival_table
-
-    grid_flags = {
-        "--benchmarks": args.benchmarks,
-        "--qubits": args.qubits,
-        "--severities": args.severities,
-        "--shots": args.shots,
-    }
-    if args.quick:
-        given = [flag for flag, value in grid_flags.items() if value is not None]
-        if given:
-            raise _UsageError(
-                f"--quick sets the grid; drop {', '.join(given)}"
-            )
-        benchmarks = [("BV", 8)]
-        severities = [0.0, 0.1, 0.3]
-        shots = 0
-    else:
-        names = args.benchmarks or ["BV", "QFT"]
-        qubits = args.qubits or 8
-        _sweep_circuits(names, qubits, args.seed)
-        benchmarks = [(name, qubits) for name in names]
-        severities = args.severities or list(DEGRADE_SEVERITIES)
-        shots = args.shots or 0
-    out_dir = pathlib.Path(args.out)
-    records = run_degrade_sweep(
-        benchmarks=benchmarks,
-        scenarios=args.scenarios,
-        severities=severities,
-        policies=args.policies,
-        shots=shots,
-        seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=pathlib.Path(args.cache) if args.cache else None,
-        out_dir=out_dir,
-        stem=args.stem,
-    )
-    summary = summarize_survival(records)
-    print(render_survival_table(records))
-    print(
-        f"\n{len(records)} rows: "
-        f"{summary['survive_failures']} survive collapse(s), "
-        f"{summary['reroute_rescues']} reroute rescue(s), "
-        f"{summary['recompile_rescues']} recompile rescue(s), "
-        f"{len(summary['unrecovered'])} unrecovered"
-    )
-    print(f"run table: {out_dir / (args.stem + '.json')}")
-    status = 0
-    if args.check_recovery:
-        failures = check_recovery(records, shots=shots)
-        for failure in failures:
-            print(f"error: recovery gate: {failure}", file=sys.stderr)
-        if failures:
-            status = 1
-    return status
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -531,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for which in (
         "table1", "table2", "fig12", "fig13", "fig14", "fig15", "ablation",
+        "noise-sweep", "degrade-sweep",
     ):
         sub.add_parser(
             which,
@@ -539,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser(
-        "bench", help="batch-compile one exhibit's grid, persist run table"
+        "bench",
+        help="run one exhibit's grid, persist its run table and check "
+        "its claims",
     )
     p.add_argument(
         "--jobs", type=_positive_int, default=None, help="worker processes"
@@ -551,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid", default="table2",
         help="exhibit to run: table2 (writes run_table.json), fig12, "
-        "fig13, fig14, fig15 or ablation (writes <grid>.json)",
+        "fig13, fig14, fig15, ablation (writes <grid>.json), noise-sweep "
+        "or degrade-sweep (writes noise_sweep.json / degrade_sweep.json)",
     )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
@@ -596,111 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-memory LRU tier capacity (artifacts; 0 runs disk-only)",
     )
 
-    p = sub.add_parser(
-        "noise-sweep",
-        help="Monte-Carlo yield sweep across noise and hardware "
-        "coordinates (Clifford benchmarks sample on the stabilizer "
-        "engine; others report the analytic yield only)",
-    )
-    p.add_argument(
-        "--benchmarks", nargs="+", default=["QFT", "QAOA", "RCA", "BV"],
-        help="benchmark names to sweep (QFT|QAOA|RCA|BV)",
-    )
-    p.add_argument("--qubits", type=_positive_int, default=16)
-    p.add_argument(
-        "--shots", type=_non_negative_int, default=2000,
-        help="Monte-Carlo shots per noise point (>=2000 recommended)",
-    )
-    p.add_argument(
-        "--fusion-success", type=_probability, nargs="+",
-        default=[0.5, 0.75],
-        help="fusion success probabilities to sweep (0.5 bare, "
-        "0.75 boosted)",
-    )
-    p.add_argument(
-        "--cycle-loss", type=_probability, nargs="+",
-        default=[0.001, 0.01],
-        help="per-photon per-clock-cycle delay-line loss probabilities",
-    )
-    p.add_argument(
-        "--resource-state", nargs="+", default=["3-line"],
-        choices=["3-line", "4-line", "4-star", "4-ring"],
-        help="resource-state types to sweep",
-    )
-    p.add_argument(
-        "--jobs", type=_positive_int, default=None, help="worker processes"
-    )
-    p.add_argument(
-        "--out", default="benchmarks/results", help="artifact directory"
-    )
-    p.add_argument("--cache", default=None, help="on-disk result cache dir")
-    p.add_argument("--stem", default="noise_sweep", help="run-table stem")
-    p.add_argument("--seed", type=int, default=7)
-
-    p = sub.add_parser(
-        "degrade-sweep",
-        help="hardware-degradation survival sweep: per-site noise "
-        "scenarios (dead generators, loss gradients/hotspots, detuned "
-        "fusion) x recovery policies (survive/reroute/recompile); "
-        "prints survival tables and writes the degrade_sweep run table",
-    )
-    p.add_argument(
-        "--benchmarks", nargs="+", default=None,
-        help="benchmark names to sweep (QFT|QAOA|RCA|BV; default BV QFT)",
-    )
-    p.add_argument(
-        "--qubits", type=_positive_int, default=None, help="default 8"
-    )
-    p.add_argument(
-        "--scenarios", nargs="+",
-        default=["dead-rsg", "loss-gradient", "loss-hotspot",
-                 "degraded-fusion"],
-        choices=["dead-rsg", "loss-gradient", "loss-hotspot",
-                 "degraded-fusion"],
-        help="degradation scenarios to sweep",
-    )
-    p.add_argument(
-        "--severities", type=_probability, nargs="+", default=None,
-        help="scenario severities in [0, 1] (0 = pristine control row; "
-        "default 0 0.05 0.1 0.2 0.3)",
-    )
-    p.add_argument(
-        "--policies", nargs="+",
-        default=["survive", "reroute", "recompile"],
-        choices=["survive", "reroute", "recompile", "auto"],
-        help="recovery policies to evaluate per scenario point "
-        "('auto' walks the ladder and records the winner)",
-    )
-    p.add_argument(
-        "--shots", type=_non_negative_int, default=None,
-        help="Monte-Carlo shots sampling the recovered program under "
-        "the per-site map (default 0 = analytic-only; Clifford "
-        "benchmarks only)",
-    )
-    p.add_argument(
-        "--jobs", type=_positive_int, default=None, help="worker processes"
-    )
-    p.add_argument(
-        "--out", default="benchmarks/results", help="artifact directory"
-    )
-    p.add_argument("--cache", default=None, help="on-disk result cache dir")
-    p.add_argument("--stem", default="degrade_sweep", help="run-table stem")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--quick", action="store_true",
-        help="smoke grid: BV-8, severities 0/0.1/0.3, no shots "
-        "(not combinable with --benchmarks, --qubits, --severities "
-        "or --shots)",
-    )
-    p.add_argument(
-        "--check-recovery", action="store_true",
-        help="exit 1 unless the sweep shows survive collapsing and "
-        "both reroute and recompile rescuing at least one scenario, "
-        "with every severity-0 row recovered; with --shots, every "
-        "Monte-Carlo row must also sample the scored program and lie "
-        "no more than 3 sigma below its per-site analytic yield",
-    )
-
     return parser
 
 
@@ -722,10 +497,6 @@ def _run(args) -> int:
         return cmd_export(args)
     if args.command == "bench":
         return cmd_bench(args)
-    if args.command == "noise-sweep":
-        return cmd_noise_sweep(args)
-    if args.command == "degrade-sweep":
-        return cmd_degrade_sweep(args)
     if args.command == "lint":
         return cmd_lint(args)
     if args.command == "serve":

@@ -1,22 +1,28 @@
-"""Evaluation harness: the paper's exhibits as run-spec grids, the
-batch runner that runs them, and their renderers and claim checks."""
+"""Evaluation harness: the paper's exhibits and yield sweeps as run-spec
+grids, the batch runner that runs them, and their renderers and claim
+checks."""
 
 from repro import lazy_exports
 
 #: public name -> defining module, imported on first access
 _EXPORTS = {
     "ABLATION_VARIANTS": ".experiments",
+    "DEGRADE_BENCHMARKS": ".experiments",
+    "DEGRADE_SEVERITIES": ".experiments",
     "EXHIBITS": ".experiments",
     "FIG13_RATIOS": ".experiments",
     "FIG15_AREAS": ".experiments",
+    "MILD_NOISE": ".experiments",
     "NOISE_SWEEP_BENCHMARKS": ".experiments",
     "PAPER_TABLE2": ".experiments",
     "TABLE_BENCHMARKS": ".experiments",
     "check_claims": ".experiments",
+    "check_recovery": ".experiments",
+    "degrade_specs": ".experiments",
     "noise_sweep_specs": ".experiments",
     "run_exhibit": ".experiments",
-    "run_noise_sweep": ".experiments",
     "run_table1": ".experiments",
+    "summarize_survival": ".experiments",
     "table2_specs": ".experiments",
     "BatchRunner": ".batch",
     "RunRecord": ".batch",
@@ -26,13 +32,6 @@ _EXPORTS = {
     "render_run_records": ".batch",
     "render_stage_profile": ".batch",
     "write_run_table": ".batch",
-    "DEGRADE_BENCHMARKS": ".degrade",
-    "DEGRADE_SEVERITIES": ".degrade",
-    "MILD_NOISE": ".degrade",
-    "check_recovery": ".degrade",
-    "degrade_specs": ".degrade",
-    "run_degrade_sweep": ".degrade",
-    "summarize_survival": ".degrade",
     "RENDERERS": ".reporting",
     "render_ablation": ".reporting",
     "render_fig12": ".reporting",

@@ -1,7 +1,9 @@
-"""The paper's evaluation (Sec. 7) as run-spec grids.
+"""The paper's evaluation (Sec. 7) and its yield extensions as
+run-spec grids.
 
-Every compiled exhibit — Table 2, Figs. 12–15 and the ablation — is a
-grid of :class:`repro.eval.batch.RunSpec` rows, built by its entry in
+Every compiled exhibit — Table 2, Figs. 12–15, the ablation, and the
+Sec. 2.1/3.1 noise and survival sweeps — is a grid of
+:class:`repro.eval.batch.RunSpec` rows, built by its entry in
 ``EXHIBITS``.  :func:`run_exhibit` runs a grid through the batch runner
 and writes it as one run table whose ``meta`` holds the builder's
 keyword arguments, so the grid can be rebuilt from the table alone
@@ -17,6 +19,7 @@ of magnitude, where trends bend — are.
 
 from __future__ import annotations
 
+import math
 from typing import (
     TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
 )
@@ -216,6 +219,127 @@ def ablation_specs(seed: int = 7, verify: bool = False) -> List[RunSpec]:
     ]
 
 
+#: The noise sweep's 16-qubit benchmarks: BV, the Clifford one, is
+#: sampled; the rest get the analytic yield only.
+NOISE_SWEEP_BENCHMARKS: List[Tuple[str, int]] = [
+    ("QFT", 16),
+    ("QAOA", 16),
+    ("RCA", 16),
+    ("BV", 16),
+]
+
+
+def noise_sweep_specs(
+    benchmarks: Optional[Sequence[Tuple[str, int]]] = None,
+    fusion_success: Sequence[float] = (0.5, 0.75),
+    cycle_loss: Sequence[float] = (0.001, 0.01),
+    resource_states: Sequence[str] = ("3-line",),
+    shots: int = 2000,
+    seed: int = 7,
+    verify: bool = False,
+) -> List[RunSpec]:
+    """Sec. 2.1/3.1 extension: Monte-Carlo yield across noise-model and
+    hardware coordinates.
+
+    Compiled-program quality is ultimately end-to-end success
+    probability.  One spec per (benchmark, resource state,
+    fusion_success, cycle_loss) coordinate; each carries ``shots``
+    Monte-Carlo shots and its noise overrides, so the compiled fault
+    counts feed the sampler and the yields land in the run table's
+    ``yield_mc`` / ``yield_analytic`` columns.
+    """
+    from repro.eval.batch import RunSpec
+
+    return [
+        RunSpec(
+            benchmark=name,
+            num_qubits=n,
+            seed=seed,
+            resource_state=rst_name,
+            shots=shots,
+            noise=(
+                ("cycle_loss", float(cl)),
+                ("fusion_success", float(fs)),
+            ),
+            verify=verify,
+        )
+        for name, n in benchmarks or NOISE_SWEEP_BENCHMARKS
+        for rst_name in resource_states
+        for fs in fusion_success
+        for cl in cycle_loss
+    ]
+
+
+#: The survival sweep's benchmarks: one Clifford benchmark (BV,
+#: Monte-Carlo samplable under the per-site map) and one non-Clifford
+#: (QFT, analytic-only), both small enough for dense severity grids.
+DEGRADE_BENCHMARKS: List[Tuple[str, int]] = [("BV", 8), ("QFT", 8)]
+
+#: Severities from 0 (pristine; every policy must report recovered) up
+#: to deep damage where even recompile starts losing.
+DEGRADE_SEVERITIES: Tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.3)
+
+#: Mild uniform base noise for the scenario maps.  The clean yield must
+#: stay well above 0 so the recovery bar (>= 50% of clean) measures the
+#: *scenario's* damage, not the base model's; at these rates an 8-qubit
+#: benchmark keeps a clean yield around 0.99+.
+MILD_NOISE: Tuple[Tuple[str, float], ...] = (
+    ("cycle_loss", 1e-05),
+    ("fusion_error", 5e-05),
+    ("measurement_error", 1e-05),
+)
+
+#: Monte-Carlo shots per survival-sweep row (0 = analytic-only)
+DEGRADE_SHOTS = 2000
+
+
+def degrade_specs(
+    benchmarks: Optional[Sequence[Tuple[str, int]]] = None,
+    scenarios: Optional[Sequence[str]] = None,
+    severities: Sequence[float] = DEGRADE_SEVERITIES,
+    policies: Optional[Sequence[str]] = None,
+    noise: Tuple[Tuple[str, float], ...] = MILD_NOISE,
+    resource_state: str = "3-line",
+    shots: int = DEGRADE_SHOTS,
+    seed: int = 7,
+    verify: bool = False,
+) -> List[RunSpec]:
+    """Sec. 2.1 extension: survival under hardware degradation.
+
+    One spec per (benchmark, scenario, severity, policy): every
+    per-site scenario of :mod:`repro.hardware.degradation` (default
+    all) against every rung of the :mod:`repro.core.recovery` ladder
+    (default all), so the table shows at which severity the
+    as-compiled program collapses and which intervention saves it.
+    Severity 0 pins the degenerate case: an undamaged map must leave
+    every policy recovered.  ``policies`` may include ``"auto"`` to
+    record the ladder's winner instead of a fixed rung.
+    """
+    from repro.core.recovery import POLICIES
+    from repro.eval.batch import RunSpec
+    from repro.hardware.degradation import SCENARIOS
+
+    return [
+        RunSpec(
+            benchmark=name,
+            num_qubits=n,
+            seed=seed,
+            resource_state=resource_state,
+            include_baseline=False,
+            verify=verify,
+            shots=shots,
+            noise=noise,
+            scenario=scenario,
+            severity=float(severity),
+            policy=policy,
+        )
+        for name, n in benchmarks or DEGRADE_BENCHMARKS
+        for scenario in scenarios or SCENARIOS
+        for severity in severities
+        for policy in policies or POLICIES
+    ]
+
+
 #: exhibit name -> grid builder; the builder's keyword arguments are
 #: the run table's ``meta`` (plus ``grid``: the exhibit name)
 EXHIBITS: Dict[str, Callable[..., List[RunSpec]]] = {
@@ -225,14 +349,23 @@ EXHIBITS: Dict[str, Callable[..., List[RunSpec]]] = {
     "fig14": fig14_specs,
     "fig15": fig15_specs,
     "ablation": ablation_specs,
+    "noise-sweep": noise_sweep_specs,
+    "degrade-sweep": degrade_specs,
+}
+
+#: run-table stems that are not the exhibit's own name: Table 2 keeps
+#: the historical ``run_table`` (``perfbench`` reads it), the sweeps
+#: their committed file names
+_STEMS = {
+    "table2": "run_table",
+    "noise-sweep": "noise_sweep",
+    "degrade-sweep": "degrade_sweep",
 }
 
 
 def exhibit_stem(name: str) -> str:
-    """Run-table file stem of exhibit *name*: Table 2 keeps the
-    historical ``run_table`` (``perfbench`` reads it), the rest their
-    own name."""
-    return "run_table" if name == "table2" else name
+    """Run-table file stem of exhibit *name*."""
+    return _STEMS.get(name, name)
 
 
 def run_exhibit(
@@ -324,6 +457,132 @@ def _fig15_claims(records: Sequence[RunRecord]) -> List[str]:
     return failures
 
 
+def summarize_survival(records: Sequence[RunRecord]) -> Dict:
+    """Aggregate a survival sweep into its headline numbers.
+
+    Groups rows by (benchmark, scenario, severity) and counts, per
+    group, whether ``survive`` failed and which policy rescued it.  The
+    returned dict is what :func:`check_recovery` gates on and what
+    ``repro degrade-sweep`` prints as its one-line summary.
+    """
+    groups: Dict[Tuple[str, str, float], Dict[str, RunRecord]] = {}
+    for record in records:
+        if not record.scenario or record.policy is None:
+            continue
+        key = (record.label, record.scenario, record.severity)
+        groups.setdefault(key, {})[record.policy] = record
+
+    survive_failures = 0
+    reroute_rescues = 0
+    recompile_rescues = 0
+    unrecovered: List[str] = []
+    severity_zero_failures: List[str] = []
+    for (label, scenario, severity), by_policy in sorted(groups.items()):
+        tag = f"{label}/{scenario}@{severity:g}"
+        if severity == 0.0:
+            for policy, record in sorted(by_policy.items()):
+                if record.recovered is not True:
+                    severity_zero_failures.append(f"{tag}[{policy}]")
+        survive = by_policy.get("survive")
+        if survive is None or survive.recovered is not False:
+            continue
+        survive_failures += 1
+        reroute = by_policy.get("reroute")
+        recompile = by_policy.get("recompile")
+        rescued = False
+        if reroute is not None and reroute.recovered:
+            reroute_rescues += 1
+            rescued = True
+        if recompile is not None and recompile.recovered:
+            recompile_rescues += 1
+            rescued = True
+        if not rescued:
+            unrecovered.append(tag)
+    return {
+        "groups": len(groups),
+        "survive_failures": survive_failures,
+        "reroute_rescues": reroute_rescues,
+        "recompile_rescues": recompile_rescues,
+        "unrecovered": unrecovered,
+        "severity_zero_failures": severity_zero_failures,
+    }
+
+
+#: Monte-Carlo rows may fall at most this many binomial standard errors
+#: below their per-site analytic yield.
+SIGMA_GATE = 3.0
+
+
+def check_recovery(
+    records: Sequence[RunRecord], shots: int = 0
+) -> List[str]:
+    """The degradation gate: real recoveries, and sampled yields that
+    agree with the per-site closed form.
+
+    Returns a list of failure messages (empty = pass).  Checks:
+
+    * at least one scenario group where ``survive`` fails and
+      ``reroute`` recovers;
+    * at least one where ``survive`` fails and ``recompile`` recovers;
+    * every severity-0 row reports ``recovered=True``;
+    * every Monte-Carlo row sampled the program the degradation stage
+      scored (its ``yield_analytic`` equals ``yield_degraded``) and its
+      ``yield_mc`` is at most ``SIGMA_GATE`` binomial standard errors
+      below that yield (benign faults can only push ``yield_mc``
+      *above* the zero-fault probability, never below);
+    * when the grid asked for *shots*, at least one row was sampled.
+    """
+    summary = summarize_survival(records)
+    failures = []
+    if summary["survive_failures"] == 0:
+        failures.append(
+            "no scenario collapsed the as-compiled (survive) yield — "
+            "the sweep exercises no recovery at all"
+        )
+    if summary["reroute_rescues"] == 0:
+        failures.append(
+            "no survive-failed scenario was recovered by reroute"
+        )
+    if summary["recompile_rescues"] == 0:
+        failures.append(
+            "no survive-failed scenario was recovered by recompile"
+        )
+    for tag in summary["severity_zero_failures"]:
+        failures.append(f"severity-0 row not recovered: {tag}")
+
+    sampled = 0
+    for r in records:
+        if not r.scenario or not r.shots or r.yield_mc is None:
+            continue
+        sampled += 1
+        tag = f"{r.label}/{r.scenario}@{r.severity:g}[{r.policy}]"
+        p = r.yield_analytic
+        if (
+            p is None
+            or r.yield_degraded is None
+            or abs(p - r.yield_degraded) > 1e-9
+        ):
+            failures.append(
+                f"{tag}: MC sampled a different program than the "
+                f"degradation stage (analytic={p}, "
+                f"degraded={r.yield_degraded})"
+            )
+            continue
+        sigma = math.sqrt(max(p * (1.0 - p), 0.0) / r.shots)
+        if r.yield_mc < p - SIGMA_GATE * sigma:
+            failures.append(
+                f"{tag}: yield_mc={r.yield_mc:.4f} more than "
+                f"{SIGMA_GATE:g} sigma below the per-site analytic "
+                f"yield {p:.4f} (sigma={sigma:.4f})"
+            )
+    if shots > 0 and not sampled:
+        failures.append(
+            "no Monte-Carlo rows sampled despite shots > 0 — the "
+            "per-site sampler never ran"
+        )
+    return failures
+
+
 def check_claims(exhibit: str, records: Sequence[RunRecord]) -> List[str]:
     """The paper's claims on one exhibit's run-table records.
 
@@ -336,9 +595,12 @@ def check_claims(exhibit: str, records: Sequence[RunRecord]) -> List[str]:
       BV-100's fusion improvement exceeds BV-16's;
     * ``fig12``: every improvement exceeds 1;
     * ``fig15``: per benchmark, depth at the smallest area is at least
-      depth at the largest.
+      depth at the largest;
+    * ``degrade-sweep``: :func:`check_recovery` at the grid's
+      ``DEGRADE_SHOTS``.
 
-    ``fig13``, ``fig14`` and ``ablation`` carry no claim.
+    ``fig13``, ``fig14``, ``ablation`` and ``noise-sweep`` carry no
+    claim.
     """
     if exhibit == "table2":
         return _table2_claims(records)
@@ -353,109 +615,6 @@ def check_claims(exhibit: str, records: Sequence[RunRecord]) -> List[str]:
         ]
     if exhibit == "fig15":
         return _fig15_claims(records)
+    if exhibit == "degrade-sweep":
+        return check_recovery(records, shots=DEGRADE_SHOTS)
     return []
-
-
-# ----------------------------------------------------------------------
-# Noise sweep: Monte-Carlo yield across noise x hardware coordinates
-# ----------------------------------------------------------------------
-#: Default 16-qubit grid for the noise sweep (one Clifford benchmark —
-#: BV — gets full Monte-Carlo treatment; the rest are analytic-only).
-NOISE_SWEEP_BENCHMARKS: List[Tuple[str, int]] = [
-    ("QFT", 16),
-    ("QAOA", 16),
-    ("RCA", 16),
-    ("BV", 16),
-]
-
-
-def noise_sweep_specs(
-    benchmarks: Optional[Sequence[Tuple[str, int]]] = None,
-    fusion_success: Sequence[float] = (0.5, 0.75),
-    cycle_loss: Sequence[float] = (0.001, 0.01),
-    resource_states: Sequence[str] = ("3-line",),
-    shots: int = 2000,
-    seed: int = 7,
-):
-    """Build the spec grid for :func:`run_noise_sweep`.
-
-    One :class:`repro.eval.batch.RunSpec` per (benchmark, resource
-    state, fusion_success, cycle_loss) coordinate; every spec carries
-    ``shots`` Monte-Carlo shots and its noise overrides, so yields and
-    throughput land in the run-table columns.
-    """
-    from repro.eval.batch import RunSpec
-
-    benchmarks = list(benchmarks or NOISE_SWEEP_BENCHMARKS)
-    specs = []
-    for name, n in benchmarks:
-        for rst_name in resource_states:
-            for fs in fusion_success:
-                for cl in cycle_loss:
-                    specs.append(
-                        RunSpec(
-                            benchmark=name,
-                            num_qubits=n,
-                            seed=seed,
-                            resource_state=rst_name,
-                            shots=shots,
-                            noise=(
-                                ("cycle_loss", float(cl)),
-                                ("fusion_success", float(fs)),
-                            ),
-                        )
-                    )
-    return specs
-
-
-def run_noise_sweep(
-    benchmarks: Optional[Sequence[Tuple[str, int]]] = None,
-    fusion_success: Sequence[float] = (0.5, 0.75),
-    cycle_loss: Sequence[float] = (0.001, 0.01),
-    resource_states: Sequence[str] = ("3-line",),
-    shots: int = 2000,
-    seed: int = 7,
-    jobs: Optional[int] = None,
-    cache_dir=None,
-    out_dir=None,
-    stem: str = "noise_sweep",
-):
-    """Sweep noise-model and hardware coordinates, sampling yields.
-
-    The paper's whole argument is hardware-physical: compiled-program
-    quality is ultimately end-to-end success probability (Sec. 2.1,
-    3.1).  This runner makes that a first-class sweepable workload:
-    each benchmark is compiled per resource-state choice, its compiled
-    fault counts feed the Monte-Carlo sampler per noise point, and the
-    run table gains ``yield_mc`` / ``yield_analytic`` columns.  When
-    *out_dir* is given, the run table (``<stem>.json``/``.csv``) is
-    persisted there; its ``meta`` records every grid axis.
-
-    Args mirror :func:`noise_sweep_specs`; ``jobs``/``cache_dir`` are
-    forwarded to :class:`repro.eval.batch.BatchRunner`.
-    """
-    from repro.eval.batch import BatchRunner, write_run_table
-
-    benchmarks = list(benchmarks or NOISE_SWEEP_BENCHMARKS)
-    specs = noise_sweep_specs(
-        benchmarks,
-        fusion_success=fusion_success,
-        cycle_loss=cycle_loss,
-        resource_states=resource_states,
-        shots=shots,
-        seed=seed,
-    )
-    runner = BatchRunner(jobs=jobs, cache_dir=cache_dir)
-    records = runner.run(specs)
-    if out_dir is not None:
-        meta = {
-            "grid": "noise_sweep",
-            "benchmarks": [list(b) for b in benchmarks],
-            "seed": seed,
-            "shots": shots,
-            "fusion_success": list(fusion_success),
-            "cycle_loss": list(cycle_loss),
-            "resource_states": list(resource_states),
-        }
-        write_run_table(records, out_dir, stem=stem, meta=meta)
-    return records

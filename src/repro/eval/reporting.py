@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
-from repro.eval.experiments import ABLATION_VARIANTS, PAPER_TABLE2
+from repro.eval.experiments import (
+    ABLATION_VARIANTS, PAPER_TABLE2, summarize_survival,
+)
 
 if TYPE_CHECKING:
     from repro.baseline.metrics import BaselineAreas
@@ -169,15 +171,25 @@ def render_ablation(records: Sequence[RunRecord]) -> str:
     return _table(headers, rows)
 
 
-#: exhibit name -> renderer of its run-table records
-RENDERERS: Dict[str, Callable[[Sequence[RunRecord]], str]] = {
-    "table2": render_table2,
-    "fig12": render_fig12,
-    "fig13": render_fig13,
-    "fig14": render_fig14,
-    "fig15": render_fig15,
-    "ablation": render_ablation,
-}
+def render_noise_sweep(records: Sequence[RunRecord]) -> str:
+    """Noise sweep: per benchmark and noise point, the sampled and the
+    closed-form yield (``-`` where the program is not samplable)."""
+    rows = [
+        [
+            r.label,
+            r.resource_state,
+            r.noise,
+            "-" if r.yield_mc is None else f"{r.yield_mc:.4f}",
+            "-" if r.yield_analytic is None else f"{r.yield_analytic:.4f}",
+            r.shots,
+        ]
+        for r in records
+    ]
+    return _table(
+        ["bench", "resource state", "noise", "yield_mc", "analytic",
+         "shots"],
+        rows,
+    )
 
 
 def render_survival_table(records: Sequence) -> str:
@@ -220,3 +232,28 @@ def render_survival_table(records: Sequence) -> str:
             )
         )
     return "\n\n".join(blocks) if blocks else "(no degradation rows)"
+
+
+def render_degrade_sweep(records: Sequence[RunRecord]) -> str:
+    """Survival sweep: the survival tables plus the one-line summary."""
+    summary = summarize_survival(records)
+    return (
+        f"{render_survival_table(records)}\n\n{len(records)} rows: "
+        f"{summary['survive_failures']} survive collapse(s), "
+        f"{summary['reroute_rescues']} reroute rescue(s), "
+        f"{summary['recompile_rescues']} recompile rescue(s), "
+        f"{len(summary['unrecovered'])} unrecovered"
+    )
+
+
+#: exhibit name -> renderer of its run-table records
+RENDERERS: Dict[str, Callable[[Sequence[RunRecord]], str]] = {
+    "table2": render_table2,
+    "fig12": render_fig12,
+    "fig13": render_fig13,
+    "fig14": render_fig14,
+    "fig15": render_fig15,
+    "ablation": render_ablation,
+    "noise-sweep": render_noise_sweep,
+    "degrade-sweep": render_degrade_sweep,
+}

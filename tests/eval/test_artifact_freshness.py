@@ -1,15 +1,16 @@
-"""The committed sweep run tables match the code that made them.
+"""The committed exhibit run tables match the code that made them.
 
-``benchmarks/noise_sweep.json``, ``degrade_sweep.json`` and the paper's
-figure tables (``fig12.json`` … ``ablation.json``) are run tables whose
-``meta`` block records every axis of their grid.  Each grid is rebuilt
-here from ``meta`` alone, every row is recomputed and
-matched to the committed row by its ``key`` column, and every column is
-compared except the wall-time ones, which no rerun reproduces, and the
-cache read provenance.  A change that moves a sampled yield (say, to
-the fault draw's RNG stream) or a compile metric without regenerating
-the artifacts fails here.  Table 2 (``run_table.json``) is pinned by
-``perfbench``'s compile-table2 check and ``test_golden.TestTable2Exact``.
+The paper's figure tables (``fig12.json`` … ``ablation.json``) and the
+two yield sweeps (``noise_sweep.json``, ``degrade_sweep.json``) are run
+tables whose ``meta`` block holds the exhibit's name and its grid
+builder's keyword arguments.  Each grid is rebuilt here from ``meta``
+alone, every row is recomputed and matched to the committed row by its
+``key`` column, and every column is compared except the wall-time ones,
+which no rerun reproduces, and the cache read provenance.  A change
+that moves a sampled yield (say, to the fault draw's RNG stream) or a
+compile metric without regenerating the artifacts fails here.  Table 2
+(``run_table.json``) is pinned by ``perfbench``'s compile-table2 check
+and ``test_golden.TestTable2Exact``.
 """
 
 import json
@@ -19,8 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.eval.batch import execute_spec
-from repro.eval.degrade import degrade_specs
-from repro.eval.experiments import EXHIBITS, noise_sweep_specs
+from repro.eval.experiments import EXHIBITS, exhibit_stem
 
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -52,44 +52,13 @@ def assert_fresh(name, specs_from_meta):
     return list(recorded.values())
 
 
-def sampled(rows):
-    return any(row["yield_mc"] is not None for row in rows)
-
-
-def test_noise_sweep_run_table_is_fresh():
-    rows = assert_fresh(
-        "noise_sweep.json",
-        lambda meta: noise_sweep_specs(
-            [tuple(b) for b in meta["benchmarks"]],
-            fusion_success=meta["fusion_success"],
-            cycle_loss=meta["cycle_loss"],
-            resource_states=meta["resource_states"],
-            shots=meta["shots"],
-            seed=meta["seed"],
-        ),
-    )
-    assert sampled(rows)
-
-
-def test_degrade_sweep_run_table_is_fresh():
-    rows = assert_fresh(
-        "degrade_sweep.json",
-        lambda meta: degrade_specs(
-            [tuple(b) for b in meta["benchmarks"]],
-            scenarios=meta["scenarios"],
-            severities=meta["severities"],
-            policies=meta["policies"],
-            noise=tuple(tuple(pair) for pair in meta["noise"]),
-            resource_state=meta["resource_state"],
-            shots=meta["shots"],
-            seed=meta["seed"],
-        ),
-    )
-    assert sampled(rows)
+#: the sweeps, whose tables must hold sampled (Monte-Carlo) rows
+SAMPLED = {"noise-sweep", "degrade-sweep"}
 
 
 @pytest.mark.parametrize(
-    "exhibit", ["fig12", "fig13", "fig14", "fig15", "ablation"]
+    "exhibit",
+    ["fig12", "fig13", "fig14", "fig15", "ablation", *sorted(SAMPLED)],
 )
 def test_exhibit_run_table_is_fresh(exhibit):
     def specs_from_meta(meta):
@@ -97,4 +66,6 @@ def test_exhibit_run_table_is_fresh(exhibit):
         assert kwargs.pop("grid") == exhibit
         return EXHIBITS[exhibit](**kwargs)
 
-    assert_fresh(f"{exhibit}.json", specs_from_meta)
+    rows = assert_fresh(f"{exhibit_stem(exhibit)}.json", specs_from_meta)
+    if exhibit in SAMPLED:
+        assert any(row["yield_mc"] is not None for row in rows)

@@ -326,16 +326,17 @@ class TestNoiseSweep:
         assert all(s.shots == 100 for s in specs)
         assert {s.resource_state for s in specs} == {"3-line", "4-star"}
 
-    def test_run_noise_sweep_writes_artifacts(self, tmp_path):
-        from repro.eval.experiments import run_noise_sweep
+    def test_run_exhibit_writes_noise_sweep_table(self, tmp_path):
+        from repro.eval.experiments import run_exhibit
 
-        records = run_noise_sweep(
+        records = run_exhibit(
+            "noise-sweep",
+            jobs=1,
+            out_dir=tmp_path,
             benchmarks=[("BV", 8)],
             fusion_success=(0.75,),
             cycle_loss=(0.001, 0.01),
             shots=200,
-            jobs=1,
-            out_dir=tmp_path,
         )
         assert len(records) == 2
         assert all(r.yield_mc is not None for r in records)
@@ -344,12 +345,20 @@ class TestNoiseSweep:
         ]
         payload = json.loads((tmp_path / "noise_sweep.json").read_text())
         assert payload["schema_version"] == SCHEMA_VERSION
+        assert payload["meta"]["grid"] == "noise-sweep"
         assert payload["meta"]["benchmarks"] == [["BV", 8]]
         assert len(payload["records"]) == 2
         for entry in payload["records"]:
             assert 0.0 <= entry["yield_mc"] <= 1.0
             assert entry["shots"] == 200
             assert entry["shots_per_second"] > 0.0
+
+    def test_fusion_success_zero_cannot_be_sampled(self):
+        """Repeat-until-success never ends at fusion_success 0: the
+        sampler refuses the spec instead of hanging."""
+        spec = RunSpec("BV", 8, shots=10, noise=(("fusion_success", 0.0),))
+        with pytest.raises(ValueError):
+            execute_spec(spec)
 
     def test_committed_artifact_is_current_schema(self):
         """benchmarks/noise_sweep.json must track the current

@@ -1,4 +1,5 @@
-"""Tests for the degradation sweep harness and its run-table schema."""
+"""Tests for the survival sweep (the ``degrade-sweep`` exhibit), its
+recovery gate and its run-table columns."""
 
 import csv
 import json
@@ -14,11 +15,13 @@ from repro.eval.batch import (
     execute_spec,
     write_run_table,
 )
-from repro.eval.degrade import (
+from repro.eval.experiments import (
+    DEGRADE_SHOTS,
     MILD_NOISE,
+    check_claims,
     check_recovery,
     degrade_specs,
-    run_degrade_sweep,
+    run_exhibit,
     summarize_survival,
 )
 from repro.eval.reporting import render_survival_table
@@ -141,9 +144,17 @@ class TestExecuteSpec:
 class TestSweep:
     @pytest.fixture(scope="class")
     def records(self):
-        return run_degrade_sweep(
-            benchmarks=[("BV", 8)], severities=(0.0, 0.1), jobs=1
+        return run_exhibit(
+            "degrade-sweep", jobs=1,
+            benchmarks=[("BV", 8)], severities=(0.0, 0.1), shots=0,
         )
+
+    def test_grid_defaults_are_the_committed_grid(self):
+        specs = degrade_specs()
+        # 2 benchmarks x 4 scenarios x 5 severities x 3 policies
+        assert len(specs) == 120
+        assert {s.shots for s in specs} == {DEGRADE_SHOTS} == {2000}
+        assert not any(s.include_baseline or s.verify for s in specs)
 
     def test_grid_size(self, records):
         # 1 benchmark x 4 scenarios x 2 severities x 3 policies
@@ -164,6 +175,20 @@ class TestSweep:
         assert "BV-8 / dead-rsg" in text
         assert "sev 0.1" in text
         assert "*" in text
+
+    def test_run_exhibit_records_the_grid_in_meta(self, tmp_path):
+        records = run_exhibit(
+            "degrade-sweep", jobs=1, out_dir=tmp_path,
+            benchmarks=[("BV", 8)], scenarios=("dead-rsg",),
+            severities=(0.1,), shots=0,
+        )
+        assert len(records) == 3
+        payload = json.loads((tmp_path / "degrade_sweep.json").read_text())
+        assert payload["meta"] == {
+            "grid": "degrade-sweep", "benchmarks": [["BV", 8]],
+            "scenarios": ["dead-rsg"], "severities": [0.1], "shots": 0,
+        }
+        assert (tmp_path / "degrade_sweep.csv").exists()
 
     def test_run_table_roundtrip(self, records, tmp_path):
         json_path, csv_path = write_run_table(records, tmp_path)
@@ -206,18 +231,22 @@ class TestSweep:
 
 
 class TestRecoveryGate:
-    def test_gate_passes_on_default_quick_grid(self):
-        records = run_degrade_sweep(
-            benchmarks=[("BV", 8)], severities=(0.0, 0.1, 0.3), jobs=1
+    def test_gate_passes_on_an_analytic_bv_grid(self):
+        records = BatchRunner(jobs=1).run(
+            degrade_specs(
+                benchmarks=[("BV", 8)], severities=(0.0, 0.1, 0.3), shots=0
+            )
         )
         assert check_recovery(records) == []
 
     def test_gate_fails_without_collapse(self):
-        records = run_degrade_sweep(
-            benchmarks=[("BV", 8)],
-            scenarios=("degraded-fusion",),
-            severities=(0.0,),
-            jobs=1,
+        records = BatchRunner(jobs=1).run(
+            degrade_specs(
+                benchmarks=[("BV", 8)],
+                scenarios=("degraded-fusion",),
+                severities=(0.0,),
+                shots=0,
+            )
         )
         failures = check_recovery(records)
         assert any("no scenario collapsed" in f for f in failures)
@@ -298,6 +327,11 @@ class TestMonteCarloGate:
         )
         table = json.loads(path.read_text())
         records = [RunRecord(**row) for row in table["records"]]
-        assert table["meta"]["shots"] > 0
         assert any(r.yield_mc is not None for r in records)
-        assert check_recovery(records, shots=table["meta"]["shots"]) == []
+        assert check_claims("degrade-sweep", records) == []
+
+    def test_exhibit_claim_is_the_gate_at_the_grid_shots(self):
+        """``check_claims`` asks for sampled rows: the grid's shots."""
+        assert check_recovery(gate_grid()) == []
+        (failure,) = check_claims("degrade-sweep", gate_grid())
+        assert "no Monte-Carlo rows sampled" in failure

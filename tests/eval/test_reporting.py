@@ -11,10 +11,12 @@ from repro.eval.experiments import (
 )
 from repro.eval.reporting import (
     render_ablation,
+    render_degrade_sweep,
     render_fig12,
     render_fig13,
     render_fig14,
     render_fig15,
+    render_noise_sweep,
     render_table1,
     render_table2,
 )
@@ -88,3 +90,23 @@ class TestRenderFigures:
         rows = render_ablation(records).splitlines()[2:]
         assert [row.split()[0] for row in rows] == list(ABLATION_VARIANTS)
         assert rows[0].split()[1:] == ["76", "6,040", "1.00", "1.00"]
+
+
+class TestRenderSweeps:
+    def test_noise_sweep_marks_unsampled_rows(self):
+        rows = {
+            line.split()[0]: line.split()
+            for line in render_noise_sweep(committed("noise-sweep"))
+            .splitlines()[2:]
+        }
+        # bench, resource state, noise, yield_mc, analytic, shots
+        assert rows["QFT-16"][3] == "-" and rows["QFT-16"][5] == "0"
+        assert rows["BV-16"][3] != "-" and rows["BV-16"][5] == "2000"
+
+    def test_degrade_sweep_ends_with_the_survival_summary(self):
+        text = render_degrade_sweep(committed("degrade-sweep"))
+        assert "BV-8 / dead-rsg  (* = recovered)" in text
+        assert text.splitlines()[-1] == (
+            "120 rows: 17 survive collapse(s), 5 reroute rescue(s), "
+            "7 recompile rescue(s), 10 unrecovered"
+        )

@@ -9,10 +9,31 @@ from repro.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 
-#: the paper-exhibit subcommands: renderers without options
+#: the exhibit subcommands: renderers without options
 EXHIBITS = {
     "table1", "table2", "fig12", "fig13", "fig14", "fig15", "ablation",
+    "noise-sweep", "degrade-sweep",
 }
+
+#: the options the sweep subcommands took before they became renderers
+FORMER_SWEEP_FLAGS = [
+    *(
+        ("noise-sweep", flag)
+        for flag in (
+            "--benchmarks", "--qubits", "--shots", "--fusion-success",
+            "--cycle-loss", "--resource-state", "--jobs", "--out",
+            "--cache", "--stem", "--seed",
+        )
+    ),
+    *(
+        ("degrade-sweep", flag)
+        for flag in (
+            "--benchmarks", "--qubits", "--scenarios", "--severities",
+            "--policies", "--shots", "--jobs", "--out", "--cache",
+            "--stem", "--seed", "--quick", "--check-recovery",
+        )
+    ),
+]
 
 
 class TestParser:
@@ -82,6 +103,8 @@ class TestCommands:
             ("fig14", "extension=3"),
             ("fig15", "area 1000"),
             ("ablation", "lemma1-scheduling"),
+            ("noise-sweep", "cycle_loss=0.01,fusion_success=0.75"),
+            ("degrade-sweep", "120 rows: "),
         ],
     )
     def test_exhibit_renders_committed_table(
@@ -137,47 +160,72 @@ class TestCommands:
             "run_table.csv", "run_table.json"
         ]
 
-    def test_noise_sweep(self, tmp_path, capsys):
-        out_dir = tmp_path / "sweep"
+    def test_degrade_sweep_exits_1_on_failed_recovery_gate(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A survival table where no scenario collapses renders, then
+        fails the recovery gate."""
+        table = json.loads(
+            (REPO / "benchmarks" / "degrade_sweep.json").read_text()
+        )
+        for row in table["records"]:
+            row["recovered"] = True
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "degrade_sweep.json").write_text(
+            json.dumps(table)
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["degrade-sweep"]) == 1
+        captured = capsys.readouterr()
+        assert "BV-8 / dead-rsg" in captured.out
+        assert "120 rows: 0 survive collapse(s)" in captured.out
+        assert "error: claim: no scenario collapsed" in captured.err
+
+    def test_bench_noise_sweep_grid(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
         assert main(
-            [
-                "noise-sweep", "--benchmarks", "BV", "--qubits", "8",
-                "--shots", "200", "--fusion-success", "0.75",
-                "--cycle-loss", "0.001", "0.01", "--jobs", "1",
-                "--out", str(out_dir),
-            ]
+            ["bench", "--grid", "noise-sweep", "--jobs", "1",
+             "--out", str(out_dir)]
         ) == 0
         out = capsys.readouterr().out
-        assert "yield_mc=" in out
+        assert "yield_mc=" in out and "BV-16" in out
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "noise_sweep.csv", "noise_sweep.json"
         ]
+        meta = json.loads((out_dir / "noise_sweep.json").read_text())["meta"]
+        assert meta == {"grid": "noise-sweep", "seed": 7, "verify": False}
 
-    def test_degrade_sweep_quick(self, tmp_path, capsys):
-        out_dir = tmp_path / "degrade"
+    def test_bench_exits_1_on_failed_claim(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.eval import experiments
+
+        monkeypatch.setattr(
+            experiments, "check_claims", lambda exhibit, records: ["boom"]
+        )
+        out_dir = tmp_path / "results"
         assert main(
-            [
-                "degrade-sweep", "--quick", "--check-recovery",
-                "--jobs", "1", "--out", str(out_dir),
-            ]
+            ["bench", "--grid", "fig14", "--jobs", "1", "--out", str(out_dir)]
+        ) == 1
+        captured = capsys.readouterr()
+        assert "extension=3" in captured.out
+        assert captured.err.strip() == "error: claim: boom"
+        # the table is written before its claims are checked
+        assert (out_dir / "fig14.json").exists()
+
+    def test_bench_quick_checks_no_claim(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """--quick runs part of Table 2, whose claims need every row."""
+        from repro.eval import experiments
+
+        monkeypatch.setattr(
+            experiments, "check_claims", lambda exhibit, records: ["boom"]
+        )
+        assert main(
+            ["bench", "--quick", "--jobs", "1",
+             "--out", str(tmp_path / "results")]
         ) == 0
-        out = capsys.readouterr().out
-        assert "BV-8 / dead-rsg" in out
-        assert "36 rows: " in out and " unrecovered" in out
-        assert sorted(p.name for p in out_dir.iterdir()) == [
-            "degrade_sweep.csv", "degrade_sweep.json"
-        ]
-
-    def test_noise_sweep_rejects_bad_resource_state(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["noise-sweep", "--resource-state", "5-blob"]
-            )
-
-    def test_noise_sweep_has_no_engine_flag(self):
-        """The frame engine is the only sampler: no engine option."""
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["noise-sweep", "--mc-engine", "frame"])
 
     def test_bench_cache_reused(self, tmp_path, capsys):
         args = [
@@ -250,36 +298,8 @@ class TestInvalidInput:
 
     SWEEP_CASES = [
         *(
-            (command, extra, message)
-            for command in ("noise-sweep", "degrade-sweep")
-            for extra, message in [
-                (["--shots", "-5"],
-                 "argument --shots: must be a non-negative integer, got -5"),
-                (["--qubits", "0"],
-                 "argument --qubits: must be at least 1, got 0"),
-                (["--benchmarks", "FOO"], "unknown benchmark 'FOO'"),
-                (["--benchmarks", "RCA", "--qubits", "2"],
-                 "needs at least 4 qubits"),
-            ]
-        ),
-        ("noise-sweep", ["--fusion-success", "1.5"],
-         "argument --fusion-success: must be in [0, 1], got 1.5"),
-        ("noise-sweep", ["--fusion-success", "nan"],
-         "argument --fusion-success: must be in [0, 1], got nan"),
-        ("noise-sweep", ["--cycle-loss", "-0.1"],
-         "argument --cycle-loss: must be in [0, 1], got -0.1"),
-        ("noise-sweep", ["--cycle-loss", "lots"],
-         "argument --cycle-loss: invalid float value: 'lots'"),
-        ("degrade-sweep", ["--severities", "1.5"],
-         "argument --severities: must be in [0, 1], got 1.5"),
-        ("degrade-sweep", ["--severities", "-0.2"],
-         "argument --severities: must be in [0, 1], got -0.2"),
-        ("noise-sweep", ["--fusion-success", "0", "--shots", "10"],
-         "--fusion-success 0 cannot be sampled"),
-        *(
-            (command, ["--jobs", jobs],
+            ("bench", ["--jobs", jobs],
              f"argument --jobs: must be at least 1, got {jobs}")
-            for command in ("bench", "noise-sweep", "degrade-sweep")
             for jobs in ("0", "-2")
         ),
         ("serve", ["--workers", "0"],
@@ -297,17 +317,10 @@ class TestInvalidInput:
         ),
         ("loadgen", [], "invalid choice: 'loadgen'"),
         *(
-            ("degrade-sweep", ["--quick", *extra],
-             f"--quick sets the grid; drop {flag}")
-            for flag, extra in [
-                ("--shots", ["--shots", "500", "--check-recovery"]),
-                ("--benchmarks", ["--benchmarks", "QFT"]),
-                ("--qubits", ["--qubits", "12"]),
-                ("--severities", ["--severities", "0.2"]),
-            ]
+            ("bench", ["--grid", grid, "--quick"],
+             "--quick applies to --grid table2 only")
+            for grid in ("fig12", "degrade-sweep")
         ),
-        ("bench", ["--grid", "fig12", "--quick"],
-         "--quick applies to --grid table2 only"),
         ("bench", ["--grid", "fig15", "--resource-state", "4-star"],
          "--resource-state applies to --grid table2 only"),
         ("bench", ["--grid", "fig99"], "unknown grid 'fig99'"),
@@ -318,6 +331,10 @@ class TestInvalidInput:
                 "table1", "table2", "fig12", "fig13", "fig14", "fig15",
                 "ablation",
             )
+        ),
+        *(
+            (command, [flag], f"unrecognized arguments: {flag}")
+            for command, flag in FORMER_SWEEP_FLAGS
         ),
         ("fig13", ["--quick"], "unrecognized arguments: --quick"),
     ]

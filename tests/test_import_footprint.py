@@ -14,6 +14,8 @@ import sys
 import textwrap
 from typing import List
 
+import pytest
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
@@ -80,14 +82,61 @@ def test_compile_spec_loads_no_sim_or_server():
     ) == []
 
 
-def test_rendering_an_exhibit_loads_no_compiler():
+def test_timed_stages_import_nothing():
+    """``stage_seconds`` times the verify and mc stages, not a first
+    import: every module ``verify_pattern`` / ``estimate_yield`` run on
+    is loaded before ``execute_spec`` calls them, on each verification
+    method (stabilizer, static, statevector) and on both samplers
+    (scalar model, per-site map)."""
+    loaded_by_call = _run(
+        """
+        import json, sys
+        import repro.core.validate as validate
+        from repro.eval.batch import RunSpec, execute_spec
+
+        loaded = []
+
+        def wrap(name):
+            real = getattr(validate, name)
+
+            def call(*args, **kwargs):
+                before = set(sys.modules)
+                result = real(*args, **kwargs)
+                loaded.append([name, sorted(set(sys.modules) - before)])
+                return result
+
+            setattr(validate, name, call)
+
+        wrap("verify_pattern")
+        wrap("estimate_yield")
+        for spec in [
+            RunSpec("BV", 8, include_baseline=False, shots=50),
+            RunSpec("BV", 8, include_baseline=False, verify=True),
+            RunSpec("QFT", 16, include_baseline=False, verify=True),
+            RunSpec("QFT", 8, include_baseline=False, verify=True),
+            RunSpec("BV", 8, include_baseline=False, shots=50,
+                    scenario="dead-rsg", severity=0.1, policy="reroute"),
+        ]:
+            execute_spec(spec)
+        print(json.dumps(loaded))
+        """
+    )
+    assert [name for name, _ in loaded_by_call] == [
+        "estimate_yield", "verify_pattern", "verify_pattern",
+        "verify_pattern", "estimate_yield",
+    ]
+    assert [new for _, new in loaded_by_call] == [[]] * 5
+
+
+@pytest.mark.parametrize("exhibit", ["fig15", "noise-sweep", "degrade-sweep"])
+def test_rendering_an_exhibit_loads_no_compiler(exhibit):
     loaded = _loaded_after(
         f"""
         import contextlib, io, os
         os.chdir({str(SRC.parent)!r})
         from repro.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["fig15"]) == 0
+            assert main([{exhibit!r}]) == 0
         """
     )
     assert "repro.eval.reporting" in loaded
