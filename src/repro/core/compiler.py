@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.circuit.circuit import Circuit
 from repro.core.fusion_graph import FGNode, build_fusion_graph
-from repro.core.mapping import InLayerMapper, LayerLayout, Placement
+from repro.core.mapping import Coord, InLayerMapper, LayerLayout
 from repro.core.partition import (
     PartitionConfig,
     partition_pattern,
@@ -32,6 +32,9 @@ from repro.hardware.coupling import HardwareConfig
 from repro.hardware.fusion import FusionTally
 from repro.mbqc.pattern import MeasurementPattern
 from repro.mbqc.translate import circuit_to_pattern
+
+#: the two endpoint cells of one pair the shuffle stage reconnects
+PairCoords = Tuple[Coord, Coord]
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,9 @@ class CompiledProgram:
     #: The map stage additionally reports its ``map_score`` /
     #: ``map_route`` / ``map_place`` sub-stages (candidate scoring, path
     #: search, placement bookkeeping); their sum is below ``map``, whose
-    #: remainder is fusion-graph synthesis and edge-order bookkeeping.
+    #: remainder is building each partition's induced subgraph (charged
+    #: to ``map``, not ``partition``: it is built right before
+    #: synthesis), fusion-graph synthesis and edge-order bookkeeping.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -205,66 +210,77 @@ class OneQCompiler:
             blocked=set(cfg.blocked_cells),
         )
         tally = FusionTally()
-        port_of: Dict[Tuple[int, int], FGNode] = {}
-        deferred: List[Tuple[FGNode, FGNode]] = []
         resource_states = 0
+        # What outlives a mapped partition: its ports towards later
+        # partitions (each popped when the later partition maps the back
+        # edge), and its deferred and back-edge pairs as coordinates per
+        # shuffle boundary.  connect_pairs sorts its pairs stably by
+        # distance, so the order is fixed: a boundary lists every deferred
+        # pair before every back-edge pair, each kind in partition order.
+        forward_ports: Dict[Tuple[int, int], FGNode] = {}
+        deferred_by_boundary: Dict[int, List[PairCoords]] = {}
+        back_by_boundary: Dict[int, List[PairCoords]] = {}
+        placements = mapper.placements
+
+        def add_pair(
+            pairs: Dict[int, List[PairCoords]], a: FGNode, b: FGNode
+        ) -> None:
+            pa, pb = placements[a], placements[b]
+            pairs.setdefault(max(pa.layer, pb.layer), []).append(
+                (pa.coord, pb.coord)
+            )
 
         t0 = time.perf_counter()
         for part in partitions:
+            index = part.index
             cross_nbrs = {
                 node: [
                     nbr
                     for nbr in pattern.graph.neighbors(node)
-                    if home[nbr] != part.index
+                    if home[nbr] != index
                 ]
                 for node in part.nodes
             }
-            degrees = required_degrees(part, pattern.graph)
             fusion = build_fusion_graph(
                 part.subgraph,
-                degrees,
+                required_degrees(part, pattern.graph),
                 rst,
                 cross_neighbors=cross_nbrs,
                 use_embedding=cfg.use_embedding,
             )
-            port_of.update(fusion.port_of)
             resource_states += fusion.num_resource_states
+            back_ports = [
+                (forward_ports.pop((u, v)), fusion.port_of[(v, u)])
+                for u, v in part.back_edges
+            ]
             hints: Dict[FGNode, Tuple[int, int]] = {}
             if cfg.use_placement_hints:
-                for u, v in part.back_edges:
-                    src_port = port_of.get((u, v))
-                    dst_port = fusion.port_of.get((v, u))
-                    if src_port is None or dst_port is None:
-                        continue
-                    placed = mapper.placements.get(src_port)
+                for src_port, dst_port in back_ports:
+                    placed = placements.get(src_port)
                     if placed is not None:
                         hints[dst_port] = placed.coord
             result = mapper.map_fusion_graph(fusion, hints=hints)
             tally.add("synthesis", result.synthesis_fusions)
             tally.add("edge", result.edge_fusions)
             tally.add("routing", result.routing_fusions)
-            deferred.extend(result.deferred_edges)
+            for a, b in result.deferred_edges:
+                add_pair(deferred_by_boundary, a, b)
+            for a, b in back_ports:
+                add_pair(back_by_boundary, a, b)
+            for (node, nbr), port in fusion.port_of.items():
+                if home[nbr] > index:
+                    forward_ports[(node, nbr)] = port
         stage_seconds["map"] = time.perf_counter() - t0
         for sub_stage, seconds in mapper.stage_seconds.items():
             stage_seconds[f"map_{sub_stage}"] = seconds
 
         # ---- inter-layer shuffling -----------------------------------
         t0 = time.perf_counter()
-        pairs_by_boundary: Dict[int, List[Tuple[Tuple[int, int], Tuple[int, int]]]] = {}
-
-        def add_pair(pa: Placement, pb: Placement) -> None:
-            boundary = max(pa.layer, pb.layer)
-            pairs_by_boundary.setdefault(boundary, []).append((pa.coord, pb.coord))
-
-        for a, b in deferred:
-            add_pair(mapper.placements[a], mapper.placements[b])
-        for part in partitions:
-            for u, v in part.back_edges:
-                pu = port_of.get((u, v))
-                pv = port_of.get((v, u))
-                if pu is None or pv is None:  # pragma: no cover - invariant
-                    raise RuntimeError(f"missing port for cross edge {(u, v)}")
-                add_pair(mapper.placements[pu], mapper.placements[pv])
+        pairs_by_boundary = {
+            boundary: deferred_by_boundary.get(boundary, [])
+            + back_by_boundary.get(boundary, [])
+            for boundary in set(deferred_by_boundary) | set(back_by_boundary)
+        }
 
         shuffle_layers = 0
         for boundary in sorted(pairs_by_boundary):

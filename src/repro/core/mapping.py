@@ -78,8 +78,15 @@ class LayerLayout:
         return len(self.node_at) + len(self.aux_cells)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
+    """Where a fusion-graph node sits: mapped layer and grid cell.
+
+    The compiler keeps one per resource state for the whole compile (the
+    shuffle stage and later partitions' hints read them), so it is a
+    slotted record: no per-instance ``__dict__``.
+    """
+
     layer: int
     coord: Coord
 

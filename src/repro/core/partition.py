@@ -53,24 +53,58 @@ class PartitionConfig:
             raise ValueError("target_states must be positive")
 
 
-@dataclass
+@dataclass(init=False)
 class GraphPartition:
     """One scheduled unit of the graph state.
 
     Attributes:
         index: execution order of this partition.
         nodes: graph-state nodes homed here.
-        subgraph: induced edges whose *both* endpoints are homed here.
+        graph: the graph the partition was cut from (the whole graph
+            state, shared and never copied).
         back_edges: edges to nodes homed in earlier partitions; these are
             realized by inter-layer shuffling (Sec. 6).
         layer_indices: which dependency layers this partition covers.
+
+    The partition does not store its induced subgraph: :attr:`subgraph`
+    builds it from ``graph`` on every access.  The compiler builds it
+    once per partition, right before fusion-graph synthesis (so the
+    build is charged to its ``map`` stage, not to ``partition``), and
+    lets it go once the partition is mapped.
     """
 
     index: int
     nodes: List[int]
-    subgraph: nx.Graph
-    back_edges: List[Tuple[int, int]] = field(default_factory=list)
-    layer_indices: List[int] = field(default_factory=list)
+    graph: nx.Graph = field(repr=False, compare=False)
+    back_edges: List[Tuple[int, int]]
+    layer_indices: List[int]
+
+    def __init__(
+        self,
+        index: int,
+        nodes: List[int],
+        graph: Optional[nx.Graph] = None,
+        back_edges: Optional[List[Tuple[int, int]]] = None,
+        layer_indices: Optional[List[int]] = None,
+        *,
+        subgraph: Optional[nx.Graph] = None,
+    ) -> None:
+        # a prebuilt induced subgraph also works as the source graph:
+        # inducing it on ``nodes`` gives back its nodes and edges
+        source = graph if graph is not None else subgraph
+        if source is None:
+            raise TypeError("GraphPartition needs a graph (or subgraph)")
+        self.index = index
+        self.nodes = nodes
+        self.graph = source
+        self.back_edges = back_edges if back_edges is not None else []
+        self.layer_indices = layer_indices if layer_indices is not None else []
+
+    @property
+    def subgraph(self) -> nx.Graph:
+        """The edges whose *both* endpoints are homed here, as a new
+        graph on every access (:func:`induced_subgraph`)."""
+        return induced_subgraph(self.graph, self.nodes)
 
     @property
     def num_nodes(self) -> int:
@@ -79,6 +113,40 @@ class GraphPartition:
     @property
     def num_edges(self) -> int:
         return int(self.subgraph.number_of_edges())
+
+
+def induced_subgraph(graph: nx.Graph, nodes: List[int]) -> nx.Graph:
+    """The subgraph of *graph* induced on *nodes*, in a fixed order.
+
+    Nodes enter in *nodes* order; then, walking *nodes* in order and
+    each node's neighbours in *graph* order, every edge enters once,
+    from its smaller endpoint.  The planar embedding that fusion-graph
+    synthesis follows depends on this insertion order (its rotation
+    system), and with it every placement, so the order is part of the
+    contract.  On BV-4, cut in two:
+
+    >>> from repro.circuit.benchmarks import get_benchmark
+    >>> from repro.mbqc.translate import circuit_to_pattern
+    >>> pattern = circuit_to_pattern(get_benchmark("BV", 4, seed=7))
+    >>> first, second = partition_pattern(
+    ...     pattern, PartitionConfig(target_states=6)
+    ... )
+    >>> second.nodes, second.back_edges
+    ([5, 6, 7, 8], [(1, 6), (4, 5)])
+    >>> sub = second.subgraph
+    >>> list(sub.edges())
+    [(5, 6), (5, 7), (6, 8)]
+    >>> {node: list(sub.adj[node]) for node in sub}
+    {5: [6, 7], 6: [5, 8], 7: [5], 8: [6]}
+    """
+    members = set(nodes)
+    subgraph = nx.Graph()
+    subgraph.add_nodes_from(nodes)
+    for node in nodes:
+        for nbr in graph.neighbors(node):
+            if nbr in members and node < nbr:
+                subgraph.add_edge(node, nbr)
+    return subgraph
 
 
 def schedule_layers(
@@ -100,7 +168,8 @@ def partition_pattern(
 
     Returns partitions in scheduling order.  Every graph edge appears
     exactly once: either inside a partition's ``subgraph`` or as a
-    ``back_edge`` of the later of its two endpoints' partitions.
+    ``back_edge`` of the later of its two endpoints' partitions.  No
+    partition's subgraph is built here (see :class:`GraphPartition`).
 
     ``size_estimator(node) -> int`` estimates the resource states a node
     will synthesize into (used with ``config.target_states``; defaults to
@@ -126,20 +195,16 @@ def partition_pattern(
         index = len(partitions)
         for node in current_nodes:
             home[node] = index
-        subgraph = nx.Graph()
-        subgraph.add_nodes_from(current_nodes)
         back_edges: List[Tuple[int, int]] = []
         for node in current_nodes:
             for nbr in graph.neighbors(node):
-                if nbr in home and home[nbr] < index:
+                if home.get(nbr, index) < index:
                     back_edges.append((nbr, node))
-                elif home.get(nbr) == index and node < nbr:
-                    subgraph.add_edge(node, nbr)
         partitions.append(
             GraphPartition(
                 index=index,
                 nodes=list(current_nodes),
-                subgraph=subgraph,
+                graph=graph,
                 back_edges=sorted(set(back_edges)),
                 layer_indices=list(current_layers),
             )

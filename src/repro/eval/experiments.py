@@ -261,6 +261,7 @@ def noise_sweep_specs(
                 ("cycle_loss", float(cl)),
                 ("fusion_success", float(fs)),
             ),
+            include_baseline=False,
             verify=verify,
         )
         for name, n in benchmarks or NOISE_SWEEP_BENCHMARKS

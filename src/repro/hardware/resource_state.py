@@ -12,6 +12,7 @@ be synthesized).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 import networkx as nx
@@ -40,8 +41,9 @@ class ResourceStateType:
         g.add_edges_from(self.edges)
         return g
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
+        """The largest degree of a qubit in the state (computed once)."""
         degree: Dict[int, int] = {q: 0 for q in range(self.size)}
         for u, v in self.edges:
             degree[u] += 1

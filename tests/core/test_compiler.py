@@ -1,8 +1,12 @@
 """Tests for the end-to-end OneQ compiler."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.circuit import Circuit, bernstein_vazirani, get_benchmark, qft
+import repro.core.compiler as compiler_mod
 from repro.core import OneQCompiler, OneQConfig, PartitionConfig, compile_circuit
 from repro.core.mapping import InLayerMapper
 from repro.hardware import (
@@ -12,6 +16,7 @@ from repro.hardware import (
     HardwareConfig,
     THREE_LINE,
 )
+from repro.eval.experiments import _hardware_for
 from repro.mbqc import circuit_to_pattern
 
 
@@ -113,6 +118,36 @@ class TestExtendedLayers:
         c = Circuit(2).h(0).cx(0, 1)
         prog = compile_circuit(c, HardwareConfig(rows=6, cols=6, extension=2))
         assert prog.physical_depth >= 2 * prog.mapping_layers
+
+
+class TestPartitionLifetime:
+    def test_mapped_partitions_are_released(self, monkeypatch):
+        """When partition k starts mapping, neither the induced subgraph
+        nor the fusion graph of any earlier partition is alive."""
+        built = []  # per partition: weakrefs to its subgraph, fusion graph
+        build = compiler_mod.build_fusion_graph
+        map_graph = InLayerMapper.map_fusion_graph
+        alive_at_map = []
+
+        def tracked_build(subgraph, *args, **kwargs):
+            fusion = build(subgraph, *args, **kwargs)
+            built.append((weakref.ref(subgraph), weakref.ref(fusion)))
+            return fusion
+
+        def tracked_map(mapper, fusion, *args, **kwargs):
+            gc.collect()
+            alive_at_map.append(sum(
+                ref() is not None for refs in built[:-1] for ref in refs
+            ))
+            return map_graph(mapper, fusion, *args, **kwargs)
+
+        monkeypatch.setattr(compiler_mod, "build_fusion_graph", tracked_build)
+        monkeypatch.setattr(InLayerMapper, "map_fusion_graph", tracked_map)
+        prog = compile_circuit(
+            get_benchmark("QFT", 36, seed=7), _hardware_for(36, THREE_LINE)
+        )
+        assert prog.num_partitions == len(built) == len(alive_at_map) > 2
+        assert alive_at_map == [0] * len(built)
 
 
 class TestConfigPlumb:

@@ -59,13 +59,9 @@ class TestExhibitGrids:
         assert all(s.include_baseline for s in specs)
 
     def test_only_improvement_grids_compile_the_baseline(self):
-        # the noise sweep has compiled the baseline on every row since
-        # its first table; dropping it would change every row's key
         for name, build in EXHIBITS.items():
             baseline = {s.include_baseline for s in build()}
-            assert baseline == {
-                name in ("table2", "fig12", "noise-sweep")
-            }, name
+            assert baseline == {name in ("table2", "fig12")}, name
 
     def test_fig13_keeps_the_paper_layer_shapes(self):
         shapes = [
