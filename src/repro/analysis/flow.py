@@ -41,7 +41,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 import numpy as np
 
-from repro.mbqc.pattern import MeasurementPattern
+from repro.mbqc.pattern import GraphLike, MeasurementPattern
 
 #: Correction maps keyed by node: which measured sources feed the X / Z
 #: repair of that node (the shape of ``MeasurementPattern.x_deps``).
@@ -109,7 +109,7 @@ class DeterminismCertificate:
 
 
 def _structural_violation(
-    graph: nx.Graph, inputs: Sequence[int], outputs: Sequence[int]
+    graph: GraphLike, inputs: Sequence[int], outputs: Sequence[int]
 ) -> Optional[FlowViolation]:
     """Sanity conditions any open graph must satisfy before a search."""
     nodes = set(graph.nodes())
@@ -129,7 +129,7 @@ def _structural_violation(
 
 
 def find_causal_flow(
-    graph: nx.Graph,
+    graph: GraphLike,
     inputs: Sequence[int],
     outputs: Sequence[int],
 ) -> Optional[Tuple[Dict[int, int], Dict[int, int]]]:
@@ -242,7 +242,7 @@ def _gf2_solve(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
 
 
 def find_gflow(
-    graph: nx.Graph,
+    graph: GraphLike,
     inputs: Sequence[int],
     outputs: Sequence[int],
 ) -> Optional[Tuple[Dict[int, FrozenSet[int]], Dict[int, int]]]:
@@ -294,7 +294,7 @@ def find_gflow(
 
 
 def flow_corrections(
-    graph: nx.Graph,
+    graph: GraphLike,
     outputs: Sequence[int],
     successor: Dict[int, int],
 ) -> Tuple[CorrectionMap, CorrectionMap]:
@@ -378,7 +378,7 @@ def certify_pattern(pattern: MeasurementPattern) -> DeterminismCertificate:
 
 
 def _stalled_vertices(
-    graph: nx.Graph, inputs: Sequence[int], outputs: Sequence[int]
+    graph: GraphLike, inputs: Sequence[int], outputs: Sequence[int]
 ) -> List[int]:
     """The unprocessed set at the gflow search's fixed point."""
     nodes = sorted(graph.nodes())

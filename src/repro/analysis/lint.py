@@ -34,6 +34,7 @@ from typing import (
     Dict,
     FrozenSet,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -196,7 +197,7 @@ class PatternLinter:
                        f"measurement angle {alpha!r} is not a finite real")
 
         # --- dependency structure -------------------------------------
-        dep_maps: Sequence[Tuple[str, Dict[int, FrozenSet[int]]]] = (
+        dep_maps: Sequence[Tuple[str, Mapping[int, FrozenSet[int]]]] = (
             ("X", pattern.x_deps),
             ("Z", pattern.z_deps),
             ("output X", pattern.output_x),

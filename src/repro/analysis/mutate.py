@@ -3,7 +3,7 @@
 A linter that has never seen a broken artifact proves nothing.  This
 module seeds one corruption per *mutation class* — drop a correction,
 reorder two dependent measurements, flip a basis, orphan an edge, ... —
-into a deep copy of a known-good pattern or frame program, and
+into a rebuilt copy of a known-good pattern or frame program, and
 :func:`harness_report` asserts that :class:`repro.analysis.lint.PatternLinter`
 flags every class with the exact codes pinned in
 :data:`MUTATION_EXPECTED_CODES`.  ``tests/analysis/test_mutation.py``
@@ -20,12 +20,11 @@ buggy transformation pass), which constructor validation never sees.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from typing import Dict, FrozenSet, Tuple
 
 from repro.analysis.lint import PatternLinter
-from repro.mbqc.pattern import MeasurementPattern
+from repro.mbqc.pattern import MeasurementPattern, PatternGraph
 from repro.sim.frame import FrameProgram
 
 #: pattern-level corruption classes, in the order the harness runs them
@@ -79,76 +78,90 @@ class MutationError(ValueError):
 def corrupt_pattern(
     pattern: MeasurementPattern, mutation: str
 ) -> MeasurementPattern:
-    """A deep copy of *pattern* with one seeded corruption.
+    """A rebuilt copy of *pattern* with one seeded corruption.
 
-    Raises :class:`MutationError` when the pattern has no site for the
-    class (e.g. ``drop-x-correction`` on a pattern with no X
-    dependencies) and :class:`ValueError` on an unknown class name.
+    The pattern is read-only, so each mutation rebuilds the changed
+    fields via :meth:`MeasurementPattern.replace`, unvalidated.  Raises
+    :class:`MutationError` when the pattern has no site for the class
+    (e.g. ``drop-x-correction`` on a pattern with no X dependencies) and
+    :class:`ValueError` on an unknown class name.
     """
     if mutation not in PATTERN_MUTATIONS:
         raise ValueError(f"unknown pattern mutation {mutation!r}")
-    bad = copy.deepcopy(pattern)
-    measured = set(bad.graph.nodes()) - set(bad.outputs)
+    measured = pattern.measured_nodes()
+    x_deps: Dict[int, FrozenSet[int]] = dict(pattern.x_deps)
+    z_deps: Dict[int, FrozenSet[int]] = dict(pattern.z_deps)
+    changes: Dict[str, object] = {}
 
     if mutation == "drop-x-correction":
-        victim = _first_nonempty(bad.x_deps, mutation)
-        bad.x_deps[victim] = frozenset()
+        victim = _first_nonempty(x_deps, mutation)
+        changes["x_deps"] = {**x_deps, victim: frozenset()}
     elif mutation == "drop-z-correction":
-        victim = _first_nonempty(bad.z_deps, mutation)
-        bad.z_deps[victim] = frozenset()
+        victim = _first_nonempty(z_deps, mutation)
+        changes["z_deps"] = {**z_deps, victim: frozenset()}
     elif mutation == "drop-output-byproduct":
-        for dep_map in (bad.output_x, bad.output_z):
+        for field in ("output_x", "output_z"):
+            dep_map = getattr(pattern, field)
             sites = [v for v in sorted(dep_map) if dep_map[v]]
             if sites:
-                dep_map[sites[0]] = frozenset()
+                changes[field] = {**dep_map, sites[0]: frozenset()}
                 break
         else:
             raise MutationError(f"no site for {mutation}")
     elif mutation == "reorder-dependents":
-        if not bad.sequence:
+        if not pattern.sequence:
             raise MutationError("pattern has no recorded sequence")
-        seq = list(bad.sequence)
+        seq = list(pattern.sequence)
         pos = {v: i for i, v in enumerate(seq)}
         for node in seq:  # earliest dependent measured after its source
-            sources = bad.x_deps.get(node, frozenset()) | \
-                bad.z_deps.get(node, frozenset())
+            sources = x_deps.get(node, frozenset()) | \
+                z_deps.get(node, frozenset())
             candidates = [s for s in sources if s in pos]
             if not candidates:
                 continue
             src = max(candidates, key=lambda s: pos[s])
             if pos[src] < pos[node]:
                 seq[pos[src]], seq[pos[node]] = node, src
-                bad.sequence = tuple(seq)
+                changes["sequence"] = tuple(seq)
                 break
         else:
             raise MutationError(f"no site for {mutation}")
     elif mutation == "orphan-edge":
         # hang an edge onto a brand-new node nobody measures
-        ghost = max(bad.graph.nodes()) + 1
-        anchor = min(bad.graph.nodes())
-        bad.graph.add_edge(anchor, ghost)
+        rows = [list(pattern.graph.adj[v]) for v in pattern.graph]
+        ghost = len(rows)
+        rows[0].append(ghost)
+        rows.append([0])
+        changes["graph"] = PatternGraph.from_neighbors(rows)
     elif mutation == "measure-output":
-        bad.angles[bad.outputs[0]] = 0.0
+        changes["angles"] = {**pattern.angles, pattern.outputs[0]: 0.0}
     elif mutation == "dangling-dependency":
         victim = min(measured)
-        ghost = max(bad.graph.nodes()) + 1
-        bad.x_deps[victim] = bad.x_deps.get(victim, frozenset()) | {ghost}
+        ghost = pattern.graph.number_of_nodes()
+        changes["x_deps"] = {
+            **x_deps, victim: x_deps.get(victim, frozenset()) | {ghost}
+        }
     elif mutation == "self-dependency":
         victim = min(measured)
-        bad.z_deps[victim] = bad.z_deps.get(victim, frozenset()) | {victim}
+        changes["z_deps"] = {
+            **z_deps, victim: z_deps.get(victim, frozenset()) | {victim}
+        }
     elif mutation == "dependency-cycle":
         # close the earliest existing dependency edge into a 2-cycle
-        for node in sorted(measured):
-            sources = bad.x_deps.get(node, frozenset()) | \
-                bad.z_deps.get(node, frozenset())
-            in_measured = sorted(s for s in sources if s in measured)
+        measured_set = set(measured)
+        for node in measured:
+            sources = x_deps.get(node, frozenset()) | \
+                z_deps.get(node, frozenset())
+            in_measured = sorted(s for s in sources if s in measured_set)
             if in_measured:
                 src = in_measured[0]
-                bad.x_deps[src] = bad.x_deps.get(src, frozenset()) | {node}
+                changes["x_deps"] = {
+                    **x_deps, src: x_deps.get(src, frozenset()) | {node}
+                }
                 break
         else:
             raise MutationError(f"no site for {mutation}")
-    return bad
+    return pattern.replace(validate=False, **changes)
 
 
 # ----------------------------------------------------------------------

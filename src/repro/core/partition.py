@@ -17,7 +17,7 @@ import networkx as nx
 
 from repro.core.planarity import IncrementalPlanarityProber
 from repro.mbqc.flow import dependency_layers, rank_layers
-from repro.mbqc.pattern import MeasurementPattern
+from repro.mbqc.pattern import GraphLike, MeasurementPattern
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class GraphPartition:
 
     index: int
     nodes: List[int]
-    graph: nx.Graph = field(repr=False, compare=False)
+    graph: GraphLike = field(repr=False, compare=False)
     back_edges: List[Tuple[int, int]]
     layer_indices: List[int]
 
@@ -83,7 +83,7 @@ class GraphPartition:
         self,
         index: int,
         nodes: List[int],
-        graph: Optional[nx.Graph] = None,
+        graph: Optional[GraphLike] = None,
         back_edges: Optional[List[Tuple[int, int]]] = None,
         layer_indices: Optional[List[int]] = None,
         *,
@@ -115,7 +115,7 @@ class GraphPartition:
         return int(self.subgraph.number_of_edges())
 
 
-def induced_subgraph(graph: nx.Graph, nodes: List[int]) -> nx.Graph:
+def induced_subgraph(graph: GraphLike, nodes: List[int]) -> nx.Graph:
     """The subgraph of *graph* induced on *nodes*, in a fixed order.
 
     Nodes enter in *nodes* order; then, walking *nodes* in order and
@@ -304,7 +304,7 @@ def partition_pattern(
 
 
 def required_degrees(
-    partition: GraphPartition, graph: nx.Graph
+    partition: GraphPartition, graph: GraphLike
 ) -> Dict[int, int]:
     """Total port demand per node of *partition*.
 

@@ -27,6 +27,8 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
+from repro.mbqc.pattern import GraphLike
+
 #: a simple undirected graph on int vertices: vertex -> neighbour set
 Adjacency = Dict[int, Set[int]]
 
@@ -88,18 +90,6 @@ def is_planar(graph: nx.Graph) -> bool:
     return _kernel_is_planar(adj)
 
 
-def _attach(adj: Adjacency, source: nx.Graph, nodes: Iterable[int]) -> None:
-    """Add *nodes* to *adj* with their *source* edges into it (an
-    induced subgraph grows); nodes already present are skipped."""
-    for node in nodes:
-        if node in adj:
-            continue
-        nbrs = adj.keys() & source.neighbors(node)
-        for nbr in nbrs:
-            adj[nbr].add(node)
-        adj[node] = nbrs
-
-
 class IncrementalPlanarityProber:
     """Windowed planarity probes over a growing induced subgraph.
 
@@ -111,28 +101,51 @@ class IncrementalPlanarityProber:
     Wire chains and leaves, most of a pattern graph, never reach
     networkx.
 
+    A bisection re-probes the same window nodes several times (on
+    Table 2, ~6 attaches per node), so each node's *source* neighbours
+    are read once per partition and kept as a tuple until
+    :meth:`reset`: a pattern graph row is an array slice, which
+    allocates on every read.
+
     Only the planarity *verdict* is produced — callers that need the
     rotational edge order still call :func:`planar_embedding_order` on
     the partition's own subgraph.
     """
 
-    def __init__(self, source: nx.Graph) -> None:
+    def __init__(self, source: GraphLike) -> None:
         self._source = source
         self._adj: Adjacency = {}
+        self._rows: Dict[int, Tuple[int, ...]] = {}
 
     def reset(self) -> None:
         """Forget all accepted nodes (a partition closed)."""
         self._adj = {}
+        self._rows = {}
+
+    def _attach(self, adj: Adjacency, nodes: Iterable[int]) -> None:
+        """Add *nodes* to *adj* with their source edges into it (an
+        induced subgraph grows); nodes already present are skipped."""
+        rows = self._rows
+        for node in nodes:
+            if node in adj:
+                continue
+            row = rows.get(node)
+            if row is None:
+                row = rows[node] = tuple(self._source.neighbors(node))
+            nbrs = adj.keys() & row
+            for nbr in nbrs:
+                adj[nbr].add(node)
+            adj[node] = nbrs
 
     def extend(self, nodes: List[int]) -> None:
         """Permanently accept *nodes* (a layer joined the partition)."""
-        _attach(self._adj, self._source, nodes)
+        self._attach(self._adj, nodes)
 
     def probe(self, window_layers: List[List[int]]) -> bool:
         """Is ``accepted + window`` planar as an induced subgraph?"""
         adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         for layer in window_layers:
-            _attach(adj, self._source, layer)
+            self._attach(adj, layer)
         return _kernel_is_planar(adj)
 
 

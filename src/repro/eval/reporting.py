@@ -173,14 +173,18 @@ def render_ablation(records: Sequence[RunRecord]) -> str:
 
 def render_noise_sweep(records: Sequence[RunRecord]) -> str:
     """Noise sweep: per benchmark and noise point, the sampled and the
-    closed-form yield (``-`` where the program is not samplable)."""
+    closed-form yield (``-`` where the program is not samplable).
+
+    Yields span ~1 down to ~1e-103, so both print in scientific
+    notation: fixed decimals would flatten every non-Clifford row to 0.
+    """
     rows = [
         [
             r.label,
             r.resource_state,
             r.noise,
-            "-" if r.yield_mc is None else f"{r.yield_mc:.4f}",
-            "-" if r.yield_analytic is None else f"{r.yield_analytic:.4f}",
+            "-" if r.yield_mc is None else f"{r.yield_mc:.4e}",
+            "-" if r.yield_analytic is None else f"{r.yield_analytic:.4e}",
             r.shots,
         ]
         for r in records

@@ -21,6 +21,7 @@ _EXPORTS = {
     "star_graph": ".graph_state",
     "z_measure": ".graph_state",
     "MeasurementPattern": ".pattern",
+    "PatternGraph": ".pattern",
     "circuit_to_pattern": ".translate",
 }
 

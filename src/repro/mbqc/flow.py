@@ -19,10 +19,13 @@ from repro.mbqc.pattern import MeasurementPattern
 
 def blocking_sources(pattern: MeasurementPattern, node: int) -> FrozenSet[int]:
     """Nodes that must be measured before *node* is executable (Lemma 1)."""
+    if not pattern.is_adaptive(node):
+        return frozenset()
+    z_deps = pattern.z_deps
     sources = set()
-    for xsrc in pattern.effective_x_deps(node):
+    for xsrc in pattern.x_deps.sources(node):
         sources.add(xsrc)
-        sources.update(pattern.z_deps.get(xsrc, frozenset()))
+        sources.update(z_deps.sources(xsrc))
     sources.discard(node)
     return frozenset(sources)
 
@@ -98,32 +101,36 @@ def scheduling_ranks(pattern: MeasurementPattern) -> Dict[int, int]:
     # Kahn-style longest-path ranking: dependencies are merged once per
     # node and each edge is relaxed once, instead of re-scanning every
     # unranked node per fixed-point round (quadratic on deep patterns).
-    deps: Dict[int, Set[int]] = {}
-    dependents: Dict[int, List[int]] = {}
-    for node in pattern.graph.nodes():
-        merged = set(pattern.x_deps.get(node, frozenset()))
-        merged |= pattern.z_deps.get(node, frozenset())
-        merged |= pattern.output_x.get(node, frozenset())
-        merged |= pattern.output_z.get(node, frozenset())
+    # Nodes are 0 .. N-1, so the per-node tables are lists.
+    n = pattern.num_nodes
+    x_deps, z_deps = pattern.x_deps, pattern.z_deps
+    output_x, output_z = pattern.output_x, pattern.output_z
+    empty: FrozenSet[int] = frozenset()
+    deps: List[Set[int]] = []
+    dependents: List[List[int]] = [[] for _ in range(n)]
+    for node in range(n):
+        merged = set(x_deps.sources(node))
+        merged.update(z_deps.sources(node))
+        merged |= output_x.get(node, empty)
+        merged |= output_z.get(node, empty)
         merged.discard(node)
-        deps[node] = merged
-    for node, sources in deps.items():
-        for src in sources:
-            if src in deps:
-                dependents.setdefault(src, []).append(node)
-    indegree = {node: len(sources) for node, sources in deps.items()}
-    ready = deque(node for node, deg in indegree.items() if deg == 0)
+        deps.append(merged)
+        for src in merged:
+            if 0 <= src < n:
+                dependents[src].append(node)
+    indegree = [len(sources) for sources in deps]
+    ready = deque(node for node in range(n) if indegree[node] == 0)
     rank: Dict[int, int] = {}
     while ready:
         node = ready.popleft()
         rank[node] = 1 + max(
             (rank[src] for src in deps[node]), default=-1
         )
-        for dependent in dependents.get(node, ()):
+        for dependent in dependents[node]:
             indegree[dependent] -= 1
             if indegree[dependent] == 0:
                 ready.append(dependent)
-    if len(rank) != len(deps):
+    if len(rank) != n:
         raise RuntimeError("cycle in raw dependency DAG")
     return rank
 

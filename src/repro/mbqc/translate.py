@@ -15,13 +15,17 @@ which yields exactly the X-/Z-dependencies of Sec. 4.
 
 from __future__ import annotations
 
-from typing import Dict, Set
-
-import networkx as nx
+from array import array
+from typing import Dict, List, Set
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.library import jcz_ops
-from repro.mbqc.pattern import MeasurementPattern
+from repro.mbqc.pattern import (
+    DependencyMap,
+    MeasurementPattern,
+    PatternGraph,
+    ValueMap,
+)
 from repro.utils.angles import normalize_angle
 
 
@@ -39,39 +43,51 @@ def circuit_to_pattern(circuit: Circuit, simplify: bool = True) -> MeasurementPa
     (5, 4, (2, 4))
     """
     n = circuit.num_qubits
-
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    cur: Dict[int, int] = {wire: wire for wire in range(n)}
-    wire_of: Dict[int, int] = dict(cur)
-    next_node = n
+    cur: List[int] = list(range(n))
+    wire_of = array("i", range(n))
     inputs = tuple(range(n))
 
-    # Pending byproducts per live node, as XOR-sets of measured sources.
-    pend_x: Dict[int, Set[int]] = {v: set() for v in cur.values()}
-    pend_z: Dict[int, Set[int]] = {v: set() for v in cur.values()}
+    # Each node's neighbours in the order their edges were last added: a
+    # CZ toggle removes or appends, so a re-added edge moves to the end,
+    # exactly as in networkx's adjacency dicts.
+    nbrs: List[List[int]] = [[] for _ in range(n)]
 
-    angles: Dict[int, float] = {}
-    x_deps: Dict[int, frozenset] = {}
-    z_deps: Dict[int, frozenset] = {}
-    sequence = []
+    # Pending byproducts per live node, as XOR-sets of measured sources.
+    pend_x: Dict[int, Set[int]] = {v: set() for v in cur}
+    pend_z: Dict[int, Set[int]] = {v: set() for v in cur}
+
+    # Per node: angle, and X/Z row lengths; the rows themselves go back
+    # to back into flat arrays in measurement order.
+    angles = array("d", bytes(8 * n))
+    x_count = array("i", bytes(4 * n))
+    z_count = array("i", bytes(4 * n))
+    x_flat = array("i")
+    z_flat = array("i")
+    sequence: List[int] = []
 
     for name, qubits, alpha in jcz_ops(circuit, simplify=simplify):
         if name == "j":
             wire = qubits[0]
             u = cur[wire]
-            v = next_node
-            next_node += 1
+            v = len(wire_of)
+            wire_of.append(wire)
+            angles.append(0.0)
+            x_count.append(0)
+            z_count.append(0)
             # v is fresh, so the E_{uv} toggle always adds the edge
-            graph.add_edge(u, v)
-            wire_of[v] = wire
+            nbrs[u].append(v)
+            nbrs.append([u])
             # E_{uv} commutation: a pending X on u becomes a Z on v.
             pend_z[v] = set(pend_x[u])
             # Measure u at nominal angle -alpha, absorbing u's pendings
-            # into its dependency sets.
+            # into its dependency rows.
             angles[u] = normalize_angle(-alpha)
-            x_deps[u] = frozenset(pend_x.pop(u))
-            z_deps[u] = frozenset(pend_z.pop(u))
+            row = sorted(pend_x.pop(u))
+            x_count[u] = len(row)
+            x_flat.extend(row)
+            row = sorted(pend_z.pop(u))
+            z_count[u] = len(row)
+            z_flat.extend(row)
             sequence.append(u)
             # New byproduct: X^{s_u} on the successor node.
             pend_x[v] = {u}
@@ -79,32 +95,37 @@ def circuit_to_pattern(circuit: Circuit, simplify: bool = True) -> MeasurementPa
         else:  # cz
             a, b = qubits
             u, w = cur[a], cur[b]
-            _toggle_edge(graph, u, w)
+            # CZ is an involution: add the edge, or remove it if present.
+            if w in nbrs[u]:
+                nbrs[u].remove(w)
+                nbrs[w].remove(u)
+            else:
+                nbrs[u].append(w)
+                nbrs[w].append(u)
             # CZ commutation: pending X on one side becomes Z on the other.
             pend_z[w] ^= pend_x[u]
             pend_z[u] ^= pend_x[w]
 
-    outputs = tuple(cur[wire] for wire in range(n))
+    num_nodes = len(wire_of)
+    graph = PatternGraph.from_neighbors(nbrs)
+    del nbrs  # the per-node lists go before the dependency CSR is laid out
+    outputs = tuple(cur)
     output_x = {v: frozenset(pend_x[v]) for v in outputs}
     output_z = {v: frozenset(pend_z[v]) for v in outputs}
 
+    measured = bytearray(b"\x01") * num_nodes
+    for v in outputs:
+        measured[v] = 0
+    keys = tuple(sequence)
     return MeasurementPattern(
         graph=graph,
         inputs=inputs,
         outputs=outputs,
-        angles=angles,
-        x_deps=x_deps,
-        z_deps=z_deps,
+        angles=ValueMap(angles, keys, measured),
+        x_deps=DependencyMap.from_rows(keys, measured, x_count, x_flat),
+        z_deps=DependencyMap.from_rows(keys, measured, z_count, z_flat),
         output_x=output_x,
         output_z=output_z,
-        wire_of=wire_of,
-        sequence=tuple(sequence),
+        wire_of=ValueMap(wire_of, range(num_nodes), bytearray(b"\x01") * num_nodes),
+        sequence=keys,
     )
-
-
-def _toggle_edge(graph: nx.Graph, u: int, v: int) -> None:
-    """CZ is an involution: add the edge, or remove it if present."""
-    if graph.has_edge(u, v):
-        graph.remove_edge(u, v)
-    else:
-        graph.add_edge(u, v)

@@ -49,7 +49,7 @@ class TestCausalFlow:
         assert z_map[1] == frozenset()
 
     def test_output_only_graph_is_trivially_deterministic(self):
-        pattern = _pattern([(1, 2)], inputs=[1, 2], outputs=[1, 2])
+        pattern = _pattern([(0, 1)], inputs=[0, 1], outputs=[0, 1])
         cert = certify_pattern(pattern)
         assert cert.ok and cert.kind == "flow" and cert.depth == 0
 
@@ -63,66 +63,66 @@ class TestCausalFlow:
 
 class TestGflow:
     # Open graph with a gflow but no causal flow (hand-checked):
-    # measured inputs {1,2,3}, outputs {4,5,6},
-    # adjacency columns over GF(2) are c4=[1,0,1], c5=[1,1,1],
-    # c6=[0,1,1] — full rank, so every e_u is a column combination
-    # (g(1)={5,6}, g(2)={4,5}, g(3)={4,5,6}), but no *single* column is
+    # measured inputs {0,1,2}, outputs {3,4,5},
+    # adjacency columns over GF(2) are c3=[1,0,1], c4=[1,1,1],
+    # c5=[0,1,1] — full rank, so every e_u is a column combination
+    # (g(0)={4,5}, g(1)={3,4}, g(2)={3,4,5}), but no *single* column is
     # an e_u, so no successor function exists.
-    GFLOW_EDGES = [(1, 4), (1, 5), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)]
+    GFLOW_EDGES = [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
 
     def test_gflow_without_causal_flow(self):
         graph = nx.Graph(self.GFLOW_EDGES)
-        assert find_causal_flow(graph, [1, 2, 3], [4, 5, 6]) is None
-        result = find_gflow(graph, [1, 2, 3], [4, 5, 6])
+        assert find_causal_flow(graph, [0, 1, 2], [3, 4, 5]) is None
+        result = find_gflow(graph, [0, 1, 2], [3, 4, 5])
         assert result is not None
         g, layer_of = result
-        assert g[1] == frozenset({5, 6})
-        assert g[2] == frozenset({4, 5})
-        assert g[3] == frozenset({4, 5, 6})
-        assert all(layer_of[u] == 1 for u in (1, 2, 3))
+        assert g[0] == frozenset({4, 5})
+        assert g[1] == frozenset({3, 4})
+        assert g[2] == frozenset({3, 4, 5})
+        assert all(layer_of[u] == 1 for u in (0, 1, 2))
 
     def test_certificate_kind_is_gflow(self):
         pattern = _pattern(
-            self.GFLOW_EDGES, inputs=[1, 2, 3], outputs=[4, 5, 6]
+            self.GFLOW_EDGES, inputs=[0, 1, 2], outputs=[3, 4, 5]
         )
         cert = certify_pattern(pattern)
         assert cert.ok and cert.kind == "gflow"
         assert cert.successor == {}
-        assert cert.corrector[1] == frozenset({5, 6})
+        assert cert.corrector[0] == frozenset({4, 5})
         assert "deterministic" in cert.summary()
 
     def test_gflow_correction_sets_isolate_their_vertex(self):
         graph = nx.Graph(self.GFLOW_EDGES)
-        g, _ = find_gflow(graph, [1, 2, 3], [4, 5, 6])
+        g, _ = find_gflow(graph, [0, 1, 2], [3, 4, 5])
         for u, K in g.items():
             odd = set()
             for c in K:
                 odd ^= set(graph.neighbors(c))
-            assert odd & {1, 2, 3} == {u}
+            assert odd & {0, 1, 2} == {u}
 
 
 class TestNoDeterminism:
     # 6-cycle with alternating measured/output vertices: the output
     # adjacency matrix has rows summing to zero over GF(2), so no e_u is
     # reachable and no gflow (hence no flow) exists.
-    CYCLE_EDGES = [(1, 4), (3, 4), (3, 6), (2, 6), (2, 5), (1, 5)]
+    CYCLE_EDGES = [(0, 3), (2, 3), (2, 5), (1, 5), (1, 4), (0, 4)]
 
     def test_cycle_has_no_flow_of_any_kind(self):
         graph = nx.Graph(self.CYCLE_EDGES)
-        assert find_causal_flow(graph, [1, 2, 3], [4, 5, 6]) is None
-        assert find_gflow(graph, [1, 2, 3], [4, 5, 6]) is None
+        assert find_causal_flow(graph, [0, 1, 2], [3, 4, 5]) is None
+        assert find_gflow(graph, [0, 1, 2], [3, 4, 5]) is None
 
     def test_counterexample_is_localized(self):
         pattern = _pattern(
-            self.CYCLE_EDGES, inputs=[1, 2, 3], outputs=[4, 5, 6]
+            self.CYCLE_EDGES, inputs=[0, 1, 2], outputs=[3, 4, 5]
         )
         cert = certify_pattern(pattern)
         assert not cert.ok and cert.kind == "none"
         assert cert.violation is not None
         # every measured vertex stalls; the canonical witness is the
         # smallest
-        assert set(cert.violation.stalled) == {1, 2, 3}
-        assert cert.violation.node == 1
+        assert set(cert.violation.stalled) == {0, 1, 2}
+        assert cert.violation.node == 0
         assert "no determinism certificate" in cert.summary()
 
 

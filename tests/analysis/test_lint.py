@@ -19,18 +19,23 @@ from repro.mbqc.translate import circuit_to_pattern
 
 
 def _line_pattern():
-    """1-2-3 path: measure 1 then 2, output 3 (textbook causal flow)."""
-    graph = nx.Graph([(1, 2), (2, 3)])
+    """0-1-2 path: measure 0 then 1, output 2 (textbook causal flow)."""
+    graph = nx.Graph([(0, 1), (1, 2)])
     return MeasurementPattern(
         graph=graph,
-        inputs=(1,),
-        outputs=(3,),
-        angles={1: 0.0, 2: 0.0},
-        x_deps={2: frozenset({1})},
-        output_x={3: frozenset({2})},
-        output_z={3: frozenset({1})},
-        sequence=(1, 2),
+        inputs=(0,),
+        outputs=(2,),
+        angles={0: 0.0, 1: 0.0},
+        x_deps={1: frozenset({0})},
+        output_x={2: frozenset({1})},
+        output_z={2: frozenset({0})},
+        sequence=(0, 1),
     )
+
+
+def _broken(**changes):
+    """The line pattern with *changes*, built without validation."""
+    return _line_pattern().replace(validate=False, **changes)
 
 
 class TestPatternLint:
@@ -49,84 +54,75 @@ class TestPatternLint:
         assert report.ok, report.render()
 
     def test_missing_basis(self):
-        bad = _line_pattern()
-        del bad.angles[2]
+        bad = _broken(angles={0: 0.0})
         report = lint_pattern(bad)
         assert "P001" in report.codes() and not report.ok
 
     def test_output_measured(self):
-        bad = _line_pattern()
-        bad.angles[3] = 0.0
+        bad = _broken(angles={0: 0.0, 1: 0.0, 2: 0.0})
         assert "P002" in lint_pattern(bad).codes()
 
     def test_unknown_dependency_node(self):
-        bad = _line_pattern()
-        bad.x_deps[2] = frozenset({99})
+        bad = _broken(x_deps={1: frozenset({99})})
         assert "P003" in lint_pattern(bad).codes()
 
     def test_unmeasured_source(self):
-        bad = _line_pattern()
-        bad.x_deps[2] = frozenset({3})  # 3 is an output, never measured
+        # 2 is an output, never measured
+        bad = _broken(x_deps={1: frozenset({2})})
         assert "P004" in lint_pattern(bad).codes()
 
     def test_forward_reference(self):
-        bad = _line_pattern()
-        bad.sequence = (2, 1)  # 2 depends on 1 but is measured first
+        # 1 depends on 0 but is measured first
+        bad = _broken(sequence=(1, 0))
         assert "P005" in lint_pattern(bad).codes()
 
     def test_dependency_cycle(self):
-        bad = _line_pattern()
-        bad.x_deps[1] = frozenset({2})  # closes 1 -> 2 -> 1
+        # closes 0 -> 1 -> 0
+        bad = _broken(x_deps={0: frozenset({1}), 1: frozenset({0})})
         report = lint_pattern(bad)
         assert "P006" in report.codes()
         [cycle_issue] = [i for i in report.issues if i.code == "P006"]
         assert "->" in cycle_issue.message
 
     def test_sequence_mismatch(self):
-        bad = _line_pattern()
-        bad.sequence = (1,)
+        bad = _broken(sequence=(0,))
         assert "P007" in lint_pattern(bad).codes()
 
     def test_non_finite_angle(self):
-        bad = _line_pattern()
-        bad.angles[1] = math.nan
+        bad = _broken(angles={0: math.nan, 1: 0.0})
         assert "P008" in lint_pattern(bad).codes()
 
     def test_self_dependency(self):
-        bad = _line_pattern()
-        bad.z_deps[2] = frozenset({2})
+        bad = _broken(z_deps={1: frozenset({1})})
         assert "P009" in lint_pattern(bad).codes()
 
     def test_self_loop_edge(self):
-        bad = _line_pattern()
-        bad.graph.add_edge(2, 2)
+        bad = _broken(graph=nx.Graph([(0, 1), (1, 2), (1, 1)]))
         assert "P011" in lint_pattern(bad).codes()
 
     def test_no_determinism_counterexample(self):
         # 6-cycle alternating measured/output: no flow, no gflow
         graph = nx.Graph(
-            [(1, 4), (3, 4), (3, 6), (2, 6), (2, 5), (1, 5)]
+            [(0, 3), (2, 3), (2, 5), (1, 5), (1, 4), (0, 4)]
         )
         pattern = MeasurementPattern(
             graph=graph,
-            inputs=(1, 2, 3),
-            outputs=(4, 5, 6),
-            angles={1: 0.3, 2: 0.3, 3: 0.3},
+            inputs=(0, 1, 2),
+            outputs=(3, 4, 5),
+            angles={0: 0.3, 1: 0.3, 2: 0.3},
         )
         report = lint_pattern(pattern)
         assert "F001" in report.codes() and not report.ok
         [issue] = [i for i in report.issues if i.code == "F001"]
-        assert issue.where == 1  # smallest stalled vertex
+        assert issue.where == 0  # smallest stalled vertex
 
     def test_dropped_correction_is_flagged(self):
-        bad = _line_pattern()
-        bad.x_deps[2] = frozenset()
+        bad = _broken(x_deps={1: frozenset()})
         report = lint_pattern(bad)
         assert "F002" in report.codes()
 
     def test_dropped_byproduct_is_flagged(self):
-        bad = _line_pattern()
-        bad.output_z[3] = frozenset()
+        bad = _broken(output_z={2: frozenset()})
         assert "F004" in lint_pattern(bad).codes()
 
     def test_certify_off_skips_flow_search(self):
@@ -135,11 +131,10 @@ class TestPatternLint:
         assert report.ok and report.certificate is None
 
     def test_issue_render_contains_code_and_location(self):
-        bad = _line_pattern()
-        del bad.angles[2]
+        bad = _broken(angles={0: 0.0})
         report = lint_pattern(bad, name="broken")
         text = report.render()
-        assert "broken" in text and "P001" in text and "@ 2" in text
+        assert "broken" in text and "P001" in text and "@ 1" in text
 
 
 class TestFrameProgramLint:
@@ -264,7 +259,11 @@ class TestCompilerLintStage:
         from repro.hardware.resource_state import get_resource_state
 
         pattern = circuit_to_pattern(get_benchmark("BV", 8, seed=7))
-        del pattern.angles[next(iter(pattern.angles))]
+        first = next(iter(pattern.angles))
+        pattern = pattern.replace(
+            validate=False,
+            angles={v: a for v, a in pattern.angles.items() if v != first},
+        )
         hardware = _hardware_for(8, get_resource_state("3-line"))
         compiler = OneQCompiler(OneQConfig(hardware=hardware, lint=True))
         with pytest.raises(ValidationError, match="static lint"):

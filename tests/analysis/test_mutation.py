@@ -87,11 +87,11 @@ class TestCorruptPattern:
 
         # single measured node with no dependencies at all
         pattern = MeasurementPattern(
-            graph=nx.Graph([(1, 2)]),
-            inputs=(1,),
-            outputs=(2,),
-            angles={1: 0.0},
-            sequence=(1,),
+            graph=nx.Graph([(0, 1)]),
+            inputs=(0,),
+            outputs=(1,),
+            angles={0: 0.0},
+            sequence=(0,),
         )
         with pytest.raises(MutationError):
             corrupt_pattern(pattern, "drop-x-correction")

@@ -176,6 +176,7 @@ def reference_partition_pattern(pattern, config, size_estimator=None):
     if size_estimator is None:
         size_estimator = lambda node: 1  # noqa: E731
     graph = pattern.graph
+    nx_graph = graph.to_networkx()
     partitions: List[GraphPartition] = []
     home: Dict[int, int] = {}
     current_nodes: List[int] = []
@@ -223,7 +224,7 @@ def reference_partition_pattern(pattern, config, size_estimator=None):
             close_partition()
             current_states = 0
         if config.enforce_planarity and current_nodes:
-            candidate = graph.subgraph(current_nodes + layer)
+            candidate = nx_graph.subgraph(current_nodes + layer)
             # networkx directly: the seed's check, independent of the
             # planarity kernel under test
             if not nx.check_planarity(candidate, counterexample=False)[0]:

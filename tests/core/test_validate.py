@@ -159,7 +159,9 @@ class TestVerifyPattern:
         caught = []
         for node in sorted(circuit_to_pattern(circuit).angles):
             pattern = circuit_to_pattern(circuit)
-            pattern.angles[node] = pattern.angles[node] + math.pi / 2.0
+            pattern = pattern.replace(
+                angles={**pattern.angles, node: pattern.angles[node] + math.pi / 2.0}
+            )
             report = verify_pattern(circuit, pattern=pattern, seed=3)
             assert report.method == "stabilizer"
             dense_ok = states_equal_up_to_phase(
@@ -178,7 +180,9 @@ class TestVerifyPattern:
         caught = []
         for node in sorted(circuit_to_pattern(circuit).angles):
             pattern = circuit_to_pattern(circuit)
-            pattern.angles[node] = pattern.angles[node] + 0.3
+            pattern = pattern.replace(
+                angles={**pattern.angles, node: pattern.angles[node] + 0.3}
+            )
             report = verify_pattern(circuit, pattern=pattern)
             assert report.method == "statevector"
             if report.ok is False:

@@ -103,6 +103,22 @@ class TestRenderSweeps:
         assert rows["QFT-16"][3] == "-" and rows["QFT-16"][5] == "0"
         assert rows["BV-16"][3] != "-" and rows["BV-16"][5] == "2000"
 
+    def test_noise_sweep_tells_every_distinct_yield_apart(self):
+        """Rows whose stored yields differ render differently, down to
+        the ~1e-103 analytic yields of the non-Clifford rows."""
+        records = committed("noise-sweep")
+        lines = render_noise_sweep(records).splitlines()[2:]
+        assert len(lines) == len(records)
+        # bench, resource state, noise, yield_mc, analytic, shots
+        cells = [line.split() for line in lines]
+        for column, field in ((3, "yield_mc"), (4, "yield_analytic")):
+            for i, a in enumerate(records):
+                for j, b in enumerate(records[:i]):
+                    if getattr(a, field) != getattr(b, field):
+                        assert cells[i][column] != cells[j][column], (
+                            field, a.label, a.noise, b.label, b.noise
+                        )
+
     def test_degrade_sweep_ends_with_the_survival_summary(self):
         text = render_degrade_sweep(committed("degrade-sweep"))
         assert "BV-8 / dead-rsg  (* = recovered)" in text

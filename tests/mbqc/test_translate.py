@@ -119,7 +119,7 @@ class TestPatternStructure:
 
         pattern = circuit_to_pattern(bernstein_vazirani(8))
         assert nx.number_of_nodes(pattern.graph) > 0
-        assert nx.is_forest(pattern.graph)
+        assert nx.is_forest(pattern.graph.to_networkx())
 
     def test_sequence_covers_measured_nodes(self):
         pattern = circuit_to_pattern(qft(3))

@@ -82,6 +82,20 @@ def test_compile_spec_loads_no_sim_or_server():
     ) == []
 
 
+def test_translate_loads_no_networkx_or_numpy():
+    """The pattern IR is stdlib arrays: translating a circuit loads
+    neither graph nor array library."""
+    loaded = _loaded_after(
+        """
+        from repro.circuit.benchmarks import qft
+        from repro.mbqc.translate import circuit_to_pattern
+        circuit_to_pattern(qft(8))
+        """
+    )
+    assert "repro.mbqc.pattern" in loaded
+    assert _offenders(loaded, ["numpy", "networkx"]) == []
+
+
 def test_timed_stages_import_nothing():
     """``stage_seconds`` times the verify and mc stages, not a first
     import: every module ``verify_pattern`` / ``estimate_yield`` run on
