@@ -22,14 +22,18 @@ and everything under ``docs/``:
    to the defining module, which must define the name;
 4. in ``README.md`` and ``docs/`` (not ``CHANGES.md``, which is
    history), every inline-code ``repro <cmd>`` and every
-   ``python -m repro <cmd>`` names a subcommand that ``src/repro/cli.py``
-   registers with ``add_parser`` — so a removed subcommand cannot
+   ``python -m repro <cmd>`` names a subcommand that the CLI's
+   ``build_parser()`` registers — so a removed subcommand cannot
    linger in the docs;
 5. ``README.md``'s run-table schema table (the first table under the
    heading naming ``run_table.json`` and "schema") lists exactly
    ``RUN_TABLE_COLUMNS`` of ``src/repro/eval/batch.py``: every code
    span in its first column is a registered column, and every
-   registered column appears there.
+   registered column appears there;
+6. in the same files, every ``--flag`` of a ``repro <cmd> …`` command,
+   in an inline code span or on a (``\\``-continued) line of a fenced
+   code block, is an option ``build_parser()`` registers for that
+   subcommand — so a removed flag cannot linger in the docs either.
 
 Exits non-zero with a per-problem report when anything is broken, so
 docs rot fails CI instead of accumulating.
@@ -37,6 +41,7 @@ docs rot fails CI instead of accumulating.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import pathlib
 import re
@@ -53,6 +58,9 @@ MODULE_REF_RE = re.compile(r"`(repro(?:\.\w+)+)")
 COMMAND_RE = re.compile(r"(?:`|python -m )repro ([\w-]+)")
 SCHEMA_HEADING_RE = re.compile(r"^#+ .*run_table\.json.*schema")
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+FENCE_RE = re.compile(r"^\s*(?:```|~~~)")
+INVOCATION_RE = re.compile(r"(?:^|\s)repro ([\w-]+)([^|;&#`]*)")
+FLAG_RE = re.compile(r"(?:^|\s)(--[\w-]+)")
 
 
 def doc_paths() -> List[pathlib.Path]:
@@ -62,39 +70,63 @@ def doc_paths() -> List[pathlib.Path]:
     return paths
 
 
-def cli_subcommands() -> Set[str]:
-    """Subcommand names ``src/repro/cli.py`` registers.
+def cli_options() -> Dict[str, Set[str]]:
+    """Subcommand name -> the option strings ``build_parser()``
+    registers for it (the one check that imports the package: the CLI
+    module imports nothing heavy at module level)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.cli import build_parser
 
-    Read from the source, like the other checks: ``add_parser("name")``
-    literals, and ``add_parser(var)`` inside a ``for var in ("a", ...)``
-    loop over string literals.
-    """
-    tree = ast.parse((ROOT / "src" / "repro" / "cli.py").read_text())
-    loop_values = {
-        node.target.id: [
-            elt.value for elt in node.iter.elts
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-        ]
-        for node in ast.walk(tree)
-        if isinstance(node, ast.For)
-        and isinstance(node.target, ast.Name)
-        and isinstance(node.iter, (ast.Tuple, ast.List))
+    sub = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: {opt for action in parser._actions for opt in action.option_strings}
+        for name, parser in sub.choices.items()
     }
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "add_parser"
-            and node.args
-        ):
+
+
+def command_texts(text: str) -> Iterator[Tuple[int, str]]:
+    """``(line_number, text)`` of every place rule 6 reads: each inline
+    code span (which may wrap lines) and each logical line of a fenced
+    code block, ``\\``-continuations joined."""
+    prose: List[str] = []
+    block: List[Tuple[int, str]] = []
+    fenced = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fence = bool(FENCE_RE.match(line))
+        if fenced and not fence:
+            block.append((lineno, line))
+        prose.append("" if fenced or fence else line)
+        fenced ^= fence
+    start, pending = 0, ""
+    for lineno, line in block:
+        if not pending:
+            start = lineno
+        if line.rstrip().endswith("\\"):
+            pending += line.rstrip()[:-1] + " "
             continue
-        arg = node.args[0]
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            names.add(arg.value)
-        elif isinstance(arg, ast.Name):
-            names.update(loop_values.get(arg.id, ()))
-    return names
+        yield start, pending + line
+        pending = ""
+    joined = "\n".join(prose)
+    for match in CODE_SPAN_RE.finditer(joined):
+        yield joined.count("\n", 0, match.start()) + 1, match.group(1)
+
+
+def flag_problems(
+    text: str, options: Dict[str, Set[str]]
+) -> Iterator[Tuple[int, str]]:
+    """Rule 6: flags of ``repro <cmd>`` commands in *text* that the
+    subcommand does not register (unknown subcommands are rule 4's)."""
+    for lineno, chunk in command_texts(text):
+        for match in INVOCATION_RE.finditer(chunk):
+            command = match.group(1)
+            if command not in options:
+                continue
+            for flag in FLAG_RE.findall(match.group(2)):
+                if flag not in options[command]:
+                    yield lineno, f"unknown option: `repro {command} {flag}`"
 
 
 def run_table_columns() -> List[str]:
@@ -145,11 +177,12 @@ def schema_table_problems(
 
 
 def iter_problems(
-    path: pathlib.Path, commands: Optional[Set[str]] = None
+    path: pathlib.Path, options: Optional[Dict[str, Set[str]]] = None
 ) -> Iterator[Tuple[int, str]]:
     """Yield ``(line_number, message)`` problems found in *path*.
 
-    With *commands*, every ``repro <cmd>`` mention must name one of them.
+    With *options* (:func:`cli_options`), every ``repro <cmd>`` mention
+    must name one of its subcommands, with only that one's flags.
     """
     text = path.read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -174,11 +207,13 @@ def iter_problems(
             problem = _module_problem(dotted)
             if problem is not None:
                 yield lineno, problem
-        if commands is None:
+        if options is None:
             continue
         for match in COMMAND_RE.finditer(line):
-            if match.group(1) not in commands:
+            if match.group(1) not in options:
                 yield lineno, f"unknown subcommand: `repro {match.group(1)}`"
+    if options is not None:
+        yield from flag_problems(text, options)
 
 
 def _module_problem(dotted: str) -> "str | None":
@@ -247,11 +282,11 @@ def _defines_name(source_path: pathlib.Path, name: str) -> bool:
 
 def main() -> int:
     problems = 0
-    commands = cli_subcommands()
+    options = cli_options()
     for path in doc_paths():
-        # CHANGES.md is history: it may name removed subcommands
+        # CHANGES.md is history: it may name removed subcommands and flags
         checked = path.name == "README.md" or ROOT / "docs" in path.parents
-        found = list(iter_problems(path, commands if checked else None))
+        found = list(iter_problems(path, options if checked else None))
         if path == ROOT / "README.md":
             found.extend(schema_table_problems(path, run_table_columns()))
         for lineno, message in found:

@@ -45,7 +45,6 @@ def _add_hardware_args(parser: argparse.ArgumentParser) -> None:
         choices=["3-line", "4-line", "4-star", "4-ring"],
     )
     parser.add_argument("--extension", type=int, default=1)
-    parser.add_argument("--max-delay", type=int, default=2)
 
 
 class _UsageError(Exception):
@@ -113,7 +112,6 @@ def _hardware_from(args, num_qubits: int) -> HardwareConfig:
             cols=cols,
             resource_state=rst,
             extension=args.extension,
-            max_delay=args.max_delay,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc

@@ -48,10 +48,6 @@ class OneQConfig:
     #: seed cross-partition ports near their earlier-layer counterparts
     #: (shortens shuffle paths; disable for ablation)
     use_placement_hints: bool = True
-    #: run the static pattern lint + flow certification as a pipeline
-    #: stage before mapping; a lint error aborts the compile
-    #: (:class:`repro.core.validate.ValidationError`)
-    lint: bool = False
     #: dead hardware cells ((row, col) on the extended layer grid):
     #: excluded from mapping and pre-seeded as blockades on every
     #: shuffle layer — the recompile recovery policy compiles around a
@@ -113,16 +109,24 @@ class CompiledProgram:
 
 
 def settle_photon_budget(
-    photons: int, consumed: int, name: str = "program"
+    tally: FusionTally,
+    resource_states: int,
+    state_size: int,
+    pattern_nodes: int,
+    name: str = "program",
 ) -> Tuple[int, int]:
     """Balance the photon budget of a compiled program.
 
-    Returns ``(z_measurements, deficit)``: leftover photons are measured
-    in the Z basis to detach them from the cluster; consuming *more*
-    photons than the resource states supply is a bookkeeping bug that
-    used to be clamped silently — it is now recorded (and warned about)
-    so it cannot hide.
+    The ``resource_states`` emitted supply ``state_size`` photons each;
+    every fusion in *tally* destroys two and every pattern node keeps
+    one.  Returns ``(z_measurements, deficit)``: leftover photons are
+    measured in the Z basis to detach them from the cluster; consuming
+    *more* photons than the resource states supply is a bookkeeping bug
+    that used to be clamped silently — it is now recorded (and warned
+    about) so it cannot hide.
     """
+    photons = resource_states * state_size
+    consumed = tally.photons_consumed_by_fusion + pattern_nodes
     balance = photons - consumed
     if balance >= 0:
         return balance, 0
@@ -178,18 +182,6 @@ class OneQCompiler:
             pattern.graph.degree(node)
         )
         stage_seconds: Dict[str, float] = {}
-        if cfg.lint:
-            from repro.analysis.lint import lint_pattern
-            from repro.core.validate import ValidationError
-
-            t0 = time.perf_counter()
-            report = lint_pattern(pattern, name=name)
-            stage_seconds["lint"] = time.perf_counter() - t0
-            if not report.ok:
-                raise ValidationError(
-                    f"{name}: pattern fails static lint before mapping:\n"
-                    + report.render()
-                )
         t0 = time.perf_counter()
         layers = schedule_layers(pattern, part_cfg)
         stage_seconds["schedule"] = time.perf_counter() - t0
@@ -291,19 +283,17 @@ class OneQCompiler:
             )
             tally.add("shuffling", result.fusions)
             shuffle_layers += result.num_layers
-            # reserved cells are dead-site blockades, not consumed states
-            resource_states += sum(
-                len(l.used) - l.reserved for l in result.layers
-            )
+            resource_states += result.resource_states
         stage_seconds["shuffle"] = time.perf_counter() - t0
 
         # ---- photon bookkeeping --------------------------------------
-        aux_cells = sum(len(l.aux_cells) for l in mapper.layers)
-        resource_states += aux_cells
-        photons = resource_states * rst.size
-        consumed = 2 * tally.total + pattern.graph.number_of_nodes()
+        resource_states += sum(len(l.aux_cells) for l in mapper.layers)
         tally.z_measurements, photon_deficit = settle_photon_budget(
-            photons, consumed, name=name
+            tally,
+            resource_states,
+            rst.size,
+            pattern.graph.number_of_nodes(),
+            name=name,
         )
 
         return CompiledProgram(

@@ -61,9 +61,6 @@ class FusionGraph:
     def num_resource_states(self) -> int:
         return len(self.adj)
 
-    def origin_of(self, fg_node: FGNode) -> int:
-        return fg_node[0]
-
     def to_networkx(self) -> nx.Graph:
         """The fusion graph as an ``nx.Graph`` with a ``kind`` per edge.
 

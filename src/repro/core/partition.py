@@ -4,8 +4,8 @@ The graph state is cut into partitions of consecutive dependency layers.
 Grouping is coarse-grained: a partition may hold several dependency
 layers (delay lines tolerate small executability mismatches, and keeping
 nearby layers together preserves geometry for the mapper), but it stops
-growing when either the layer budget is hit or — with planarity
-enforcement on — the accumulated subgraph stops being planar.
+growing when either the layer budget is hit or the accumulated
+subgraph stops being planar.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ class PartitionConfig:
 
     Attributes:
         max_layers: dependency layers allowed per partition.
-        enforce_planarity: stop growing a partition when its induced
-            subgraph becomes non-planar (required for small resource
-            states; see Sec. 4 'Graph Planarization').
         scheduling: ``"flow"`` uses geometry-preserving ranks from the
             raw dependency DAG (keeps wire chains together, the paper's
             coarse-grained executability order); ``"lemma1"`` uses the
@@ -40,7 +37,6 @@ class PartitionConfig:
     """
 
     max_layers: int = 64
-    enforce_planarity: bool = True
     scheduling: str = "flow"
     target_states: Optional[int] = None
 
@@ -53,7 +49,7 @@ class PartitionConfig:
             raise ValueError("target_states must be positive")
 
 
-@dataclass(init=False)
+@dataclass
 class GraphPartition:
     """One scheduled unit of the graph state.
 
@@ -76,29 +72,8 @@ class GraphPartition:
     index: int
     nodes: List[int]
     graph: GraphLike = field(repr=False, compare=False)
-    back_edges: List[Tuple[int, int]]
-    layer_indices: List[int]
-
-    def __init__(
-        self,
-        index: int,
-        nodes: List[int],
-        graph: Optional[GraphLike] = None,
-        back_edges: Optional[List[Tuple[int, int]]] = None,
-        layer_indices: Optional[List[int]] = None,
-        *,
-        subgraph: Optional[nx.Graph] = None,
-    ) -> None:
-        # a prebuilt induced subgraph also works as the source graph:
-        # inducing it on ``nodes`` gives back its nodes and edges
-        source = graph if graph is not None else subgraph
-        if source is None:
-            raise TypeError("GraphPartition needs a graph (or subgraph)")
-        self.index = index
-        self.nodes = nodes
-        self.graph = source
-        self.back_edges = back_edges if back_edges is not None else []
-        self.layer_indices = layer_indices if layer_indices is not None else []
+    back_edges: List[Tuple[int, int]] = field(default_factory=list)
+    layer_indices: List[int] = field(default_factory=list)
 
     @property
     def subgraph(self) -> nx.Graph:
@@ -211,8 +186,7 @@ def partition_pattern(
         )
         current_nodes = []
         current_layers = []
-        if prober is not None:
-            prober.reset()
+        prober.reset()
 
     current_states = 0
     # Planarity is monotone while a partition grows: every candidate is
@@ -232,9 +206,7 @@ def partition_pattern(
     num_layers = len(layers)
     # Probes run on a plain adjacency of the accepted nodes plus the
     # window, reduced to its planarity kernel before networkx sees it.
-    prober = (
-        IncrementalPlanarityProber(graph) if config.enforce_planarity else None
-    )
+    prober = IncrementalPlanarityProber(graph)
 
     for layer_idx, layer in enumerate(layers):
         layer_states = states_per_layer[layer_idx]
@@ -248,11 +220,7 @@ def partition_pattern(
         ):
             close_partition()
             current_states = 0
-        if (
-            config.enforce_planarity
-            and current_nodes
-            and layer_idx > planar_horizon
-        ):
+        if current_nodes and layer_idx > planar_horizon:
             if layer_idx == known_fail_at:
                 close_partition()
                 current_states = 0
@@ -275,7 +243,6 @@ def partition_pattern(
                     states += states_per_layer[j]
                     run_len += 1
                     j += 1
-                assert prober is not None
                 if prober.probe(layers[layer_idx : cap_end + 1]):
                     planar_horizon = cap_end
                 else:
@@ -297,8 +264,7 @@ def partition_pattern(
         current_nodes.extend(layer)
         current_layers.append(layer_idx)
         current_states += layer_states
-        if prober is not None:
-            prober.extend(layer)
+        prober.extend(layer)
     close_partition()
     return partitions
 

@@ -272,9 +272,7 @@ def reroute_program(
         result = connect_pairs(shuffle_pairs, shape, blocked=avoid)
         extra_shuffle_layers = result.num_layers
         shuffle_fusions_added = result.fusions
-        shuffle_states_added = sum(
-            len(l.used) - l.reserved for l in result.layers
-        )
+        shuffle_states_added = result.resource_states
 
     # 5. rebuild the tally and the photon budget
     old = program.fusions
@@ -291,14 +289,15 @@ def reroute_program(
         shuffling=old.shuffling + shuffle_fusions_added,
         extra=dict(old.extra),
     )
-    rst = config.hardware.resource_state
     resource_states = (
         program.resource_states_used + aux_delta + shuffle_states_added
     )
-    photons = resource_states * rst.size
-    consumed = 2 * tally.total + program.pattern_nodes
     tally.z_measurements, photon_deficit = settle_photon_budget(
-        photons, consumed, name=f"{program.name}(rerouted)"
+        tally,
+        resource_states,
+        config.hardware.resource_state.size,
+        program.pattern_nodes,
+        name=f"{program.name}(rerouted)",
     )
     rerouted_fusions += shuffle_fusions_added
     rerouted = replace(

@@ -121,6 +121,12 @@ class ShuffleResult:
     def num_layers(self) -> int:
         return len(self.layers)
 
+    @property
+    def resource_states(self) -> int:
+        """Resource states the routes consume: every used cell except
+        the reserved ones, which are dead-site blockades."""
+        return sum(len(l.used) - l.reserved for l in self.layers)
+
 
 def connect_pairs(
     pairs: List[Tuple[Coord, Coord]],

@@ -1,11 +1,10 @@
-"""Hardware model: resource states, coupling graph and fusion accounting."""
+"""Hardware model: machine config, resource states, noise and fusion accounting."""
 
 from repro import lazy_exports
 
 #: public name -> defining module, imported on first access
 _EXPORTS = {
     "HardwareConfig": ".coupling",
-    "SpaceTimeCouplingGraph": ".coupling",
     "extended_to_physical": ".coupling",
     "SCENARIOS": ".degradation",
     "SiteNoiseMap": ".degradation",

@@ -1,11 +1,10 @@
-"""The extendable space-time coupling graph (paper Sec. 3.1, Fig. 5).
+"""The machine description and extended physical layers (paper Sec. 3.1).
 
-Nodes of the coupling graph are resource states identified by
-``(layer, row, col)``: the RSG at ``(row, col)`` emitted them at clock
-cycle ``layer``.  Edges are fusion supports:
-
-* *spatial* — same layer, 4-neighbour RSGs;
-* *temporal* — same RSG, layers at most ``max_delay`` apart (delay lines).
+The hardware is a ``rows x cols`` array of resource-state generators
+(RSGs).  Each clock cycle every RSG emits one resource state; fusions
+join neighbouring RSGs within a cycle (spatial) or the same RSG across
+cycles through a delay line (temporal).  The compiler maps one layer at
+a time, so it never materialises this space-time graph.
 
 Consecutive physical layers can be glued into an *extended physical
 layer*: a ``rows x (cols * extension)`` logical grid in which boundary
@@ -14,10 +13,8 @@ temporal connections act like spatial ones (Fig. 5b / Fig. 14).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Tuple
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.hardware.resource_state import (
     THREE_LINE,
@@ -25,7 +22,6 @@ from repro.hardware.resource_state import (
 )
 
 LayerCoord = Tuple[int, int]  # (row, col) within a (possibly extended) layer
-SpaceTimeCoord = Tuple[int, int, int]  # (layer, row, col)
 
 
 @dataclass(frozen=True)
@@ -35,7 +31,6 @@ class HardwareConfig:
     Attributes:
         rows, cols: RSG array shape; ``rows * cols`` is the physical area.
         resource_state: the emitted resource-state type.
-        max_delay: max clock-cycle separation a delay line can bridge.
         extension: physical layers merged into one extended layer for
             mapping (1 = no extension).
     """
@@ -43,14 +38,11 @@ class HardwareConfig:
     rows: int
     cols: int
     resource_state: ResourceStateType = THREE_LINE
-    max_delay: int = 2
     extension: int = 1
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError("grid dimensions must be positive")
-        if self.max_delay < 1:
-            raise ValueError("max_delay must be at least 1")
         if self.extension < 1:
             raise ValueError("extension must be at least 1")
 
@@ -92,63 +84,6 @@ class HardwareConfig:
         rows = max(1, round((area / ratio) ** 0.5))
         cols = max(1, round(area / rows))
         return cls(rows=rows, cols=cols, resource_state=resource_state, **kwargs)
-
-
-@dataclass
-class SpaceTimeCouplingGraph:
-    """Materialized coupling graph over a window of physical layers.
-
-    The compiler itself works layer-by-layer and never needs the full 3D
-    graph; this class exists as the formal hardware model (Sec. 3.1) and
-    is used by tests to validate the mapper's moves against actual
-    hardware adjacency.
-    """
-
-    config: HardwareConfig
-    num_layers: int
-    graph: nx.Graph = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.num_layers <= 0:
-            raise ValueError("num_layers must be positive")
-        g = nx.Graph()
-        cfg = self.config
-        for t in range(self.num_layers):
-            for r in range(cfg.rows):
-                for c in range(cfg.cols):
-                    g.add_node((t, r, c))
-        for t in range(self.num_layers):
-            for r in range(cfg.rows):
-                for c in range(cfg.cols):
-                    if r + 1 < cfg.rows:
-                        g.add_edge((t, r, c), (t, r + 1, c), kind="spatial")
-                    if c + 1 < cfg.cols:
-                        g.add_edge((t, r, c), (t, r, c + 1), kind="spatial")
-                    for dt in range(1, cfg.max_delay + 1):
-                        if t + dt < self.num_layers:
-                            g.add_edge((t, r, c), (t + dt, r, c), kind="temporal")
-        self.graph = g
-
-    def spatial_neighbors(self, coord: SpaceTimeCoord) -> Iterator[SpaceTimeCoord]:
-        """Same-layer 4-neighbour RSG coordinates of *coord*."""
-        for nbr in self.graph.neighbors(coord):
-            if self.graph.edges[coord, nbr]["kind"] == "spatial":
-                yield nbr
-
-    def temporal_neighbors(self, coord: SpaceTimeCoord) -> Iterator[SpaceTimeCoord]:
-        """Delay-line neighbours: same RSG, within ``max_delay`` cycles."""
-        for nbr in self.graph.neighbors(coord):
-            if self.graph.edges[coord, nbr]["kind"] == "temporal":
-                yield nbr
-
-    def max_active_couplings(self) -> int:
-        """Per-location fusion bound from the resource-state size.
-
-        The coupling graph offers up to ``4 + 2*max_delay`` supports per
-        location but only ``size`` photons exist to burn (Sec. 3.1,
-        difference (1) from solid-state coupling maps).
-        """
-        return self.config.resource_state.size
 
 
 def extended_to_physical(

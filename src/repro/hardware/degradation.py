@@ -1,4 +1,4 @@
-"""Per-site hardware degradation: calibration maps and fault scenarios.
+"""Per-site hardware degradation: site noise maps and fault scenarios.
 
 The uniform :class:`repro.hardware.noise.NoiseModel` treats every
 resource-state generator (RSG) of the machine as identical.  Real
@@ -16,9 +16,6 @@ is the per-site refinement:
   dead-RSG fractions, spatial loss gradients and hotspots, per-site
   degraded fusion success.  Severity 0 is always the pristine uniform
   map.
-* JSON calibration-map persistence (:meth:`SiteNoiseMap.save` /
-  :meth:`SiteNoiseMap.load`) so measured device calibration data can be
-  replayed through the same machinery.
 * :class:`SiteProfile` / :func:`program_site_profile` — the bridge to a
   compiled program: a per-fault-event site assignment derived from the
   program's layer layouts, consumed by the Monte-Carlo sampler
@@ -36,11 +33,9 @@ bit-identical to the scalar path at a fixed seed.
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -218,61 +213,6 @@ class SiteNoiseMap:
         """:meth:`avoid_mask` as sorted (row, col) coordinates."""
         mask = self.avoid_mask(max_cycle_loss, min_fusion_success)
         return tuple((int(r), int(c)) for r, c in np.argwhere(mask))
-
-    # -- calibration-map persistence -----------------------------------
-    def to_json(self) -> Dict[str, object]:
-        """JSON-serializable calibration-map payload."""
-        assert self.fusion_success is not None
-        assert self.fusion_error is not None
-        assert self.cycle_loss is not None
-        assert self.dead is not None
-        return {
-            "schema": "site-noise-map/v1",
-            "shape": list(self.shape),
-            "base": {
-                "fusion_success": self.base.fusion_success,
-                "fusion_error": self.base.fusion_error,
-                "cycle_loss": self.base.cycle_loss,
-                "measurement_error": self.base.measurement_error,
-            },
-            "fusion_success": self.fusion_success.tolist(),
-            "fusion_error": self.fusion_error.tolist(),
-            "cycle_loss": self.cycle_loss.tolist(),
-            "dead": self.dead.astype(int).tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "SiteNoiseMap":
-        schema = payload.get("schema")
-        if schema != "site-noise-map/v1":
-            raise ValueError(f"unknown calibration-map schema {schema!r}")
-        shape_raw = payload["shape"]
-        assert isinstance(shape_raw, (list, tuple))
-        shape = (int(shape_raw[0]), int(shape_raw[1]))
-        base_raw = payload.get("base", {})
-        assert isinstance(base_raw, dict)
-        base = NoiseModel(**{k: float(v) for k, v in base_raw.items()})
-        return cls(
-            shape=shape,
-            base=base,
-            fusion_success=np.asarray(payload["fusion_success"], dtype=np.float64),
-            fusion_error=np.asarray(payload["fusion_error"], dtype=np.float64),
-            cycle_loss=np.asarray(payload["cycle_loss"], dtype=np.float64),
-            dead=np.asarray(payload["dead"], dtype=bool),
-        )
-
-    def save(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write the calibration map as JSON (atomic via temp+rename)."""
-        from repro.serve.store import atomic_write_json
-
-        path = pathlib.Path(path)
-        atomic_write_json(path, self.to_json())
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, pathlib.Path]) -> "SiteNoiseMap":
-        """Read a calibration map written by :meth:`save`."""
-        return cls.from_json(json.loads(pathlib.Path(path).read_text()))
 
 
 # ----------------------------------------------------------------------

@@ -78,7 +78,7 @@ per-shot reference executor; the ``yield-clifford`` workload of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -303,42 +303,8 @@ class PauliFrameSimulator:
         self._step_of_qubit = np.full(self.program.num_qubits, -1, np.int64)
         for k, step in enumerate(self.program.steps):
             self._step_of_qubit[step.qubit] = k
-        self._qubit_of_node = {s.node: s.qubit for s in self.program.steps}
 
     # ------------------------------------------------------------------
-    def run_chunk(
-        self,
-        chunk: Sequence[Tuple[Iterable[Tuple[int, str]], Iterable[int]]],
-    ) -> np.ndarray:
-        """Execute a chunk of faulty shots; returns the (len(chunk),)
-        boolean pass mask of the output stabilizer checks.
-
-        Each chunk entry is ``(pauli_faults, outcome_flips)``:
-        ``pauli_faults`` iterates ``(frame_row, 'x'|'y'|'z')``
-        injected Pauli faults, ``outcome_flips`` iterates measured
-        pattern nodes whose recorded outcome bit is complemented
-        (detector errors).  Convenience converter onto
-        :meth:`run_shots`, the flat bulk entry point.
-        """
-        fault_shot, fault_qubit, fault_kind = [], [], []
-        flip_shot, flip_qubit = [], []
-        for element, (pauli_faults, flips) in enumerate(chunk):
-            for qubit, kind in pauli_faults:
-                fault_shot.append(element)
-                fault_qubit.append(qubit)
-                fault_kind.append("xyz".index(kind))
-            for node in flips:
-                flip_shot.append(element)
-                flip_qubit.append(self._qubit_of_node[node])
-        return self.run_shots(
-            len(chunk),
-            np.asarray(fault_qubit, dtype=np.int64),
-            np.asarray(fault_kind, dtype=np.int64),
-            np.asarray(fault_shot, dtype=np.int64),
-            np.asarray(flip_qubit, dtype=np.int64),
-            np.asarray(flip_shot, dtype=np.int64),
-        )
-
     def run_shots(
         self,
         num_shots: int,

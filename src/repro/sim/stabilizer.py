@@ -1,9 +1,20 @@
 """Bit-packed Aaronson-Gottesman (CHP) stabilizer tableau simulator.
 
-Built to verify graph-state identities and photonic fusion semantics at
-sizes far beyond dense simulation.  Supports the Clifford gates used in
-this project, Z measurements, and measurements of arbitrary Pauli
-products (the XZ/ZX joint measurements that realize fusion).
+A full tableau over every qubit it is given.  Supports the Clifford
+gates used in this project, Z measurements, and measurements of
+arbitrary Pauli products (the XZ/ZX joint measurements that realize
+fusion).  Pattern execution does not run here: it runs on the
+live-window tableau of :mod:`repro.sim.pattern_sim`.  This engine
+serves two roles:
+
+* **The circuit's reference rows.** :func:`circuit_stabilizer_rows`
+  runs a Clifford circuit on ``|0...0>`` and returns its output
+  stabilizer generators, the checks that pattern verification and the
+  Pauli-frame engine assert on a pattern's outputs.
+* **The full-tableau reference.** ``tests/sim/test_pattern_window.py``
+  builds a whole graph state here and measures every node, and compares
+  outcomes with the live-window executor at the same seed; the graph
+  state identity and fusion tests run on it too.
 
 Representation follows arXiv:quant-ph/0406196: ``2n`` rows of binary
 ``x``/``z`` vectors plus a sign bit; rows ``0..n-1`` are destabilizers and
@@ -15,20 +26,10 @@ One Pauli measurement is a handful of vectorized word operations instead
 of an interpreted O(n^2) loop; the seed implementation is preserved in
 ``tests/sim/reference_stabilizer.py`` and pinned bit-identical by
 ``tests/sim/test_stabilizer_equivalence.py``.
-
-Two paths keep pattern execution (only single-qubit X/Y measurements on
-a graph state) cheap:
-
-* **Column path.** :meth:`StabilizerState.measure_single` reads the rows
-  anticommuting with X, Y or Z on qubit ``q`` off one bit column of the
-  tableau (z, x, or x^z) and builds the one-word packed operator
-  directly; multi-qubit Paulis go through :meth:`~StabilizerState.measure_pauli`,
-  which popcounts every row.  Both hand over to one collapse core.
-* **Prefix-XOR product.** A deterministic outcome is the sign of the
-  ordered product of the selected stabilizer rows.  One exclusive prefix
-  XOR over the gathered rows yields every step's accumulator, so the
-  phase function of all steps is a single :func:`_phase_sum_packed`
-  call and the sign is ``(sum r + sum g / 2) mod 2``.
+:meth:`StabilizerState.measure_single` reads the rows anticommuting
+with X, Y or Z on a qubit off one bit column of the tableau;
+multi-qubit Paulis go through :meth:`~StabilizerState.measure_pauli`,
+which popcounts every row.  Both hand over to one collapse core.
 """
 
 from __future__ import annotations

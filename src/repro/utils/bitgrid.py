@@ -99,9 +99,6 @@ class BitGridSpec:
     def index_of(self, coord: Coord) -> int:
         return coord[0] * self.stride + coord[1]
 
-    def coord_of(self, index: int) -> Coord:
-        return divmod(index, self.stride)
-
 
 @lru_cache(maxsize=None)
 def spec_for(shape: Coord) -> BitGridSpec:

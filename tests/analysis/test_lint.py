@@ -238,33 +238,3 @@ class TestCompiledProgramLint:
         )
         codes = lint_compiled_program(bad, hardware).codes()
         assert "B004" in codes
-
-
-class TestCompilerLintStage:
-    def test_lint_flag_records_stage_and_passes(self):
-        from repro.core.compiler import OneQCompiler, OneQConfig
-        from repro.eval.experiments import _hardware_for
-        from repro.hardware.resource_state import get_resource_state
-
-        hardware = _hardware_for(8, get_resource_state("3-line"))
-        program = OneQCompiler(
-            OneQConfig(hardware=hardware, lint=True)
-        ).compile(get_benchmark("BV", 8, seed=7), name="BV-8")
-        assert "lint" in program.stage_seconds
-
-    def test_lint_flag_aborts_on_broken_pattern(self):
-        from repro.core.compiler import OneQCompiler, OneQConfig
-        from repro.core.validate import ValidationError
-        from repro.eval.experiments import _hardware_for
-        from repro.hardware.resource_state import get_resource_state
-
-        pattern = circuit_to_pattern(get_benchmark("BV", 8, seed=7))
-        first = next(iter(pattern.angles))
-        pattern = pattern.replace(
-            validate=False,
-            angles={v: a for v, a in pattern.angles.items() if v != first},
-        )
-        hardware = _hardware_for(8, get_resource_state("3-line"))
-        compiler = OneQCompiler(OneQConfig(hardware=hardware, lint=True))
-        with pytest.raises(ValidationError, match="static lint"):
-            compiler.compile_pattern(pattern, name="broken")

@@ -3,16 +3,19 @@
 import gc
 import weakref
 
+import networkx as nx
 import pytest
 
 from repro.circuit import Circuit, bernstein_vazirani, get_benchmark, qft
 import repro.core.compiler as compiler_mod
 from repro.core import OneQCompiler, OneQConfig, PartitionConfig, compile_circuit
 from repro.core.mapping import InLayerMapper
+from repro.core.partition import GraphPartition
 from repro.hardware import (
     FOUR_LINE,
     FOUR_RING,
     FOUR_STAR,
+    FusionTally,
     HardwareConfig,
     THREE_LINE,
 )
@@ -200,10 +203,11 @@ class TestConfigPlumb:
             ("route_radius", 3),
             ("route_targets_limit", 1),
             ("connect_radius", 1),
+            ("lint", True),
         ],
     )
     def test_removed_knobs_fail_loudly(self, small_hardware, knob, value):
-        """Removed mapper knobs are rejected, not silently defaulted."""
+        """Removed compiler knobs are rejected, not silently defaulted."""
         from repro.eval.batch import RunSpec, execute_spec
 
         with pytest.raises(TypeError, match=knob):
@@ -214,19 +218,40 @@ class TestConfigPlumb:
         with pytest.raises(TypeError, match=knob):
             execute_spec(spec)
 
+    @pytest.mark.parametrize(
+        "build,name",
+        [
+            (lambda: PartitionConfig(enforce_planarity=True), "enforce_planarity"),
+            (lambda: HardwareConfig(rows=2, cols=2, max_delay=2), "max_delay"),
+            (
+                lambda: GraphPartition(0, [0], graph=nx.Graph(), subgraph=nx.Graph()),
+                "subgraph",
+            ),
+        ],
+        ids=["enforce_planarity", "max_delay", "subgraph"],
+    )
+    def test_removed_settings_fail_loudly(self, build, name):
+        """Settings no run read are gone: passing one is an error, not a
+        silently ignored value."""
+        with pytest.raises(TypeError, match=name):
+            build()
+
 
 class TestPhotonBudget:
     def test_settle_balance_positive(self):
         from repro.core.compiler import settle_photon_budget
 
-        z, deficit = settle_photon_budget(photons=10, consumed=4)
+        # 5 states x 2 photons against 1 fusion (2 photons) + 2 nodes
+        z, deficit = settle_photon_budget(FusionTally(edge=1), 5, 2, 2)
         assert (z, deficit) == (6, 0)
 
     def test_settle_deficit_recorded_and_warned(self):
         from repro.core.compiler import settle_photon_budget
 
         with pytest.warns(RuntimeWarning, match="deficit of 3"):
-            z, deficit = settle_photon_budget(photons=4, consumed=7, name="x")
+            z, deficit = settle_photon_budget(
+                FusionTally(edge=2), 2, 2, 3, name="x"
+            )
         assert (z, deficit) == (0, 3)
 
     def test_compiled_programs_balance(self, small_hardware):

@@ -202,7 +202,7 @@ def reference_partition_pattern(pattern, config, size_estimator=None):
             GraphPartition(
                 index=index,
                 nodes=list(current_nodes),
-                subgraph=subgraph,
+                graph=subgraph,
                 back_edges=sorted(set(back_edges)),
                 layer_indices=list(current_layers),
             )
@@ -223,7 +223,7 @@ def reference_partition_pattern(pattern, config, size_estimator=None):
         ):
             close_partition()
             current_states = 0
-        if config.enforce_planarity and current_nodes:
+        if current_nodes:
             candidate = nx_graph.subgraph(current_nodes + layer)
             # networkx directly: the seed's check, independent of the
             # planarity kernel under test

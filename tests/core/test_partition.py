@@ -17,7 +17,6 @@ from tests.conftest import random_circuit
 class TestPartitionConfig:
     def test_defaults(self):
         cfg = PartitionConfig()
-        assert cfg.enforce_planarity
         assert cfg.scheduling == "flow"
 
     def test_invalid_max_layers(self):
@@ -91,23 +90,11 @@ class TestPlanarityEnforcement:
         from repro.core.planarity import is_planar
 
         pattern = circuit_to_pattern(random_circuit(5, 25, 77))
-        parts = partition_pattern(
-            pattern, PartitionConfig(enforce_planarity=True)
-        )
+        parts = partition_pattern(pattern)
         # each partition subgraph is planar unless it is a single layer
         for p in parts:
             if len(p.layer_indices) > 1:
                 assert is_planar(p.subgraph)
-
-    def test_disabled_planarity_gives_fewer_partitions(self):
-        pattern = circuit_to_pattern(qft(6))
-        with_p = partition_pattern(
-            pattern, PartitionConfig(enforce_planarity=True, target_states=10**6)
-        )
-        without_p = partition_pattern(
-            pattern, PartitionConfig(enforce_planarity=False, target_states=10**6)
-        )
-        assert len(without_p) <= len(with_p)
 
 
 class TestHelpers:

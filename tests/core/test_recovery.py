@@ -1,5 +1,7 @@
 """Tests for blocked-cell compilation and the recovery-policy ladder."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,12 @@ from repro.core import (
 )
 from repro.core.mapping import InLayerMapper
 from repro.core.recovery import clean_yield, program_yield
+from repro.eval.experiments import (
+    DEGRADE_BENCHMARKS,
+    DEGRADE_SEVERITIES,
+    MILD_NOISE,
+    _hardware_for,
+)
 from repro.hardware import HardwareConfig, get_resource_state
 from repro.hardware.degradation import (
     SiteNoiseMap,
@@ -123,6 +131,51 @@ class TestReroute:
             (dict(l.node_at), set(l.aux_cells)) for l in program.layouts
         ]
         assert before == after
+
+    def test_pristine_reroute_keeps_the_budget(self, setup):
+        """Severity 0 avoids no cell, so nothing moves and the photon
+        budget comes back as compiled."""
+        hardware, _, program = setup
+        site_map = make_scenario(
+            "dead-rsg", hardware.extended_shape, 0.0, base=MILD, seed=7
+        )
+        rerouted, moved = reroute_program(
+            program, site_map, OneQConfig(hardware=hardware)
+        )
+        assert moved == 0
+        assert rerouted.fusions == program.fusions
+        assert rerouted.resource_states_used == program.resource_states_used
+        assert rerouted.fusions.z_measurements == program.fusions.z_measurements
+        assert rerouted.photon_deficit == 0
+
+    @pytest.mark.parametrize("name,qubits", DEGRADE_BENCHMARKS)
+    def test_dead_rsg_reroutes_balance_photons(self, name, qubits):
+        """Every dead-rsg reroute of the degrade-sweep grid supplies the
+        photons it consumes; rungs that cannot reroute report an error
+        (the ladder escalates to recompile) instead."""
+        hardware = _hardware_for(qubits, get_resource_state("3-line"))
+        circuit = get_benchmark(name, qubits, seed=7)
+        config = OneQConfig(hardware=hardware)
+        program = OneQCompiler(config).compile(circuit, name=name)
+        base = NoiseModel(**dict(MILD_NOISE))
+        rerouted = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for severity in DEGRADE_SEVERITIES:
+                site_map = make_scenario(
+                    "dead-rsg", hardware.extended_shape, severity,
+                    base=base, seed=7,
+                )
+                outcome = apply_policy(
+                    "reroute", circuit, program, site_map, config
+                )
+                if outcome.program is None:
+                    assert outcome.error
+                    continue
+                rerouted.append(outcome.rerouted_fusions)
+                assert outcome.program.photon_deficit == 0
+        # the grid's damaged severities do reroute, not only escalate
+        assert sum(1 for moved in rerouted if moved > 0) >= 2
 
 
 class TestPolicyLadder:

@@ -1,12 +1,8 @@
-"""Tests for the space-time coupling graph and hardware config."""
+"""Tests for the hardware config and extended-layer coordinates."""
 
 import pytest
 
-from repro.hardware.coupling import (
-    HardwareConfig,
-    SpaceTimeCouplingGraph,
-    extended_to_physical,
-)
+from repro.hardware.coupling import HardwareConfig, extended_to_physical
 from repro.hardware.resource_state import FOUR_STAR, THREE_LINE
 
 
@@ -31,10 +27,6 @@ class TestHardwareConfig:
         with pytest.raises(ValueError):
             HardwareConfig(rows=0, cols=4)
 
-    def test_invalid_delay_rejected(self):
-        with pytest.raises(ValueError):
-            HardwareConfig(rows=2, cols=2, max_delay=0)
-
     def test_invalid_extension_rejected(self):
         with pytest.raises(ValueError):
             HardwareConfig(rows=2, cols=2, extension=0)
@@ -49,50 +41,6 @@ class TestHardwareConfig:
     def test_custom_resource_state(self):
         cfg = HardwareConfig.square(4, resource_state=FOUR_STAR)
         assert cfg.resource_state is FOUR_STAR
-
-
-class TestSpaceTimeCouplingGraph:
-    def test_node_count(self):
-        g = SpaceTimeCouplingGraph(HardwareConfig(rows=3, cols=3), num_layers=2)
-        assert g.graph.number_of_nodes() == 18
-
-    def test_spatial_edges_within_layer(self):
-        g = SpaceTimeCouplingGraph(HardwareConfig(rows=2, cols=2), num_layers=1)
-        kinds = {d["kind"] for _, _, d in g.graph.edges(data=True)}
-        assert kinds == {"spatial"}
-        assert g.graph.number_of_edges() == 4
-
-    def test_temporal_edges_respect_delay(self):
-        cfg = HardwareConfig(rows=1, cols=1, max_delay=2)
-        g = SpaceTimeCouplingGraph(cfg, num_layers=4)
-        temporal = [
-            (u, v)
-            for u, v, d in g.graph.edges(data=True)
-            if d["kind"] == "temporal"
-        ]
-        assert ((0, 0, 0), (1, 0, 0)) in [tuple(sorted(e)) for e in temporal]
-        assert all(abs(u[0] - v[0]) <= 2 for u, v in temporal)
-
-    def test_neighbor_iterators(self):
-        cfg = HardwareConfig(rows=2, cols=2, max_delay=1)
-        g = SpaceTimeCouplingGraph(cfg, num_layers=2)
-        spatial = list(g.spatial_neighbors((0, 0, 0)))
-        temporal = list(g.temporal_neighbors((0, 0, 0)))
-        assert (0, 0, 1) in spatial and (0, 1, 0) in spatial
-        assert temporal == [(1, 0, 0)]
-
-    def test_max_active_couplings_bounded_by_photons(self):
-        """Sec 3.1 difference (1): only `size` couplings can activate."""
-        cfg = HardwareConfig(rows=5, cols=5, max_delay=3)
-        g = SpaceTimeCouplingGraph(cfg, num_layers=7)
-        assert g.max_active_couplings() == 3
-        # even though the coupling graph itself offers more supports
-        degree = g.graph.degree((3, 2, 2))
-        assert degree > g.max_active_couplings()
-
-    def test_invalid_layers_rejected(self):
-        with pytest.raises(ValueError):
-            SpaceTimeCouplingGraph(HardwareConfig(rows=2, cols=2), num_layers=0)
 
 
 class TestExtendedToPhysical:

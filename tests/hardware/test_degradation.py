@@ -85,24 +85,6 @@ class TestSiteNoiseMap:
         )
         assert site_map.avoid_cells() == ((0, 0), (1, 1))
 
-    def test_json_roundtrip(self, tmp_path):
-        site_map = make_scenario("dead-rsg", (4, 4), 0.25, base=MILD)
-        path = site_map.save(tmp_path / "calib.json")
-        loaded = SiteNoiseMap.load(path)
-        assert loaded.shape == site_map.shape
-        assert loaded.base == site_map.base
-        np.testing.assert_array_equal(loaded.dead, site_map.dead)
-        np.testing.assert_array_equal(
-            loaded.fusion_success, site_map.fusion_success
-        )
-        np.testing.assert_array_equal(
-            loaded.cycle_loss, site_map.cycle_loss
-        )
-
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError, match="schema"):
-            SiteNoiseMap.from_json({"schema": "bogus/v9"})
-
 
 class TestScenarios:
     @pytest.mark.parametrize("name", SCENARIOS)

@@ -3,8 +3,8 @@
 Equivalence against the per-shot tableau oracle lives in
 ``tests/sim/test_noisy.py`` (the frame-vs-oracle property grid); this file
 covers the frame machinery itself: program compilation, the reference
-calibration, the flat vs list execution entry points, and the
-sampler's single reference run.
+calibration, shot execution through ``run_shots`` (the entry point
+``NoisySampler`` uses), and the sampler's single reference run.
 """
 
 import numpy as np
@@ -16,6 +16,22 @@ from repro.mbqc.translate import circuit_to_pattern
 from repro.sim.frame import PauliFrameSimulator
 from repro.sim.noisy import NoisySampler
 from repro.sim.pattern_sim import StabilizerPatternSimulator
+
+
+def _run(sim, shots):
+    """``sim.run_shots`` over per-shot ``(faults, flips)``: *faults* holds
+    ``(frame_row, 'x'|'y'|'z')`` Paulis, *flips* measured frame rows."""
+    faults = [
+        (shot, row, "xyz".index(kind))
+        for shot, (paulis, _) in enumerate(shots)
+        for row, kind in paulis
+    ]
+    flips = [
+        (shot, row) for shot, (_, rows) in enumerate(shots) for row in rows
+    ]
+    f = np.array(faults, dtype=np.int64).reshape(-1, 3)
+    g = np.array(flips, dtype=np.int64).reshape(-1, 2)
+    return sim.run_shots(len(shots), f[:, 1], f[:, 2], f[:, 0], g[:, 1], g[:, 0])
 
 
 def _clifford_with_y_measurements(num_qubits=4, seed=3):
@@ -106,12 +122,12 @@ class TestExecution:
 
     def test_empty_chunk(self):
         sim = self._simulator()
-        assert sim.run_chunk([]).shape == (0,)
+        assert _run(sim, []).shape == (0,)
 
     def test_zero_frame_shots_pass(self):
         """A shot with no faults at all is the reference itself."""
         sim = self._simulator()
-        ok = sim.run_chunk([((), ())] * 70)
+        ok = _run(sim, [((), ())] * 70)
         assert ok.all()
 
     def test_benign_fault_passes_malignant_fails(self):
@@ -133,7 +149,7 @@ class TestExecution:
             )
             for _ in range(256)
         ]
-        ok = sim.run_chunk(chunk)
+        ok = _run(sim, chunk)
         assert 0 < int(ok.sum()) < 256
 
     def test_pass_mask_deterministic_across_calls(self):
@@ -142,7 +158,7 @@ class TestExecution:
         sim = self._simulator()
         rng = np.random.default_rng(42)
         n = sim.program.num_qubits
-        measured = [step.node for step in sim.program.steps]
+        measured = [step.qubit for step in sim.program.steps]
         chunk = []
         for _ in range(130):
             faults = tuple(
@@ -154,8 +170,8 @@ class TestExecution:
                 for _ in range(int(rng.integers(2)))
             )
             chunk.append((faults, flips))
-        a = sim.run_chunk(chunk)
-        b = sim.run_chunk(chunk)
+        a = _run(sim, chunk)
+        b = _run(sim, chunk)
         assert np.array_equal(a, b)
 
     def test_flip_on_output_qubit_rejected(self):

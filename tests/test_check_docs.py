@@ -1,4 +1,4 @@
-"""The subcommand and module-reference checks in scripts/check_docs.py."""
+"""The subcommand, flag and module-reference checks in scripts/check_docs.py."""
 
 import importlib.util
 import pathlib
@@ -20,8 +20,8 @@ _spec.loader.exec_module(check_docs)
     [
         ("Run `repro nope --fast`.", ["unknown subcommand: `repro nope`"]),
         ("    python -m repro nope", ["unknown subcommand: `repro nope`"]),
-        ("Run `repro table2 --quick`.", []),
-        ("    PYTHONPATH=src python -m repro table2 --quick", []),
+        ("Run `repro bench --quick`.", []),
+        ("    PYTHONPATH=src python -m repro bench --quick", []),
     ],
     ids=["code-span-unknown", "python-m-unknown", "code-span-known",
          "python-m-known"],
@@ -29,8 +29,58 @@ _spec.loader.exec_module(check_docs)
 def test_subcommand_mentions(tmp_path, line, problems):
     doc = tmp_path / "doc.md"
     doc.write_text(f"# Title\n\n{line}\n")
-    found = check_docs.iter_problems(doc, check_docs.cli_subcommands())
+    found = check_docs.iter_problems(doc, check_docs.cli_options())
     assert [message for _, message in found] == problems
+
+
+@pytest.mark.parametrize(
+    "text,problems",
+    [
+        (
+            "Run `repro compile --benchmark BV --max-delay 2`.",
+            [(3, "unknown option: `repro compile --max-delay`")],
+        ),
+        (
+            "```bash\nPYTHONPATH=src python -m repro compile --qubits 8 \\\n"
+            "    --max-delay 2   # --nope is a comment\n```",
+            [(4, "unknown option: `repro compile --max-delay`")],
+        ),
+        (
+            "Written by `python -m repro bench --grid NAME --jobs 1 --out\n"
+            "benchmarks` (`--quick` alone is prose).",
+            [],
+        ),
+        ("Run `repro compile --benchmark BV --extension 3`.", []),
+        ("Run `repro bench --grid fig14` then `repro fig14 --help`.", []),
+        (
+            "Not a span: repro compile --max-delay 2, nor `--max-delay`.",
+            [],
+        ),
+    ],
+    ids=["span-stale-flag", "fenced-continued-stale-flag",
+         "span-wrapping-lines", "span-registered-flags",
+         "registered-per-subcommand", "outside-a-command-span"],
+)
+def test_flag_mentions(tmp_path, text, problems):
+    doc = tmp_path / "doc.md"
+    doc.write_text(f"# Title\n\n{text}\n")
+    found = check_docs.iter_problems(doc, check_docs.cli_options())
+    assert list(found) == problems
+
+
+def test_flags_are_checked_per_subcommand():
+    """``--layout`` is a compile option, not a baseline one."""
+    options = check_docs.cli_options()
+    text = "`repro compile --layout 2` and `repro baseline --layout 2`"
+    assert list(check_docs.flag_problems(text, options)) == [
+        (1, "unknown option: `repro baseline --layout`")
+    ]
+
+
+@pytest.mark.parametrize("name", ["README.md", "docs/ARCHITECTURE.md"])
+def test_real_docs_name_only_registered_flags(name):
+    text = (check_docs.ROOT / name).read_text()
+    assert list(check_docs.flag_problems(text, check_docs.cli_options())) == []
 
 
 @pytest.mark.parametrize(

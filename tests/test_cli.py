@@ -252,7 +252,6 @@ class TestInvalidInput:
     HARDWARE_CASES = [
         (["--rows", "1", "--cols", "1"], "extended layer (1x1) must be at least 2x2"),
         (["--extension", "0"], "extension must be at least 1"),
-        (["--max-delay", "-1"], "max_delay must be at least 1"),
     ]
 
     @staticmethod
@@ -281,6 +280,14 @@ class TestInvalidInput:
         argv = ["lint", "--compile", "--benchmark", "BV", "--qubits", "4", *extra]
         line = self._usage_error(argv, capsys)
         assert "error: lint:" in line and message in line
+
+    @pytest.mark.parametrize("command", ["compile", "baseline", "export", "lint"])
+    def test_removed_max_delay_flag(self, command, capsys):
+        """The compiler never read the delay-line bound, so the flag is
+        gone rather than accepted and ignored."""
+        argv = [command, "--benchmark", "BV", "--qubits", "4", "--max-delay", "2"]
+        line = self._usage_error(argv, capsys)
+        assert "unrecognized arguments: --max-delay" in line
 
     @pytest.mark.parametrize("exhibit", sorted(EXHIBITS - {"table1"}))
     def test_exhibit_without_run_table(self, exhibit, tmp_path, monkeypatch,
