@@ -2,14 +2,14 @@
 
 The pattern linter (:mod:`repro.analysis.lint`) checks compiled
 *artifacts*; this module checks the *code that serves them*.  The
-serving stack is a long-lived concurrent process — an asyncio socket
-server over a session thread pool over a compile process pool, with
-three lock-guarded shared structures — and a dropped ``with
-self._lock``, a blocking call sneaking onto the event loop, or a lock
-acquired in the wrong order ships silently unless something looks for
-it.  This is that something: a stdlib-``ast`` pass (no third-party
-dependencies, same design as ``scripts/lint_rules.py``) with stable
-``CC`` finding codes, suppressible per line with ``# noqa: CCxxx``.
+serving stack is a long-lived concurrent process — one asyncio event
+loop over a compile process pool — and a blocking call sneaking onto
+the loop, a dropped task reference or (in code that adds threads) a
+dropped ``with self._lock`` or a lock acquired in the wrong order
+ships silently unless something looks for it.  This is that
+something: a stdlib-``ast`` pass (no third-party dependencies, same
+design as ``scripts/lint_rules.py``) with stable ``CC`` finding codes,
+suppressible per line with ``# noqa: CCxxx``.
 
 Rule families:
 
@@ -50,9 +50,7 @@ Rule families:
     (``self.method(...)``) and calls through typed attributes
     (``self._memory = MemoryLRU(...)`` then ``self._memory.put(...)``)
     are resolved.  The same graph is exported via
-    :meth:`ConcurrencyAnalyzer.lock_order_edges` so the runtime
-    sanitizer (:mod:`repro.utils.sync`) can cross-check its dynamic
-    witness against it.
+    :meth:`ConcurrencyAnalyzer.lock_order_edges`.
 
 **Resource lifetimes**
   * ``CC401`` — executor/pool/socket/server constructed without a
@@ -68,9 +66,7 @@ Rule families:
 
 Lock identities are ``ClassName.attr`` for ``self.attr`` locks and
 ``function.varname`` (``Class.method.varname`` inside methods) for
-locals — the same names the serve stack passes to
-:func:`repro.utils.sync.make_lock`, which is what makes the
-static/dynamic cross-check possible.
+locals.
 """
 
 from __future__ import annotations
@@ -79,9 +75,9 @@ import ast
 import pathlib
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
-
-from repro.utils.sync import find_cycle
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 __all__ = [
     "CC_CODES",
@@ -112,7 +108,7 @@ _NOQA_RE = re.compile(
 _EXEMPT_METHODS = ("__init__", "__post_init__", "__del__")
 
 #: callables that construct a lock (last element of the call chain)
-_LOCK_CTORS = ("Lock", "RLock", "make_lock", "TrackedLock")
+_LOCK_CTORS = ("Lock", "RLock")
 
 #: container/obj methods that mutate their receiver in place
 _MUTATORS = frozenset({
@@ -539,6 +535,60 @@ class _AsyncEffectsVisitor(ast.NodeVisitor):
         pass  # visited as its own root
 
 
+def find_cycle(edges: Iterable[Tuple[str, str]]) -> Optional[List[str]]:
+    """A cycle in the directed graph *edges*, or ``None``.
+
+    Returns the cycle as a node list ``[a, b, ..., a]`` (first node
+    repeated at the end).  Deterministic: neighbors are explored in
+    sorted order, so the same graph always reports the same cycle.
+    """
+    adjacency: Dict[str, List[str]] = {}
+    for src, dst in edges:
+        adjacency.setdefault(src, []).append(dst)
+    for neighbors in adjacency.values():
+        neighbors.sort()
+
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color: Dict[str, int] = {}
+    parent: Dict[str, str] = {}
+
+    def visit(root: str) -> Optional[List[str]]:
+        stack: List[Tuple[str, Iterable[str]]] = [
+            (root, iter(adjacency.get(root, ())))
+        ]
+        color[root] = GRAY
+        while stack:
+            node, neighbors = stack[-1]
+            advanced = False
+            for nxt in neighbors:
+                state = color.get(nxt, WHITE)
+                if state == GRAY:  # back edge: walk parents to recover
+                    cycle = [nxt, node]
+                    cur = node
+                    while cur != nxt:
+                        cur = parent[cur]
+                        cycle.append(cur)
+                    cycle.reverse()
+                    return cycle
+                if state == WHITE:
+                    color[nxt] = GRAY
+                    parent[nxt] = node
+                    stack.append((nxt, iter(adjacency.get(nxt, ()))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                stack.pop()
+        return None
+
+    for start in sorted(adjacency):
+        if color.get(start, WHITE) == WHITE:
+            cycle = visit(start)
+            if cycle is not None:
+                return cycle
+    return None
+
+
 # ----------------------------------------------------------------------
 # the analyzer
 # ----------------------------------------------------------------------
@@ -547,7 +597,7 @@ class ConcurrencyAnalyzer:
 
     Feed it sources (:meth:`add_source` / :meth:`add_paths`), then call
     :meth:`analyze` for findings.  :meth:`lock_order_edges` exposes the
-    static acquisition graph for the runtime sanitizer cross-check.
+    static acquisition graph.
     """
 
     def __init__(self) -> None:
@@ -928,8 +978,8 @@ class ConcurrencyAnalyzer:
                 for outer in held:
                     for inner in callee_locks:
                         if outer == inner:
-                            continue  # re-entry is CC301-adjacent but
-                            # self-deadlock, reported via the witness
+                            continue  # re-entry is a self-deadlock,
+                            # not an ordering cycle
                         edge = (outer, inner)
                         if edge not in call_edges:
                             call_edges[edge] = (cls.path, line)

@@ -318,7 +318,6 @@ def _lint_concurrency(args) -> int:
         print(render_findings(findings))
         return 1
     edges = analyzer.lock_order_edges()
-    # the static acquisition order the runtime sanitizer cross-checks
     if edges:
         print("static lock-order edges:")
         for (outer, inner), (path, line) in sorted(edges.items()):

@@ -28,7 +28,9 @@ import json
 import multiprocessing
 import pathlib
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import (
+    MISSING, asdict, dataclass, field, fields, is_dataclass,
+)
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.store import ArtifactStore, atomic_write_json
@@ -153,6 +155,30 @@ RUN_TABLE_COLUMNS: List[str] = [
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 
 
+def _option_repr(value: object) -> str:
+    """A compiler option's key text: ``repr``, except that a config
+    dataclass names only its fields that differ from their defaults.
+
+    Adding or dropping a defaulted config field thus leaves every key
+    that does not set it unchanged, just as a spec without options
+    leaves ``OneQConfig``'s defaults out of its key.
+    """
+    if not is_dataclass(value) or isinstance(value, type):
+        return repr(value)
+    changed = []
+    for spec_field in fields(value):
+        current = getattr(value, spec_field.name)
+        if spec_field.default is not MISSING:
+            default = spec_field.default
+        elif spec_field.default_factory is not MISSING:
+            default = spec_field.default_factory()
+        else:
+            default = MISSING
+        if default is MISSING or current != default:
+            changed.append(f"{spec_field.name}={_option_repr(current)}")
+    return f"{type(value).__name__}({', '.join(changed)})"
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One experiment coordinate: circuit x hardware x compiler config.
@@ -208,7 +234,7 @@ class RunSpec:
         """
         payload = dict(vars(self))
         payload["compiler_options"] = sorted(
-            (str(k), repr(v)) for k, v in self.compiler_options
+            (str(k), _option_repr(v)) for k, v in self.compiler_options
         )
         payload["noise"] = sorted((str(k), repr(v)) for k, v in self.noise)
         blob = _KEY_ENCODER.encode(payload)

@@ -3,9 +3,9 @@
 One server process owns one service (and therefore one artifact store
 and one worker pool).  Each client connection is an asyncio task that
 reads length-prefixed JSON frames (:mod:`repro.serve.protocol`) in a
-loop; compile requests are handed to the service on a thread pool so a
-slow compile never blocks the event loop — other connections keep
-getting cache hits, pings and stats while workers grind.
+loop and awaits the service's answer on the same event loop.  A cold
+compile runs in a worker process, so while it grinds the loop keeps
+serving other connections their cache hits, pings and stats.
 
 Failure handling at the connection level:
 
@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Set
+from typing import Any, Optional, Set
 
 from repro.serve.protocol import (
     MAX_PAYLOAD_BYTES,
@@ -46,9 +45,7 @@ class CompileServer:
     """Serve a :class:`CompileService` over a TCP socket.
 
     ``port=0`` binds an ephemeral port; the bound port is available as
-    :attr:`port` after :meth:`start`.  ``max_sessions`` bounds the
-    thread pool that parks blocked compile requests (each in-flight
-    request occupies one thread while it waits on the worker pool).
+    :attr:`port` after :meth:`start`.
     """
 
     def __init__(
@@ -57,17 +54,14 @@ class CompileServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_payload: int = MAX_PAYLOAD_BYTES,
-        max_sessions: int = 64,
     ) -> None:
         self.service = service
         self.host = host
         self.port = port
         self.max_payload = max_payload
         self._server: Optional[asyncio.base_events.Server] = None
-        self._sessions: ThreadPoolExecutor = ThreadPoolExecutor(
-            max_workers=max_sessions, thread_name_prefix="serve-session"
-        )
         self._connections: Set[asyncio.Task] = set()
+        self._shutdown: Optional[asyncio.Task] = None
         self._draining = False
         self._active_requests = 0
         self._stopped = asyncio.Event()
@@ -91,7 +85,8 @@ class CompileServer:
         for clients to hang up: an idle keep-alive connection would
         otherwise block shutdown forever.  Once the request count hits
         zero the remaining (idle) sessions are cancelled, which closes
-        their sockets.
+        their sockets.  Without draining, compiles still running are not
+        awaited and their artifacts are not cached.
         """
         self._draining = True
         if self._server is not None:
@@ -104,8 +99,7 @@ class CompileServer:
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
-        self.service.close(drain=drain)
-        self._sessions.shutdown(wait=False)
+        await self.service.stop(drain=drain)
         self._stopped.set()
 
     # -- connection handling -------------------------------------------
@@ -133,7 +127,6 @@ class CompileServer:
     async def _session(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             try:
                 request = await read_frame_async(reader, self.max_payload)
@@ -158,10 +151,8 @@ class CompileServer:
                 )
                 # drain in a fresh task: this connection must finish
                 # (and leave self._connections) for the drain to settle
-                # deliberate fire-and-forget: stop() must outlive this
-                # handler, and the server holds it alive via its own
-                # _connections bookkeeping until the drain settles
-                asyncio.ensure_future(self.stop(drain=True))  # noqa: CC203
+                if self._shutdown is None:
+                    self._shutdown = asyncio.create_task(self.stop())
                 return
 
             if self._draining and request.get("op") == "compile":
@@ -173,9 +164,7 @@ class CompileServer:
                 # to be computed *and delivered* before tearing down
                 self._active_requests += 1
                 try:
-                    response = await loop.run_in_executor(
-                        self._sessions, self.service.handle, request
-                    )
+                    response = await self.service.handle(request)
                     await write_frame_async(writer, response)
                 except (ConnectionError, OSError):
                     return
@@ -205,7 +194,8 @@ def run_server(
     """Blocking entry point for ``repro serve``.
 
     Runs until a client sends ``{"op": "shutdown"}`` (or the process is
-    interrupted); returns a process exit code.
+    interrupted: compiles still running then go uncached); returns a
+    process exit code.
     """
     service = CompileService(
         workers=workers, cache_dir=cache_dir, memory_capacity=memory_capacity

@@ -24,10 +24,14 @@ Request lifecycle:
 3. **single-flight dispatch** — on a miss the job runs on a worker
    process pool; concurrent requests for the *same* key join the
    in-flight future (``cache_tier="inflight"``) instead of compiling
-   twice, and a miss read before another owner published the key looks
-   the store up again;
-4. **publish** — the finished artifact lands in both store tiers, so
-   the next request is a memory hit.
+   twice.  Lookup and join-or-submit run with no ``await`` between
+   them, so a miss can never predate the publish it missed;
+4. **publish** — the job's done-callback puts the finished artifact in
+   both store tiers (so the next request is a memory hit) and retires
+   the in-flight entry, whether or not any requester is still waiting.
+
+Everything above runs on the server's event loop; only the compiles
+leave it, for the worker processes.
 
 Compiles are deterministic, so a cache hit is exact: the artifact is
 bit-identical to what a fresh compile would produce.
@@ -35,16 +39,17 @@ bit-identical to what a fresh compile would produce.
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.hardware.noise import NoiseModel
 from repro.serve.protocol import error_response
 from repro.serve.store import ArtifactStore
-from repro.utils.sync import make_lock
 
 if TYPE_CHECKING:
     from repro.eval.batch import RunSpec
@@ -215,10 +220,12 @@ def compile_job(spec: "RunSpec") -> Dict[str, Any]:
 class CompileService:
     """Cache-first compile dispatcher over a worker process pool.
 
-    Thread-safe: the socket server calls :meth:`handle` from many
-    threads at once.  ``workers`` bounds the process pool (default:
-    ``min(4, cpu_count)``); the pool starts lazily on the first miss,
-    so a service that only ever hits cache never forks.
+    Runs on one event loop: the socket server awaits :meth:`handle` for
+    every request, so the store, the in-flight map and the counters
+    are only ever touched from that loop and need no lock.  ``workers``
+    bounds the process pool (default: ``min(4, cpu_count)``); the pool
+    starts lazily on the first miss, so a service that only ever hits
+    cache never forks.
     """
 
     def __init__(
@@ -240,15 +247,14 @@ class CompileService:
             schema_version=SCHEMA_VERSION,
         )
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._inflight: Dict[str, "Future[Dict[str, Any]]"] = {}
-        self._lock = make_lock("CompileService._lock")
+        self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self._closed = False
         self.jobs_completed = 0
         self.jobs_failed = 0
         self._started_at = time.time()
 
     # -- dispatch ------------------------------------------------------
-    def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Serve one request dict; never raises, always returns a dict."""
         op = request.get("op", "compile")
         if op == "ping":
@@ -256,10 +262,10 @@ class CompileService:
         if op == "stats":
             return {"ok": True, "op": "stats", "stats": self.stats()}
         if op == "compile":
-            return self._handle_compile(request)
+            return await self._handle_compile(request)
         return error_response("unknown-op", f"unknown op {op!r}")
 
-    def _handle_compile(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _handle_compile(self, request: Dict[str, Any]) -> Dict[str, Any]:
         t0 = time.perf_counter()
         try:
             spec = normalize_request(request)
@@ -267,46 +273,36 @@ class CompileService:
             return error_response("bad-request", exc.message)
         key = spec.key()
 
-        while True:
-            with self._lock:  # every publish bumps jobs_completed
-                published = self.jobs_completed
-            hit = self.store.get(key)
-            if hit is not None:
-                return {
-                    "ok": True,
-                    "key": key,
-                    "cache_tier": hit.tier,
-                    "cache_age_seconds": round(hit.age_seconds, 3),
-                    "seconds": time.perf_counter() - t0,
-                    "artifact": hit.artifact,
-                }
-            dispatched = self._dispatch(key, spec, published)
-            if dispatched is not None:
-                break
-        future, owner = dispatched
+        # no await between the lookup and the join-or-submit: nothing
+        # can publish or retire *key* in between
+        hit = self.store.get(key)
+        if hit is not None:
+            return {
+                "ok": True,
+                "key": key,
+                "cache_tier": hit.tier,
+                "cache_age_seconds": round(hit.age_seconds, 3),
+                "seconds": time.perf_counter() - t0,
+                "artifact": hit.artifact,
+            }
+        future = self._inflight.get(key)
+        owner = future is None
+        if future is None:
+            future = self._submit(key, spec)
         if future is None:
             return error_response(
                 "shutting-down", "service is draining; compile rejected"
             )
         try:
-            artifact = future.result()
+            # shielded: a cancelled requester leaves the job (and every
+            # other requester awaiting it) running
+            artifact = await asyncio.shield(future)
         except Exception as exc:  # worker raised: report, don't crash
-            # only the owner retires the entry and counts the failure: a
-            # late joiner must not pop a newer owner's in-flight future
-            if owner:
-                with self._lock:
-                    self._inflight.pop(key, None)
-                    self.jobs_failed += 1
             if isinstance(exc, RequestError):
                 return error_response("bad-request", exc.message, key=key)
             return error_response(
                 "compile-error", f"{type(exc).__name__}: {exc}", key=key
             )
-        if owner:
-            self.store.put(key, artifact)
-            with self._lock:
-                self._inflight.pop(key, None)
-                self.jobs_completed += 1
         return {
             "ok": True,
             "key": key,
@@ -316,59 +312,69 @@ class CompileService:
             "artifact": artifact,
         }
 
-    def _dispatch(
-        self, key: str, spec: "RunSpec", published: int
-    ) -> Optional[Tuple[Optional["Future[Dict[str, Any]]"], bool]]:
-        """The future computing *key*'s artifact, plus ownership.
+    def _submit(
+        self, key: str, spec: "RunSpec"
+    ) -> Optional["asyncio.Future[Dict[str, Any]]"]:
+        """Start compiling *spec* and register it as *key*'s in-flight job.
 
-        The owner (the caller that actually submitted the spec) is
-        responsible for publishing the artifact (or counting the
-        failure) and retiring the in-flight entry; joiners just wait.
-        ``None`` means an owner published since the caller read
-        ``jobs_completed == published``: its store miss may predate
-        that publish, so it must look again rather than compile twice.
+        ``None`` when the service is closed.  The job's done-callback,
+        registered here once, publishes the artifact (or counts the
+        failure) and retires the entry; it runs on the loop before any
+        requester awaiting the job resumes.
         """
-        with self._lock:
-            existing = self._inflight.get(key)
-            if existing is not None:
-                return existing, False
-            if self.jobs_completed != published:
-                return None
-            if self._closed:
-                return None, False
-            if self._executor is None:
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            try:
-                future = self._executor.submit(compile_job, spec)
-            except RuntimeError:  # pool already shut down
-                return None, False
-            self._inflight[key] = future
-            return future, True
+        if self._closed:
+            return None
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        try:
+            job = self._executor.submit(compile_job, spec)
+        except RuntimeError:  # pool already shut down
+            return None
+        future = asyncio.wrap_future(job)
+        future.add_done_callback(functools.partial(self._retire, key))
+        self._inflight[key] = future
+        return future
+
+    def _retire(
+        self, key: str, future: "asyncio.Future[Dict[str, Any]]"
+    ) -> None:
+        del self._inflight[key]
+        if future.cancelled() or future.exception() is not None:
+            self.jobs_failed += 1
+            return
+        self.store.put(key, future.result())
+        self.jobs_completed += 1
 
     # -- introspection -------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            inflight = len(self._inflight)
-            jobs_completed = self.jobs_completed
-            jobs_failed = self.jobs_failed
         return {
             "workers": self.workers,
-            "jobs_completed": jobs_completed,
-            "jobs_failed": jobs_failed,
-            "inflight": inflight,
+            "jobs_completed": self.jobs_completed,
+            "jobs_failed": self.jobs_failed,
+            "inflight": len(self._inflight),
             "uptime_seconds": round(time.time() - self._started_at, 3),
             "store": self.store.stats.as_dict(),
         }
 
     # -- lifecycle -----------------------------------------------------
+    async def stop(self, drain: bool = True) -> None:
+        """Stop accepting compiles and shut the pool down; ``drain=True``
+        first awaits every in-flight job, so each one publishes.  A job
+        left running by ``drain=False`` publishes only if the loop still
+        runs when it finishes."""
+        self._closed = True
+        if drain and self._inflight:
+            await asyncio.wait(list(self._inflight.values()))
+        self.close(drain=drain)
+
     def close(self, drain: bool = True) -> None:
-        """Stop accepting compiles; ``drain=True`` waits for in-flight
-        jobs to finish first."""
-        with self._lock:
-            self._closed = True
-            executor = self._executor
-        if executor is not None:
-            executor.shutdown(wait=drain)
+        """Stop accepting compiles and shut the pool down; ``drain=True``
+        waits for running jobs to finish.  Publishing runs on the loop,
+        so a job still running when ``close`` is called without one
+        (an interrupted server) finishes but is not cached."""
+        self._closed = True
+        if self._executor is not None:
+            self._executor.shutdown(wait=drain)
 
     def __enter__(self) -> "CompileService":
         return self

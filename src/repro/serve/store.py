@@ -4,15 +4,15 @@ The batch runner's disk memoization (one JSON file per content-hash key)
 grew into the serving layer's hot path, so it lives here as a
 first-class store with the properties a long-lived service needs:
 
-* **memory tier** — :class:`MemoryLRU`, a bounded thread-safe LRU over
+* **memory tier** — :class:`MemoryLRU`, a bounded LRU over
   deserialized artifacts, so a hot circuit costs a dict lookup instead
   of a disk read + JSON parse;
 * **disk tier** — :class:`DiskTier`, one ``<key>.json`` file per
   artifact.  Writes are atomic (serialize to a unique temp file in the
   same directory, then ``os.replace``), so concurrent readers — other
-  threads, other worker processes, other server instances sharing the
-  cache directory — always see either the previous complete artifact or
-  the new complete artifact, never a torn file;
+  worker processes, other server instances sharing the cache
+  directory — always see either the previous complete artifact or the
+  new complete artifact, never a torn file;
 * **corruption tolerance** — a truncated/garbage file or a malformed
   envelope is a *miss* (counted in :attr:`StoreStats.corrupt_reads`),
   never an exception: a torn cache file must not poison a worker;
@@ -25,6 +25,12 @@ envelope ``{"schema_version", "created_at", "artifact"}``; a schema
 mismatch is a miss (stale entries age out instead of crashing a newer
 reader), and ``created_at`` lets callers surface the artifact's age
 (the run table's ``cache_age_seconds`` column).
+
+A store is not thread-safe and needs no lock: the batch runner uses it
+from one thread, and the compile service from its event loop.  There
+the disk tier's reads and writes (envelopes of ~1.5 KB) run on the
+loop itself: tens to hundreds of microseconds each, against a ~40 ms
+cold compile (``docs/serving.md`` has the measurement).
 
 This module is dependency-free (stdlib only) so both the eval layer and
 the serving layer can import it without cycles.
@@ -40,8 +46,6 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
-
-from repro.utils.sync import make_lock
 
 #: artifact tiers a hit can come from (``None`` means miss)
 MEMORY_TIER = "memory"
@@ -113,7 +117,7 @@ class StoreStats:
 
 
 class MemoryLRU:
-    """Bounded thread-safe LRU map: key -> artifact.
+    """Bounded LRU map: key -> artifact.
 
     ``get`` refreshes recency; ``put`` of an existing key refreshes and
     overwrites; inserting past ``capacity`` evicts the least recently
@@ -126,43 +130,36 @@ class MemoryLRU:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        self._lock = make_lock("MemoryLRU._lock")
         self.evictions = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     def get(self, key: str) -> Optional[Any]:
-        with self._lock:
-            if key not in self._entries:
-                return None
-            self._entries.move_to_end(key)
-            return self._entries[key]
+        if key not in self._entries:
+            return None
+        self._entries.move_to_end(key)
+        return self._entries[key]
 
     def put(self, key: str, value: Any) -> None:
         if self.capacity == 0:
             return
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        self._entries[key] = value
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
     def keys(self) -> Tuple[str, ...]:
         """Current keys, least recently used first."""
-        with self._lock:
-            return tuple(self._entries.keys())
+        return tuple(self._entries.keys())
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
 
 class DiskTier:
@@ -240,7 +237,6 @@ class ArtifactStore:
             if self.cache_dir is not None
             else None
         )
-        self._lock = make_lock("ArtifactStore._lock")
 
     # -- lookup --------------------------------------------------------
     def get(self, key: str) -> Optional[StoreHit]:
@@ -248,8 +244,7 @@ class ArtifactStore:
         value = self._memory.get(key)
         if value is not None:
             artifact, created_at = value
-            with self._lock:
-                self.stats.memory_hits += 1
+            self.stats.memory_hits += 1
             return StoreHit(artifact, MEMORY_TIER, self._age(created_at))
         if self._disk is not None:
             envelope, corrupt = self._disk.load_checked(key)
@@ -262,16 +257,13 @@ class ArtifactStore:
                 elif stamp is not None:  # not a JSON number: corrupt
                     artifact, corrupt = None, True
             if corrupt:
-                with self._lock:
-                    self.stats.corrupt_reads += 1
+                self.stats.corrupt_reads += 1
             if artifact is not None:
                 self._memory.put(key, (artifact, created_at))
-                with self._lock:
-                    self.stats.disk_hits += 1
-                    self.stats.evictions = self._memory.evictions
+                self.stats.disk_hits += 1
+                self.stats.evictions = self._memory.evictions
                 return StoreHit(artifact, DISK_TIER, self._age(created_at))
-        with self._lock:
-            self.stats.misses += 1
+        self.stats.misses += 1
         return None
 
     def _age(self, created_at: float) -> float:
@@ -308,9 +300,8 @@ class ArtifactStore:
                     "artifact": artifact,
                 },
             )
-        with self._lock:
-            self.stats.puts += 1
-            self.stats.evictions = self._memory.evictions
+        self.stats.puts += 1
+        self.stats.evictions = self._memory.evictions
 
     # -- maintenance ---------------------------------------------------
     def disk_path(self, key: str) -> Optional[pathlib.Path]:

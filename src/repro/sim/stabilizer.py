@@ -547,24 +547,6 @@ class StabilizerState:
             )
         return outcome
 
-    def measure_many(
-        self,
-        paulis: Sequence[PauliString],
-        force: Optional[Sequence[Optional[int]]] = None,
-    ) -> List[int]:
-        """Measure a sequence of Pauli products in order.
-
-        ``force`` optionally postselects per measurement (``None``
-        entries stay random).  Outcome order matches input order.
-        """
-        if force is None:
-            force = [None] * len(paulis)
-        if len(force) != len(paulis):
-            raise ValueError("force must match paulis in length")
-        return [
-            self.measure_pauli(pauli, force=f) for pauli, f in zip(paulis, force)
-        ]
-
     def expectation(self, pauli: PauliString) -> Optional[int]:
         """Outcome of measuring *pauli* if deterministic, else ``None``.
 

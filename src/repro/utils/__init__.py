@@ -1,4 +1,4 @@
-"""Shared utilities: angles, geometry, RNG and lock instrumentation."""
+"""Shared utilities: angles, bit grids and geometry."""
 
 from repro import lazy_exports
 
@@ -16,15 +16,6 @@ _EXPORTS = {
     "Rect": ".geometry",
     "bounding_rect": ".geometry",
     "manhattan": ".geometry",
-    "GLOBAL_REGISTRY": ".sync",
-    "LockOrderError": ".sync",
-    "TrackedLock": ".sync",
-    "WitnessRegistry": ".sync",
-    "check_witness_against": ".sync",
-    "enable_sanitizer": ".sync",
-    "find_cycle": ".sync",
-    "make_lock": ".sync",
-    "sanitizer_enabled": ".sync",
 }
 
 __all__ = list(_EXPORTS)

@@ -19,6 +19,7 @@ from repro.analysis.concurrency import (
     CC_CODES,
     ConcurrencyAnalyzer,
     analyze_source,
+    find_cycle,
 )
 
 # ----------------------------------------------------------------------
@@ -404,9 +405,64 @@ class TestRepoGate:
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_repo_static_lock_graph_is_acyclic(self, repo_analyzer):
-        from repro.utils.sync import find_cycle
-
         assert find_cycle(repo_analyzer.lock_order_edges()) is None
+
+    SERVE = pathlib.Path(__file__).resolve().parents[2] / "src/repro/serve"
+
+    def test_serve_has_no_cc_suppression(self):
+        """The serving path is clean without silencing any CC rule."""
+        suppressed = [
+            f"{path.name}:{lineno}"
+            for path in sorted(self.SERVE.glob("*.py"))
+            for lineno, line in enumerate(
+                path.read_text().splitlines(), start=1
+            )
+            if "noqa: CC" in line
+        ]
+        assert suppressed == []
+
+    @pytest.mark.parametrize(
+        "construct",
+        ["Lock(", "RLock(", "make_lock", "ThreadPoolExecutor",
+         "run_in_executor"],
+    )
+    def test_serve_shares_no_state_between_threads(self, construct):
+        """The service runs on one event loop: no lock guards its state
+        and no thread pool runs its requests."""
+        users = [
+            path.name for path in sorted(self.SERVE.glob("*.py"))
+            if construct in path.read_text()
+        ]
+        assert users == []
+
+
+class TestFindCycle:
+    def test_empty_graph(self):
+        assert find_cycle([]) is None
+
+    def test_chain_is_acyclic(self):
+        assert find_cycle([("a", "b"), ("b", "c"), ("a", "c")]) is None
+
+    def test_two_cycle(self):
+        cycle = find_cycle([("a", "b"), ("b", "a")])
+        assert cycle is not None
+        assert cycle[0] == cycle[-1]
+        assert set(cycle) == {"a", "b"}
+
+    def test_longer_cycle_recovered_exactly(self):
+        cycle = find_cycle(
+            [("a", "b"), ("b", "c"), ("c", "a"), ("x", "a")]
+        )
+        assert cycle is not None
+        assert cycle[0] == cycle[-1]
+        assert set(cycle) == {"a", "b", "c"}
+
+    def test_deterministic(self):
+        edges = [("b", "a"), ("a", "b"), ("c", "d")]
+        assert find_cycle(edges) == find_cycle(list(reversed(edges)))
+
+    def test_self_loop(self):
+        assert find_cycle([("a", "a")]) == ["a", "a"]
 
 
 class TestLintCLI:

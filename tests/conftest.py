@@ -51,24 +51,6 @@ def fusion_graph_of(graph: nx.Graph) -> FusionGraph:
 
 
 @pytest.fixture
-def lock_sanitizer():
-    """Force the lock-order sanitizer on for one test, witness reset.
-
-    Locks built while this fixture is active are TrackedLocks recording
-    into the yielded registry regardless of REPRO_SYNC_SANITIZE; the
-    environment-controlled behaviour is restored afterwards.
-    """
-    from repro.utils import sync
-
-    sync.GLOBAL_REGISTRY.reset()
-    sync.enable_sanitizer(True)
-    try:
-        yield sync.GLOBAL_REGISTRY
-    finally:
-        sync.enable_sanitizer(None)
-
-
-@pytest.fixture
 def small_hardware():
     from repro.hardware import HardwareConfig
 

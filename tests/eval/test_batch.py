@@ -33,6 +33,55 @@ class TestRunSpec:
         b = RunSpec("BV", 8, compiler_options=(("alpha", 2.0),))
         assert a.key() != b.key()
 
+    def test_key_ignores_defaulted_config_fields(self):
+        """A config dataclass keys by the fields it sets: a version of
+        the class with one more defaulted field gives the same key."""
+        from dataclasses import field, make_dataclass
+
+        def knobs(*extra):
+            return make_dataclass(
+                "Knobs",
+                [("alpha", float, field(default=4.0)),
+                 ("mode", str, field(default="flow")), *extra],
+                frozen=True,
+            )
+
+        old = knobs()
+        new = knobs(("depth", int, field(default=3)))
+
+        def key(options):
+            return RunSpec("QFT", 16, compiler_options=options).key()
+
+        assert key((("partition", old(mode="lemma1")),)) == key(
+            (("partition", new(mode="lemma1")),)
+        )
+        assert key((("partition", old()),)) == key((("partition", new()),))
+        assert key((("partition", new(depth=4)),)) != key(
+            (("partition", new()),)
+        )
+        assert key((("partition", old(mode="lemma1")),)) != key(
+            (("partition", old()),)
+        )
+
+    def test_key_names_the_config_class(self):
+        """Two config classes with the same fields and values key apart:
+        the class name is part of a dataclass option's key text."""
+        from dataclasses import field, make_dataclass
+
+        def config(name):
+            return make_dataclass(
+                name, [("alpha", float, field(default=4.0))], frozen=True
+            )
+
+        def key(value):
+            return RunSpec(
+                "QFT", 16, compiler_options=(("config", value),)
+            ).key()
+
+        left, right = config("Left"), config("Right")
+        assert key(left(alpha=2.0)) != key(right(alpha=2.0))
+        assert key(left()) != key(right())
+
     def test_key_sensitive_to_qasm_source(self):
         from repro.circuit.qasm import to_qasm
 

@@ -3,7 +3,8 @@
 Covered: ephemeral-port server, QFT-16 submitted twice (second response
 a bit-identical cache hit), malformed-request and oversized-payload
 rejection, two closed-loop clients mixing hot, cold and invalid
-requests, graceful shutdown (in-flight jobs complete, queue drains).
+requests, pings and cache hits answered during a cold compile, graceful
+shutdown (in-flight jobs complete, queue drains).
 """
 
 import socket
@@ -14,7 +15,8 @@ import pytest
 
 from repro.serve.client import CompileClient, ServerClosedError
 from repro.serve.protocol import HEADER, recv_frame, send_frame
-from repro.serve.server import ServerThread
+from repro.serve.server import CompileServer, ServerThread
+from repro.serve.service import CompileService
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +204,42 @@ class TestClosedLoop:
         finally:
             handle.stop()
 
+    def test_ping_and_memory_hit_answer_during_a_cold_compile(
+        self, tmp_path
+    ):
+        """A cold compile runs in a worker process: while it is in
+        flight the event loop still answers pings and cache hits."""
+        handle = ServerThread(workers=1, cache_dir=tmp_path).start()
+        try:
+            with CompileClient(handle.host, handle.port) as c:
+                warm = c.compile(benchmark="BV", qubits=6)
+                assert warm["ok"], warm
+            cold = {}
+
+            def compile_cold():
+                with CompileClient(handle.host, handle.port) as c:
+                    cold["reply"] = c.compile(benchmark="QFT", qubits=48)
+
+            thread = threading.Thread(target=compile_cold)
+            thread.start()
+            with CompileClient(handle.host, handle.port) as c:
+                deadline = time.time() + 10
+                while c.stats()["inflight"] == 0:
+                    assert time.time() < deadline, "cold compile never began"
+                    time.sleep(0.01)
+                assert c.ping() is True
+                hit = c.compile(benchmark="BV", qubits=6)
+                assert hit["cache_tier"] == "memory"
+                assert hit["artifact"] == warm["artifact"]
+                # both answers came back before the compile finished
+                assert c.stats()["inflight"] == 1
+            thread.join(120)
+            assert not thread.is_alive()
+            assert cold["reply"]["ok"], cold["reply"]
+            assert cold["reply"]["cache_tier"] is None
+        finally:
+            handle.stop()
+
 
 class TestGracefulShutdown:
     def test_inflight_jobs_complete_and_port_closes(self, tmp_path):
@@ -259,3 +297,50 @@ class TestGracefulShutdown:
         handle = ServerThread(workers=1, cache_dir=tmp_path).start()
         handle.stop()
         handle.stop()  # second stop is a no-op, not an error
+
+    def test_shutdown_request_keeps_its_stop_task(self, tmp_path):
+        """The drain started by ``{"op": "shutdown"}`` is held by the
+        server until it finishes, and it finishes cleanly."""
+        handle = ServerThread(workers=1, cache_dir=tmp_path).start()
+        with CompileClient(handle.host, handle.port) as c:
+            assert c.shutdown()["ok"] is True
+        assert handle._finished.wait(30), "server never drained"
+        task = handle.server._shutdown
+        assert task is not None and task.done()
+        assert not task.cancelled() and task.exception() is None
+        handle.stop()
+
+    def test_client_hanging_up_mid_compile_strands_nothing(self, tmp_path):
+        """A requester that disconnects while its compile runs leaves
+        the job to finish and publish: the next request for the same
+        circuit never compiles it again."""
+        handle = ServerThread(workers=1, cache_dir=tmp_path).start()
+        try:
+            raw = socket.create_connection((handle.host, handle.port))
+            send_frame(
+                raw, {"op": "compile", "benchmark": "QFT", "qubits": 14}
+            )
+            with CompileClient(handle.host, handle.port) as c:
+                deadline = time.time() + 10
+                while c.stats()["inflight"] == 0:
+                    assert time.time() < deadline, "compile never began"
+                    time.sleep(0.01)
+                raw.close()
+                again = c.compile(benchmark="QFT", qubits=14)
+                assert again["ok"], again
+                assert again["cache_tier"] in ("inflight", "memory")
+                stats = c.stats()
+            assert (stats["jobs_completed"], stats["inflight"]) == (1, 0)
+        finally:
+            handle.stop()
+
+
+class TestServerConfig:
+    def test_session_pool_knob_is_gone(self, tmp_path):
+        """Requests run on the event loop; there is no session pool to
+        size, so the old knob fails loudly instead of being ignored."""
+        service = CompileService(workers=1, cache_dir=tmp_path)
+        with pytest.raises(TypeError, match="max_sessions"):
+            CompileServer(service, max_sessions=4)
+        with pytest.raises(TypeError, match="max_sessions"):
+            ServerThread(workers=1, cache_dir=tmp_path, max_sessions=4)

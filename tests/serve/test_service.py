@@ -1,7 +1,6 @@
 """Tests for the in-process CompileService and request normalization."""
 
-import threading
-from concurrent.futures import Future
+import asyncio
 from dataclasses import asdict
 
 import pytest
@@ -12,6 +11,18 @@ from repro.serve.service import (
     RequestError,
     normalize_request,
 )
+
+
+def _serve(svc, request):
+    """One request on a fresh event loop."""
+    return asyncio.run(svc.handle(request))
+
+
+def _gather(svc, requests):
+    """*requests* issued concurrently on one event loop, in order."""
+    async def issue():
+        return await asyncio.gather(*(svc.handle(r) for r in requests))
+    return asyncio.run(issue())
 
 
 class TestNormalizeRequest:
@@ -132,10 +143,10 @@ def service(tmp_path_factory):
 class TestCompileService:
     def test_miss_then_memory_hit_bit_identical(self, service):
         request = {"op": "compile", "benchmark": "BV", "qubits": 8}
-        first = service.handle(request)
+        first = _serve(service, request)
         assert first["ok"], first
         assert first["cache_tier"] is None
-        second = service.handle(request)
+        second = _serve(service, request)
         assert second["ok"]
         assert second["cache_tier"] == "memory"
         assert second["cache_age_seconds"] >= 0.0
@@ -144,9 +155,9 @@ class TestCompileService:
 
     def test_disk_tier_survives_memory_clear(self, service):
         request = {"op": "compile", "benchmark": "BV", "qubits": 6}
-        first = service.handle(request)
+        first = _serve(service, request)
         service.store.clear_memory()
-        second = service.handle(request)
+        second = _serve(service, request)
         assert second["cache_tier"] == "disk"
         assert second["artifact"] == first["artifact"]
 
@@ -157,7 +168,7 @@ class TestCompileService:
 
         qasm = to_qasm(get_benchmark("BV", 6, seed=7))
         request = {"op": "compile", "qasm": qasm, "name": "bv6"}
-        first = service.handle(request)
+        first = _serve(service, request)
         assert first["ok"], first
         assert first["artifact"]["benchmark"] == "bv6"
         assert first["artifact"]["num_qubits"] == 6
@@ -167,7 +178,7 @@ class TestCompileService:
             raise AssertionError("QASM parsed on the cache-hit path")
 
         monkeypatch.setattr(repro.circuit.qasm, "from_qasm", no_parse)
-        second = service.handle(request)
+        second = _serve(service, request)
         assert second["cache_tier"] == "memory"
         assert second["artifact"] == first["artifact"]
 
@@ -179,7 +190,7 @@ class TestCompileService:
         from repro.eval.batch import execute_spec
 
         qasm = to_qasm(get_benchmark("BV", 8, seed=7))
-        response = service.handle(
+        response = _serve(service,
             {"op": "compile", "qasm": qasm, "name": "bv8", "verify": True,
              "shots": 200}
         )
@@ -207,10 +218,10 @@ class TestCompileService:
         from repro.circuit.qasm import to_qasm
 
         qasm = to_qasm(get_benchmark("BV", 6, seed=7))
-        plain = service.handle({"op": "compile", "qasm": qasm})
+        plain = _serve(service, {"op": "compile", "qasm": qasm})
         assert plain["ok"], plain
         assert plain["artifact"]["baseline_depth"] is None
-        response = service.handle(
+        response = _serve(service,
             {"op": "compile", "qasm": qasm, "include_baseline": True}
         )
         assert response["ok"], response
@@ -221,7 +232,7 @@ class TestCompileService:
     def test_oversize_qasm_rejected_before_compiling(self, service):
         qasm = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[100000];\n'
         for _ in range(2):  # a rejection is never cached
-            response = service.handle({"op": "compile", "qasm": qasm})
+            response = _serve(service, {"op": "compile", "qasm": qasm})
             assert response["ok"] is False
             assert response["error"]["code"] == "bad-request"
             assert "100000 qubits" in response["error"]["message"]
@@ -233,13 +244,13 @@ class TestCompileService:
 
         width = MAX_QUBITS + 1
         qasm = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{width}];\n'
-        response = service.handle({"op": "compile", "qasm": qasm})
+        response = _serve(service, {"op": "compile", "qasm": qasm})
         assert response["ok"] is False
         assert response["error"]["code"] == "bad-request"
         assert f"{width} qubits" in response["error"]["message"]
 
     def test_removed_engine_field_is_a_bad_request(self, service):
-        response = service.handle(
+        response = _serve(service,
             {"op": "compile", "benchmark": "BV", "qubits": 6,
              "mc_engine": "frame"}
         )
@@ -250,7 +261,7 @@ class TestCompileService:
         )
 
     def test_yield_estimate_in_artifact(self, service):
-        response = service.handle(
+        response = _serve(service,
             {"op": "compile", "benchmark": "BV", "qubits": 6, "shots": 200}
         )
         assert response["ok"]
@@ -260,8 +271,8 @@ class TestCompileService:
         assert 0.0 < artifact["yield_analytic"] < 1.0
 
     def test_ping_and_stats_ops(self, service):
-        assert service.handle({"op": "ping"})["ok"] is True
-        response = service.handle({"op": "stats"})
+        assert _serve(service, {"op": "ping"})["ok"] is True
+        response = _serve(service, {"op": "stats"})
         assert response["ok"] is True
         stats = response["stats"]
         assert stats["workers"] == 2
@@ -270,18 +281,18 @@ class TestCompileService:
         assert 0.0 <= stats["store"]["hit_rate"] <= 1.0
 
     def test_unknown_op_rejected(self, service):
-        response = service.handle({"op": "teleport"})
+        response = _serve(service, {"op": "teleport"})
         assert response["ok"] is False
         assert response["error"]["code"] == "unknown-op"
 
     def test_bad_request_rejected(self, service):
-        response = service.handle({"op": "compile", "benchmark": "NOPE"})
+        response = _serve(service, {"op": "compile", "benchmark": "NOPE"})
         assert response["ok"] is False
         assert response["error"]["code"] == "bad-request"
         assert "benchmark" in response["error"]["message"]
 
     def test_worker_exception_reported_not_raised(self, service):
-        response = service.handle(
+        response = _serve(service,
             {"op": "compile", "qasm": "this is not qasm", "name": "bad"}
         )
         assert response["ok"] is False
@@ -296,7 +307,7 @@ class TestCompileService:
                 ({"shots": 100}, {"cycle_los": 0.01}),
                 ({"shots": 100}, {"cycle_loss": 2.0}),
             ):
-                response = svc.handle(
+                response = _serve(svc,
                     {"op": "compile", "benchmark": "BV", "qubits": 6,
                      "noise": noise, **extra}
                 )
@@ -306,77 +317,68 @@ class TestCompileService:
             assert stats["jobs_completed"] == stats["jobs_failed"] == 0
             assert svc._executor is None
 
-    def test_failed_joiner_leaves_the_entry_to_its_owner(self, tmp_path):
-        """A request joining a failed in-flight compile reports the
-        error, but the failure and the entry belong to the owner: the
-        joiner neither counts it nor retires the entry."""
+    def test_single_flight_joins_inflight_compile(self, tmp_path):
+        """Concurrent requests compile once per key: the first request
+        for a key owns the job, the rest join it, and a request after
+        the publish is a memory hit, never a second compile."""
+        same = {"op": "compile", "benchmark": "QFT", "qubits": 12}
+        requests = [same] * 4 + [
+            {"op": "compile", "benchmark": "BV", "qubits": q} for q in (6, 7)
+        ]
+        with CompileService(workers=2, cache_dir=tmp_path) as svc:
+            responses = _gather(svc, requests)
+            assert all(r["ok"] for r in responses), responses
+            assert [r["cache_tier"] for r in responses] == [
+                None, "inflight", "inflight", "inflight", None, None,
+            ]
+            assert all(
+                r["artifact"] == responses[0]["artifact"]
+                for r in responses[:4]
+            )
+            stats = svc.stats()
+            assert (stats["jobs_completed"], stats["inflight"]) == (3, 0)
+            assert stats["store"]["puts"] == 3
+            assert _serve(svc, same)["cache_tier"] == "memory"
+            assert svc.stats()["jobs_completed"] == 3
+
+    def test_cancelled_owner_still_publishes(self, tmp_path):
+        """A requester that goes away does not strand its job: the
+        compile finishes, publishes and retires its in-flight entry."""
         request = {"op": "compile", "benchmark": "BV", "qubits": 6}
         key = normalize_request(request).key()
-        failed: Future = Future()
-        failed.set_exception(RuntimeError("worker died"))
-        with CompileService(workers=1, cache_dir=tmp_path) as svc:
-            svc._inflight[key] = failed
-            response = svc.handle(request)
-            assert response["ok"] is False
-            assert response["error"]["code"] == "compile-error"
-            assert svc.jobs_failed == 0
-            assert svc._inflight[key] is failed
+        svc = CompileService(workers=1, cache_dir=tmp_path)
 
-    def test_single_flight_joins_inflight_compile(self, tmp_path):
-        """Concurrent identical requests trigger exactly one compile."""
-        with CompileService(workers=2, cache_dir=tmp_path) as svc:
-            request = {"op": "compile", "benchmark": "QFT", "qubits": 12}
-            responses = [None] * 4
+        async def scenario():
+            owner = asyncio.create_task(svc.handle(request))
+            await asyncio.sleep(0)  # the owner submits, then awaits
+            assert list(svc._inflight) == [key]
+            owner.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await owner
+            await svc.stop(drain=True)  # awaits the job, then the pool
 
-            def issue(slot):
-                responses[slot] = svc.handle(request)
-
-            threads = [
-                threading.Thread(target=issue, args=(slot,))
-                for slot in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert all(r["ok"] for r in responses)
-            artifacts = [r["artifact"] for r in responses]
-            assert all(a == artifacts[0] for a in artifacts)
-            # exactly one request actually compiled; the rest joined the
-            # in-flight future or hit the store it populated
-            fresh = [r for r in responses if r["cache_tier"] is None]
-            assert len(fresh) == 1
-            assert svc.jobs_completed == 1
-
-    def test_stale_miss_after_a_publish_looks_again(
-        self, tmp_path, monkeypatch
-    ):
-        """A store miss read just before another owner published the key
-        must not compile the key again: the request looks again."""
-        request = {"op": "compile", "benchmark": "BV", "qubits": 6}
-        with CompileService(workers=1, cache_dir=tmp_path) as svc:
-            real_get, lookups = svc.store.get, []
-
-            def stale_first_get(key):
-                lookups.append(key)
-                if len(lookups) > 1:
-                    return real_get(key)
-                # another request compiles and publishes the key between
-                # this lookup and its dispatch
-                assert svc.handle(request)["cache_tier"] is None
-
-            monkeypatch.setattr(svc.store, "get", stale_first_get)
-            assert svc.handle(request)["cache_tier"] == "memory"
-            assert (svc.jobs_completed, len(lookups)) == (1, 3)
+        asyncio.run(scenario())
+        assert svc._inflight == {}
+        assert svc.jobs_completed == 1
+        hit = svc.store.get(key)
+        assert hit is not None and hit.artifact["depth"] >= 1
 
     def test_failed_compile_is_never_cached(self, tmp_path):
+        """A failed job is counted once, by its callback, however many
+        requests joined it; every requester gets the error, the entry
+        is retired and the next request compiles again."""
         request = {"op": "compile", "qasm": "not qasm", "name": "bad"}
+        key = normalize_request(request).key()
         with CompileService(workers=1, cache_dir=tmp_path) as svc:
             for attempt in (1, 2):
-                assert svc.handle(request)["error"]["code"] == "compile-error"
+                responses = _gather(svc, [request] * 3)
+                assert [r["error"]["code"] for r in responses] == [
+                    "compile-error"
+                ] * 3
                 stats = svc.stats()
                 assert (stats["jobs_failed"], stats["inflight"]) == (attempt, 0)
             assert stats["jobs_completed"] == stats["store"]["puts"] == 0
+            assert svc.store.get(key) is None
 
     @pytest.mark.parametrize("tier", ["memory", "disk"])
     def test_repeat_requests_hit_the_only_tier(self, tmp_path, tier):
@@ -385,7 +387,7 @@ class TestCompileService:
             workers=1, cache_dir=tmp_path if tier == "disk" else None,
             memory_capacity=0 if tier == "disk" else 256,
         ) as svc:
-            responses = [svc.handle(request) for _ in range(3)]
+            responses = [_serve(svc, request) for _ in range(3)]
             stats = svc.stats()
         assert [r["cache_tier"] for r in responses] == [None, tier, tier]
         assert all(r["artifact"] == responses[0]["artifact"] for r in responses)
@@ -402,7 +404,7 @@ class TestCompileService:
         self, tmp_path, request_payload
     ):
         with CompileService(workers=1, cache_dir=tmp_path) as svc:
-            response = svc.handle(request_payload)
+            response = _serve(svc, request_payload)
             assert response["error"]["code"] == "bad-request"
             assert svc.stats()["store"]["lookups"] == 0
             assert svc._executor is None
@@ -411,82 +413,154 @@ class TestCompileService:
         with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
             CompileService(workers=0, cache_dir=tmp_path)
 
-    def test_single_flight_under_sanitizer(self, tmp_path, lock_sanitizer):
-        """Single-flight + torn-stat guarantees hold under TrackedLock.
-
-        Seeded hammer: many threads issue a mix of identical and
-        distinct compile requests with the lock-order sanitizer active.
-        Afterwards the dynamic witness must be acyclic and consistent
-        with the static acquisition graph, both service locks must have
-        actually recorded acquisitions, exactly one fresh compile per
-        distinct key must have happened, and the jobs_completed counter
-        must not be torn.
-        """
-        import pathlib
-        import random
-
-        from repro.analysis.concurrency import ConcurrencyAnalyzer
-        from repro.utils import sync
-
-        registry = lock_sanitizer
-        with CompileService(workers=2, cache_dir=tmp_path) as svc:
-            assert isinstance(svc._lock, sync.TrackedLock)
-            requests = [
-                {"op": "compile", "benchmark": "BV", "qubits": q}
-                for q in (6, 7)
-            ]
-            responses = []
-            responses_lock = threading.Lock()
-
-            def issue(worker_id):
-                rng = random.Random(2000 + worker_id)
-                for _ in range(3):
-                    response = svc.handle(rng.choice(requests))
-                    with responses_lock:
-                        responses.append(response)
-
-            threads = [
-                threading.Thread(target=issue, args=(i,))
-                for i in range(6)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-
-            assert all(r["ok"] for r in responses)
-            fresh = [r for r in responses if r["cache_tier"] is None]
-            served_keys = {r["key"] for r in responses}
-            # exactly one fresh compile per distinct key, and the
-            # completion counter agrees (no torn increments)
-            assert len(fresh) == len({r["key"] for r in fresh})
-            assert svc.stats()["jobs_completed"] == len(fresh)
-            assert len(served_keys) <= len(requests)
-
-        src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
-        analyzer = ConcurrencyAnalyzer()
-        analyzer.add_paths([src / "serve", src / "utils"])
-        sync.check_witness_against(
-            analyzer.lock_order_edges(),
-            registry,
-            require_locks=[
-                "CompileService._lock",
-                "MemoryLRU._lock",
-                "ArtifactStore._lock",
-            ],
-        )
-
     def test_close_rejects_new_compiles(self, tmp_path):
         svc = CompileService(workers=1, cache_dir=tmp_path)
         warm = {"op": "compile", "benchmark": "BV", "qubits": 6}
-        assert svc.handle(warm)["ok"]
+        assert _serve(svc, warm)["ok"]
         svc.close()
         # cached artifacts still serve after close ...
-        assert svc.handle(warm)["cache_tier"] == "memory"
+        assert _serve(svc, warm)["cache_tier"] == "memory"
         # ... but new compiles are refused
-        response = svc.handle({"op": "compile", "benchmark": "BV", "qubits": 7})
+        response = _serve(
+            svc, {"op": "compile", "benchmark": "BV", "qubits": 7}
+        )
         assert response["ok"] is False
         assert response["error"]["code"] == "shutting-down"
+
+    @pytest.mark.parametrize(
+        "request_payload, ok",
+        [
+            ({"op": "ping"}, True),
+            ({"op": "stats"}, True),
+            ({"op": "teleport"}, False),
+            ({"op": "compile", "benchmark": "NOPE"}, False),
+            ({"op": "compile", "benchmark": "BV", "qubits": 6}, True),
+        ],
+        ids=["ping", "stats", "unknown-op", "bad-request", "memory-hit"],
+    )
+    def test_answered_without_suspending(self, service, request_payload, ok):
+        """Pings, stats, rejections and cache hits are answered inline:
+        the coroutine returns on its first step, never yielding the
+        loop to other requests."""
+        if "qubits" in request_payload:
+            assert _serve(service, request_payload)["ok"]  # warm the cache
+        coroutine = service.handle(request_payload)
+        with pytest.raises(StopIteration) as answered:
+            coroutine.send(None)
+        assert answered.value.value["ok"] is ok
+
+    def test_ping_and_stats_answer_while_a_compile_is_in_flight(
+        self, tmp_path
+    ):
+        """A compile waits on its worker process, not on the loop: the
+        other requests on the loop are served in the meantime."""
+        cold = {"op": "compile", "benchmark": "QFT", "qubits": 12}
+        with CompileService(workers=1, cache_dir=tmp_path) as svc:
+
+            async def scenario():
+                compiling = asyncio.create_task(svc.handle(cold))
+                await asyncio.sleep(0)  # the compile submits, then awaits
+                assert (await svc.handle({"op": "ping"}))["ok"] is True
+                stats = (await svc.handle({"op": "stats"}))["stats"]
+                assert stats["inflight"] == 1
+                assert not compiling.done()
+                return await compiling
+
+            response = asyncio.run(scenario())
+        assert response["ok"], response
+        assert response["cache_tier"] is None
+
+    def test_publish_precedes_the_response(self, tmp_path):
+        """The done-callback runs before any requester resumes: by the
+        time a compile's response is built, the artifact is in memory
+        and the in-flight entry is retired."""
+        request = {"op": "compile", "benchmark": "BV", "qubits": 6}
+        key = normalize_request(request).key()
+        with CompileService(workers=1, cache_dir=tmp_path) as svc:
+
+            async def scenario():
+                response = await svc.handle(request)
+                return response, dict(svc._inflight), svc.store.get(key)
+
+            response, inflight, hit = asyncio.run(scenario())
+        assert response["cache_tier"] is None
+        assert inflight == {}
+        assert hit is not None and hit.tier == "memory"
+        assert hit.artifact == response["artifact"]
+
+    def test_cancelled_joiner_leaves_the_owner_its_compile(self, tmp_path):
+        """Cancelling a request that joined an in-flight compile cancels
+        neither the job nor its owner's wait."""
+        request = {"op": "compile", "benchmark": "BV", "qubits": 6}
+        with CompileService(workers=1, cache_dir=tmp_path) as svc:
+
+            async def scenario():
+                owner = asyncio.create_task(svc.handle(request))
+                joiner = asyncio.create_task(svc.handle(request))
+                await asyncio.sleep(0)  # owner submits, joiner joins
+                assert len(svc._inflight) == 1
+                joiner.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await joiner
+                return await owner
+
+            response = asyncio.run(scenario())
+            stats = svc.stats()
+        assert response["ok"], response
+        assert response["cache_tier"] is None
+        assert (
+            stats["jobs_completed"], stats["jobs_failed"], stats["inflight"]
+        ) == (1, 0, 0)
+
+    def test_cancelled_owner_of_a_failing_compile_counts_it_once(
+        self, tmp_path
+    ):
+        """A failure nobody awaits any more is still counted, once, and
+        its entry retired; nothing is cached."""
+        request = {"op": "compile", "qasm": "not qasm", "name": "bad"}
+        svc = CompileService(workers=1, cache_dir=tmp_path)
+
+        async def scenario():
+            owner = asyncio.create_task(svc.handle(request))
+            await asyncio.sleep(0)
+            owner.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await owner
+            await svc.stop(drain=True)
+
+        asyncio.run(scenario())
+        stats = svc.stats()
+        assert (
+            stats["jobs_failed"], stats["jobs_completed"], stats["inflight"]
+        ) == (1, 0, 0)
+        assert stats["store"]["puts"] == 0
+
+    def test_stop_drains_every_inflight_job(self, tmp_path):
+        """``stop(drain=True)`` awaits the in-flight jobs before the
+        pool goes: each publishes and answers its requester, and a
+        compile asked for afterwards is refused."""
+        requests = [
+            {"op": "compile", "benchmark": "BV", "qubits": q} for q in (6, 7)
+        ]
+        svc = CompileService(workers=2, cache_dir=tmp_path)
+
+        async def scenario():
+            tasks = [asyncio.create_task(svc.handle(r)) for r in requests]
+            await asyncio.sleep(0)
+            assert len(svc._inflight) == 2
+            await svc.stop(drain=True)
+            assert svc._inflight == {}
+            late = await svc.handle(
+                {"op": "compile", "benchmark": "BV", "qubits": 8}
+            )
+            return await asyncio.gather(*tasks), late
+
+        responses, late = asyncio.run(scenario())
+        assert [r["cache_tier"] for r in responses] == [None, None]
+        assert all(r["ok"] for r in responses), responses
+        assert late["error"]["code"] == "shutting-down"
+        stats = svc.stats()
+        assert (stats["jobs_completed"], stats["store"]["puts"]) == (2, 2)
 
 
 def _without_provenance(record):
@@ -506,7 +580,7 @@ class TestSharedCache:
     def test_batch_cache_serves_the_service(self, tmp_path):
         (record,) = BatchRunner(jobs=1, cache_dir=tmp_path).run([self.SPEC])
         with CompileService(workers=1, cache_dir=tmp_path) as svc:
-            response = svc.handle(self.REQUEST)
+            response = _serve(svc, self.REQUEST)
             assert svc._executor is None  # served without compiling
         assert response["ok"], response
         assert response["cache_tier"] == "disk"
@@ -515,7 +589,7 @@ class TestSharedCache:
 
     def test_service_cache_serves_the_batch_runner(self, tmp_path):
         with CompileService(workers=1, cache_dir=tmp_path) as svc:
-            served = svc.handle(self.REQUEST)
+            served = _serve(svc, self.REQUEST)
         assert served["ok"], served
         assert served["cache_tier"] is None
         (record,) = BatchRunner(jobs=1, cache_dir=tmp_path).run([self.SPEC])

@@ -132,22 +132,6 @@ class TestMeasurementEquivalence:
                     getattr(packed, name)(*qubits)
         assert_same_tableau(packed, ref)
 
-    def test_measure_many_matches_sequential(self):
-        graph = nx.gnm_random_graph(30, 60, seed=3)
-        ref, _ = ReferenceStabilizerState.graph_state(graph, seed=9)
-        packed, _ = StabilizerState.graph_state(graph, seed=9)
-        rng = random.Random(9)
-        plans = [random_pauli_ops(rng, 30) for _ in range(30)]
-        ref_out = [
-            ref.measure_pauli(ReferencePauliString.from_ops(30, ops, sign=sign))
-            for ops, sign in plans
-        ]
-        packed_out = packed.measure_many(
-            [PauliString.from_ops(30, ops, sign=sign) for ops, sign in plans]
-        )
-        assert ref_out == packed_out
-        assert_same_tableau(packed, ref)
-
     def test_forced_and_deterministic_semantics_match(self):
         for force in (0, 1):
             ref = ReferenceStabilizerState(2)
